@@ -12,15 +12,13 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
-from .bench import bench_group_sum
 from .entangled import Subspace, max_entangled_over, orthonormalize, phi_plus, psi_lambda
-from .errors import SnverifyError
+from .errors import InvalidArgumentError, SnverifyError
 from .kronecker import kronecker_coefficient
 from .selftest import run_selftest
 from .symgroup import (
@@ -51,7 +49,6 @@ from .yyrep import (
 class CommandResult:
     status: str
     payload: dict
-    elapsed_ms: float
 
 
 def _partition_key(shape: Partition) -> str:
@@ -59,8 +56,12 @@ def _partition_key(shape: Partition) -> str:
 
 
 def _load_state(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return serialize.state_from_json(json.load(fh)).amplitudes
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidArgumentError(f"cannot read state file {path!r}: {exc}") from None
+    return serialize.state_from_json(doc).amplitudes
 
 
 def _cmd_sym(args) -> dict:
@@ -226,11 +227,6 @@ def _cmd_selftest(args) -> dict:
     return report
 
 
-def _cmd_bench(args) -> dict:
-    n_values = tuple(int(tok) for tok in args.n.split(","))
-    return bench_group_sum(n_values=n_values, workers=args.workers)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snverify",
@@ -331,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--trials", type=int, default=100)
     p_self.add_argument("--seed", type=int, default=0)
 
-    p_bench = sub.add_parser("bench", help="group-sum kernel throughput")
-    p_bench.add_argument("--n", default="4,5,6")
-    p_bench.add_argument("--workers", type=int, default=4)
-
     return parser
 
 
@@ -348,7 +340,6 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "certify-lemma": _cmd_certify_lemma,
     "selftest": _cmd_selftest,
-    "bench": _cmd_bench,
 }
 
 _STATUS_BY_CODE = {2: "invalid-argument", 3: "resource-limit", 4: "numerical-consistency"}
@@ -357,7 +348,6 @@ _STATUS_BY_CODE = {2: "invalid-argument", 3: "resource-limit", 4: "numerical-con
 def run(argv: list[str]) -> CommandResult:
     """Execute one CLI invocation; returns the result without printing."""
     parser = build_parser()
-    start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
         payload = _HANDLERS[args.command](args)
@@ -365,8 +355,7 @@ def run(argv: list[str]) -> CommandResult:
     except SnverifyError as exc:
         status = _STATUS_BY_CODE.get(exc.exit_code, "error")
         payload = {"error": str(exc), "status": status}
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return CommandResult(status=status, payload=payload, elapsed_ms=elapsed_ms)
+    return CommandResult(status=status, payload=payload)
 
 
 def _round_floats(obj, digits: int):

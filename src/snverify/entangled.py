@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .symgroup import Partition, enumerate_group, irrep_dimension
+from .symgroup import Partition, irrep_dimension
 from .wfs import wfs_projector
-from .yyrep import GroupRep, character, irrep, kahan_sum, rep_evaluate
+from .yyrep import GroupRep, irrep, rep_stack
 
 ORTHO_TOL = 1e-8
 
@@ -142,20 +142,17 @@ def psi_lambda(
 ) -> tuple[StateVector, float]:
     """Post-weak-Fourier-sampling state on a doubled register:
     normalized sum_h chi^shape(h)* (rep(h) tensor I_D) |phi>, together
-    with the squared norm of the unnormalized sum."""
+    with the squared norm of the unnormalized sum.  The sum is
+    (|G|/d) Xi_shape applied to the left register."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     d = rep.dim
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (d * d,):
         raise InvalidArgumentError(f"phi must live on C^{d * d}, got {phi.shape}")
-    phi_mat = unvec(phi, d)
-    group = enumerate_group(rep.n)
-    total = kahan_sum(
-        np.conj(character(irrep(shape), h)) * (rep_evaluate(rep, h) @ phi_mat)
-        for h in group
-    )
-    raw = vec(total)
+    xi = wfs_projector(rep, shape).matrix
+    scale = math.factorial(rep.n) / irrep_dimension(shape)
+    raw = vec(scale * (xi @ unvec(phi, d)))
     norm_sq = float(np.linalg.norm(raw) ** 2)
     if norm_sq < 1e-12:
         raise DegenerateInputError(
@@ -165,6 +162,14 @@ def psi_lambda(
         StateVector(registers=(d, d), amplitudes=raw / math.sqrt(norm_sq)),
         norm_sq,
     )
+
+
+def _matrix_units(rep: GroupRep, shape: Partition) -> np.ndarray:
+    """The d operators e_i1 = (d/|G|) sum_g rho^shape_i1(g)* rep(g), as a
+    d x D x D array."""
+    lam_stack = rep_stack(irrep(shape))
+    weights = (lam_stack.shape[1] / len(lam_stack)) * np.conj(lam_stack[:, :, 0].T)
+    return np.einsum("kg,gij->kij", weights, rep_stack(rep))
 
 
 def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
@@ -179,17 +184,8 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     """
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    lam_rep = irrep(shape)
-    d = lam_rep.dim
-    group = enumerate_group(rep.n)
-    scale = d / len(group)
-    units = [
-        kahan_sum(
-            scale * np.conj(rep_evaluate(lam_rep, g)[i, 0]) * rep_evaluate(rep, g)
-            for g in group
-        )
-        for i in range(d)
-    ]
+    units = _matrix_units(rep, shape)
+    d = len(units)
     e11 = units[0]
     evals, evecs = np.linalg.eigh(e11)
     seeds = [evecs[:, k] for k in range(len(evals)) if evals[k] > 0.5]

@@ -21,13 +21,11 @@ from .entangled import (
     m_lambda_subspace,
     orthonormalize,
     psi_lambda,
-    unvec,
     vec,
 )
-from .kronecker import kronecker_coefficient, multiplicity_character
+from .kronecker import kronecker_coefficient
 from .symgroup import (
     Partition,
-    class_representative,
     class_size,
     compose,
     enumerate_group,
@@ -48,7 +46,7 @@ from .yyrep import (
     irrep,
     irrep_character,
     regular_representations,
-    rep_evaluate,
+    rep_stack,
     tensor_rep,
 )
 
@@ -85,17 +83,12 @@ class SuiteResult:
         return doc
 
 
-def _stacked_irrep(shape: Partition) -> np.ndarray:
-    rep = irrep(shape)
-    return np.stack([rep_evaluate(rep, g) for g in enumerate_group(shape.n)])
-
-
 def suite_schur(n_max: int) -> SuiteResult:
     out = SuiteResult("schur-orthogonality")
     for n in range(2, min(n_max, 4) + 1):
         size = math.factorial(n)
         shapes = enumerate_partitions(n)
-        stacks = {shape: _stacked_irrep(shape) for shape in shapes}
+        stacks = {shape: rep_stack(irrep(shape)) for shape in shapes}
         for s1 in shapes:
             for s2 in shapes:
                 overlap = np.einsum("gab,gcd->abcd", np.conj(stacks[s1]), stacks[s2])
@@ -134,26 +127,19 @@ def suite_twisted_identity(n_max: int) -> SuiteResult:
     for n in range(2, min(n_max, 4) + 1):
         group = enumerate_group(n)
         size = len(group)
+        # products[h, k] is the index of g_k o h
+        products = np.array([[group_index(compose(g, h)) for g in group] for h in group])
         for s1 in enumerate_partitions(n):
             d1 = irrep_dimension(s1)
-            rep1 = irrep(s1)
-            chars = np.array(
-                [np.trace(rep_evaluate(rep1, g)).real for g in group]
-            )
+            chars = np.trace(rep_stack(irrep(s1)), axis1=1, axis2=2).real
             for s2 in enumerate_partitions(n):
-                rep2 = irrep(s2)
-                mats = [rep_evaluate(rep2, g) for g in group]
-                for h in group:
-                    lhs = sum(
-                        np.conj(chars[k]) * mats[group_index(compose(g, h))]
-                        for k, g in enumerate(group)
-                    )
-                    if s1 == s2:
-                        expected = (size / d1) * rep_evaluate(rep2, h)
-                    else:
-                        expected = np.zeros_like(lhs)
+                stack2 = rep_stack(irrep(s2))
+                # lhs[h] = sum_g chi^s1(g)* rho^s2(g o h)
+                lhs = np.einsum("k,hkab->hab", np.conj(chars), stack2[products])
+                expected = (size / d1) * stack2 if s1 == s2 else np.zeros_like(lhs)
+                for k in range(size):
                     out.check_residual(
-                        float(np.abs(lhs - expected).max()), 1e-8, f"n={n} {s1}|{s2}"
+                        float(np.abs(lhs[k] - expected[k]).max()), 1e-8, f"n={n} {s1}|{s2}"
                     )
     return out
 

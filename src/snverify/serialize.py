@@ -49,8 +49,13 @@ def state_from_json(doc: dict) -> StateVector:
         registers, amplitudes = doc["registers"], doc["amplitudes"]
     except (KeyError, TypeError):
         raise InvalidArgumentError("state JSON needs registers, amplitudes") from None
-    amps = np.array([complex(re, im) for re, im in amplitudes])
-    return StateVector(registers=tuple(registers), amplitudes=amps)
+    try:
+        amps = np.array([complex(re, im) for re, im in amplitudes])
+        return StateVector(registers=tuple(registers), amplitudes=amps)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            "state JSON needs integer registers and [re, im] amplitude pairs"
+        ) from None
 
 
 def projector_to_json(proj: Projector, label: Partition) -> dict:

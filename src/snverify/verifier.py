@@ -13,9 +13,9 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
 from .entangled import Subspace, orthonormalize, unvec, vec
 from .kronecker import kronecker_coefficient
-from .symgroup import Partition, enumerate_group
+from .symgroup import Partition
 from .wfs import wfs_projector
-from .yyrep import GroupRep, kahan_sum, rep_evaluate, tensor_rep
+from .yyrep import GroupRep, rep_stack, tensor_rep
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
@@ -70,17 +70,25 @@ class CertificationTrial:
     theorem: TestReport
 
 
+def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
+    """rep(k) X rep(k)^dagger for every k, as a |G| x D x D array.  The
+    complex conjugates are taken of the temporaries, in place, so the
+    stack itself is never copied."""
+    stack = rep_stack(rep)
+    out = stack @ x
+    np.conj(out, out=out)
+    out = out @ stack.transpose(0, 2, 1)
+    return np.conj(out, out=out)
+
+
 def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     """Group average (1/|G|) sum_k rep(k) X rep(k^-1); the orthogonal
     projection onto the commutant of the representation."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (rep.dim, rep.dim):
         raise InvalidArgumentError(f"X must be {rep.dim} x {rep.dim}, got {x.shape}")
-    group = enumerate_group(rep.n)
-    terms = (
-        rep_evaluate(rep, g) @ x @ rep_evaluate(rep, g).conj().T for g in group
-    )
-    return kahan_sum(terms) / len(group)
+    blocks = _conjugated(rep, x)
+    return blocks.sum(axis=0) / len(blocks)
 
 
 def commutant_projector(rep: GroupRep) -> np.ndarray:
@@ -89,11 +97,12 @@ def commutant_projector(rep: GroupRep) -> np.ndarray:
     cached = rep._povm_cache.get("commutant")
     if cached is not None:
         return cached
-    group = enumerate_group(rep.n)
-    terms = (
-        np.kron(rep_evaluate(rep, g), rep_evaluate(rep, g).conj()) for g in group
-    )
-    w = kahan_sum(terms) / len(group)
+    d = rep.dim
+    flat = rep_stack(rep).reshape(-1, d * d)
+    # Entry ((a, c), (b, d)) is sum_k rep(k)_ac rep(k)*_bd; W wants ((a, b), (c, d)).
+    w = flat.T @ flat.conj()
+    w /= len(flat)
+    w = w.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     w = (w + w.conj().T) / 2
     w.setflags(write=False)
     rep._povm_cache["commutant"] = w
@@ -113,8 +122,7 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (d * d,):
         raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
-    group = enumerate_group(rep.n)
-    size = len(group)
+    size = math.factorial(rep.n)
     if size * d * d > STATEVECTOR_ENTRY_CAP:
         raise ResourceLimitError(
             f"statevector of {size} * {d}^2 = {size * d * d} entries exceeds the "
@@ -125,17 +133,15 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     formula_value = 0.5 + 0.5 * abs(overlap) ** 2
 
     # Exact simulation: qubit tensor control tensor target, Hadamard /
-    # controlled-U / Hadamard, then the probability of measuring 0.
-    tau = np.kron(np.full(size, 1.0 / math.sqrt(size), dtype=complex), psi)
-    branch0 = tau / math.sqrt(2)
-    branch1 = tau / math.sqrt(2)
-    u_branch1 = np.empty_like(branch1)
-    for k, g in enumerate(group):
-        mat = rep_evaluate(rep, g)
-        block = unvec(branch1[k * d * d : (k + 1) * d * d], d)
-        u_branch1[k * d * d : (k + 1) * d * d] = vec(mat @ block @ mat.conj().T)
-    out0 = (branch0 + u_branch1) / math.sqrt(2)
-    circuit_value = float(np.linalg.norm(out0) ** 2)
+    # controlled-U / Hadamard, then the probability of measuring 0.  The
+    # control starts uniform, so control block k of the |0> branch is
+    # (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|).
+    out0 = _conjugated(rep, x)
+    out0 += x
+    out0 /= 2 * math.sqrt(size)
+    # np.sum rather than np.linalg.norm: the BLAS dot behind the norm splits
+    # its sum by thread count, so its last bits depend on OPENBLAS_NUM_THREADS.
+    circuit_value = float(np.sum(out0.real**2 + out0.imag**2))
     return formula_value, circuit_value
 
 

@@ -11,21 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
-from .symgroup import (
-    Partition,
-    enumerate_group,
-    enumerate_partitions,
-    irrep_dimension,
-)
+from .symgroup import Partition, enumerate_partitions, irrep_dimension
 from .yyrep import (
     GroupRep,
-    character,
+    character_vector,
     fourier_transform_matrix,
     ft_row_order,
-    irrep,
-    kahan_sum,
-    rep_evaluate,
-    tensor_rep,
+    rep_stack,
 )
 
 RANK_TOL = 1e-6
@@ -74,13 +66,9 @@ def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
         base = wfs_projector(rep.base, shape)
         mat = np.kron(base.matrix, np.eye(rep.lift_dim, dtype=complex))
         return Projector(matrix=mat, rank=base.rank * rep.lift_dim)
-    group = enumerate_group(rep.n)
-    lam_rep = irrep(shape)
-    scale = lam_rep.dim / len(group)
-    terms = (
-        scale * np.conj(character(lam_rep, g)) * rep_evaluate(rep, g) for g in group
-    )
-    return Projector.from_matrix(kahan_sum(terms))
+    stack = rep_stack(rep)
+    weights = (irrep_dimension(shape) / len(stack)) * np.conj(character_vector(shape))
+    return Projector.from_matrix(np.einsum("g,gij->ij", weights, stack))
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
@@ -98,21 +86,17 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     generalized phase estimation circuit."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    group = enumerate_group(rep.n)
-    size = len(group)
+    size = math.factorial(rep.n)
     if size * size * rep.dim * rep.dim > KRAUS_ENTRY_CAP:
         raise ResourceLimitError(
             f"Kraus element would have {size * rep.dim} x {rep.dim} entries with "
             f"|G| = {size}; exceeds the dense entry cap {KRAUS_ENTRY_CAP}"
         )
-    ft = fourier_transform_matrix(rep.n)
     rows = np.array([lab == shape for lab, _, _ in ft_row_order(rep.n)])
-    out = np.zeros((size * rep.dim, rep.dim), dtype=complex)
-    scale = 1.0 / math.sqrt(size)
-    for col, g in enumerate(group):
-        control = np.where(rows, ft[:, col], 0.0)
-        out += scale * np.kron(control[:, None], rep_evaluate(rep, g))
-    return KrausElement(matrix=out, shape_label=shape)
+    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0) / math.sqrt(size)
+    # Row (r, a), column b: sum_g control[r, g] rep(g)[a, b].
+    out = control @ rep_stack(rep).reshape(size, -1)
+    return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)
 
 
 def measure_wfs(

@@ -2,10 +2,15 @@
 representations, and the dense group Fourier transform for S_n.
 
 A GroupRep holds generator images for the adjacent transpositions
-sigma_1..sigma_{n-1}; arbitrary elements are evaluated by composing the
-images along an adjacent-transposition decomposition.  Group sums are
-accumulated with compensated (Kahan) summation in the fixed element order
-of symgroup.enumerate_group, so results are byte-reproducible.
+sigma_1..sigma_{n-1}.  rep_stack evaluates it on the whole group at once:
+a cached, read-only |G| x D x D array in the order of
+symgroup.enumerate_group, filled at one matrix product per element.  Every
+group sum is one contraction of a weight vector or matrix against that
+stack (einsum for a weight vector, BLAS for matrix products), so its
+reduction order is fixed and results are byte-reproducible for a given
+NumPy/BLAS build.  rep_evaluate multiplies
+the images along an adjacent-transposition decomposition; it evaluates a
+single element, also where S_n is too large to enumerate.
 """
 
 from __future__ import annotations
@@ -61,31 +66,14 @@ def check_dense_cap(n: int, what: str) -> None:
         )
 
 
-def kahan_sum(terms) -> np.ndarray:
-    """Compensated sum of equally-shaped complex arrays, in iteration order."""
-    it = iter(terms)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise InvalidArgumentError("kahan_sum needs at least one term") from None
-    total = np.array(first, dtype=complex)
-    comp = np.zeros_like(total)
-    for term in it:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 @dataclass(eq=False)
 class GroupRep:
     """A representation of S_n given by its generator images.
 
     kind is one of "irrep", "tensor", "left-regular", "right-regular",
-    "lift", "conjugate", "identity-times-irrep"; labels carries the
-    partition labels where applicable.  base points at the underlying rep
-    for "lift"/"conjugate".
+    "lift", "identity-times-irrep"; labels carries the partition labels
+    where applicable.  base points at the underlying rep for "lift" and
+    "identity-times-irrep".
     """
 
     n: int
@@ -95,7 +83,7 @@ class GroupRep:
     labels: tuple[Partition, ...] = ()
     base: "GroupRep | None" = None
     lift_dim: int = 0
-    _eval_cache: dict = field(default_factory=dict, repr=False)
+    _stack: "np.ndarray | None" = field(default=None, repr=False)
     _char_cache: dict = field(default_factory=dict, repr=False)
     _povm_cache: dict = field(default_factory=dict, repr=False)
 
@@ -136,6 +124,9 @@ def irrep(shape: Partition) -> GroupRep:
                     generator_images=images, labels=(shape,))
 
 
+# One entry: a command works on one (mu, nu) pair, and its stack alone can
+# take hundreds of MB, so no older pair is kept alive.
+@lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     """rho^mu tensor rho^nu, generator-wise Kronecker products."""
     if mu.n != nu.n:
@@ -153,13 +144,6 @@ def lift_with_identity(rep: GroupRep, d2: int) -> GroupRep:
     images = tuple(np.kron(img, np.eye(d2, dtype=complex)) for img in rep.generator_images)
     return GroupRep(n=rep.n, dim=rep.dim * d2, kind="lift",
                     generator_images=images, labels=rep.labels, base=rep, lift_dim=d2)
-
-
-def conjugate_rep(rep: GroupRep) -> GroupRep:
-    """Entrywise complex conjugate of a representation."""
-    images = tuple(np.conj(img) for img in rep.generator_images)
-    return GroupRep(n=rep.n, dim=rep.dim, kind="conjugate",
-                    generator_images=images, labels=rep.labels, base=rep)
 
 
 def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
@@ -204,18 +188,43 @@ def regular_representations(n: int) -> tuple[GroupRep, GroupRep]:
 
 def rep_evaluate(rep: GroupRep, g: Permutation) -> np.ndarray:
     """Matrix of g, as the product of generator images along an
-    adjacent-transposition decomposition.  Cached per element."""
+    adjacent-transposition decomposition."""
     if g.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
-    cached = rep._eval_cache.get(g.images)
-    if cached is not None:
-        return cached
     mat = np.eye(rep.dim, dtype=complex)
     for i in adjacent_transposition_decomposition(g):
         mat = mat @ rep.generator_images[i - 1]
-    mat.setflags(write=False)
-    rep._eval_cache[g.images] = mat
     return mat
+
+
+@lru_cache(maxsize=None)
+def _stack_plan(n: int) -> tuple[tuple[int, int], ...]:
+    """For each element g != e of enumerate_group(n), in order: the index
+    of g' = g o sigma_{j+1} and the generator index j, where j is the
+    first descent of g's one-line word.  Swapping that descent makes the
+    word lexicographically smaller, so g' precedes g."""
+    plan = []
+    for g in enumerate_group(n)[1:]:
+        word = list(g.images)
+        j = next(j for j in range(n - 1) if word[j] > word[j + 1])
+        word[j], word[j + 1] = word[j + 1], word[j]
+        plan.append((group_index(Permutation(tuple(word))), j))
+    return tuple(plan)
+
+
+def rep_stack(rep: GroupRep) -> np.ndarray:
+    """rep(g) for every g of enumerate_group(rep.n), as a read-only
+    |G| x D x D array built once per representation:
+    rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1}), one product each."""
+    if rep._stack is None:
+        plan = _stack_plan(rep.n)
+        stack = np.empty((len(plan) + 1, rep.dim, rep.dim), dtype=complex)
+        stack[0] = np.eye(rep.dim)
+        for k, (parent, j) in enumerate(plan, start=1):
+            np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
+        stack.setflags(write=False)
+        rep._stack = stack
+    return rep._stack
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +233,19 @@ def irrep_character(shape: Partition, cycle_type: Partition) -> float:
     Young-Yamanouchi matrix at the canonical class representative."""
     value = np.trace(rep_evaluate(irrep(shape), class_representative(cycle_type)))
     return float(value.real)
+
+
+@lru_cache(maxsize=None)
+def _cycle_types(n: int) -> tuple[Partition, ...]:
+    return tuple(conjugacy_class_of(g) for g in enumerate_group(n))
+
+
+@lru_cache(maxsize=None)
+def character_vector(shape: Partition) -> np.ndarray:
+    """chi^shape(g) for every g of enumerate_group(shape.n), read-only."""
+    chi = np.array([irrep_character(shape, ct) for ct in _cycle_types(shape.n)])
+    chi.setflags(write=False)
+    return chi
 
 
 def character(rep: GroupRep, g: Permutation) -> complex:
@@ -243,8 +265,6 @@ def character(rep: GroupRep, g: Permutation) -> complex:
         value = rep.lift_dim * character(rep.base, g)
     elif rep.kind == "identity-times-irrep":
         value = rep.lift_dim * complex(irrep_character(rep.labels[0], cycle_type))
-    elif rep.kind == "conjugate":
-        value = complex(np.conj(character(rep.base, g)))
     else:
         value = complex(np.trace(rep_evaluate(rep, class_representative(cycle_type))))
     rep._char_cache[cycle_type] = value
@@ -268,17 +288,13 @@ def fourier_transform_matrix(n: int) -> np.ndarray:
     """Dense |G| x |G| Fourier transform: entry sqrt(d/|G|) rho^lambda_ij(pi)
     at row (lambda, i, j) and column pi."""
     check_dense_cap(n, "Fourier transform")
-    group = enumerate_group(n)
-    size = len(group)
-    ft = np.zeros((size, size), dtype=complex)
+    size = math.factorial(n)
+    ft = np.empty((size, size), dtype=complex)
     row = 0
     for shape in enumerate_partitions(n):
-        rep = irrep(shape)
-        d = rep.dim
-        scale = math.sqrt(d / size)
-        for col, g in enumerate(group):
-            block = rep_evaluate(rep, g)
-            ft[row : row + d * d, col] = scale * block.reshape(-1)
+        d = irrep_dimension(shape)
+        stack = rep_stack(irrep(shape))
+        ft[row : row + d * d] = math.sqrt(d / size) * stack.reshape(size, d * d).T
         row += d * d
     ft.setflags(write=False)
     return ft

@@ -3,6 +3,7 @@ determinism, and byte-identical self-test reports.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -148,6 +149,29 @@ def test_resource_limit_exits_3(capsys, monkeypatch):
     assert "24" in doc["error"]  # the n! memory formula is reported
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["wfs", "measure", "2,1", "2,1", "--state", "{missing}"], None),
+        (["verify", "run", "2,1", "2,1", "2,1", "--state", "{path}"], "not json"),
+        (
+            ["state", "psi-lambda", "2,1", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4, 4], "amplitudes": [[1.0, 0.0], [0.5]]}',
+        ),
+    ],
+    ids=["missing-file", "not-json", "malformed-amplitude"],
+)
+def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [a.format(missing=tmp_path / "absent.json", path=path) for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["status"] == "invalid-argument"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -172,6 +196,11 @@ def test_selftest_stdout_is_byte_identical_across_processes():
     a = subprocess.run(cmd, capture_output=True, check=True)
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
+    # the group contractions must not depend on the BLAS thread count
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        c = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        assert c.stdout == a.stdout, f"OPENBLAS_NUM_THREADS={threads}"
     doc = json.loads(a.stdout)
     assert doc["all_passed"] is True
     # timings go to stderr only, so they cannot break determinism

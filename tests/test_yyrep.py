@@ -25,16 +25,15 @@ from snverify.symgroup import (
 )
 from snverify.yyrep import (
     character,
-    conjugate_rep,
     fourier_transform_matrix,
     ft_row_order,
     identity_times_irrep,
     irrep,
     irrep_character,
-    kahan_sum,
     lift_with_identity,
     regular_representations,
     rep_evaluate,
+    rep_stack,
     tensor_rep,
 )
 
@@ -104,16 +103,29 @@ def test_evaluation_is_a_homomorphism(data):
 
 
 def test_evaluation_is_decomposition_independent():
-    # Multiplying generator images along the alternate decomposition must
-    # reproduce the cached bubble-sort evaluation.
-    for n in (3, 4):
-        for shape in enumerate_partitions(n):
-            rep = irrep(shape)
-            for g in enumerate_group(n):
-                alt = np.eye(rep.dim, dtype=complex)
-                for i in adjacent_transposition_decomposition(g, "insertion"):
-                    alt = alt @ rep.generator_images[i - 1]
-                np.testing.assert_allclose(alt, rep_evaluate(rep, g), atol=1e-12)
+    # Multiplying generator images along the alternate decomposition, and
+    # the whole-group stack, must reproduce the bubble-sort evaluation.
+    reps = [irrep(shape) for n in range(1, 6) for shape in enumerate_partitions(n)]
+    reps += [
+        tensor_rep(P("2,1"), P("2,1")),
+        identity_times_irrep(2, P("2,1")),
+        regular_representations(3)[0],
+    ]
+    for rep in reps:
+        stack = rep_stack(rep)
+        group = enumerate_group(rep.n)
+        assert stack.shape == (len(group), rep.dim, rep.dim)
+        assert not stack.flags.writeable
+        assert rep_stack(rep) is stack
+        for k, g in enumerate(group):
+            chain = rep_evaluate(rep, g)
+            np.testing.assert_allclose(stack[k], chain, rtol=0, atol=1e-12)
+            if rep.n > 4:
+                continue
+            alt = np.eye(rep.dim, dtype=complex)
+            for i in adjacent_transposition_decomposition(g, "insertion"):
+                alt = alt @ rep.generator_images[i - 1]
+            np.testing.assert_allclose(alt, chain, rtol=0, atol=1e-12)
 
 
 def test_inverse_evaluates_to_transpose():
@@ -181,13 +193,11 @@ def test_derived_representation_characters():
     mu, nu = P("2,1"), P("2,1")
     sigma = tensor_rep(mu, nu)
     lifted = lift_with_identity(sigma, 3)
-    conj = conjugate_rep(sigma)
     blocked = identity_times_irrep(2, mu)
     for g in enumerate_group(3):
         chi_mu = irrep_character(mu, conjugacy_class_of(g))
         assert character(sigma, g) == pytest.approx(chi_mu * chi_mu, abs=1e-10)
         assert character(lifted, g) == pytest.approx(3 * chi_mu * chi_mu, abs=1e-10)
-        assert character(conj, g) == pytest.approx(chi_mu * chi_mu, abs=1e-10)
         assert character(blocked, g) == pytest.approx(2 * chi_mu, abs=1e-10)
         np.testing.assert_allclose(
             rep_evaluate(blocked, g),
@@ -280,19 +290,3 @@ def test_fourier_transform_respects_dense_cap(monkeypatch):
             fourier_transform_matrix(4)
     finally:
         fourier_transform_matrix.cache_clear()
-
-
-# ------------------------------------------------------------------- kahan
-
-def test_kahan_sum_matches_plain_sum_on_small_input():
-    rng = np.random.default_rng(0)
-    terms = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(50)]
-    np.testing.assert_allclose(kahan_sum(iter(terms)), sum(terms), atol=1e-12)
-
-
-def test_kahan_sum_is_reproducible():
-    rng = np.random.default_rng(1)
-    terms = [rng.standard_normal(5) * 10.0**k for k in range(-8, 8) for _ in range(3)]
-    a = kahan_sum(iter(terms))
-    b = kahan_sum(iter(terms))
-    assert a.tobytes() == b.tobytes()
