@@ -24,6 +24,7 @@ from .selftest import run_selftest
 from .symgroup import (
     Partition,
     Permutation,
+    conjugacy_class_of,
     enumerate_partitions,
     enumerate_tableaux,
     irrep_dimension,
@@ -36,9 +37,9 @@ from .verifier import (
 )
 from .wfs import lightning_distribution, measure_wfs, wfs_povm, wfs_projector
 from .yyrep import (
-    character,
     fourier_transform_matrix,
     irrep,
+    irrep_character,
     lift_with_identity,
     rep_evaluate,
     tensor_rep,
@@ -84,11 +85,9 @@ def _cmd_rep(args) -> dict:
         return serialize.matrix_to_json(fourier_transform_matrix(args.n))
     shape = Partition.parse(args.shape)
     g = Permutation.parse(args.perm)
-    rep = irrep(shape)
     if args.action == "matrix":
-        return serialize.matrix_to_json(rep_evaluate(rep, g))
-    chi = character(rep, g)
-    return {"chi": [chi.real, chi.imag]}
+        return serialize.matrix_to_json(rep_evaluate(irrep(shape), g))
+    return {"chi": [float(irrep_character(shape, conjugacy_class_of(g))), 0.0]}
 
 
 def _cmd_wfs(args) -> dict:
@@ -173,6 +172,11 @@ def _report_json(report) -> dict:
     }
 
 
+def _min_slack(reports) -> float | None:
+    """Worst bound - distance over the reports; None when there are none."""
+    return min((r.bound - r.distance_to_target for r in reports), default=None)
+
+
 def _cmd_verify(args) -> dict:
     mu, nu, lam = (Partition.parse(t) for t in (args.mu, args.nu, args.shape))
     if args.action == "spectrum":
@@ -198,6 +202,10 @@ def _cmd_verify(args) -> dict:
             ),
             "corollary_reports": corollary,
             "theorem_reports": theorem,
+            "min_slack": _min_slack(
+                [t.corollary for t in trials] + [t.theorem for t in trials]
+            ),
+            "degenerate_trials": sum(t.degenerate for t in trials),
         }
     # run
     psi = _load_state(args.state)
@@ -217,6 +225,7 @@ def _cmd_certify_lemma(args) -> dict:
         "seed": args.seed,
         "violations": sum(not r.bound_satisfied for r in reports),
         "reports": [_report_json(r) for r in reports],
+        "min_slack": _min_slack(reports),
     }
 
 

@@ -9,19 +9,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidArgumentError, NumericalConsistencyError
-from .symgroup import (
-    Partition,
-    class_representative,
-    class_size,
-    enumerate_partitions,
-    irrep_dimension,
-)
-from .yyrep import GroupRep, character, irrep_character, tensor_rep
-
-INT_TOL = 1e-6
+from .symgroup import Partition, class_size, enumerate_partitions, irrep_dimension
+from .yyrep import GroupRep, class_character, irrep_character, tensor_rep
 
 
 @dataclass(frozen=True)
@@ -34,45 +24,39 @@ class Multiplicity:
             raise NumericalConsistencyError(f"multiplicity {self.value} is negative")
 
 
-def _as_integer(value: complex, context: str) -> int:
-    k = round(value.real)
-    if abs(value - k) > INT_TOL or k < 0:
+def _group_average(total: int, n: int, context: str) -> int:
+    """total / n!, which must be a nonnegative integer."""
+    m, rem = divmod(total, math.factorial(n))
+    if rem != 0 or m < 0:
         raise NumericalConsistencyError(
-            f"{context}: value {value} is not a nonnegative integer within {INT_TOL}"
+            f"{context}: character sum {total} is not a nonnegative multiple of {n}!"
         )
-    return k
+    return m
 
 
 def multiplicity_character(rep: GroupRep, shape: Partition) -> Multiplicity:
-    """m = (1/|G|) sum_g chi^shape(g)* chi^rep(g), summed per conjugacy
-    class weighted by class size."""
+    """m = (1/|G|) sum_g chi^shape(g) chi^rep(g), summed exactly per
+    conjugacy class weighted by class size (S_n characters are real)."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    size = math.factorial(rep.n)
-    total = 0.0 + 0.0j
-    for cycle_type in enumerate_partitions(rep.n):
-        g = class_representative(cycle_type)
-        total += (
-            class_size(cycle_type)
-            * np.conj(irrep_character(shape, cycle_type))
-            * character(rep, g)
-        )
-    value = _as_integer(total / size, f"multiplicity of {shape} in {rep.kind}")
+    total = sum(
+        class_size(ct) * irrep_character(shape, ct) * class_character(rep, ct)
+        for ct in enumerate_partitions(rep.n)
+    )
+    value = _group_average(total, rep.n, f"multiplicity of {shape} in {rep.kind}")
     return Multiplicity(value=value, route="character-sum")
 
 
 @lru_cache(maxsize=None)
 def _kronecker_char(mu: Partition, nu: Partition, lam: Partition) -> int:
-    size = math.factorial(mu.n)
-    total = 0.0
-    for cycle_type in enumerate_partitions(mu.n):
-        total += (
-            class_size(cycle_type)
-            * irrep_character(lam, cycle_type)
-            * irrep_character(mu, cycle_type)
-            * irrep_character(nu, cycle_type)
-        )
-    return _as_integer(complex(total / size), f"kronecker({mu};{nu};{lam})")
+    total = sum(
+        class_size(ct)
+        * irrep_character(lam, ct)
+        * irrep_character(mu, ct)
+        * irrep_character(nu, ct)
+        for ct in enumerate_partitions(mu.n)
+    )
+    return _group_average(total, mu.n, f"kronecker({mu};{nu};{lam})")
 
 
 def _kronecker_rank(mu: Partition, nu: Partition, lam: Partition) -> int:

@@ -117,8 +117,8 @@ def suite_characters(n_max: int) -> SuiteResult:
                     class_size(ct) * irrep_character(s1, ct) * irrep_character(s2, ct)
                     for ct in classes
                 )
-                expected = size if s1 == s2 else 0.0
-                out.check_residual(abs(total - expected), 1e-8, f"n={n} {s1}|{s2}")
+                expected = size if s1 == s2 else 0
+                out.check(total == expected, abs(total - expected), f"n={n} {s1}|{s2}")
     return out
 
 

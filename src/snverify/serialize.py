@@ -31,9 +31,14 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except (KeyError, TypeError):
         raise InvalidArgumentError("matrix JSON needs rows, cols, data") from None
-    if len(data) != rows * cols:
-        raise InvalidArgumentError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    if not all(isinstance(k, int) and k >= 0 for k in (rows, cols)):
+        raise InvalidArgumentError("matrix JSON rows and cols must be nonnegative integers")
+    try:
+        flat = np.array([complex(re, im) for re, im in data])
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("matrix JSON data needs [re, im] entry pairs") from None
+    if len(flat) != rows * cols:
+        raise InvalidArgumentError(f"matrix data length {len(flat)} != {rows}*{cols}")
     return flat.reshape(rows, cols)
 
 

@@ -64,10 +64,13 @@ class TestReport:
 @dataclass(frozen=True)
 class CertificationTrial:
     """Per-trial reports: the full-verifier bound and the internal-test
-    bound on the post-sampling state."""
+    bound on the post-sampling state.  A degenerate trial's state has
+    sampling probability below 1e-14; its theorem report is a placeholder
+    with distance 0."""
 
     corollary: TestReport
     theorem: TestReport
+    degenerate: bool = False
 
 
 def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
@@ -287,7 +290,9 @@ def certify_corollary_bound(
         if p_sample < 1e-14:
             corollary = TestReport.build(0.0, accepting.distance_to(psi), 3.0 * math.sqrt(2.0))
             theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
-            trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))
+            trials_out.append(
+                CertificationTrial(corollary=corollary, theorem=theorem, degenerate=True)
+            )
             continue
         post = projected / math.sqrt(p_sample)
         p_internal, _ = internal_test_probability(sigma, post)

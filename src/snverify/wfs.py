@@ -130,11 +130,13 @@ def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, floa
     from .kronecker import kronecker_coefficient  # avoid import cycle
 
     d_mu, d_nu = irrep_dimension(mu), irrep_dimension(nu)
-    dist = {}
-    for shape in enumerate_partitions(mu.n):
-        m = kronecker_coefficient(mu, nu, shape).value
-        dist[shape] = irrep_dimension(shape) * m / (d_mu * d_nu)
-    total = sum(dist.values())
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalConsistencyError(f"lightning distribution sums to {total}")
-    return dist
+    weights = {
+        shape: irrep_dimension(shape) * kronecker_coefficient(mu, nu, shape).value
+        for shape in enumerate_partitions(mu.n)
+    }
+    total = sum(weights.values())
+    if total != d_mu * d_nu:
+        raise NumericalConsistencyError(
+            f"lightning weights sum to {total}, not d_mu d_nu = {d_mu * d_nu}"
+        )
+    return {shape: w / (d_mu * d_nu) for shape, w in weights.items()}

@@ -11,6 +11,11 @@ reduction order is fixed and results are byte-reproducible for a given
 NumPy/BLAS build.  rep_evaluate multiplies
 the images along an adjacent-transposition decomposition; it evaluates a
 single element, also where S_n is too large to enumerate.
+
+Characters need no matrix: irrep_character is the exact integer given by
+the Murnaghan-Nakayama border-strip rule, and class_character builds the
+character of every other kind from it.  The trace of the dense chain is
+kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .symgroup import (
     Permutation,
     adjacent_transposition_decomposition,
     axial_distance,
-    class_representative,
     compose,
     conjugacy_class_of,
     enumerate_group,
@@ -84,7 +88,6 @@ class GroupRep:
     base: "GroupRep | None" = None
     lift_dim: int = 0
     _stack: "np.ndarray | None" = field(default=None, repr=False)
-    _char_cache: dict = field(default_factory=dict, repr=False)
     _povm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -228,11 +231,44 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def irrep_character(shape: Partition, cycle_type: Partition) -> float:
-    """Character of the irrep at a conjugacy class, via the trace of the
-    Young-Yamanouchi matrix at the canonical class representative."""
-    value = np.trace(rep_evaluate(irrep(shape), class_representative(cycle_type)))
-    return float(value.real)
+def irrep_character(shape: Partition, cycle_type: Partition) -> int:
+    """Character of the irrep at a conjugacy class, an exact integer by the
+    Murnaghan-Nakayama rule (Sagan, The Symmetric Group, 4.10)."""
+    if shape.n != cycle_type.n:
+        raise InvalidArgumentError(
+            f"degree mismatch: class of S_{cycle_type.n}, irrep of S_{shape.n}"
+        )
+    k = len(shape.parts)
+    beta = tuple(part + k - 1 - i for i, part in enumerate(shape.parts))
+    return _border_strip_sum(beta[::-1], cycle_type.parts)
+
+
+@lru_cache(maxsize=None)
+def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """chi^lambda at the cycle parts, where beta holds the beta-numbers of
+    lambda in ascending order (its abacus, no bead at 0).
+
+    Removing a border strip of length r = parts[0] moves one bead from b
+    to an empty slot b - r, with sign (-1)^(beads strictly between); the
+    smaller partition then takes the remaining parts.
+    """
+    if not parts:
+        return 1
+    r, rest = parts[0], parts[1:]
+    total = 0
+    for pos, b in enumerate(beta):
+        slot = b - r
+        if slot < 0 or slot in beta:
+            continue
+        between = sum(1 for c in beta[:pos] if c > slot)
+        moved = sorted(beta[:pos] + (slot,) + beta[pos + 1 :])
+        # Beads packed at 0, 1, ..., j - 1 are empty rows: drop them.
+        j = 0
+        while j < len(moved) and moved[j] == j:
+            j += 1
+        value = _border_strip_sum(tuple(c - j for c in moved[j:]), rest)
+        total += -value if between % 2 else value
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -243,32 +279,33 @@ def _cycle_types(n: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def character_vector(shape: Partition) -> np.ndarray:
     """chi^shape(g) for every g of enumerate_group(shape.n), read-only."""
-    chi = np.array([irrep_character(shape, ct) for ct in _cycle_types(shape.n)])
+    chi = np.array([irrep_character(shape, ct) for ct in _cycle_types(shape.n)], dtype=float)
     chi.setflags(write=False)
     return chi
 
 
-def character(rep: GroupRep, g: Permutation) -> complex:
-    """Trace of rep at g; a class function, cached per cycle type."""
-    if g.n != rep.n:
-        raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
-    cycle_type = conjugacy_class_of(g)
-    cached = rep._char_cache.get(cycle_type)
-    if cached is not None:
-        return cached
+def class_character(rep: GroupRep, cycle_type: Partition) -> int:
+    """Trace of rep on the conjugacy class of cycle_type, an exact integer
+    built from irrep characters; no matrix is evaluated."""
+    if cycle_type.n != rep.n:
+        raise InvalidArgumentError(
+            f"degree mismatch: class of S_{cycle_type.n}, rep of S_{rep.n}"
+        )
     if rep.kind == "irrep":
-        value = complex(irrep_character(rep.labels[0], cycle_type))
-    elif rep.kind == "tensor":
+        return irrep_character(rep.labels[0], cycle_type)
+    if rep.kind == "tensor":
         mu, nu = rep.labels
-        value = complex(irrep_character(mu, cycle_type) * irrep_character(nu, cycle_type))
-    elif rep.kind == "lift":
-        value = rep.lift_dim * character(rep.base, g)
-    elif rep.kind == "identity-times-irrep":
-        value = rep.lift_dim * complex(irrep_character(rep.labels[0], cycle_type))
-    else:
-        value = complex(np.trace(rep_evaluate(rep, class_representative(cycle_type))))
-    rep._char_cache[cycle_type] = value
-    return value
+        return irrep_character(mu, cycle_type) * irrep_character(nu, cycle_type)
+    if rep.kind in ("lift", "identity-times-irrep"):
+        return rep.lift_dim * class_character(rep.base, cycle_type)
+    if rep.kind in ("left-regular", "right-regular"):
+        return rep.dim if cycle_type.parts == (1,) * rep.n else 0
+    raise InvalidArgumentError(f"no character for representation kind {rep.kind!r}")
+
+
+def character(rep: GroupRep, g: Permutation) -> complex:
+    """Trace of rep at g, a class function."""
+    return complex(class_character(rep, conjugacy_class_of(g)))
 
 
 def ft_row_order(n: int) -> list[tuple[Partition, int, int]]:

@@ -10,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from snverify import serialize
+from snverify import serialize, verifier
 from snverify.cli import main, run
+from snverify.symgroup import Partition
+from snverify.wfs import wfs_projector
+from snverify.yyrep import tensor_rep
 
 
 def invoke(argv, capsys):
@@ -107,6 +110,43 @@ def test_certify_lemma_subcommand(capsys):
         capsys,
     )
     assert code == 0
+    assert doc["violations"] == 0
+
+
+def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
+    code, doc = invoke(
+        ["verify", "certify", "2,1", "2,1", "2,1", "--trials", "5", "--seed", "0"], capsys
+    )
+    assert code == 0
+    reports = doc["corollary_reports"] + doc["theorem_reports"]
+    assert doc["min_slack"] == min(r["bound"] - r["distance_to_target"] for r in reports)
+    assert doc["min_slack"] > 0
+    assert doc["degenerate_trials"] == 0
+
+    code, doc = invoke(
+        ["certify-lemma", "2,1", "--multiplicity", "2", "--trials", "5", "--seed", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert doc["min_slack"] == min(r["bound"] - r["distance_to_target"] for r in doc["reports"])
+    assert "degenerate_trials" not in doc
+
+    # Trial states orthogonal to the sampled isotypic component are counted.
+    two_one = Partition((2, 1))
+    xi = wfs_projector(tensor_rep(two_one, two_one), Partition((3,))).matrix
+    gamma = np.kron(xi, np.eye(4))
+
+    def outside_component(dim, rng):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = v - gamma @ v
+        return v / np.linalg.norm(v)
+
+    monkeypatch.setattr(verifier, "haar_state", outside_component)
+    code, doc = invoke(
+        ["verify", "certify", "2,1", "2,1", "3", "--trials", "4", "--seed", "0"], capsys
+    )
+    assert code == 0
+    assert doc["degenerate_trials"] == 4
     assert doc["violations"] == 0
 
 

@@ -11,12 +11,21 @@ import pytest
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.kronecker import (
     Multiplicity,
+    _group_average,
     is_positive,
     kronecker_coefficient,
     multiplicity_character,
 )
 from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
-from snverify.yyrep import irrep, rep_evaluate, tensor_rep
+from snverify.wfs import lightning_distribution
+from snverify.yyrep import (
+    identity_times_irrep,
+    irrep,
+    lift_with_identity,
+    regular_representations,
+    rep_evaluate,
+    tensor_rep,
+)
 
 P = Partition.parse
 
@@ -116,6 +125,44 @@ def test_multiplicity_character_on_tensor_rep():
         m = multiplicity_character(sigma, lam)
         assert m.value == kronecker_coefficient(P("2,1"), P("2,1"), lam).value
         assert m.route == "character-sum"
+
+
+def test_multiplicity_character_on_derived_reps():
+    lam = P("2,1")
+    assert multiplicity_character(lift_with_identity(tensor_rep(lam, lam), 3), lam).value == 3
+    assert multiplicity_character(identity_times_irrep(2, lam), lam).value == 2
+    assert multiplicity_character(identity_times_irrep(2, lam), P("3")).value == 0
+    # every irrep occurs in the regular representation d times
+    for rep in regular_representations(4):
+        for shape in enumerate_partitions(4):
+            assert multiplicity_character(rep, shape).value == irrep_dimension(shape)
+
+
+def test_group_average_is_exact_and_checked():
+    assert _group_average(12, 3, "ok") == 2
+    with pytest.raises(NumericalConsistencyError):
+        _group_average(7, 3, "remainder")
+    with pytest.raises(NumericalConsistencyError):
+        _group_average(-6, 3, "negative")
+
+
+def test_character_route_builds_no_irrep_at_n9():
+    before = irrep.cache_info().currsize
+    assert kronecker_coefficient(P("4,3,2"), P("4,3,2"), P("3,3,2,1"), route="char").value == 11
+    assert kronecker_coefficient(P("5,2,2"), P("4,4,1"), P("3,3,2,1"), route="char").value == 4
+    lightning_distribution(P("5,3,1"), P("4,3,2"))
+    assert irrep.cache_info().currsize == before
+
+
+def test_lightning_at_n12_sums_to_one():
+    mu, nu = P("5,4,3"), P("4,4,2,2")
+    dist = lightning_distribution(mu, nu)
+    assert len(dist) == len(enumerate_partitions(12))
+    assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    weights = sum(
+        irrep_dimension(lam) * kronecker_coefficient(mu, nu, lam).value for lam in dist
+    )
+    assert weights == irrep_dimension(mu) * irrep_dimension(nu)
 
 
 def test_is_positive():

@@ -43,6 +43,12 @@ def test_matrix_from_json_validates():
         serialize.matrix_to_json(np.ones(3))
 
 
+@pytest.mark.parametrize("data", [[[1]], [[1, 2, 3]], [["a", 0]]])
+def test_matrix_from_json_rejects_malformed_entries(data):
+    with pytest.raises(InvalidArgumentError):
+        serialize.matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
 def test_state_round_trip():
     state = phi_plus(3)
     doc = json.loads(json.dumps(serialize.state_to_json(state)))

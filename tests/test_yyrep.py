@@ -16,6 +16,7 @@ from snverify.symgroup import (
     Permutation,
     adjacent_transposition_decomposition,
     class_representative,
+    class_size,
     compose,
     conjugacy_class_of,
     enumerate_group,
@@ -162,7 +163,64 @@ def test_character_tables(table):
     for (shape_text,), row in table.items():
         shape = P(shape_text)
         for cycle_text, value in row.items():
-            assert irrep_character(shape, P(cycle_text)) == pytest.approx(value, abs=1e-10)
+            assert irrep_character(shape, P(cycle_text)) == value
+
+
+def test_murnaghan_nakayama_matches_dense_trace_oracle():
+    # The trace of the Young-Yamanouchi matrix at a class representative,
+    # rounded, is an independent route to every character.
+    for n in range(1, 8):
+        for shape in enumerate_partitions(n):
+            rep = irrep(shape)
+            for ct in enumerate_partitions(n):
+                trace = np.trace(rep_evaluate(rep, class_representative(ct))).real
+                value = irrep_character(shape, ct)
+                assert type(value) is int
+                assert abs(trace - value) < 1e-9, (shape, ct, trace)
+
+
+# Character table rows at n = 9 and n = 10, computed once by the dense
+# trace oracle (rounded; largest rounding 1.8e-14).  Columns are cycle
+# types in enumerate_partitions order, (n) first and (1^n) last.
+FROZEN_ROWS = {
+    "5,3,1": [0, 0, 1, 1, 0, 0, 0, -1, 0, 1, 1, -3, -2, 0, 0, -2, 0, -6, 0, 0,
+              0, 0, 0, 0, 0, -6, 0, 6, 36, 162],
+    "3,3,2,1": [0, 0, 0, 0, 1, 0, -2, -1, 0, -1, 1, 3, 0, 1, 1, 0, -2, 4, -3, -2,
+                0, 1, 1, 1, -15, 0, -2, 4, -14, 168],
+    "4,2,1,1,1": [0, 1, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 1, 1, -1, -1, 1, -1, 0, 0,
+                  0, 3, 1, 3, 9, -3, 3, -11, -21, 189],
+    "6,4": [0, 0, 0, 0, -1, -1, -1, 1, 0, 1, -1, -3, 0, 1, -1, 1, -1, -1, -5, 2,
+            2, -1, 0, 2, 4, 0, 0, -4, 0, -1, 1, 3, 0, 2, 4, 6, 10, 2, 6, 14, 34, 90],
+    "5,2,2,1": [0, 0, 1, -1, 0, 0, 0, -1, 1, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0, -1,
+                1, -1, 0, 2, -1, 1, 3, 5, 3, -3, -1, -3, -2, 0, -10, 0, -5, 5, 7, -15,
+                35, 525],
+    "3,3,2,2": [0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 1, -3, 2, 0, -1, -1, -2, 2, 2, 0,
+                0, 1, 1, 1, 2, -2, -2, 10, 0, -1, -1, 3, 3, -1, -1, -21, -20, 4, 0, 8,
+                -28, 252],
+}
+
+
+@pytest.mark.parametrize("shape_text", sorted(FROZEN_ROWS))
+def test_frozen_character_rows_at_n9_and_n10(shape_text):
+    shape = P(shape_text)
+    row = [irrep_character(shape, ct) for ct in enumerate_partitions(shape.n)]
+    assert row == FROZEN_ROWS[shape_text]
+
+
+def test_character_at_identity_is_hook_length_dimension_at_n12():
+    identity = Partition((1,) * 12)
+    for shape in enumerate_partitions(12):
+        assert irrep_character(shape, identity) == irrep_dimension(shape)
+
+
+def test_exact_row_orthogonality_at_n10():
+    shapes = enumerate_partitions(10)
+    rows = {s: [irrep_character(s, ct) for ct in shapes] for s in shapes}
+    sizes = [class_size(ct) for ct in shapes]
+    for a in shapes:
+        for b in shapes:
+            total = sum(z * x * y for z, x, y in zip(sizes, rows[a], rows[b]))
+            assert total == (math.factorial(10) if a == b else 0), (a, b)
 
 
 def test_character_is_a_class_function():
@@ -225,10 +283,12 @@ def test_regular_representations_act_correctly():
 
 
 def test_regular_character_is_group_order_at_identity_only():
-    left, _ = regular_representations(4)
-    for g in enumerate_group(4):
-        expected = 24.0 if g == Permutation.identity(4) else 0.0
-        assert character(left, g) == pytest.approx(expected, abs=1e-9)
+    for rep in regular_representations(4):
+        for g in enumerate_group(4):
+            expected = 24 if g == Permutation.identity(4) else 0
+            assert character(rep, g) == expected
+            # the closed form agrees with the trace of the permutation matrix
+            assert np.trace(rep_evaluate(rep, g)) == expected
 
 
 # --------------------------------------------------------- Fourier transform
