@@ -11,11 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
-from .entangled import Subspace, orthonormalize, unvec, vec
+from .entangled import Subspace, isotypic_block_basis, unvec, vec
 from .kronecker import kronecker_coefficient
-from .symgroup import Partition
-from .wfs import wfs_projector
-from .yyrep import GroupRep, rep_stack, tensor_rep
+from .symgroup import Partition, irrep_dimension
+from .wfs import measure_wfs, wfs_projector
+from .yyrep import GroupRep, lift_with_identity, rep_stack, tensor_rep
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
@@ -25,21 +25,18 @@ STATEVECTOR_ENTRY_CAP = 1 << 22
 
 @dataclass(frozen=True)
 class AcceptanceOperator:
-    """Hermitian acceptance operator of the two-step verifier, with its
-    spectrum and the measured completeness/soundness split."""
+    """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier,
+    held in closed form: its spectrum (descending), the completeness/
+    soundness split, and an orthonormal basis of its eigenvalue-1 space as
+    D^2 x m^2 columns.  The D^2 x D^2 matrix itself is never built."""
 
-    matrix: np.ndarray
-    spectrum: np.ndarray  # real eigenvalues, descending
+    spectrum: np.ndarray
     c: float
     s: float
+    accepting_basis: np.ndarray
 
     def accepting_subspace(self) -> Subspace:
-        evals, evecs = np.linalg.eigh(self.matrix)
-        keep = [k for k in range(len(evals)) if evals[k] > 1.0 - EIGEN_ONE_TOL]
-        dim = self.matrix.shape[0]
-        if not keep:
-            return Subspace(ambient_dim=dim, basis=np.zeros((dim, 0), dtype=complex))
-        return Subspace(ambient_dim=dim, basis=orthonormalize(evecs[:, keep]))
+        return Subspace(ambient_dim=self.accepting_basis.shape[0], basis=self.accepting_basis)
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,15 @@ def commutant_projector(rep: GroupRep) -> np.ndarray:
     return w
 
 
+def _check_statevector_cap(rep: GroupRep) -> None:
+    size, d = math.factorial(rep.n), rep.dim
+    if size * d * d > STATEVECTOR_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"statevector of {size} * {d}^2 = {size * d * d} entries exceeds the "
+            f"simulation cap {STATEVECTOR_ENTRY_CAP}"
+        )
+
+
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
     """Acceptance probability of the internal-state test, two ways.
 
@@ -125,21 +131,18 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (d * d,):
         raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
+    _check_statevector_cap(rep)
     size = math.factorial(rep.n)
-    if size * d * d > STATEVECTOR_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"statevector of {size} * {d}^2 = {size * d * d} entries exceeds the "
-            f"simulation cap {STATEVECTOR_ENTRY_CAP}"
-        )
     x = unvec(psi, d)
-    overlap = complex(np.vdot(x, channel_E(rep, x)))
+    # One conjugated batch serves both values: its mean is channel_E(rep, x).
+    out0 = _conjugated(rep, x)
+    overlap = complex(np.vdot(x, out0.sum(axis=0) / size))
     formula_value = 0.5 + 0.5 * abs(overlap) ** 2
 
     # Exact simulation: qubit tensor control tensor target, Hadamard /
     # controlled-U / Hadamard, then the probability of measuring 0.  The
     # control starts uniform, so control block k of the |0> branch is
     # (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|).
-    out0 = _conjugated(rep, x)
     out0 += x
     out0 /= 2 * math.sqrt(size)
     # np.sum rather than np.linalg.norm: the BLAS dot behind the norm splits
@@ -151,43 +154,37 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
 def verification_acceptance_operator(
     mu: Partition, nu: Partition, lam: Partition
 ) -> AcceptanceOperator:
-    """Acceptance operator of the two-step verifier for sigma = rho^mu
-    tensor rho^nu: project onto the post-sampling subspace, then apply the
-    internal-test operator (I + W)/2, projected back.
-    """
+    """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier
+    for sigma = rho^mu tensor rho^nu, Gamma = Xi_lambda tensor I.  By Schur's
+    lemma W projects onto the commutant, the sum of M_m tensor I_d, and
+    commutes with Gamma: the spectrum is 1 (m^2 times), 1/2 (m d_lambda D -
+    m^2 times) and 0 otherwise, and the eigenvalue-1 space is spanned by the
+    orthonormal vec(B_a B_b^dagger)/sqrt(d_lambda) over the irrep blocks B_a
+    of the lambda component.  Checked: the block count and rank(Xi) against
+    the Kronecker coefficient m, and each B_a B_b^dagger fixed by Xi and
+    commuting with the generators."""
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
-    sigma = tensor_rep(mu, nu)
-    d = sigma.dim
-    if (d * d) ** 2 > STATEVECTOR_ENTRY_CAP * 4:
-        raise ResourceLimitError(
-            f"acceptance operator would be {d * d} x {d * d}; exceeds the dense cap"
-        )
-    xi = wfs_projector(sigma, lam)
-    gamma = np.kron(xi.matrix, np.eye(d, dtype=complex))
-    w = commutant_projector(sigma)
-    t = (np.eye(d * d, dtype=complex) + w) / 2
-    a = gamma @ t @ gamma
-    a = (a + a.conj().T) / 2
-    evals = np.linalg.eigvalsh(a)[::-1]
-    if evals[0] > 1.0 + EIGEN_ONE_TOL or evals[-1] < -EIGEN_ONE_TOL:
-        raise NumericalConsistencyError(
-            f"acceptance spectrum leaves [0, 1]: [{evals[-1]}, {evals[0]}]"
-        )
-    below_one = evals[evals < 1.0 - EIGEN_ONE_TOL]
-    s = float(below_one[0]) if below_one.size else 0.0
-    interior = evals[(evals > s + EIGEN_ONE_TOL) & (evals < 1.0 - EIGEN_ONE_TOL)]
-    if interior.size:
-        raise NumericalConsistencyError(
-            f"eigenvalues inside the (s, c) gap: {interior.tolist()}"
-        )
     m = kronecker_coefficient(mu, nu, lam).value
-    has_one = evals[0] > 1.0 - EIGEN_ONE_TOL
-    if has_one != (m >= 1):
+    sigma = tensor_rep(mu, nu)
+    d, d_lam = sigma.dim, irrep_dimension(lam)
+    xi = wfs_projector(sigma, lam)
+    blocks = np.array(isotypic_block_basis(sigma, lam), dtype=complex).reshape(-1, d, d_lam)
+    if len(blocks) != m or xi.rank != m * d_lam:
         raise NumericalConsistencyError(
-            f"eigenvalue-1 presence ({has_one}) contradicts m = {m}"
+            f"{len(blocks)} irrep blocks and rank(Xi) = {xi.rank} contradict "
+            f"m = {m}, d_lambda = {d_lam}"
         )
-    return AcceptanceOperator(matrix=a, spectrum=evals, c=1.0, s=s)
+    units = blocks[:, None] @ blocks.conj().transpose(0, 2, 1)  # [a, b] = B_a B_b^dagger
+    residual = float(np.abs(xi.matrix @ units - units).max(initial=0.0))
+    for g in sigma.generator_images:
+        residual = max(residual, float(np.abs(g @ units - units @ g).max(initial=0.0)))
+    if residual > EIGEN_ONE_TOL:
+        raise NumericalConsistencyError(f"B_a B_b^dagger leave the commutant by {residual}")
+    half = m * d_lam * d - m * m
+    spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
+    basis = units.reshape(m * m, d * d).T / math.sqrt(d_lam)
+    return AcceptanceOperator(spectrum, c=1.0, s=0.5 if half else 0.0, accepting_basis=basis)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,16 +192,22 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _trial_state(center: np.ndarray, perturbation: float | None, seed: int) -> np.ndarray:
+    """A Haar-random state, or with perturbation set the normalized
+    perturbation of center at that scale; determined by the seed."""
+    rng = np.random.default_rng(seed)
+    dim = len(center)
+    if perturbation is None:
+        return haar_state(dim, rng)
+    raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return raw / np.linalg.norm(raw)
+
+
 def product_target_subspace(m: int, d1: int) -> Subspace:
     """Span of vec(A tensor I_{d1}/sqrt(d1)) over A in C^{m x m}: the
     states the internal test characterizes for sigma = I_m tensor irrep."""
-    cols = []
-    scaled_identity = np.eye(d1) / math.sqrt(d1)
-    for a in range(m):
-        for b in range(m):
-            unit = np.zeros((m, m))
-            unit[a, b] = 1.0
-            cols.append(vec(np.kron(unit, scaled_identity)))
+    units = np.eye(m * m).reshape(m * m, m, m)  # unit[a * m + b] = |a><b|
+    cols = [vec(np.kron(unit, np.eye(d1))) / math.sqrt(d1) for unit in units]
     return Subspace(ambient_dim=(m * d1) ** 2, basis=np.column_stack(cols))
 
 
@@ -234,14 +237,7 @@ def certify_lemma_bound(
     center = vec(np.eye(d)) / math.sqrt(d)
     reports = []
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        if perturbation is None:
-            psi = haar_state(d * d, rng)
-        else:
-            raw = center + perturbation * (
-                rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-            )
-            psi = raw / np.linalg.norm(raw)
+        psi = _trial_state(center, perturbation, seed + t)
         acceptance, _ = internal_test_probability(rep, psi)
         distance = target.distance_to(psi)
         eps = 1.0 - acceptance
@@ -270,22 +266,14 @@ def certify_corollary_bound(
         )
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
-    op = verification_acceptance_operator(mu, nu, lam)
-    accepting = op.accepting_subspace()
+    _check_statevector_cap(sigma)
+    accepting = verification_acceptance_operator(mu, nu, lam).accepting_subspace()
     xi = wfs_projector(sigma, lam)
-    gamma = np.kron(xi.matrix, np.eye(d, dtype=complex))
     center = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
     trials_out = []
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        if perturbation is None:
-            psi = haar_state(d * d, rng)
-        else:
-            raw = center + perturbation * (
-                rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-            )
-            psi = raw / np.linalg.norm(raw)
-        projected = gamma @ psi
+        psi = _trial_state(center, perturbation, seed + t)
+        projected = vec(xi.matrix @ unvec(psi, d))  # Gamma psi, Gamma = Xi tensor I
         p_sample = float(np.linalg.norm(projected) ** 2)
         if p_sample < 1e-14:
             corollary = TestReport.build(0.0, accepting.distance_to(psi), 3.0 * math.sqrt(2.0))
@@ -317,12 +305,8 @@ def run_verifier_sampled(
     """End-to-end sampled run of the two-step verifier: weak Fourier
     sampling on the left register, then a coin flip at the internal-test
     circuit probability."""
-    from .wfs import measure_wfs
-    from .yyrep import lift_with_identity
-
     sigma = tensor_rep(mu, nu)
-    lifted = lift_with_identity(sigma, sigma.dim)
-    label, post = measure_wfs(lifted, psi, seed)
+    label, post = measure_wfs(lift_with_identity(sigma, sigma.dim), psi, seed)
     if label != lam:
         return {"accepted": False, "measured": str(label), "stage": "weak-fourier-sampling"}
     _, circuit_value = internal_test_probability(sigma, post)

@@ -103,23 +103,27 @@ def measure_wfs(
     rep: GroupRep, psi: np.ndarray, seed: int
 ) -> tuple[Partition, np.ndarray]:
     """Sample an irrep label with probability <psi|Xi|psi> and return the
-    normalized post-measurement state.  Deterministic given the seed."""
+    normalized post-measurement state.  Deterministic given the seed.  A
+    lift sigma tensor I is measured on its base, with no lifted matrix:
+    psi = vec X, probability ||Xi X||_F^2, post-state vec(Xi X) normalized."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (rep.dim,):
         raise InvalidArgumentError(f"state has dimension {psi.shape}, rep has {rep.dim}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise InvalidArgumentError("state must be a unit vector")
-    povm = wfs_povm(rep)
-    probs = np.array([max((psi.conj() @ p.matrix @ psi).real, 0.0) for _, p in povm])
+    base = rep.base if rep.kind == "lift" else rep
+    x = psi.reshape(base.dim, -1)
+    povm = wfs_povm(base)
+    images = [p.matrix @ x for _, p in povm]
+    probs = np.array([np.sum(y.real**2 + y.imag**2) for y in images])
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
     probs = probs / total
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(povm), p=probs)
-    shape, proj = povm[choice]
-    post = proj.matrix @ psi
-    return shape, post / np.linalg.norm(post)
+    post = images[choice].reshape(-1)
+    return povm[choice][0], post / np.linalg.norm(post)
 
 
 def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, float]:

@@ -46,7 +46,8 @@ from .symgroup import (
 DENSE_CAP_ENV = "SNVERIFY_DENSE_CAP"
 DEFAULT_DENSE_CAP = 6
 
-ATOL = 1e-9  # default entrywise tolerance for floating comparisons
+# Largest group stack in complex entries, 1 GiB: fits every S_6 tensor stack.
+STACK_ENTRY_CAP = 1 << 26
 
 
 def dense_cap() -> int:
@@ -141,12 +142,13 @@ def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
 
 
 def lift_with_identity(rep: GroupRep, d2: int) -> GroupRep:
-    """sigma tensor I_{d2}: the same action on a doubled register pair."""
+    """sigma tensor I_{d2}: the same action on a doubled register pair.
+    It holds no generator images and has no stack: its characters,
+    projectors and measurements factor through the base."""
     if d2 < 1:
         raise InvalidArgumentError(f"lift dimension must be positive, got {d2}")
-    images = tuple(np.kron(img, np.eye(d2, dtype=complex)) for img in rep.generator_images)
     return GroupRep(n=rep.n, dim=rep.dim * d2, kind="lift",
-                    generator_images=images, labels=rep.labels, base=rep, lift_dim=d2)
+                    generator_images=(), labels=rep.labels, base=rep, lift_dim=d2)
 
 
 def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
@@ -194,6 +196,8 @@ def rep_evaluate(rep: GroupRep, g: Permutation) -> np.ndarray:
     adjacent-transposition decomposition."""
     if g.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
+    if rep.kind == "lift":
+        return np.kron(rep_evaluate(rep.base, g), np.eye(rep.lift_dim, dtype=complex))
     mat = np.eye(rep.dim, dtype=complex)
     for i in adjacent_transposition_decomposition(g):
         mat = mat @ rep.generator_images[i - 1]
@@ -219,7 +223,15 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
     """rep(g) for every g of enumerate_group(rep.n), as a read-only
     |G| x D x D array built once per representation:
     rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1}), one product each."""
+    if rep.kind == "lift":
+        raise InvalidArgumentError("a lift has no stack; sum over its base instead")
     if rep._stack is None:
+        entries = math.factorial(rep.n) * rep.dim**2
+        if entries > STACK_ENTRY_CAP:
+            raise ResourceLimitError(
+                f"stack of {math.factorial(rep.n)} x {rep.dim}^2 = {entries} entries "
+                f"exceeds the cap {STACK_ENTRY_CAP}"
+            )
         plan = _stack_plan(rep.n)
         stack = np.empty((len(plan) + 1, rep.dim, rep.dim), dtype=complex)
         stack[0] = np.eye(rep.dim)

@@ -84,6 +84,58 @@ def test_verify_spectrum(capsys):
     assert doc["eigenvalue_one_multiplicity"] == 1
 
 
+def test_verify_spectrum_at_n6_with_d144(capsys):
+    # D = 9 * 16 = 144: the closed-form route never builds the 20736^2 operator.
+    m = run(["kron", "4,2", "3,2,1", "3,2,1", "--route", "char"]).payload["m"]
+    try:
+        code, doc = invoke(["verify", "spectrum", "4,2", "3,2,1", "3,2,1"], capsys)
+    finally:
+        tensor_rep.cache_clear()  # drop the 239 MB stack of S_6
+    assert code == 0
+    spectrum = np.array(doc["spectrum"])
+    half = m * 16 * 144 - m * m
+    assert doc["eigenvalue_one_multiplicity"] == m * m
+    levels = np.repeat([1.0, 0.5, 0.0], [m * m, half, 144**2 - m * m - half])
+    assert np.array_equal(spectrum, levels)
+    assert doc["s"] == 0.5
+
+
+def test_certify_over_statevector_cap_exits_3_before_any_stack(capsys):
+    tensor_rep.cache_clear()
+    code, doc = invoke(
+        ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys
+    )
+    assert code == 3
+    assert doc["status"] == "resource-limit"
+    assert "statevector" in doc["error"]
+    assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
+
+
+def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys):
+    # n = 7, D = 14 * 35 = 490: the S_7 stack would take 19 GB.
+    code, doc = invoke(["verify", "spectrum", "4,3", "4,2,1", "4,2,1"], capsys)
+    assert code == 3
+    assert doc["status"] == "resource-limit"
+    assert "stack" in doc["error"]
+    assert tensor_rep(Partition.parse("4,3"), Partition.parse("4,2,1"))._stack is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "spectrum", "5,1", "3,3", "4,2"],
+        ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "3"],
+    ],
+)
+def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        cmd = [sys.executable, "-m", "snverify.cli", *argv]
+        outs.append(subprocess.run(cmd, capture_output=True, check=True, env=env).stdout)
+    assert outs[0] == outs[1]
+
+
 def test_state_phi_plus_round_trips(capsys):
     code, doc = invoke(["state", "phi-plus", "3"], capsys)
     assert code == 0

@@ -3,13 +3,15 @@ verifier, and Monte-Carlo certification of the robustness bounds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from snverify import verifier
 from snverify.entangled import phi_plus, unvec, vec
-from snverify.errors import InvalidArgumentError, ResourceLimitError
-from snverify.symgroup import Partition, enumerate_group
+from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
+from snverify.symgroup import Partition, enumerate_group, enumerate_partitions
 from snverify.verifier import (
     certify_corollary_bound,
     certify_lemma_bound,
@@ -142,6 +144,74 @@ def test_acceptance_operator_n4_instance():
     assert op.s <= 8.0 / 9.0
     interior = op.spectrum[(op.spectrum > op.s + 1e-8) & (op.spectrum < 1 - 1e-8)]
     assert interior.size == 0
+
+
+def dense_acceptance_operator(mu, nu, lam) -> np.ndarray:
+    """The D^2 x D^2 matrix Gamma (I + W)/2 Gamma, Gamma = Xi tensor I,
+    built densely: the oracle for the closed-form operator."""
+    sigma = tensor_rep(mu, nu)
+    d = sigma.dim
+    gamma = np.kron(wfs_projector(sigma, lam).matrix, np.eye(d))
+    t = (np.eye(d * d) + commutant_projector(sigma)) / 2
+    a = gamma @ t @ gamma
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_operator_matches_dense_oracle(n):
+    shapes = enumerate_partitions(n)
+    for mu in shapes:
+        for nu in shapes:
+            for lam in shapes:
+                op = verification_acceptance_operator(mu, nu, lam)
+                evals, evecs = np.linalg.eigh(dense_acceptance_operator(mu, nu, lam))
+                np.testing.assert_allclose(evals[::-1], op.spectrum, atol=1e-10)
+                ones = evecs[:, evals > 1.0 - 1e-8]
+                np.testing.assert_allclose(
+                    ones @ ones.conj().T,
+                    op.accepting_subspace().projector_matrix(),
+                    atol=1e-10,
+                )
+                assert op.c == 1.0
+                assert op.s <= 8.0 / 9.0
+
+
+@pytest.mark.parametrize("corrupt", ["drop-block", "foreign-block"])
+def test_closed_form_operator_checks_its_blocks(corrupt, monkeypatch):
+    real_blocks = verifier.isotypic_block_basis
+
+    def corrupted(rep, shape):
+        blocks = real_blocks(rep, shape)
+        if corrupt == "drop-block":
+            return blocks[1:]
+        # an orthonormal D x d block outside the isotypic component
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(blocks[0].shape))
+        return [q]
+
+    monkeypatch.setattr(verifier, "isotypic_block_basis", corrupted)
+    with pytest.raises(NumericalConsistencyError):
+        verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
+
+
+def test_structured_verifier_stays_below_one_dense_operator_in_memory():
+    mu, nu, lam = P("3,2"), P("3,1,1"), P("3,1,1")
+    d = tensor_rep(mu, nu).dim
+    dense_bytes = (d * d) ** 2 * 16  # one D^2 x D^2 complex array, ~13 MB
+    xi = wfs_projector(tensor_rep(mu, nu), lam)
+    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)  # always samples lam
+    runs = {
+        "certify_corollary_bound": lambda: certify_corollary_bound(mu, nu, lam, trials=3, seed=0),
+        "run_verifier_sampled": lambda: run_verifier_sampled(mu, nu, lam, witness, seed=0),
+    }
+    for name, call in runs.items():
+        tensor_rep.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes, f"{name}: peak {peak} B"
 
 
 # ---------------------------------------------------------------- Lemma bound

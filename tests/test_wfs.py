@@ -9,7 +9,7 @@ import pytest
 
 from snverify.entangled import phi_plus
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
-from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
+from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
 from snverify.wfs import (
     Projector,
     gpe_kraus,
@@ -18,7 +18,14 @@ from snverify.wfs import (
     wfs_povm,
     wfs_projector,
 )
-from snverify.yyrep import irrep, lift_with_identity, regular_representations, tensor_rep
+from snverify.yyrep import (
+    irrep,
+    lift_with_identity,
+    regular_representations,
+    rep_evaluate,
+    rep_stack,
+    tensor_rep,
+)
 
 P = Partition.parse
 
@@ -132,6 +139,31 @@ def test_measure_post_state_lies_in_measured_component():
         proj = wfs_projector(lifted, label)
         np.testing.assert_allclose(proj.matrix @ post, post, atol=1e-10)
         assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_measure_on_lift_matches_dense_lifted_projectors():
+    # The lift is measured on its base; the dense lifted projector is the oracle.
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    lifted = lift_with_identity(sigma, sigma.dim)
+    rng = np.random.default_rng(3)
+    for seed in range(8):
+        psi = rng.standard_normal(lifted.dim) + 1j * rng.standard_normal(lifted.dim)
+        psi /= np.linalg.norm(psi)
+        label, post = measure_wfs(lifted, psi, seed)
+        image = wfs_projector(lifted, label).matrix @ psi
+        np.testing.assert_allclose(post, image / np.linalg.norm(image), atol=1e-12)
+
+
+def test_lift_holds_no_lifted_matrices():
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    lifted = lift_with_identity(sigma, 3)
+    assert lifted.generator_images == ()
+    with pytest.raises(InvalidArgumentError):
+        rep_stack(lifted)
+    for g in enumerate_group(3):
+        np.testing.assert_allclose(
+            rep_evaluate(lifted, g), np.kron(rep_evaluate(sigma, g), np.eye(3)), atol=1e-12
+        )
 
 
 def test_measure_frequencies_match_lightning_distribution():
