@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .entangled import Subspace, max_entangled_over, orthonormalize, phi_plus, psi_lambda
-from .errors import InvalidArgumentError, SnverifyError
+from .errors import InvalidArgumentError, SnverifyError, require_bytes
 from .kronecker import kronecker_coefficient
 from .selftest import run_selftest
 from .symgroup import (
@@ -48,7 +48,7 @@ from .yyrep import (
 
 @dataclass
 class CommandResult:
-    status: str
+    exit_code: int
     payload: dict
 
 
@@ -236,106 +236,79 @@ def _cmd_selftest(args) -> dict:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidArgumentError, so they leave as one JSON
+    document with exit 2 like any other invalid argument.  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
+_SEED = ("--seed", {"type": int, "default": 0})
+_TRIALS = ("--trials", {"type": int, "default": 100})
+_PERTURBATION = ("--perturbation", {"type": float})
+_TRIPLE = ["mu", "nu", "shape"]
+
+# command -> (help, arguments), or (help, {action: arguments}) for a command
+# with actions; an argument is a name or a (name, add_argument keywords) pair.
+_COMMANDS = {
+    "sym": ("partitions, dimensions, tableaux", {
+        "partitions": [("n", {"type": int})],
+        "dim": ["shape"],
+        "tableaux": ["shape"],
+    }),
+    "rep": ("irrep matrices, characters, Fourier transform", {
+        "matrix": ["shape", "perm"],
+        "char": ["shape", "perm"],
+        "ft": [("n", {"type": int})],
+    }),
+    "wfs": ("weak Fourier sampling", {
+        "project": _TRIPLE,
+        "povm": ["mu", "nu"],
+        "measure": ["mu", "nu", ("--state", {
+            "help": "state JSON file; defaults to the maximally entangled state"}), _SEED],
+    }),
+    "kron": ("Kronecker coefficients", [
+        *_TRIPLE, ("--route", {"choices": ["char", "rank", "both"], "default": "both"})]),
+    "lightning": ("irrep sampling distribution", ["mu", "nu"]),
+    "state": ("entangled state constructions", {
+        "phi-plus": [("d", {"type": int})],
+        "phi-pi": _TRIPLE,
+        "psi-lambda": [*_TRIPLE, ("--state", {"help": "input state JSON file"})],
+    }),
+    "verify": ("verification algorithm", {
+        "spectrum": _TRIPLE,
+        "certify": [*_TRIPLE, _TRIALS, _SEED, _PERTURBATION],
+        "run": [*_TRIPLE, ("--state", {"required": True}), _SEED],
+    }),
+    "certify-lemma": ("internal-test bound for identity-times-irrep", [
+        "shape", ("--multiplicity", {"type": int, "default": 1}), _TRIALS, _SEED, _PERTURBATION]),
+    "selftest": ("run every invariant suite", [
+        ("--n-max", {"type": int, "default": 5}), _TRIALS, _SEED]),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
+    for arg in arguments:
+        name, keywords = (arg, {}) if isinstance(arg, str) else arg
+        parser.add_argument(name, **keywords)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snverify",
         description="Symmetric-group representation and verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sym = sub.add_parser("sym", help="partitions, dimensions, tableaux")
-    sym_sub = p_sym.add_subparsers(dest="action", required=True)
-    p = sym_sub.add_parser("partitions")
-    p.add_argument("n", type=int)
-    p = sym_sub.add_parser("dim")
-    p.add_argument("shape")
-    p = sym_sub.add_parser("tableaux")
-    p.add_argument("shape")
-
-    p_rep = sub.add_parser("rep", help="irrep matrices, characters, Fourier transform")
-    rep_sub = p_rep.add_subparsers(dest="action", required=True)
-    p = rep_sub.add_parser("matrix")
-    p.add_argument("shape")
-    p.add_argument("perm")
-    p = rep_sub.add_parser("char")
-    p.add_argument("shape")
-    p.add_argument("perm")
-    p = rep_sub.add_parser("ft")
-    p.add_argument("n", type=int)
-
-    p_wfs = sub.add_parser("wfs", help="weak Fourier sampling")
-    wfs_sub = p_wfs.add_subparsers(dest="action", required=True)
-    p = wfs_sub.add_parser("project")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p = wfs_sub.add_parser("povm")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p = wfs_sub.add_parser("measure")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("--state", help="state JSON file; defaults to the maximally entangled state")
-    p.add_argument("--seed", type=int, default=0)
-
-    p_kron = sub.add_parser("kron", help="Kronecker coefficients")
-    p_kron.add_argument("mu")
-    p_kron.add_argument("nu")
-    p_kron.add_argument("shape")
-    p_kron.add_argument("--route", choices=["char", "rank", "both"], default="both")
-
-    p_light = sub.add_parser("lightning", help="irrep sampling distribution")
-    p_light.add_argument("mu")
-    p_light.add_argument("nu")
-
-    p_state = sub.add_parser("state", help="entangled state constructions")
-    state_sub = p_state.add_subparsers(dest="action", required=True)
-    p = state_sub.add_parser("phi-plus")
-    p.add_argument("d", type=int)
-    p = state_sub.add_parser("phi-pi")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p = state_sub.add_parser("psi-lambda")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p.add_argument("--state", help="input state JSON file")
-
-    p_verify = sub.add_parser("verify", help="verification algorithm")
-    verify_sub = p_verify.add_subparsers(dest="action", required=True)
-    p = verify_sub.add_parser("spectrum")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p = verify_sub.add_parser("certify")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturbation", type=float, default=None)
-    p = verify_sub.add_parser("run")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("shape")
-    p.add_argument("--state", required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p_lemma = sub.add_parser(
-        "certify-lemma", help="internal-test bound for identity-times-irrep"
-    )
-    p_lemma.add_argument("shape")
-    p_lemma.add_argument("--multiplicity", type=int, default=1)
-    p_lemma.add_argument("--trials", type=int, default=100)
-    p_lemma.add_argument("--seed", type=int, default=0)
-    p_lemma.add_argument("--perturbation", type=float, default=None)
-
-    p_self = sub.add_parser("selftest", help="run every invariant suite")
-    p_self.add_argument("--n-max", type=int, default=5)
-    p_self.add_argument("--trials", type=int, default=100)
-    p_self.add_argument("--seed", type=int, default=0)
-
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if isinstance(arguments, dict):
+            actions = p.add_subparsers(dest="action", required=True)
+            for action, action_arguments in arguments.items():
+                _add_arguments(actions.add_parser(action), action_arguments)
+        else:
+            _add_arguments(p, arguments)
     return parser
 
 
@@ -359,12 +332,18 @@ def run(argv: list[str]) -> CommandResult:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _HANDLERS[args.command](args)
-        status = "ok"
-    except SnverifyError as exc:
-        status = _STATUS_BY_CODE.get(exc.exit_code, "error")
-        payload = {"error": str(exc), "status": status}
-    return CommandResult(status=status, payload=payload)
+        require_bytes(0, "nothing")  # a malformed budget fails every command alike
+        for name in ("trials", "seed"):
+            if getattr(args, name, 0) < 0:
+                raise InvalidArgumentError(f"--{name} must be nonnegative")
+        if not math.isfinite(getattr(args, "perturbation", None) or 0.0):
+            raise InvalidArgumentError(f"--perturbation must be finite, got {args.perturbation}")
+        return CommandResult(exit_code=0, payload=_HANDLERS[args.command](args))
+    except (SnverifyError, MemoryError) as exc:
+        # Running out of memory below the budget is a resource limit too.
+        code = getattr(exc, "exit_code", 3)
+        doc = {"error": str(exc) or "out of memory", "status": _STATUS_BY_CODE.get(code, "error")}
+        return CommandResult(exit_code=code, payload=doc)
 
 
 def _round_floats(obj, digits: int):
@@ -386,18 +365,14 @@ def main(argv: list[str] | None = None) -> int:
         argv.remove("--pretty")
     try:
         result = run(argv)
-    except SystemExit as exc:  # argparse usage errors
-        return 2 if exc.code else 0
-    payload = result.payload
+    except SystemExit:  # --help
+        return 0
     if pretty:
-        print(json.dumps(_round_floats(payload, 6), indent=2))
+        print(json.dumps(_round_floats(result.payload, 6), indent=2))
     else:
-        print(json.dumps(payload))
-    if result.status != "ok":
-        for code, name in _STATUS_BY_CODE.items():
-            if name == result.status:
-                return code
-        return 1
+        print(json.dumps(result.payload))
+    if result.exit_code:
+        return result.exit_code
     if result.payload.get("all_passed") is False:
         return 1
     return 0

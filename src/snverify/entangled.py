@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, irrep_dimension
 from .wfs import wfs_projector
-from .yyrep import GroupRep, irrep, rep_stack
+from .yyrep import GroupRep, irrep, rep_stack, stack_bytes
 
 ORTHO_TOL = 1e-8
 
@@ -31,7 +31,7 @@ class StateVector:
             raise InvalidArgumentError(
                 f"amplitude vector of length {amps.shape} does not match registers {self.registers}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:  # also rejects NaN
             raise InvalidArgumentError("state vector must have unit norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -103,6 +103,8 @@ def phi_plus(d: int) -> StateVector:
     """The maximally entangled state vec(I_d)/sqrt(d)."""
     if d < 1:
         raise InvalidArgumentError(f"dimension must be positive, got {d}")
+    # The complex vec(I) and its normalized copy.
+    require_bytes(2 * d * d * 16, f"phi-plus on C^{d} x C^{d}")
     return StateVector(registers=(d, d), amplitudes=vec(np.eye(d)) / math.sqrt(d))
 
 
@@ -167,7 +169,12 @@ def psi_lambda(
 def _matrix_units(rep: GroupRep, shape: Partition) -> np.ndarray:
     """The d operators e_i1 = (d/|G|) sum_g rho^shape_i1(g)* rep(g), as a
     d x D x D array."""
-    lam_stack = rep_stack(irrep(shape))
+    lam = irrep(shape)
+    require_bytes(
+        stack_bytes(lam) + stack_bytes(rep) + lam.dim * rep.dim**2 * 16,
+        f"the {shape} matrix units at D = {rep.dim}, with both stacks",
+    )
+    lam_stack = rep_stack(lam)
     weights = (lam_stack.shape[1] / len(lam_stack)) * np.conj(lam_stack[:, :, 0].T)
     return np.einsum("kg,gij->kij", weights, rep_stack(rep))
 

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, require_bytes
 
-# Hard cap on group enumeration (|S_7| = 5040).  Dense |G| x |G| objects are
-# additionally capped in yyrep; see dense_cap() there.
-MAX_GROUP_DEGREE = 7
+# Measured Python memory per enumerated element, to price enumerations.
+PERMUTATION_BYTES = 185
+PARTITION_BYTES = 240
+TABLEAU_BYTES = 570
 
 
 @dataclass(frozen=True, order=True)
@@ -216,6 +217,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order."""
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
+    require_bytes(_partition_count(n) * PARTITION_BYTES, f"the partitions of {n}")
 
     def rec(remaining: int, max_part: int):
         if remaining == 0:
@@ -228,10 +230,23 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(parts) for parts in rec(n, n))
 
 
+def _partition_count(n: int) -> int:
+    """p(n) by the largest part allowed; past n = 417 it returns p(417) >
+    2^64, a lower bound already beyond any memory, without an n-sized table."""
+    n = min(n, 417)
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
 @lru_cache(maxsize=None)
 def enumerate_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, ordered lexicographically by
     row-reading word."""
+    d = irrep_dimension(shape)
+    require_bytes(d * TABLEAU_BYTES, f"the {d} standard tableaux of {shape}")
     rows = shape.parts
     n = shape.n
     # Grow entry by entry; each of 1..n goes in the leftmost empty cell of
@@ -326,12 +341,8 @@ def enumerate_group(n: int) -> tuple[Permutation, ...]:
     """All of S_n, ordered lexicographically by one-line notation."""
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
-    if n > MAX_GROUP_DEGREE:
-        raise ResourceLimitError(
-            f"S_{n} has {math.factorial(n)} elements; enumeration is capped at "
-            f"n <= {MAX_GROUP_DEGREE} (|S_{MAX_GROUP_DEGREE}| = "
-            f"{math.factorial(MAX_GROUP_DEGREE)})"
-        )
+    size = math.factorial(n)
+    require_bytes(size * PERMUTATION_BYTES, f"the {size} elements of S_{n}")
     return tuple(
         Permutation(images) for images in itertools.permutations(range(1, n + 1))
     )

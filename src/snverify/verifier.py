@@ -10,17 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
 from .entangled import Subspace, isotypic_block_basis, unvec, vec
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import measure_wfs, wfs_projector
-from .yyrep import GroupRep, lift_with_identity, rep_stack, tensor_rep
+from .yyrep import GroupRep, lift_with_identity, rep_stack, stack_bytes, tensor_rep
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
-# Largest control-times-target statevector we will simulate.
-STATEVECTOR_ENTRY_CAP = 1 << 22
+# Python memory per test report, measured through the CLI's JSON output.
+REPORT_BYTES = 1300
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,18 @@ class CertificationTrial:
     degenerate: bool = False
 
 
+def _require_statevector(rep: GroupRep) -> None:
+    """rep's stack and the two conjugated batches _conjugated holds at once."""
+    require_bytes(
+        3 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
+    )
+
+
 def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     """rep(k) X rep(k)^dagger for every k, as a |G| x D x D array.  The
     complex conjugates are taken of the temporaries, in place, so the
     stack itself is never copied."""
+    _require_statevector(rep)
     stack = rep_stack(rep)
     out = stack @ x
     np.conj(out, out=out)
@@ -109,15 +117,6 @@ def commutant_projector(rep: GroupRep) -> np.ndarray:
     return w
 
 
-def _check_statevector_cap(rep: GroupRep) -> None:
-    size, d = math.factorial(rep.n), rep.dim
-    if size * d * d > STATEVECTOR_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"statevector of {size} * {d}^2 = {size * d * d} entries exceeds the "
-            f"simulation cap {STATEVECTOR_ENTRY_CAP}"
-        )
-
-
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
     """Acceptance probability of the internal-state test, two ways.
 
@@ -131,7 +130,6 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (d * d,):
         raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
-    _check_statevector_cap(rep)
     size = math.factorial(rep.n)
     x = unvec(psi, d)
     # One conjugated batch serves both values: its mean is channel_E(rep, x).
@@ -199,13 +197,19 @@ def _trial_state(center: np.ndarray, perturbation: float | None, seed: int) -> n
     dim = len(center)
     if perturbation is None:
         return haar_state(dim, rng)
-    raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return raw / np.linalg.norm(raw)
+    with np.errstate(over="ignore"):  # an overflowing perturbation is rejected below
+        raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        norm = np.linalg.norm(raw)
+    if not math.isfinite(norm):
+        raise InvalidArgumentError(f"perturbation {perturbation} overflows the trial state")
+    return raw / norm
 
 
 def product_target_subspace(m: int, d1: int) -> Subspace:
     """Span of vec(A tensor I_{d1}/sqrt(d1)) over A in C^{m x m}: the
     states the internal test characterizes for sigma = I_m tensor irrep."""
+    # The m^2 columns of C^{(m d1)^2}, once as a list and once stacked.
+    require_bytes(2 * m**4 * d1**2 * 16, f"the {m * m} target columns of I_{m} x C^{d1}")
     units = np.eye(m * m).reshape(m * m, m, m)  # unit[a * m + b] = |a><b|
     cols = [vec(np.kron(unit, np.eye(d1))) / math.sqrt(d1) for unit in units]
     return Subspace(ambient_dim=(m * d1) ** 2, basis=np.column_stack(cols))
@@ -232,6 +236,7 @@ def certify_lemma_bound(
         raise InvalidArgumentError(
             "lemma certification needs an irrep or identity-times-irrep representation"
         )
+    require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
     d = rep.dim
     target = product_target_subspace(m, d1)
     center = vec(np.eye(d)) / math.sqrt(d)
@@ -240,7 +245,7 @@ def certify_lemma_bound(
         psi = _trial_state(center, perturbation, seed + t)
         acceptance, _ = internal_test_probability(rep, psi)
         distance = target.distance_to(psi)
-        eps = 1.0 - acceptance
+        eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
         reports.append(TestReport.build(acceptance, distance, 2.0 * math.sqrt(2.0 * eps)))
     return reports
 
@@ -264,9 +269,10 @@ def certify_corollary_bound(
         raise InvalidArgumentError(
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
+    require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
-    _check_statevector_cap(sigma)
+    _require_statevector(sigma)
     accepting = verification_acceptance_operator(mu, nu, lam).accepting_subspace()
     xi = wfs_projector(sigma, lam)
     center = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
@@ -285,11 +291,11 @@ def certify_corollary_bound(
         post = projected / math.sqrt(p_sample)
         p_internal, _ = internal_test_probability(sigma, post)
         total = p_sample * p_internal
-        eps_total = 1.0 - total
+        eps_total = max(1.0 - total, 0.0)
         corollary = TestReport.build(
             total, accepting.distance_to(psi), 3.0 * math.sqrt(2.0 * eps_total)
         )
-        eps_internal = 1.0 - p_internal
+        eps_internal = max(1.0 - p_internal, 0.0)
         theorem = TestReport.build(
             p_internal,
             accepting.distance_to(post),

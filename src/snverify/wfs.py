@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
 from .symgroup import Partition, enumerate_partitions, irrep_dimension
 from .yyrep import (
     GroupRep,
@@ -18,11 +18,10 @@ from .yyrep import (
     fourier_transform_matrix,
     ft_row_order,
     rep_stack,
+    stack_bytes,
 )
 
 RANK_TOL = 1e-6
-# Largest Kraus element we will materialize, in complex entries.
-KRAUS_ENTRY_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,13 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
-    if size * size * rep.dim * rep.dim > KRAUS_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"Kraus element would have {size * rep.dim} x {rep.dim} entries with "
-            f"|G| = {size}; exceeds the dense entry cap {KRAUS_ENTRY_CAP}"
-        )
+    # The Fourier transform, its irrep stacks and the control rows (|G|^2
+    # entries each), rep's stack and the |G| x D^2 product.
+    nbytes = 3 * size * size * 16 + 2 * stack_bytes(rep)
+    require_bytes(nbytes, f"the Kraus element of {shape} at D = {rep.dim}")
     rows = np.array([lab == shape for lab, _, _ in ft_row_order(rep.n)])
-    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0) / math.sqrt(size)
+    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0)
+    control /= math.sqrt(size)
     # Row (r, a), column b: sum_g control[r, g] rep(g)[a, b].
     out = control @ rep_stack(rep).reshape(size, -1)
     return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)

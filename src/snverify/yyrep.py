@@ -21,13 +21,12 @@ kept only as a test oracle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, require_bytes
 from .symgroup import (
     Partition,
     Permutation,
@@ -42,34 +41,6 @@ from .symgroup import (
     inverse,
     irrep_dimension,
 )
-
-DENSE_CAP_ENV = "SNVERIFY_DENSE_CAP"
-DEFAULT_DENSE_CAP = 6
-
-# Largest group stack in complex entries, 1 GiB: fits every S_6 tensor stack.
-STACK_ENTRY_CAP = 1 << 26
-
-
-def dense_cap() -> int:
-    """Maximum n for dense |G| x |G| objects; overridable via environment."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-def check_dense_cap(n: int, what: str) -> None:
-    cap = dense_cap()
-    if n > cap:
-        raise ResourceLimitError(
-            f"{what} for S_{n} needs dense {math.factorial(n)} x {math.factorial(n)} "
-            f"storage (|G| = n!); capped at n <= {cap} "
-            f"(override with {DENSE_CAP_ENV})"
-        )
-
 
 @dataclass(eq=False)
 class GroupRep:
@@ -94,6 +65,11 @@ class GroupRep:
     def __post_init__(self):
         for img in self.generator_images:
             img.setflags(write=False)
+
+
+def stack_bytes(rep: GroupRep) -> int:
+    """Size of rep's |G| x D x D complex stack."""
+    return math.factorial(rep.n) * rep.dim**2 * 16
 
 
 def yy_generator_matrix(shape: Partition, i: int) -> np.ndarray:
@@ -123,6 +99,8 @@ def yy_generator_matrix(shape: Partition, i: int) -> np.ndarray:
 def irrep(shape: Partition) -> GroupRep:
     """The Young-Yamanouchi irrep labeled by a partition."""
     n = shape.n
+    # Generator images are priced as n - 1 images and one temporary.
+    require_bytes(n * irrep_dimension(shape) ** 2 * 16, f"the generator images of {shape}")
     images = tuple(yy_generator_matrix(shape, i) for i in range(1, n))
     return GroupRep(n=n, dim=irrep_dimension(shape), kind="irrep",
                     generator_images=images, labels=(shape,))
@@ -136,6 +114,7 @@ def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     if mu.n != nu.n:
         raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
     a, b = irrep(mu), irrep(nu)
+    require_bytes(mu.n * (a.dim * b.dim) ** 2 * 16, f"the generator images of {mu} x {nu}")
     images = tuple(np.kron(x, y) for x, y in zip(a.generator_images, b.generator_images))
     return GroupRep(n=mu.n, dim=a.dim * b.dim, kind="tensor",
                     generator_images=images, labels=(mu, nu))
@@ -157,6 +136,7 @@ def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
     if m < 1:
         raise InvalidArgumentError(f"multiplicity must be positive, got {m}")
     base = irrep(shape)
+    require_bytes(shape.n * (m * base.dim) ** 2 * 16, f"the generator images of I_{m} x {shape}")
     images = tuple(np.kron(np.eye(m, dtype=complex), img) for img in base.generator_images)
     return GroupRep(n=shape.n, dim=m * base.dim, kind="identity-times-irrep",
                     generator_images=images, labels=(shape,), base=base, lift_dim=m)
@@ -168,9 +148,9 @@ def regular_representations(n: int) -> tuple[GroupRep, GroupRep]:
     rho_L(h)|g> = |hg>.  The right action is implemented as
     rho_R(h)|g> = |g h^{-1}> so that both are homomorphisms and commute.
     """
-    check_dense_cap(n, "regular representation")
     group = enumerate_group(n)
     size = len(group)
+    require_bytes(2 * (n - 1) * size * size * 16, f"the regular representations of S_{n}")
 
     def perm_matrix(target_index) -> np.ndarray:
         mat = np.zeros((size, size), dtype=complex)
@@ -226,12 +206,7 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
     if rep.kind == "lift":
         raise InvalidArgumentError("a lift has no stack; sum over its base instead")
     if rep._stack is None:
-        entries = math.factorial(rep.n) * rep.dim**2
-        if entries > STACK_ENTRY_CAP:
-            raise ResourceLimitError(
-                f"stack of {math.factorial(rep.n)} x {rep.dim}^2 = {entries} entries "
-                f"exceeds the cap {STACK_ENTRY_CAP}"
-            )
+        require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {rep.dim}")
         plan = _stack_plan(rep.n)
         stack = np.empty((len(plan) + 1, rep.dim, rep.dim), dtype=complex)
         stack[0] = np.eye(rep.dim)
@@ -336,11 +311,13 @@ def ft_row_order(n: int) -> list[tuple[Partition, int, int]]:
 def fourier_transform_matrix(n: int) -> np.ndarray:
     """Dense |G| x |G| Fourier transform: entry sqrt(d/|G|) rho^lambda_ij(pi)
     at row (lambda, i, j) and column pi."""
-    check_dense_cap(n, "Fourier transform")
+    shapes = enumerate_partitions(n)
     size = math.factorial(n)
+    # The transform, and the irrep stacks it is filled from: n! entries each.
+    require_bytes(2 * size * size * 16, f"the {size} x {size} Fourier transform of S_{n}")
     ft = np.empty((size, size), dtype=complex)
     row = 0
-    for shape in enumerate_partitions(n):
+    for shape in shapes:
         d = irrep_dimension(shape)
         stack = rep_stack(irrep(shape))
         ft[row : row + d * d] = math.sqrt(d / size) * stack.reshape(size, d * d).T

@@ -2,17 +2,23 @@
 determinism, and byte-identical self-test reports.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snverify import serialize, verifier
 from snverify.cli import main, run
-from snverify.symgroup import Partition
+from snverify.entangled import phi_plus
+from snverify.symgroup import Partition, enumerate_partitions
 from snverify.wfs import wfs_projector
 from snverify.yyrep import tensor_rep
 
@@ -228,7 +234,7 @@ def test_mismatched_degrees_exit_2(capsys):
 
 
 def test_resource_limit_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv("SNVERIFY_DENSE_CAP", "3")
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "9000")  # below 24^2 * 16 B
     from snverify.yyrep import fourier_transform_matrix
 
     fourier_transform_matrix.cache_clear()
@@ -250,8 +256,12 @@ def test_resource_limit_exits_3(capsys, monkeypatch):
             ["state", "psi-lambda", "2,1", "2,1", "2,1", "--state", "{path}"],
             '{"registers": [4, 4], "amplitudes": [[1.0, 0.0], [0.5]]}',
         ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+        ),
     ],
-    ids=["missing-file", "not-json", "malformed-amplitude"],
+    ids=["missing-file", "not-json", "malformed-amplitude", "nan-amplitude"],
 )
 def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "state.json"
@@ -265,7 +275,72 @@ def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
+    # Usage errors leave as one JSON document too, not as argparse's usage text.
+    for argv in (["frobnicate"], ["kron", "3"], []):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "invalid-argument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "ft", "-1"],
+        ["verify", "certify", "2,1", "2,1", "2,1", "--trials", "-1"],
+        ["certify-lemma", "2,1", "--trials", "-2"],
+        ["verify", "certify", "2,1", "2,1", "2,1", "--perturbation", "nan"],
+        ["certify-lemma", "2,1", "--perturbation", "inf"],
+        ["certify-lemma", "2,1", "--trials", "1", "--perturbation", "1e308"],
+        ["wfs", "measure", "2,1", "2,1", "--seed", "-1"],
+    ],
+    ids=[
+        "ft-negative-n",
+        "certify-negative-trials",
+        "lemma-negative-trials",
+        "nan-perturbation",
+        "inf-perturbation",
+        "overflowing-perturbation",
+        "negative-seed",
+    ],
+)
+def test_out_of_domain_input_exits_2(argv, capsys):
+    code, doc = invoke(argv, capsys)
+    assert code == 2
+    assert doc["status"] == "invalid-argument"
+
+
+def test_exact_center_state_certifies(capsys):
+    # With no perturbation the acceptance can round to just above 1.
+    for argv in (["certify-lemma", "2,1"], ["verify", "certify", "3,1", "2,1,1", "3,1"]):
+        code, doc = invoke([*argv, "--trials", "2", "--perturbation", "0"], capsys)
+        assert code == 0
+        assert doc["min_slack"] > -1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "matrix", "5,4,3,2,1", ",".join(str(k) for k in range(15, 0, -1))],
+        ["state", "phi-plus", "100000"],
+        ["sym", "partitions", "200"],
+        ["certify-lemma", "2,1", "--multiplicity", "100000"],
+    ],
+    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity"],
+)
+def test_oversized_input_exits_3_before_allocating(argv, capsys, monkeypatch):
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    start = time.perf_counter()
+    code, doc = invoke(argv, capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert "byte budget" in doc["error"]
+
+
+def test_malformed_byte_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "abc")
+    code, doc = invoke(["sym", "dim", "2,1"], capsys)
+    assert code == 2
+    assert "SNVERIFY_MAX_BYTES" in doc["error"]
 
 
 # ------------------------------------------------------------- determinism
@@ -316,3 +391,103 @@ def test_pretty_mode_rounds_but_plain_does_not(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["s"] == 0.5  # rounded to 6 significant digits
+
+
+# -------------------------------------------------------------- argv fuzz
+
+_BAD_PARTITION = st.sampled_from(["", "0", "-1", "1,2", "2,,1", "3,0", "2.5", "x"])
+_BAD_PERMUTATION = st.sampled_from(["1,1", "0,1", "2,3", ""])
+_HOSTILE_INT = st.sampled_from(
+    ["-1", "-7", "1" + "0" * 12, str(2**63), "1" + "0" * 30, "1e3", "nan", "", "x"]
+)
+_INT = st.one_of(st.integers(0, 5).map(str), _HOSTILE_INT)
+_FLOAT = st.one_of(
+    st.floats(-10, 10, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "0", "x"]),
+)
+_STATE = st.sampled_from(["{dir}/phi4.json", "{dir}/phi16.json", "{dir}/absent.json"])
+_STRAY = st.sampled_from(["--bogus", "-x", "--seed", "--trials", "--route", "--state", "--pretty"])
+
+# Subcommand -> (positional slots, options); "partition" and "permutation"
+# slots are drawn mostly at one n <= 5, so that some argv are valid.
+_GRAMMAR = {
+    ("sym", "partitions"): ([_INT], {}),
+    ("sym", "dim"): (["partition"], {}),
+    ("sym", "tableaux"): (["partition"], {}),
+    ("rep", "matrix"): (["partition", "permutation"], {}),
+    ("rep", "char"): (["partition", "permutation"], {}),
+    ("rep", "ft"): ([_INT], {}),
+    ("wfs", "project"): (["partition"] * 3, {}),
+    ("wfs", "povm"): (["partition"] * 2, {}),
+    ("wfs", "measure"): (["partition"] * 2, {"--seed": _INT, "--state": _STATE}),
+    ("kron",): (["partition"] * 3, {"--route": st.sampled_from(["char", "rank", "both", "x"])}),
+    ("lightning",): (["partition"] * 2, {}),
+    ("state", "phi-plus"): ([_INT], {}),
+    ("state", "phi-pi"): (["partition"] * 3, {}),
+    ("state", "psi-lambda"): (["partition"] * 3, {"--state": _STATE}),
+    ("verify", "spectrum"): (["partition"] * 3, {}),
+    ("verify", "certify"): (
+        ["partition"] * 3,
+        {"--trials": _INT, "--seed": _INT, "--perturbation": _FLOAT},
+    ),
+    ("verify", "run"): (["partition"] * 3, {"--state": _STATE, "--seed": _INT}),
+    ("certify-lemma",): (
+        ["partition"],
+        {"--multiplicity": _INT, "--trials": _INT, "--seed": _INT, "--perturbation": _FLOAT},
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its arguments as pieces (a positional, or a flag
+    with its value); pieces may be dropped and stray tokens inserted."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    slots, options = _GRAMMAR[command]
+    n = draw(st.integers(1, 5))
+    of_n = {
+        "partition": st.sampled_from([str(p) for p in enumerate_partitions(n)]),
+        "permutation": st.permutations(range(1, n + 1)).map(lambda p: ",".join(map(str, p))),
+    }
+    bad = {"partition": _BAD_PARTITION, "permutation": _BAD_PERMUTATION}
+    pieces = []
+    for slot in slots:
+        if isinstance(slot, str):  # one draw in ten may be malformed
+            slot = of_n[slot] if draw(st.integers(0, 9)) else st.one_of(bad[slot], of_n[slot])
+        pieces.append([draw(slot)])
+    for flag in sorted(options):
+        if draw(st.booleans()):
+            pieces.append([flag, draw(options[flag])])
+    if pieces and draw(st.integers(0, 4)) == 0:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    argv = [*command, *(token for piece in pieces for token in piece)]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_STRAY))
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv())
+def test_fuzzed_argv_gives_one_json_document_and_a_contract_exit_code(
+    argv, tmp_path, monkeypatch
+):
+    # Large sizes are reached only through a 1 MiB budget, never by allocating them.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(1 << 20))
+    for name, d in (("phi4", 2), ("phi16", 4)):
+        path = tmp_path / f"{name}.json"
+        if not path.exists():
+            path.write_text(json.dumps(serialize.state_to_json(phi_plus(d))))
+    argv = [token.format(dir=tmp_path) for token in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in {0, 2, 3, 4}, argv
+    json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from snverify.errors import InvalidArgumentError, ResourceLimitError
 from snverify.symgroup import (
-    MAX_GROUP_DEGREE,
     Partition,
     Permutation,
     StandardTableau,
@@ -236,9 +235,14 @@ def test_group_index_matches_position():
             assert group_index(g) == k
 
 
-def test_group_enumeration_cap():
+def test_group_enumeration_cap(monkeypatch):
+    # __wrapped__ skips the cache, so an earlier enumeration cannot hide the check.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     with pytest.raises(ResourceLimitError):
-        enumerate_group(MAX_GROUP_DEGREE + 1)
+        enumerate_group.__wrapped__(10)  # 3.6 M permutations, about 670 MB
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(1 << 20))
+    with pytest.raises(ResourceLimitError):
+        enumerate_group.__wrapped__(8)
 
 
 # ----------------------------------------------------------- decompositions

@@ -343,7 +343,7 @@ def test_ft_row_order_matches_matrix_entries():
 
 
 def test_fourier_transform_respects_dense_cap(monkeypatch):
-    monkeypatch.setenv("SNVERIFY_DENSE_CAP", "3")
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "9000")  # below 24^2 * 16 B
     fourier_transform_matrix.cache_clear()
     try:
         with pytest.raises(ResourceLimitError):
