@@ -336,6 +336,9 @@ def run(argv: list[str]) -> CommandResult:
         for name in ("trials", "seed"):
             if getattr(args, name, 0) < 0:
                 raise InvalidArgumentError(f"--{name} must be nonnegative")
+        if getattr(args, "n_max", 2) < 2:
+            # Below S_2 every degree-indexed self-test suite would run no check.
+            raise InvalidArgumentError(f"--n-max must be at least 2, got {args.n_max}")
         if not math.isfinite(getattr(args, "perturbation", None) or 0.0):
             raise InvalidArgumentError(f"--perturbation must be finite, got {args.perturbation}")
         return CommandResult(exit_code=0, payload=_HANDLERS[args.command](args))

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, irrep_dimension
 from .wfs import wfs_projector
-from .yyrep import GroupRep, irrep, rep_stack, stack_bytes
+from .yyrep import GroupRep, group_sum, irrep, rep_stack
 
 ORTHO_TOL = 1e-8
 
@@ -168,15 +168,11 @@ def psi_lambda(
 
 def _matrix_units(rep: GroupRep, shape: Partition) -> np.ndarray:
     """The d operators e_i1 = (d/|G|) sum_g rho^shape_i1(g)* rep(g), as a
-    d x D x D array."""
-    lam = irrep(shape)
-    require_bytes(
-        stack_bytes(lam) + stack_bytes(rep) + lam.dim * rep.dim**2 * 16,
-        f"the {shape} matrix units at D = {rep.dim}, with both stacks",
-    )
-    lam_stack = rep_stack(lam)
-    weights = (lam_stack.shape[1] / len(lam_stack)) * np.conj(lam_stack[:, :, 0].T)
-    return np.einsum("kg,gij->kij", weights, rep_stack(rep))
+    d x D x D array; rho^shape is real, so the weights are its first
+    column."""
+    lam_stack = rep_stack(irrep(shape))
+    weights = (lam_stack.shape[1] / len(lam_stack)) * lam_stack[:, :, 0].T
+    return group_sum(rep, weights)
 
 
 def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
@@ -227,7 +223,7 @@ def m_lambda_subspace(rep: GroupRep, shape: Partition, route: str = "span") -> S
         from .verifier import commutant_projector  # deferred: verifier imports us
 
         xi = wfs_projector(rep, shape)
-        gamma = np.kron(xi.matrix, np.eye(rep.dim, dtype=complex))
+        gamma = np.kron(xi.matrix, np.eye(rep.dim))
         fixed = gamma @ commutant_projector(rep)
         fixed = (fixed + fixed.conj().T) / 2
         evals, evecs = np.linalg.eigh(fixed)

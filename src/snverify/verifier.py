@@ -71,22 +71,27 @@ class CertificationTrial:
 
 
 def _require_statevector(rep: GroupRep) -> None:
-    """rep's stack and the two conjugated batches _conjugated holds at once."""
+    """What _conjugated holds at once: rep's real stack, two real
+    temporaries of its size and the complex result."""
     require_bytes(
-        3 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
+        5 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
     )
 
 
 def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
-    """rep(k) X rep(k)^dagger for every k, as a |G| x D x D array.  The
-    complex conjugates are taken of the temporaries, in place, so the
-    stack itself is never copied."""
+    """rep(k) X rep(k)^T for every k, as a complex |G| x D x D array.  rep
+    is real, so with X = X_r + i X_i this is two real batched products,
+    and the stack is never upcast to a complex copy."""
     _require_statevector(rep)
     stack = rep_stack(rep)
-    out = stack @ x
-    np.conj(out, out=out)
-    out = out @ stack.transpose(0, 2, 1)
-    return np.conj(out, out=out)
+    out = np.empty(stack.shape, dtype=complex)
+    # Contiguous parts, so that matmul hands them to BLAS.
+    x_re, x_im = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    left = np.matmul(stack, x_re)
+    out.real = left @ stack.transpose(0, 2, 1)
+    np.matmul(stack, x_im, out=left)
+    out.imag = left @ stack.transpose(0, 2, 1)
+    return out
 
 
 def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
@@ -107,11 +112,12 @@ def commutant_projector(rep: GroupRep) -> np.ndarray:
         return cached
     d = rep.dim
     flat = rep_stack(rep).reshape(-1, d * d)
-    # Entry ((a, c), (b, d)) is sum_k rep(k)_ac rep(k)*_bd; W wants ((a, b), (c, d)).
-    w = flat.T @ flat.conj()
+    # Entry ((a, c), (b, d)) is sum_k rep(k)_ac rep(k)_bd (rep is real);
+    # W wants ((a, b), (c, d)).
+    w = flat.T @ flat
     w /= len(flat)
     w = w.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    w = (w + w.conj().T) / 2
+    w = (w + w.T) / 2
     w.setflags(write=False)
     rep._povm_cache["commutant"] = w
     return w
@@ -164,10 +170,13 @@ def verification_acceptance_operator(
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     m = kronecker_coefficient(mu, nu, lam).value
+    d, d_lam = irrep_dimension(mu) * irrep_dimension(nu), irrep_dimension(lam)
+    # The m^2 products B_a B_b^T, the two products and the difference of the
+    # commutation check: four m^2 D^2 arrays, priced before any group sum.
+    require_bytes(4 * m * m * d * d * 8, f"the {m * m} accepting columns at D = {d}")
     sigma = tensor_rep(mu, nu)
-    d, d_lam = sigma.dim, irrep_dimension(lam)
     xi = wfs_projector(sigma, lam)
-    blocks = np.array(isotypic_block_basis(sigma, lam), dtype=complex).reshape(-1, d, d_lam)
+    blocks = np.array(isotypic_block_basis(sigma, lam), dtype=float).reshape(-1, d, d_lam)
     if len(blocks) != m or xi.rank != m * d_lam:
         raise NumericalConsistencyError(
             f"{len(blocks)} irrep blocks and rank(Xi) = {xi.rank} contradict "

@@ -17,6 +17,7 @@ from .yyrep import (
     character_vector,
     fourier_transform_matrix,
     ft_row_order,
+    group_sum,
     rep_stack,
     stack_bytes,
 )
@@ -54,20 +55,12 @@ class KrausElement:
 
 
 def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
-    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g).
-
-    For a lifted representation sigma tensor I the projector factors as
-    Xi tensor I and is computed on the base representation.
-    """
+    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g); S_n
+    characters are real, so the weights are d/|G| chi^shape."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    if rep.kind == "lift":
-        base = wfs_projector(rep.base, shape)
-        mat = np.kron(base.matrix, np.eye(rep.lift_dim, dtype=complex))
-        return Projector(matrix=mat, rank=base.rank * rep.lift_dim)
-    stack = rep_stack(rep)
-    weights = (irrep_dimension(shape) / len(stack)) * np.conj(character_vector(shape))
-    return Projector.from_matrix(np.einsum("g,gij->ij", weights, stack))
+    weights = (irrep_dimension(shape) / math.factorial(rep.n)) * character_vector(shape)
+    return Projector.from_matrix(group_sum(rep, weights))
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
@@ -86,12 +79,13 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
-    # The Fourier transform, its irrep stacks and the control rows (|G|^2
-    # entries each), rep's stack and the |G| x D^2 product.
-    nbytes = 3 * size * size * 16 + 2 * stack_bytes(rep)
+    # The complex Fourier transform, its irrep stacks and the real control
+    # rows (|G|^2 entries each), rep's stack and the |G| x D^2 product.
+    nbytes = size * size * (16 + 8 + 8) + 2 * stack_bytes(rep)
     require_bytes(nbytes, f"the Kraus element of {shape} at D = {rep.dim}")
     rows = np.array([lab == shape for lab, _, _ in ft_row_order(rep.n)])
-    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0)
+    # The transform is filled from real irrep stacks: its imaginary part is 0.
+    control = np.where(rows[:, None], fourier_transform_matrix(rep.n).real, 0.0)
     control /= math.sqrt(size)
     # Row (r, a), column b: sum_g control[r, g] rep(g)[a, b].
     out = control @ rep_stack(rep).reshape(size, -1)

@@ -1,16 +1,25 @@
 """Young-Yamanouchi irrep matrices, characters, tensor/regular
 representations, and the dense group Fourier transform for S_n.
 
+Every representation here is real orthogonal, so its data is float64.
 A GroupRep holds generator images for the adjacent transpositions
 sigma_1..sigma_{n-1}.  rep_stack evaluates it on the whole group at once:
 a cached, read-only |G| x D x D array in the order of
-symgroup.enumerate_group, filled at one matrix product per element.  Every
-group sum is one contraction of a weight vector or matrix against that
-stack (einsum for a weight vector, BLAS for matrix products), so its
-reduction order is fixed and results are byte-reproducible for a given
-NumPy/BLAS build.  rep_evaluate multiplies
-the images along an adjacent-transposition decomposition; it evaluates a
-single element, also where S_n is too large to enumerate.
+symgroup.enumerate_group.  The stack of a tensor product rho^mu x rho^nu
+is the batched Kronecker product of its factors' stacks, built only for
+consumers indexed by group element; every other kind fills its stack at
+one matrix product per element.  rep_evaluate multiplies the images along
+an adjacent-transposition decomposition; it evaluates a single element,
+also where S_n is too large to enumerate.
+
+group_sum is the one whole-group sum, sum_g w(g) rep(g), for one weight
+vector or a matrix of them.  An irrep or regular rep contracts its own
+stack.  A tensor product contracts the two factor stacks,
+sum_g w(g) A_g x B_g, and never reads or builds its own stack.  A lift
+sigma x I and I_m x rho sum over the base and take the Kronecker product
+with the identity.  Every sum runs through einsum, whose C loop fixes the
+reduction order, so results are byte-reproducible for a given NumPy build
+and independent of the BLAS thread count.
 
 Characters need no matrix: irrep_character is the exact integer given by
 the Murnaghan-Nakayama border-strip rule, and class_character builds the
@@ -68,8 +77,8 @@ class GroupRep:
 
 
 def stack_bytes(rep: GroupRep) -> int:
-    """Size of rep's |G| x D x D complex stack."""
-    return math.factorial(rep.n) * rep.dim**2 * 16
+    """Size of rep's |G| x D x D float64 stack."""
+    return math.factorial(rep.n) * rep.dim**2 * 8
 
 
 def yy_generator_matrix(shape: Partition, i: int) -> np.ndarray:
@@ -85,7 +94,7 @@ def yy_generator_matrix(shape: Partition, i: int) -> np.ndarray:
         raise InvalidArgumentError(f"generator index {i} out of range for S_{shape.n}")
     index = {t.rows: k for k, t in enumerate(tableaux)}
     d = len(tableaux)
-    mat = np.zeros((d, d), dtype=complex)
+    mat = np.zeros((d, d))
     for k, t in enumerate(tableaux):
         tau = axial_distance(t, i)
         mat[k, k] = 1.0 / tau
@@ -100,21 +109,22 @@ def irrep(shape: Partition) -> GroupRep:
     """The Young-Yamanouchi irrep labeled by a partition."""
     n = shape.n
     # Generator images are priced as n - 1 images and one temporary.
-    require_bytes(n * irrep_dimension(shape) ** 2 * 16, f"the generator images of {shape}")
+    require_bytes(n * irrep_dimension(shape) ** 2 * 8, f"the generator images of {shape}")
     images = tuple(yy_generator_matrix(shape, i) for i in range(1, n))
     return GroupRep(n=n, dim=irrep_dimension(shape), kind="irrep",
                     generator_images=images, labels=(shape,))
 
 
-# One entry: a command works on one (mu, nu) pair, and its stack alone can
-# take hundreds of MB, so no older pair is kept alive.
+# One entry: a command works on one (mu, nu) pair.  Group sums read only the
+# factor stacks, but the pair's own stack, built for consumers indexed by
+# group element, can take hundreds of MB, so no older pair is kept alive.
 @lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     """rho^mu tensor rho^nu, generator-wise Kronecker products."""
     if mu.n != nu.n:
         raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
     a, b = irrep(mu), irrep(nu)
-    require_bytes(mu.n * (a.dim * b.dim) ** 2 * 16, f"the generator images of {mu} x {nu}")
+    require_bytes(mu.n * (a.dim * b.dim) ** 2 * 8, f"the generator images of {mu} x {nu}")
     images = tuple(np.kron(x, y) for x, y in zip(a.generator_images, b.generator_images))
     return GroupRep(n=mu.n, dim=a.dim * b.dim, kind="tensor",
                     generator_images=images, labels=(mu, nu))
@@ -136,8 +146,8 @@ def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
     if m < 1:
         raise InvalidArgumentError(f"multiplicity must be positive, got {m}")
     base = irrep(shape)
-    require_bytes(shape.n * (m * base.dim) ** 2 * 16, f"the generator images of I_{m} x {shape}")
-    images = tuple(np.kron(np.eye(m, dtype=complex), img) for img in base.generator_images)
+    require_bytes(shape.n * (m * base.dim) ** 2 * 8, f"the generator images of I_{m} x {shape}")
+    images = tuple(np.kron(np.eye(m), img) for img in base.generator_images)
     return GroupRep(n=shape.n, dim=m * base.dim, kind="identity-times-irrep",
                     generator_images=images, labels=(shape,), base=base, lift_dim=m)
 
@@ -150,10 +160,10 @@ def regular_representations(n: int) -> tuple[GroupRep, GroupRep]:
     """
     group = enumerate_group(n)
     size = len(group)
-    require_bytes(2 * (n - 1) * size * size * 16, f"the regular representations of S_{n}")
+    require_bytes(2 * (n - 1) * size * size * 8, f"the regular representations of S_{n}")
 
     def perm_matrix(target_index) -> np.ndarray:
-        mat = np.zeros((size, size), dtype=complex)
+        mat = np.zeros((size, size))
         for col, g in enumerate(group):
             mat[target_index(g), col] = 1.0
         return mat
@@ -177,8 +187,8 @@ def rep_evaluate(rep: GroupRep, g: Permutation) -> np.ndarray:
     if g.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
     if rep.kind == "lift":
-        return np.kron(rep_evaluate(rep.base, g), np.eye(rep.lift_dim, dtype=complex))
-    mat = np.eye(rep.dim, dtype=complex)
+        return np.kron(rep_evaluate(rep.base, g), np.eye(rep.lift_dim))
+    mat = np.eye(rep.dim)
     for i in adjacent_transposition_decomposition(g):
         mat = mat @ rep.generator_images[i - 1]
     return mat
@@ -199,22 +209,73 @@ def _stack_plan(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of the trailing matrices, broadcast over leading
+    axes: out[..., (i, k), (j, l)] = a[..., i, j] b[..., k, l]."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, rows, cols)
+
+
 def rep_stack(rep: GroupRep) -> np.ndarray:
     """rep(g) for every g of enumerate_group(rep.n), as a read-only
-    |G| x D x D array built once per representation:
-    rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1}), one product each."""
+    |G| x D x D array built once per representation.  A tensor product is
+    the batched Kronecker product of its factors' stacks; any other kind
+    takes one product per element, rep(g) = rep(g o sigma_{j+1})
+    rep(sigma_{j+1})."""
     if rep.kind == "lift":
         raise InvalidArgumentError("a lift has no stack; sum over its base instead")
     if rep._stack is None:
-        require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {rep.dim}")
-        plan = _stack_plan(rep.n)
-        stack = np.empty((len(plan) + 1, rep.dim, rep.dim), dtype=complex)
-        stack[0] = np.eye(rep.dim)
-        for k, (parent, j) in enumerate(plan, start=1):
-            np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
+        what = f"the stack of S_{rep.n} at D = {rep.dim}"
+        if rep.kind == "tensor":
+            a, b = (irrep(shape) for shape in rep.labels)
+            require_bytes(stack_bytes(rep) + stack_bytes(a) + stack_bytes(b), what)
+            stack = _kron(rep_stack(a), rep_stack(b))
+        else:
+            require_bytes(stack_bytes(rep), what)
+            plan = _stack_plan(rep.n)
+            stack = np.empty((len(plan) + 1, rep.dim, rep.dim))
+            stack[0] = np.eye(rep.dim)
+            for k, (parent, j) in enumerate(plan, start=1):
+                np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
         stack.setflags(write=False)
         rep._stack = stack
     return rep._stack
+
+
+def group_sum(rep: GroupRep, weights: np.ndarray) -> np.ndarray:
+    """sum_g w(g) rep(g) over enumerate_group(rep.n), for real weights of
+    shape (|G|,) or (k, |G|); returns a D x D or k x D x D array.
+
+    A tensor product rho^mu x rho^nu contracts the stacks A of rho^mu and B
+    of rho^nu, sum_g w(g) A_g x B_g, and never builds its own stack.
+    """
+    weights = np.asarray(weights, dtype=float)
+    size = math.factorial(rep.n)
+    lead = weights.shape[:-1]
+    count = math.prod(lead)
+    what = f"the group sum of S_{rep.n} at D = {rep.dim}"
+    nbytes = count * rep.dim**2 * 8
+    if rep.kind in ("lift", "identity-times-irrep"):
+        require_bytes(nbytes + count * rep.base.dim**2 * 8, what)  # and the base's sum
+        base, eye = group_sum(rep.base, weights), np.eye(rep.lift_dim)
+        return _kron(base, eye) if rep.kind == "lift" else _kron(eye, base)
+    if rep.kind == "tensor":
+        a, b = (rep_stack(irrep(shape)) for shape in rep.labels)
+        # And one weighted copy of A with one sum in (a, a, b, b) order.
+        require_bytes(nbytes + rep.dim**2 * 8 + a.nbytes, what)
+        da, db = a.shape[1], b.shape[1]
+        flat_a, flat_b = a.reshape(size, -1), b.reshape(size, -1)
+        out = np.empty((count, rep.dim, rep.dim))
+        # One weight vector per einsum: faster than one einsum over all of
+        # them, with the same sums in the same order.
+        for w, part in zip(weights.reshape(count, size), out):
+            block = np.einsum("gx,gy->xy", w[:, None] * flat_a, flat_b)
+            part.reshape(da, db, da, db)[...] = block.reshape(da, da, db, db).transpose(0, 2, 1, 3)
+        return out.reshape(*lead, rep.dim, rep.dim)
+    stack = rep_stack(rep)
+    require_bytes(nbytes, what)
+    return np.einsum("...g,gij->...ij", weights, stack)
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +374,9 @@ def fourier_transform_matrix(n: int) -> np.ndarray:
     at row (lambda, i, j) and column pi."""
     shapes = enumerate_partitions(n)
     size = math.factorial(n)
-    # The transform, and the irrep stacks it is filled from: n! entries each.
-    require_bytes(2 * size * size * 16, f"the {size} x {size} Fourier transform of S_{n}")
+    # The complex transform, and the float64 irrep stacks it is filled
+    # from: n! entries each.
+    require_bytes(size * size * (16 + 8), f"the {size} x {size} Fourier transform of S_{n}")
     ft = np.empty((size, size), dtype=complex)
     row = 0
     for shape in shapes:

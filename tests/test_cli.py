@@ -96,7 +96,7 @@ def test_verify_spectrum_at_n6_with_d144(capsys):
     try:
         code, doc = invoke(["verify", "spectrum", "4,2", "3,2,1", "3,2,1"], capsys)
     finally:
-        tensor_rep.cache_clear()  # drop the 239 MB stack of S_6
+        tensor_rep.cache_clear()  # drop the cached pair
     assert code == 0
     spectrum = np.array(doc["spectrum"])
     half = m * 16 * 144 - m * m
@@ -118,12 +118,32 @@ def test_certify_over_statevector_cap_exits_3_before_any_stack(capsys):
 
 
 def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys):
-    # n = 7, D = 14 * 35 = 490: the S_7 stack would take 19 GB.
-    code, doc = invoke(["verify", "spectrum", "4,3", "4,2,1", "4,2,1"], capsys)
+    # n = 8, D = 64 * 1: the group sums read the S_8 stack of 5,2,1
+    # (d = 64), which would take 1.32 GB in float64.
+    code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
     assert code == 3
     assert doc["status"] == "resource-limit"
     assert "stack" in doc["error"]
-    assert tensor_rep(Partition.parse("4,3"), Partition.parse("4,2,1"))._stack is None
+    assert tensor_rep(Partition.parse("5,2,1"), Partition.parse("8"))._stack is None
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["kron", "3,2,1", "3,2,1", "3,2,1", "--route", "both"], {"m": 5, "routes_agree": True}),
+        (["wfs", "povm", "3,2,1", "3,2,1"], {"dim": 256}),
+    ],
+    ids=["kron-both-m5", "povm-d256"],
+)
+def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, monkeypatch):
+    # D = 256: sigma's own stack would take 377 MB; the factor stacks 2 MB.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    try:
+        code, doc = invoke(argv, capsys)
+    finally:
+        tensor_rep.cache_clear()
+    assert code == 0
+    assert expect.items() <= doc.items()
 
 
 @pytest.mark.parametrize(
@@ -131,6 +151,10 @@ def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys):
     [
         ["verify", "spectrum", "5,1", "3,3", "4,2"],
         ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "3"],
+        ["wfs", "project", "3,2,1", "5,1", "4,2"],
+        ["wfs", "povm", "3,2,1", "5,1"],
+        ["state", "psi-lambda", "3,2,1", "5,1", "3,2,1"],
+        ["state", "phi-pi", "3,2,1", "5,1", "4,2"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
@@ -292,6 +316,9 @@ def test_unknown_subcommand_exits_2(capsys):
         ["certify-lemma", "2,1", "--perturbation", "inf"],
         ["certify-lemma", "2,1", "--trials", "1", "--perturbation", "1e308"],
         ["wfs", "measure", "2,1", "2,1", "--seed", "-1"],
+        ["selftest", "--n-max", "0"],
+        ["selftest", "--n-max", "-3"],
+        ["selftest", "--n-max", "1"],
     ],
     ids=[
         "ft-negative-n",
@@ -301,6 +328,9 @@ def test_unknown_subcommand_exits_2(capsys):
         "inf-perturbation",
         "overflowing-perturbation",
         "negative-seed",
+        "selftest-n-max-0",
+        "selftest-n-max-negative",
+        "selftest-n-max-1",
     ],
 )
 def test_out_of_domain_input_exits_2(argv, capsys):
@@ -324,8 +354,9 @@ def test_exact_center_state_certifies(capsys):
         ["state", "phi-plus", "100000"],
         ["sym", "partitions", "200"],
         ["certify-lemma", "2,1", "--multiplicity", "100000"],
+        ["verify", "spectrum", "4,2,1", "4,2,1", "4,2,1"],
     ],
-    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity"],
+    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity", "accepting-m9-d1225"],
 )
 def test_oversized_input_exits_3_before_allocating(argv, capsys, monkeypatch):
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)

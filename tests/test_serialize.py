@@ -34,6 +34,18 @@ def test_matrix_json_schema():
     assert doc["data"][0] == [1.0, 0.0] and doc["data"][1] == [0.0, 0.0]
 
 
+def test_complex_list_matches_the_per_entry_loop():
+    # The vectorized pairs must give the JSON of the per-entry loop byte for
+    # byte: signed zeros, subnormals, real input and strided views included.
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), complex(tiny, -tiny)],
+                       [complex(-tiny, 5e-324), complex(1e308, -2.5), complex(1 / 3, -1e-310)]])
+    real = np.array([[-0.0, tiny, 1.5], [-tiny, 2.0, -3e-320]])
+    for arr in (values, real, values[:, 1], real.T, np.linspace(-1.0, 1.0, 7)):
+        loop = [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
+        assert json.dumps(serialize._complex_list(arr)) == json.dumps(loop)
+
+
 def test_matrix_from_json_validates():
     with pytest.raises(InvalidArgumentError):
         serialize.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})

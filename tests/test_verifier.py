@@ -316,3 +316,17 @@ def test_sampled_run_is_seed_deterministic():
     a = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     b = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     assert a == b
+
+
+def test_acceptance_operator_at_d144_builds_no_tensor_stack():
+    mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
+    tensor_rep.cache_clear()
+    tracemalloc.start()
+    try:
+        verification_acceptance_operator(mu, nu, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"peak {peak} B"
+    assert tensor_rep(mu, nu)._stack is None
+    tensor_rep.cache_clear()

@@ -3,12 +3,14 @@ identity, seeded measurements, and the irrep sampling distribution.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from snverify.entangled import phi_plus
+from snverify.entangled import _matrix_units, isotypic_block_basis, phi_plus, psi_lambda
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
+from snverify.kronecker import kronecker_coefficient
 from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
 from snverify.wfs import (
     Projector,
@@ -19,6 +21,7 @@ from snverify.wfs import (
     wfs_projector,
 )
 from snverify.yyrep import (
+    character_vector,
     irrep,
     lift_with_identity,
     regular_representations,
@@ -213,3 +216,37 @@ def test_lightning_with_sign_twist_permutes_labels():
     # conjugate; for n = 3 this swaps the ends and fixes the middle.
     dist = lightning_distribution(P("2,1"), P("1,1,1"))
     assert dist[P("2,1")] == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------- sums through the factors
+
+def test_isotypic_sums_never_build_the_tensor_stack():
+    mu, nu, lam = P("3,2,1"), P("4,1,1"), P("3,2,1")
+    tensor_rep.cache_clear()
+    sigma = tensor_rep(mu, nu)  # D = 160
+    tracemalloc.start()
+    try:
+        wfs_povm(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 720 * 160**2 * 8, f"peak {peak} B reaches one float64 tensor stack"
+    assert kronecker_coefficient(mu, nu, lam, route="rank").value == 4
+    psi_lambda(sigma, lam, phi_plus(sigma.dim).amplitudes)
+    assert len(isotypic_block_basis(sigma, lam)) == 4
+    assert sigma._stack is None
+    tensor_rep.cache_clear()
+
+
+def test_factored_sums_match_the_tensor_stack_contraction_at_n6():
+    # The contraction against sigma's own stack is the oracle.
+    sigma = tensor_rep(P("3,2,1"), P("5,1"))
+    stack = rep_stack(sigma)
+    for shape in enumerate_partitions(6):
+        weights = irrep_dimension(shape) / len(stack) * character_vector(shape)
+        oracle = np.einsum("g,gij->ij", weights, stack)
+        np.testing.assert_allclose(wfs_projector(sigma, shape).matrix, oracle, rtol=0, atol=1e-12)
+    lam = rep_stack(irrep(P("4,2")))
+    oracle = np.einsum("kg,gij->kij", lam.shape[1] / len(lam) * lam[:, :, 0].T, stack)
+    np.testing.assert_allclose(_matrix_units(sigma, P("4,2")), oracle, rtol=0, atol=1e-12)
+    tensor_rep.cache_clear()  # drop the 37 MB stack

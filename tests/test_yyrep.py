@@ -35,7 +35,9 @@ from snverify.yyrep import (
     regular_representations,
     rep_evaluate,
     rep_stack,
+    stack_bytes,
     tensor_rep,
+    yy_generator_matrix,
 )
 
 P = Partition.parse
@@ -127,6 +129,22 @@ def test_evaluation_is_decomposition_independent():
             for i in adjacent_transposition_decomposition(g, "insertion"):
                 alt = alt @ rep.generator_images[i - 1]
             np.testing.assert_allclose(alt, chain, rtol=0, atol=1e-12)
+
+
+def test_representation_data_is_float64_and_priced_as_held():
+    # The irreps are real orthogonal; every image and stack holds float64.
+    assert yy_generator_matrix(P("3,2"), 2).dtype == np.float64
+    reps = [
+        irrep(P("3,2")),
+        tensor_rep(P("3,1"), P("2,1,1")),
+        identity_times_irrep(3, P("2,1")),
+        regular_representations(3)[1],
+    ]
+    for rep in reps:
+        assert all(img.dtype == np.float64 for img in rep.generator_images), rep.kind
+        stack = rep_stack(rep)
+        assert stack.dtype == np.float64, rep.kind
+        assert stack_bytes(rep) == stack.nbytes, rep.kind
 
 
 def test_inverse_evaluates_to_transpose():
