@@ -82,6 +82,11 @@ def _cmd_sym(args) -> dict:
 
 def _cmd_rep(args) -> dict:
     if args.action == "ft":
+        # The partitions validate n and bound it before n! is taken; the JSON
+        # of the |G|^2 entries outweighs the transform, so it is priced first.
+        enumerate_partitions(args.n)
+        size = math.factorial(args.n)
+        serialize.require_json(size * size, f"the {size} x {size} Fourier transform of S_{args.n}")
         return serialize.matrix_to_json(fourier_transform_matrix(args.n))
     shape = Partition.parse(args.shape)
     g = Permutation.parse(args.perm)
@@ -350,6 +355,8 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def _round_floats(obj, digits: int):
+    if isinstance(obj, serialize.ComplexArray):
+        obj = obj.tolist()
     if isinstance(obj, float):
         if obj == 0 or not math.isfinite(obj):
             return obj
@@ -373,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     if pretty:
         print(json.dumps(_round_floats(result.payload, 6), indent=2))
     else:
-        print(json.dumps(result.payload))
+        print(serialize.dumps(result.payload))
     if result.exit_code:
         return result.exit_code
     if result.payload.get("all_passed") is False:

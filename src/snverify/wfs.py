@@ -20,6 +20,7 @@ from .yyrep import (
     group_sum,
     rep_stack,
     stack_bytes,
+    summed_stacks,
 )
 
 RANK_TOL = 1e-6
@@ -59,6 +60,7 @@ def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
     characters are real, so the weights are d/|G| chi^shape."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
+    summed_stacks(rep)  # refuse an oversized stack before the characters enumerate S_n
     weights = (irrep_dimension(shape) / math.factorial(rep.n)) * character_vector(shape)
     return Projector.from_matrix(group_sum(rep, weights))
 
@@ -79,13 +81,12 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
-    # The complex Fourier transform, its irrep stacks and the real control
-    # rows (|G|^2 entries each), rep's stack and the |G| x D^2 product.
-    nbytes = size * size * (16 + 8 + 8) + 2 * stack_bytes(rep)
+    # The Fourier transform, its irrep stacks and the control rows (|G|^2
+    # float64 entries each), rep's stack and the |G| x D^2 product.
+    nbytes = size * size * (8 + 8 + 8) + 2 * stack_bytes(rep)
     require_bytes(nbytes, f"the Kraus element of {shape} at D = {rep.dim}")
     rows = np.array([lab == shape for lab, _, _ in ft_row_order(rep.n)])
-    # The transform is filled from real irrep stacks: its imaginary part is 0.
-    control = np.where(rows[:, None], fourier_transform_matrix(rep.n).real, 0.0)
+    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0)
     control /= math.sqrt(size)
     # Row (r, a), column b: sum_g control[r, g] rep(g)[a, b].
     out = control @ rep_stack(rep).reshape(size, -1)

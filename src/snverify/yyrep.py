@@ -243,6 +243,17 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
     return rep._stack
 
 
+def summed_stacks(rep: GroupRep) -> tuple[np.ndarray, ...]:
+    """The stacks group_sum(rep, .) contracts, each priced and built on
+    first use: the two factors' of a tensor product, the base's of a lift
+    or I_m x rho, and rep's own otherwise."""
+    if rep.kind in ("lift", "identity-times-irrep"):
+        return summed_stacks(rep.base)
+    if rep.kind == "tensor":
+        return tuple(rep_stack(irrep(shape)) for shape in rep.labels)
+    return (rep_stack(rep),)
+
+
 def group_sum(rep: GroupRep, weights: np.ndarray) -> np.ndarray:
     """sum_g w(g) rep(g) over enumerate_group(rep.n), for real weights of
     shape (|G|,) or (k, |G|); returns a D x D or k x D x D array.
@@ -261,7 +272,7 @@ def group_sum(rep: GroupRep, weights: np.ndarray) -> np.ndarray:
         base, eye = group_sum(rep.base, weights), np.eye(rep.lift_dim)
         return _kron(base, eye) if rep.kind == "lift" else _kron(eye, base)
     if rep.kind == "tensor":
-        a, b = (rep_stack(irrep(shape)) for shape in rep.labels)
+        a, b = summed_stacks(rep)
         # And one weighted copy of A with one sum in (a, a, b, b) order.
         require_bytes(nbytes + rep.dim**2 * 8 + a.nbytes, what)
         da, db = a.shape[1], b.shape[1]
@@ -374,10 +385,10 @@ def fourier_transform_matrix(n: int) -> np.ndarray:
     at row (lambda, i, j) and column pi."""
     shapes = enumerate_partitions(n)
     size = math.factorial(n)
-    # The complex transform, and the float64 irrep stacks it is filled
-    # from: n! entries each.
-    require_bytes(size * size * (16 + 8), f"the {size} x {size} Fourier transform of S_{n}")
-    ft = np.empty((size, size), dtype=complex)
+    # The transform, and the irrep stacks it is filled from: n!^2 float64
+    # entries each.
+    require_bytes(size * size * (8 + 8), f"the {size} x {size} Fourier transform of S_{n}")
+    ft = np.empty((size, size))
     row = 0
     for shape in shapes:
         d = irrep_dimension(shape)

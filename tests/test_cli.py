@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snverify import serialize, verifier
-from snverify.cli import main, run
+from snverify import serialize, verifier, yyrep
+from snverify.cli import _round_floats, main, run
 from snverify.entangled import phi_plus
 from snverify.symgroup import Partition, enumerate_partitions
 from snverify.wfs import wfs_projector
@@ -117,14 +117,18 @@ def test_certify_over_statevector_cap_exits_3_before_any_stack(capsys):
     assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
 
 
-def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys):
+def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys, monkeypatch):
     # n = 8, D = 64 * 1: the group sums read the S_8 stack of 5,2,1
     # (d = 64), which would take 1.32 GB in float64.
+    enumerated = []
+    cycle_types = yyrep._cycle_types
+    monkeypatch.setattr(yyrep, "_cycle_types", lambda n: enumerated.append(n) or cycle_types(n))
     code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
     assert code == 3
     assert doc["status"] == "resource-limit"
     assert "stack" in doc["error"]
     assert tensor_rep(Partition.parse("5,2,1"), Partition.parse("8"))._stack is None
+    assert enumerated == []  # refused before the characters enumerate S_8
 
 
 @pytest.mark.parametrize(
@@ -155,6 +159,8 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["wfs", "povm", "3,2,1", "5,1"],
         ["state", "psi-lambda", "3,2,1", "5,1", "3,2,1"],
         ["state", "phi-pi", "3,2,1", "5,1", "4,2"],
+        ["rep", "ft", "5"],
+        ["wfs", "project", "3,2,1", "3,2,1", "3,2,1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
@@ -269,6 +275,20 @@ def test_resource_limit_exits_3(capsys, monkeypatch):
     assert code == 3
     assert doc["status"] == "resource-limit"
     assert "24" in doc["error"]  # the n! memory formula is reported
+
+
+def test_rep_ft_prices_its_json_before_building_the_transform(capsys, monkeypatch):
+    # The float64 transform of S_7 (406 MB) fits the default budget; its JSON
+    # (25.4 million entries) does not, so no stack or transform is built.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    stacks = []
+    rep_stack = yyrep.rep_stack
+    monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
+    for n in ("7", "8"):
+        code, doc = invoke(["rep", "ft", n], capsys)
+        assert code == 3
+        assert doc["error"].startswith("the JSON of the ")
+    assert stacks == []
 
 
 @pytest.mark.parametrize(
@@ -424,6 +444,35 @@ def test_pretty_mode_rounds_but_plain_does_not(capsys):
     assert doc["s"] == 0.5  # rounded to 6 significant digits
 
 
+def _list_form(payload) -> dict:
+    """The payload with every complex array as its list of [re, im] pairs."""
+    return json.loads(json.dumps(payload, default=serialize.ComplexArray.tolist))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "ft", "5"],
+        ["wfs", "project", "3,2,1", "5,1", "4,2"],
+        ["state", "psi-lambda", "3,2,1", "5,1", "3,2,1"],
+        ["wfs", "measure", "2,1", "2,1", "--state", "{phi16}", "--seed", "3"],
+        ["state", "phi-pi", "2,1", "2,1", "2,1", "--pretty"],
+    ],
+)
+def test_stdout_is_json_dumps_of_the_list_form_payload(argv, tmp_path, capsys):
+    state = tmp_path / "phi16.json"
+    state.write_text(json.dumps(_list_form(serialize.state_to_json(phi_plus(4)))))
+    argv = [token.format(phi16=state) for token in argv]
+    plain = [token for token in argv if token != "--pretty"]
+    payload = _list_form(run(plain).payload)
+    if plain != argv:
+        expected = json.dumps(_round_floats(payload, 6), indent=2)
+    else:
+        expected = json.dumps(payload)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 # -------------------------------------------------------------- argv fuzz
 
 _BAD_PARTITION = st.sampled_from(["", "0", "-1", "1,2", "2,,1", "3,0", "2.5", "x"])
@@ -515,7 +564,7 @@ def test_fuzzed_argv_gives_one_json_document_and_a_contract_exit_code(
     for name, d in (("phi4", 2), ("phi16", 4)):
         path = tmp_path / f"{name}.json"
         if not path.exists():
-            path.write_text(json.dumps(serialize.state_to_json(phi_plus(d))))
+            path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(d))))
     argv = [token.format(dir=tmp_path) for token in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -1,6 +1,7 @@
 """JSON round-trips for matrices, states, projectors, and subspaces."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from snverify.entangled import Subspace, orthonormalize, phi_plus
 from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition
 from snverify.wfs import gpe_kraus, wfs_projector
-from snverify.yyrep import tensor_rep
+from snverify.yyrep import fourier_transform_matrix, tensor_rep
 
 P = Partition.parse
 
@@ -24,12 +25,12 @@ def test_matrix_round_trip_is_exact(seed, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     doc = serialize.matrix_to_json(m)
     # through an actual JSON encode/decode, not just the dict
-    back = serialize.matrix_from_json(json.loads(json.dumps(doc)))
+    back = serialize.matrix_from_json(json.loads(serialize.dumps(doc)))
     assert back.tobytes() == m.tobytes()
 
 
 def test_matrix_json_schema():
-    doc = serialize.matrix_to_json(np.eye(2))
+    doc = json.loads(serialize.dumps(serialize.matrix_to_json(np.eye(2))))
     assert doc["rows"] == 2 and doc["cols"] == 2
     assert doc["data"][0] == [1.0, 0.0] and doc["data"][1] == [0.0, 0.0]
 
@@ -43,7 +44,7 @@ def test_complex_list_matches_the_per_entry_loop():
     real = np.array([[-0.0, tiny, 1.5], [-tiny, 2.0, -3e-320]])
     for arr in (values, real, values[:, 1], real.T, np.linspace(-1.0, 1.0, 7)):
         loop = [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
-        assert json.dumps(serialize._complex_list(arr)) == json.dumps(loop)
+        assert serialize.dumps(serialize._complex_list(arr)) == json.dumps(loop)
 
 
 def test_matrix_from_json_validates():
@@ -63,7 +64,7 @@ def test_matrix_from_json_rejects_malformed_entries(data):
 
 def test_state_round_trip():
     state = phi_plus(3)
-    doc = json.loads(json.dumps(serialize.state_to_json(state)))
+    doc = json.loads(serialize.dumps(serialize.state_to_json(state)))
     back = serialize.state_from_json(doc)
     assert back.registers == (3, 3)
     assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
@@ -72,13 +73,13 @@ def test_state_round_trip():
 def test_projector_and_kraus_docs_carry_labels():
     sigma = tensor_rep(P("2,1"), P("2,1"))
     proj = wfs_projector(sigma, P("2,1"))
-    doc = serialize.projector_to_json(proj, P("2,1"))
+    doc = json.loads(serialize.dumps(serialize.projector_to_json(proj, P("2,1"))))
     assert doc["lambda"] == "2,1" and doc["rank"] == 2
     back = serialize.matrix_from_json(doc)
     np.testing.assert_allclose(back, proj.matrix, atol=0)
 
     kraus = gpe_kraus(sigma, P("3"))
-    kdoc = serialize.kraus_to_json(kraus)
+    kdoc = json.loads(serialize.dumps(serialize.kraus_to_json(kraus)))
     assert kdoc["lambda"] == "3"
     assert kdoc["rows"] == 6 * 4 and kdoc["cols"] == 4
 
@@ -87,7 +88,105 @@ def test_subspace_doc():
     rng = np.random.default_rng(0)
     basis = orthonormalize(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     space = Subspace(ambient_dim=4, basis=basis)
-    doc = serialize.subspace_to_json(space)
+    doc = json.loads(serialize.dumps(serialize.subspace_to_json(space)))
     assert doc["ambient_dim"] == 4 and doc["dim"] == 2
     col0 = np.array([complex(re, im) for re, im in doc["basis"][0]])
     np.testing.assert_allclose(col0, basis[:, 0], atol=0)
+
+
+# ------------------------------------------------------------------ writer
+
+def _list_form(doc) -> str:
+    """The oracle: json.dumps with every holder replaced by its tolist()."""
+    return json.dumps(doc, default=serialize.ComplexArray.tolist)
+
+
+def _longest_floats(size: int, seed: int) -> np.ndarray:
+    """All-distinct complex entries whose parts print 22 to 24 characters:
+    a sign, 17 significant digits and a three-digit negative exponent."""
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(1.0, 10.0, (size, 2)) * rng.choice([-1.0, 1.0], (size, 2))
+    return (parts * 10.0 ** rng.integers(-307, -100, (size, 2))).view(complex).reshape(-1)
+
+
+def _special_values() -> np.ndarray:
+    """Signed zeros, NaNs with different payloads and signs, infinities and
+    subnormals, each repeated, in every pairing of real and imaginary part."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    tiny = np.nextafter(0.0, 1.0)
+    parts = np.concatenate([[0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2.5e-310, 1.0], nans])
+    values = np.empty((3, parts.size, parts.size), dtype=complex)
+    values.real, values.imag = parts[None, None, :], parts[None, :, None]
+    return values.reshape(-1)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_writer_matches_json_on_the_fourier_transform(n):
+    doc = serialize.matrix_to_json(fourier_transform_matrix(n))
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_writer_matches_json_on_all_distinct_entries():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(518_400) + 1j * rng.standard_normal(518_400)
+    doc = serialize.matrix_to_json(values.reshape(720, 720))
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_writer_keeps_each_bit_pattern_apart():
+    # -0.0 and 0.0 compare equal, and NaNs compare unequal to everything,
+    # yet each must keep its own text: grouping is by bits, not by value.
+    values = _special_values()
+    doc = {"data": serialize._complex_list(values), "tag": "x"}
+    text = serialize.dumps(doc)
+    assert text == _list_form(doc)
+    assert "NaN" in text and "-Infinity" in text and "[-0.0, 0.0]" in text
+    assert "[0.0, -0.0]" in text and "5e-324" in text
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.zeros((0, 3), dtype=complex),
+        np.arange(24.0).reshape(4, 6)[::2, ::3],
+        (np.arange(12.0) - 1j * np.arange(12.0)).reshape(3, 4).T,
+        np.array([[-0.0, 1.5], [0.0, -0.0]]),
+        np.array([[7]]),
+    ],
+    ids=["empty", "strided-real", "transposed-complex", "real-signed-zeros", "integer"],
+)
+def test_writer_matches_json_on_empty_strided_and_real_input(values):
+    doc = serialize.matrix_to_json(values)
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_writer_matches_json_on_a_subspace_doc():
+    rng = np.random.default_rng(3)
+    basis = orthonormalize(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    doc = serialize.subspace_to_json(Subspace(ambient_dim=6, basis=basis))
+    assert serialize.dumps(doc) == _list_form(doc)
+    assert serialize.dumps([doc, {"again": doc}]) == _list_form([doc, {"again": doc}])
+
+
+def test_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        serialize.dumps({"x": object()})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [lambda: fourier_transform_matrix(6), lambda: _longest_floats(1 << 16, 4)],
+    ids=["ft6", "all-distinct-longest"],
+)
+def test_writer_peak_stays_under_its_price(values):
+    # The price is charged per entry before the holder is built, so it must
+    # cover the holder's complex copy and the whole text() of the worst case.
+    values = values()
+    tracemalloc.start()
+    try:
+        serialize.dumps(serialize.matrix_to_json(values.reshape(values.shape[0], -1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= serialize.ENTRY_BYTES * values.size
