@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, irrep_dimension
-from .wfs import wfs_projector
+from .wfs import Projector, wfs_projector
 from .yyrep import GroupRep, group_sum, irrep, rep_stack
 
 ORTHO_TOL = 1e-8
@@ -126,17 +126,18 @@ def orthonormalize(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def max_entangled_over(pi: Subspace) -> StateVector:
-    """|Phi_Pi> = (1/sqrt d1) sum_i |b_i> tensor |b_i*>; exactly invariant
-    under the choice of orthonormal basis."""
-    d1 = pi.dim
-    if d1 < 1:
+    """|Phi_Pi> = (1/sqrt d1) sum_i |b_i> tensor |b_i*> = vec(B B^dagger)/sqrt(d1);
+    invariant under the choice of orthonormal basis."""
+    return max_entangled_over_range(Projector(matrix=pi.projector_matrix(), rank=pi.dim))
+
+
+def max_entangled_over_range(proj: Projector) -> StateVector:
+    """The maximally entangled state over range(P), vec(P)/sqrt(rank P),
+    normalized by the exact integer rank."""
+    if proj.rank < 1:
         raise InvalidArgumentError("cannot build a maximally entangled state over a zero subspace")
-    d2 = pi.ambient_dim
-    out = np.zeros(d2 * d2, dtype=complex)
-    for i in range(d1):
-        b = pi.basis[:, i]
-        out += np.kron(b, b.conj())
-    return StateVector(registers=(d2, d2), amplitudes=out / math.sqrt(d1))
+    d = len(proj.matrix)
+    return StateVector(registers=(d, d), amplitudes=vec(proj.matrix) / math.sqrt(proj.rank))
 
 
 def psi_lambda(
@@ -202,33 +203,12 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     return blocks
 
 
-def m_lambda_subspace(rep: GroupRep, shape: Partition, route: str = "span") -> Subspace:
-    """Span of the block-wise maximally entangled states of the shape
-    isotypic component, inside C^{D^2}.
-
-    route "span" builds one maximally entangled state per irrep block from
-    an explicit block decomposition; route "fixed-point" takes the
-    eigenvalue-1 eigenspace of the internal-test acceptance action
-    restricted to the post-sampling subspace (dimension m^2 in general).
-    """
+def m_lambda_subspace(rep: GroupRep, shape: Partition) -> Subspace:
+    """Span of the block-wise maximally entangled states vec(B_a B_a^T)/sqrt(d)
+    of the shape isotypic component, inside C^{D^2}, one per irrep block
+    B_a.  The columns are orthonormal because the blocks are."""
     dd = rep.dim * rep.dim
-    if route == "span":
-        blocks = isotypic_block_basis(rep, shape)
-        if not blocks:
-            return Subspace(ambient_dim=dd, basis=np.zeros((dd, 0), dtype=complex))
-        d = irrep_dimension(shape)
-        cols = [vec(b @ b.conj().T) / math.sqrt(d) for b in blocks]
-        return Subspace(ambient_dim=dd, basis=orthonormalize(np.column_stack(cols)))
-    if route == "fixed-point":
-        from .verifier import commutant_projector  # deferred: verifier imports us
-
-        xi = wfs_projector(rep, shape)
-        gamma = np.kron(xi.matrix, np.eye(rep.dim))
-        fixed = gamma @ commutant_projector(rep)
-        fixed = (fixed + fixed.conj().T) / 2
-        evals, evecs = np.linalg.eigh(fixed)
-        keep = [k for k in range(len(evals)) if evals[k] > 0.5]
-        if not keep:
-            return Subspace(ambient_dim=dd, basis=np.zeros((dd, 0), dtype=complex))
-        return Subspace(ambient_dim=dd, basis=orthonormalize(evecs[:, keep]))
-    raise InvalidArgumentError(f"unknown route {route!r}")
+    blocks = isotypic_block_basis(rep, shape)
+    d = irrep_dimension(shape)
+    cols = [vec(b @ b.conj().T) / math.sqrt(d) for b in blocks]
+    return Subspace(ambient_dim=dd, basis=np.column_stack(cols) if cols else np.zeros((dd, 0)))

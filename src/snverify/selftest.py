@@ -18,6 +18,7 @@ import numpy as np
 from .entangled import (
     Subspace,
     max_entangled_over,
+    max_entangled_over_range,
     m_lambda_subspace,
     orthonormalize,
     psi_lambda,
@@ -306,15 +307,15 @@ def suite_entangled(n_max: int, seed: int) -> SuiteResult:
         1e-8,
         "psi-lambda image",
     )
-    # span vs fixed-point routes; equality at multiplicity one
-    span = m_lambda_subspace(sigma, two_one, route="span")
-    fixed = m_lambda_subspace(sigma, two_one, route="fixed-point")
+    # block span vs fixed points of the internal test; equality at multiplicity one
+    span = m_lambda_subspace(sigma, two_one)
+    fixed = _fixed_points(sigma, two_one)
     out.check(span.dim == 1 and fixed.dim == 1, what="m=1 dims")
     out.check_residual(fixed.distance_to(span.basis[:, 0]), 1e-8, "m=1 span overlap")
     if n_max >= 3:
         left, _ = regular_representations(3)
-        span_l = m_lambda_subspace(left, two_one, route="span")
-        fixed_l = m_lambda_subspace(left, two_one, route="fixed-point")
+        span_l = m_lambda_subspace(left, two_one)
+        fixed_l = _fixed_points(left, two_one)
         out.check(span_l.dim == 2, what="regular span dim")
         out.check(fixed_l.dim == 4, what="regular fixed dim")
         containment = max(
@@ -322,6 +323,16 @@ def suite_entangled(n_max: int, seed: int) -> SuiteResult:
         )
         out.check_residual(containment, 1e-8, "containment")
     return out
+
+
+def _fixed_points(rep, shape: Partition) -> Subspace:
+    """Range of X -> E(Xi X), the internal test's fixed points in the shape
+    component (dimension m^2), from the D^2 matrix units; for small D only."""
+    d = rep.dim
+    xi = wfs_projector(rep, shape).matrix
+    units = np.eye(d * d).reshape(d * d, d, d)
+    cols = np.column_stack([vec(channel_E(rep, xi @ unit)) for unit in units])
+    return Subspace(ambient_dim=d * d, basis=orthonormalize(cols))
 
 
 def suite_verifier(n_max: int, trials: int, seed: int) -> SuiteResult:
@@ -336,8 +347,7 @@ def suite_verifier(n_max: int, trials: int, seed: int) -> SuiteResult:
     ones = int(np.sum(op.spectrum > 1.0 - 1e-8))
     out.check(ones == 1, what="eigenvalue-1 multiplicity")
     out.check(op.s <= 8.0 / 9.0 + 1e-12, what="soundness bound")
-    xi = wfs_projector(sigma, two_one)
-    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
+    witness = max_entangled_over_range(wfs_projector(sigma, two_one)).amplitudes
     out.check_residual(
         op.accepting_subspace().distance_to(witness), 1e-8, "witness eigenvector"
     )

@@ -277,6 +277,9 @@ def enumerate_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
 def irrep_dimension(shape: Partition) -> int:
     """Dimension of the irrep labeled by a shape, by the hook-length formula."""
     rows = shape.parts
+    n = shape.n
+    # The column lengths (a pointer and an int each); n!, the hook product and d.
+    require_bytes(rows[0] * 40 + 3 * (n * n.bit_length() // 8), f"the dimension of {shape}")
     cols = [0] * rows[0]
     for row_len in rows:
         for c in range(row_len):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .entangled import Subspace, isotypic_block_basis, unvec, vec
+from .entangled import Subspace, isotypic_block_basis, max_entangled_over_range, unvec, vec
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import measure_wfs, wfs_projector
@@ -102,25 +102,6 @@ def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"X must be {rep.dim} x {rep.dim}, got {x.shape}")
     blocks = _conjugated(rep, x)
     return blocks.sum(axis=0) / len(blocks)
-
-
-def commutant_projector(rep: GroupRep) -> np.ndarray:
-    """Projector W = (1/|G|) sum_k rep(k) tensor rep(k)* on C^{D^2}; the
-    vectorized form of channel_E, cached on the representation."""
-    cached = rep._povm_cache.get("commutant")
-    if cached is not None:
-        return cached
-    d = rep.dim
-    flat = rep_stack(rep).reshape(-1, d * d)
-    # Entry ((a, c), (b, d)) is sum_k rep(k)_ac rep(k)_bd (rep is real);
-    # W wants ((a, b), (c, d)).
-    w = flat.T @ flat
-    w /= len(flat)
-    w = w.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    w = (w + w.T) / 2
-    w.setflags(write=False)
-    rep._povm_cache["commutant"] = w
-    return w
 
 
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
@@ -284,7 +265,7 @@ def certify_corollary_bound(
     _require_statevector(sigma)
     accepting = verification_acceptance_operator(mu, nu, lam).accepting_subspace()
     xi = wfs_projector(sigma, lam)
-    center = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
+    center = max_entangled_over_range(xi).amplitudes
     trials_out = []
     for t in range(trials):
         psi = _trial_state(center, perturbation, seed + t)

@@ -12,16 +12,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
 from .symgroup import Partition, enumerate_partitions, irrep_dimension
-from .yyrep import (
-    GroupRep,
-    character_vector,
-    fourier_transform_matrix,
-    ft_row_order,
-    group_sum,
-    rep_stack,
-    stack_bytes,
-    summed_stacks,
-)
+from .yyrep import GroupRep, character_vector, group_sum, irrep, rep_stack, summed_stacks
 
 RANK_TOL = 1e-6
 
@@ -66,30 +57,27 @@ def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
-    """One projector per partition of n, in canonical partition order.
-    Cached on the representation."""
-    cached = rep._povm_cache.get("povm")
-    if cached is None:
-        cached = [(shape, wfs_projector(rep, shape)) for shape in enumerate_partitions(rep.n)]
-        rep._povm_cache["povm"] = cached
-    return cached
+    """One projector per partition of n, in canonical partition order."""
+    return [(shape, wfs_projector(rep, shape)) for shape in enumerate_partitions(rep.n)]
 
 
 def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     """Kraus element (1/sqrt|G|) sum_g (Pi_shape FT|g>) tensor rep(g) of the
-    generalized phase estimation circuit."""
+    generalized phase estimation circuit.  Only shape's d^2 control rows,
+    sqrt(d/|G|) rho^shape_ij(g), are nonzero: their group_sum over sqrt|G|."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
-    # The Fourier transform, its irrep stacks and the control rows (|G|^2
-    # float64 entries each), rep's stack and the |G| x D^2 product.
-    nbytes = size * size * (8 + 8 + 8) + 2 * stack_bytes(rep)
+    d = irrep_dimension(shape)
+    # The output and the d^2 sums (D x D float64 blocks), and the weights.
+    nbytes = (size + d * d) * rep.dim**2 * 8 + d * d * size * 8
     require_bytes(nbytes, f"the Kraus element of {shape} at D = {rep.dim}")
-    rows = np.array([lab == shape for lab, _, _ in ft_row_order(rep.n)])
-    control = np.where(rows[:, None], fourier_transform_matrix(rep.n), 0.0)
-    control /= math.sqrt(size)
-    # Row (r, a), column b: sum_g control[r, g] rep(g)[a, b].
-    out = control @ rep_stack(rep).reshape(size, -1)
+    # sqrt(d/|G|) / sqrt|G| = sqrt(d) / |G|.
+    weights = (math.sqrt(d) / size) * rep_stack(irrep(shape)).reshape(size, d * d).T
+    shapes = enumerate_partitions(rep.n)
+    offset = sum(irrep_dimension(p) ** 2 for p in shapes[: shapes.index(shape)])
+    out = np.zeros((size, rep.dim, rep.dim))
+    out[offset : offset + d * d] = group_sum(rep, weights)
     return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)
 
 
@@ -113,11 +101,11 @@ def measure_wfs(
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
-    probs = probs / total
     rng = np.random.default_rng(seed)
-    choice = rng.choice(len(povm), p=probs)
+    choice = rng.choice(len(povm), p=probs / total)
+    # Not np.linalg.norm: its BLAS dot splits the sum by thread count.
     post = images[choice].reshape(-1)
-    return povm[choice][0], post / np.linalg.norm(post)
+    return povm[choice][0], post / math.sqrt(probs[choice])
 
 
 def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, float]:

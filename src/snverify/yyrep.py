@@ -7,10 +7,10 @@ sigma_1..sigma_{n-1}.  rep_stack evaluates it on the whole group at once:
 a cached, read-only |G| x D x D array in the order of
 symgroup.enumerate_group.  The stack of a tensor product rho^mu x rho^nu
 is the batched Kronecker product of its factors' stacks, built only for
-consumers indexed by group element; every other kind fills its stack at
-one matrix product per element.  rep_evaluate multiplies the images along
-an adjacent-transposition decomposition; it evaluates a single element,
-also where S_n is too large to enumerate.
+the internal test, which needs each element on its own; every other kind
+fills its stack at one matrix product per element.  rep_evaluate
+multiplies the images along an adjacent-transposition decomposition; it
+evaluates a single element, also where S_n is too large to enumerate.
 
 group_sum is the one whole-group sum, sum_g w(g) rep(g), for one weight
 vector or a matrix of them.  An irrep or regular rep contracts its own
@@ -69,7 +69,6 @@ class GroupRep:
     base: "GroupRep | None" = None
     lift_dim: int = 0
     _stack: "np.ndarray | None" = field(default=None, repr=False)
-    _povm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for img in self.generator_images:
@@ -116,8 +115,8 @@ def irrep(shape: Partition) -> GroupRep:
 
 
 # One entry: a command works on one (mu, nu) pair.  Group sums read only the
-# factor stacks, but the pair's own stack, built for consumers indexed by
-# group element, can take hundreds of MB, so no older pair is kept alive.
+# factor stacks, but the pair's own stack, built for the internal test, can
+# take hundreds of MB, so no older pair is kept alive.
 @lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     """rho^mu tensor rho^nu, generator-wise Kronecker products."""

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,8 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["state", "phi-pi", "3,2,1", "5,1", "4,2"],
         ["rep", "ft", "5"],
         ["wfs", "project", "3,2,1", "3,2,1", "3,2,1"],
+        ["wfs", "measure", "3,2,1", "3,2,1", "--seed", "4"],
+        ["state", "phi-pi", "3,2,1", "3,2,1", "3,2,1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
@@ -289,6 +292,30 @@ def test_rep_ft_prices_its_json_before_building_the_transform(capsys, monkeypatc
         assert code == 3
         assert doc["error"].startswith("the JSON of the ")
     assert stacks == []
+
+
+def test_pretty_output_is_priced_before_it_is_rounded(capsys, monkeypatch):
+    # rep ft 5 has 14,400 entries: 3.7 MB at the plain writer's price and
+    # 6.7 MB at the pretty writer's.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "5000000")
+    code, _ = invoke(["rep", "ft", "5"], capsys)
+    assert code == 0
+    code, doc = invoke(["rep", "ft", "5", "--pretty"], capsys)
+    assert code == 3
+    assert doc["error"].startswith("the pretty JSON of 14400 entries")
+
+
+def test_sym_dim_is_priced_before_the_hook_length_formula(capsys):
+    tracemalloc.start()
+    try:
+        code, doc = invoke(["sym", "dim", "1000000000"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert doc["error"].startswith("the dimension of 1000000000")
+    assert peak < 1 << 20  # refused before its 8 GB column list
+    assert invoke(["sym", "dim", "1000"], capsys) == (0, {"d": 1})
 
 
 @pytest.mark.parametrize(

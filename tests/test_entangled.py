@@ -211,26 +211,36 @@ def test_block_basis_empty_for_absent_label():
 
 # ----------------------------------------------------- entangled-span spaces
 
-def test_m_lambda_span_dimension_is_multiplicity():
+def fixed_point_space(rep, lam, commutant) -> np.ndarray:
+    """Orthonormal columns of the eigenvalue-1 space of (Xi tensor I) W, the
+    internal test's fixed points inside the lam isotypic component, from
+    the dense commutant oracle W."""
+    gamma = np.kron(wfs_projector(rep, lam).matrix, np.eye(rep.dim))
+    fixed = gamma @ commutant(rep)
+    evals, evecs = np.linalg.eigh((fixed + fixed.conj().T) / 2)
+    return evecs[:, evals > 0.5]
+
+
+def test_m_lambda_span_dimension_is_multiplicity(commutant_oracle):
     left, _ = regular_representations(3)
     for lam in (P("3"), P("2,1"), P("1,1,1")):
         d = irrep_dimension(lam)
-        span = m_lambda_subspace(left, lam, route="span")
-        fixed = m_lambda_subspace(left, lam, route="fixed-point")
+        span = m_lambda_subspace(left, lam)
+        fixed = fixed_point_space(left, lam, commutant_oracle)
         assert span.dim == d  # one entangled state per block, m = d here
-        assert fixed.dim == d * d  # full commutant block, m^2
-        # span route is contained in the fixed-point space
-        proj = fixed.projector_matrix()
+        assert fixed.shape[1] == d * d  # full commutant block, m^2
+        # the span is contained in the fixed-point space
+        proj = fixed @ fixed.conj().T
         np.testing.assert_allclose(proj @ span.basis, span.basis, atol=1e-8)
 
 
-def test_m_lambda_routes_coincide_when_multiplicity_one():
+def test_m_lambda_routes_coincide_when_multiplicity_one(commutant_oracle):
     sigma = tensor_rep(P("2,1"), P("2,1"))
     for lam in (P("3"), P("2,1"), P("1,1,1")):
-        span = m_lambda_subspace(sigma, lam, route="span")
-        fixed = m_lambda_subspace(sigma, lam, route="fixed-point")
-        assert span.dim == fixed.dim == 1
-        overlap = abs(np.vdot(span.basis[:, 0], fixed.basis[:, 0]))
+        span = m_lambda_subspace(sigma, lam)
+        fixed = fixed_point_space(sigma, lam, commutant_oracle)
+        assert span.dim == fixed.shape[1] == 1
+        overlap = abs(np.vdot(span.basis[:, 0], fixed[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
@@ -239,7 +249,7 @@ def test_m_lambda_span_states_are_block_entangled():
     # entangled state over the isotypic subspace.
     sigma = tensor_rep(P("2,1"), P("2,1"))
     lam = P("2,1")
-    span = m_lambda_subspace(sigma, lam, route="span")
+    span = m_lambda_subspace(sigma, lam)
     xi = wfs_projector(sigma, lam)
     expected = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
     overlap = abs(np.vdot(span.basis[:, 0], expected))

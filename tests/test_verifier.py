@@ -16,7 +16,6 @@ from snverify.verifier import (
     certify_corollary_bound,
     certify_lemma_bound,
     channel_E,
-    commutant_projector,
     haar_state,
     internal_test_probability,
     product_target_subspace,
@@ -49,9 +48,9 @@ def test_channel_is_idempotent_self_adjoint_projection():
             np.testing.assert_allclose(m @ ex, ex @ m, atol=1e-9)
 
 
-def test_commutant_projector_vectorizes_the_channel():
+def test_commutant_projector_vectorizes_the_channel(commutant_oracle):
     sigma = tensor_rep(P("2,1"), P("2,1"))
-    w = commutant_projector(sigma)
+    w = commutant_oracle(sigma)
     np.testing.assert_allclose(w, w.conj().T, atol=1e-10)
     np.testing.assert_allclose(w @ w, w, atol=1e-10)
     rng = np.random.default_rng(4)
@@ -59,11 +58,11 @@ def test_commutant_projector_vectorizes_the_channel():
     np.testing.assert_allclose(w @ vec(x), vec(channel_E(sigma, x)), atol=1e-9)
 
 
-def test_commutant_dimension_is_sum_of_squared_multiplicities():
+def test_commutant_dimension_is_sum_of_squared_multiplicities(commutant_oracle):
     # sigma = (2,1) x (2,1) decomposes with multiplicity one on each of the
     # three labels, so the commutant has dimension 3.
     sigma = tensor_rep(P("2,1"), P("2,1"))
-    w = commutant_projector(sigma)
+    w = commutant_oracle(sigma)
     assert np.trace(w).real == pytest.approx(3.0, abs=1e-9)
 
 
@@ -146,25 +145,27 @@ def test_acceptance_operator_n4_instance():
     assert interior.size == 0
 
 
-def dense_acceptance_operator(mu, nu, lam) -> np.ndarray:
+def dense_acceptance_operator(mu, nu, lam, w) -> np.ndarray:
     """The D^2 x D^2 matrix Gamma (I + W)/2 Gamma, Gamma = Xi tensor I,
-    built densely: the oracle for the closed-form operator."""
+    built densely from the commutant oracle W: the oracle for the
+    closed-form operator."""
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     gamma = np.kron(wfs_projector(sigma, lam).matrix, np.eye(d))
-    t = (np.eye(d * d) + commutant_projector(sigma)) / 2
+    t = (np.eye(d * d) + w) / 2
     a = gamma @ t @ gamma
     return (a + a.conj().T) / 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_operator_matches_dense_oracle(n):
+def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle):
     shapes = enumerate_partitions(n)
     for mu in shapes:
         for nu in shapes:
+            w = commutant_oracle(tensor_rep(mu, nu))
             for lam in shapes:
                 op = verification_acceptance_operator(mu, nu, lam)
-                evals, evecs = np.linalg.eigh(dense_acceptance_operator(mu, nu, lam))
+                evals, evecs = np.linalg.eigh(dense_acceptance_operator(mu, nu, lam, w))
                 np.testing.assert_allclose(evals[::-1], op.spectrum, atol=1e-10)
                 ones = evecs[:, evals > 1.0 - 1e-8]
                 np.testing.assert_allclose(

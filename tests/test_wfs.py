@@ -22,6 +22,7 @@ from snverify.wfs import (
 )
 from snverify.yyrep import (
     character_vector,
+    fourier_transform_matrix,
     irrep,
     lift_with_identity,
     regular_representations,
@@ -110,6 +111,18 @@ def test_kraus_element_squares_to_projector(mu, nu):
         kraus = gpe_kraus(sigma, shape)
         xi = wfs_projector(sigma, shape)
         np.testing.assert_allclose(kraus.matrix.conj().T @ kraus.matrix, xi.matrix, atol=1e-8)
+
+
+def test_kraus_element_reads_only_the_factor_stacks():
+    # Its sums go through group_sum: no Fourier transform, and no stack of
+    # the tensor product itself.
+    tensor_rep.cache_clear()
+    fourier_transform_matrix.cache_clear()
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    for shape in enumerate_partitions(4):
+        gpe_kraus(sigma, shape)
+    assert fourier_transform_matrix.cache_info().misses == 0
+    assert sigma._stack is None
 
 
 def test_kraus_channel_is_trace_preserving():
