@@ -70,7 +70,14 @@ class Subspace:
         """Exact distance from a vector to this subspace: norm of the
         orthogonal residual."""
         residual = psi - self.basis @ (self.basis.conj().T @ psi)
-        return float(np.linalg.norm(residual))
+        return math.sqrt(norm_sq(residual))
+
+
+def norm_sq(v: np.ndarray) -> float:
+    """Squared norm as a NumPy sum: the BLAS dot behind np.linalg.norm
+    splits its sum by thread count, so its last bits depend on
+    OPENBLAS_NUM_THREADS."""
+    return float(np.sum(v.real**2 + v.imag**2))
 
 
 def vec(a: np.ndarray) -> np.ndarray:

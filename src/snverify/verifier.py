@@ -11,11 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .entangled import Subspace, isotypic_block_basis, max_entangled_over_range, unvec, vec
+from .entangled import (
+    Subspace, isotypic_block_basis, max_entangled_over_range, norm_sq, unvec, vec
+)
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import measure_wfs, wfs_projector
-from .yyrep import GroupRep, lift_with_identity, rep_stack, stack_bytes, tensor_rep
+from .yyrep import (
+    GroupRep, lift_with_identity, rep_stack, stack_bytes, tensor_rep, transposition_images
+)
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
@@ -70,19 +74,15 @@ class CertificationTrial:
     degenerate: bool = False
 
 
-def _require_statevector(rep: GroupRep) -> None:
-    """What _conjugated holds at once: rep's real stack, two real
-    temporaries of its size and the complex result."""
-    require_bytes(
-        5 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
-    )
-
-
 def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     """rep(k) X rep(k)^T for every k, as a complex |G| x D x D array.  rep
     is real, so with X = X_r + i X_i this is two real batched products,
-    and the stack is never upcast to a complex copy."""
-    _require_statevector(rep)
+    and the stack is never upcast to a complex copy.  Priced as what it
+    holds at once: the stack, two real temporaries of its size and the
+    complex result."""
+    require_bytes(
+        5 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
+    )
     stack = rep_stack(rep)
     out = np.empty(stack.shape, dtype=complex)
     # Contiguous parts, so that matmul hands them to BLAS.
@@ -95,45 +95,64 @@ def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
 
 
 def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
-    """Group average (1/|G|) sum_k rep(k) X rep(k^-1); the orthogonal
-    projection onto the commutant of the representation."""
+    """Group average (1/|G|) sum_g rep(g) X rep(g)^T; the orthogonal
+    projection onto the commutant of the representation.
+
+    S_k is the disjoint union of the cosets (j k) S_{k-1}, j <= k, so the
+    average is Y <- (Y + sum_{j<k} t_jk Y t_jk^T) / k for k = 2..n from
+    Y = X, with t_jk = rep((j k)): n(n-1)/2 conjugations and no stack.
+    rep is real, so Y is held as its real part over its imaginary part and
+    each conjugation is two real products."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (rep.dim, rep.dim):
-        raise InvalidArgumentError(f"X must be {rep.dim} x {rep.dim}, got {x.shape}")
-    blocks = _conjugated(rep, x)
-    return blocks.sum(axis=0) / len(blocks)
+    d = rep.dim
+    if x.shape != (d, d):
+        raise InvalidArgumentError(f"X must be {d} x {d}, got {x.shape}")
+    images = transposition_images(rep)
+    y = np.concatenate([x.real, x.imag])
+    right = np.empty_like(y)
+    for k in range(2, rep.n + 1):
+        total = y.copy()
+        for t in images[(k - 1) * (k - 2) // 2 : k * (k - 1) // 2]:
+            np.matmul(y, t.T, out=right)
+            total += np.matmul(t, right.reshape(2, d, d)).reshape(2 * d, d)
+        total /= k
+        y = total
+    return y[:d] + 1j * y[d:]
+
+
+def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
+    """1/2 + 1/2 |<X, E(X)>_F|^2: the internal test's acceptance
+    probability on vec X, with E through the coset tower."""
+    overlap = complex(np.vdot(x, channel_E(rep, x)))
+    return 0.5 + 0.5 * abs(overlap) ** 2
 
 
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
-    """Acceptance probability of the internal-state test, two ways.
+    """Acceptance probability of the internal-state test, by two
+    independent routes.
 
-    formula_value is 1/2 + 1/2 |<X, E(X)>_F|^2 with psi = vec X;
+    formula_value is 1/2 + 1/2 |<X, E(X)>_F|^2 with psi = vec X, where
+    channel_E sums over the coset tower and never builds rep's stack;
     circuit_value is an exact statevector simulation of the 1-bit
     phase-estimation circuit with control dimension |G| and
     U = sum_k |k><k| tensor rep(k) tensor rep(k)*, giving
-    1/2 + 1/2 Re<tau|U|tau>.
+    1/2 + 1/2 Re<tau|U|tau>, one block per element of rep's stack.
+    Certification needs only the formula; this is for `verify run` and
+    the cross-checks.
     """
     d = rep.dim
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (d * d,):
         raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
-    size = math.factorial(rep.n)
     x = unvec(psi, d)
-    # One conjugated batch serves both values: its mean is channel_E(rep, x).
-    out0 = _conjugated(rep, x)
-    overlap = complex(np.vdot(x, out0.sum(axis=0) / size))
-    formula_value = 0.5 + 0.5 * abs(overlap) ** 2
-
     # Exact simulation: qubit tensor control tensor target, Hadamard /
     # controlled-U / Hadamard, then the probability of measuring 0.  The
     # control starts uniform, so control block k of the |0> branch is
     # (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|).
+    out0 = _conjugated(rep, x)
     out0 += x
-    out0 /= 2 * math.sqrt(size)
-    # np.sum rather than np.linalg.norm: the BLAS dot behind the norm splits
-    # its sum by thread count, so its last bits depend on OPENBLAS_NUM_THREADS.
-    circuit_value = float(np.sum(out0.real**2 + out0.imag**2))
-    return formula_value, circuit_value
+    out0 /= 2 * math.sqrt(len(out0))
+    return _formula_value(rep, x), norm_sq(out0)
 
 
 def verification_acceptance_operator(
@@ -177,7 +196,7 @@ def verification_acceptance_operator(
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(norm_sq(v))
 
 
 def _trial_state(center: np.ndarray, perturbation: float | None, seed: int) -> np.ndarray:
@@ -233,7 +252,7 @@ def certify_lemma_bound(
     reports = []
     for t in range(trials):
         psi = _trial_state(center, perturbation, seed + t)
-        acceptance, _ = internal_test_probability(rep, psi)
+        acceptance = _formula_value(rep, unvec(psi, d))
         distance = target.distance_to(psi)
         eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
         reports.append(TestReport.build(acceptance, distance, 2.0 * math.sqrt(2.0 * eps)))
@@ -262,7 +281,7 @@ def certify_corollary_bound(
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
-    _require_statevector(sigma)
+    transposition_images(sigma)  # priced before the acceptance operator
     accepting = verification_acceptance_operator(mu, nu, lam).accepting_subspace()
     xi = wfs_projector(sigma, lam)
     center = max_entangled_over_range(xi).amplitudes
@@ -270,7 +289,7 @@ def certify_corollary_bound(
     for t in range(trials):
         psi = _trial_state(center, perturbation, seed + t)
         projected = vec(xi.matrix @ unvec(psi, d))  # Gamma psi, Gamma = Xi tensor I
-        p_sample = float(np.linalg.norm(projected) ** 2)
+        p_sample = norm_sq(projected)
         if p_sample < 1e-14:
             corollary = TestReport.build(0.0, accepting.distance_to(psi), 3.0 * math.sqrt(2.0))
             theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
@@ -279,7 +298,7 @@ def certify_corollary_bound(
             )
             continue
         post = projected / math.sqrt(p_sample)
-        p_internal, _ = internal_test_probability(sigma, post)
+        p_internal = _formula_value(sigma, unvec(post, d))
         total = p_sample * p_internal
         eps_total = max(1.0 - total, 0.0)
         corollary = TestReport.build(

@@ -7,8 +7,11 @@ sigma_1..sigma_{n-1}.  rep_stack evaluates it on the whole group at once:
 a cached, read-only |G| x D x D array in the order of
 symgroup.enumerate_group.  The stack of a tensor product rho^mu x rho^nu
 is the batched Kronecker product of its factors' stacks, built only for
-the internal test, which needs each element on its own; every other kind
-fills its stack at one matrix product per element.  rep_evaluate
+the internal test's circuit, which needs each element on its own; every
+other kind fills its stack at one matrix product per element.
+transposition_images caches the n(n-1)/2 images of the transpositions
+(j k), which the group average verifier.channel_E sums over through the
+coset tower S_1 < S_2 < ... < S_n without any stack.  rep_evaluate
 multiplies the images along an adjacent-transposition decomposition; it
 evaluates a single element, also where S_n is too large to enumerate.
 
@@ -69,6 +72,7 @@ class GroupRep:
     base: "GroupRep | None" = None
     lift_dim: int = 0
     _stack: "np.ndarray | None" = field(default=None, repr=False)
+    _transpositions: "np.ndarray | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for img in self.generator_images:
@@ -242,6 +246,33 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
     return rep._stack
 
 
+def transposition_images(rep: GroupRep) -> np.ndarray:
+    """rep((j k)) for 1 <= j < k <= n, as a read-only n(n-1)/2 x D x D
+    array built once per representation: (j k) at (k-1)(k-2)/2 + j - 1,
+    so the images of level k are contiguous.  (k-1 k) is the generator
+    sigma_{k-1} and (j k) = sigma_j (j+1 k) sigma_j; a lift is its base's
+    images times the identity."""
+    if rep._transpositions is None:
+        count = rep.n * (rep.n - 1) // 2
+        # And the working arrays of channel_E: its complex input and output
+        # and four real pairs.
+        require_bytes((count + 12) * rep.dim**2 * 8,
+                      f"the {count} transposition images of S_{rep.n} at D = {rep.dim}")
+        if rep.kind == "lift":
+            images = _kron(transposition_images(rep.base), np.eye(rep.lift_dim))
+        else:
+            gens = rep.generator_images
+            images = np.empty((count, rep.dim, rep.dim))
+            for k in range(2, rep.n + 1):
+                start = (k - 1) * (k - 2) // 2
+                images[start + k - 2] = gens[k - 2]
+                for j in range(k - 2, 0, -1):
+                    images[start + j - 1] = gens[j - 1] @ images[start + j] @ gens[j - 1]
+        images.setflags(write=False)
+        rep._transpositions = images
+    return rep._transpositions
+
+
 def summed_stacks(rep: GroupRep) -> tuple[np.ndarray, ...]:
     """The stacks group_sum(rep, .) contracts, each priced and built on
     first use: the two factors' of a tensor product, the base's of a lift
@@ -364,18 +395,6 @@ def class_character(rep: GroupRep, cycle_type: Partition) -> int:
 def character(rep: GroupRep, g: Permutation) -> complex:
     """Trace of rep at g, a class function."""
     return complex(class_character(rep, conjugacy_class_of(g)))
-
-
-def ft_row_order(n: int) -> list[tuple[Partition, int, int]]:
-    """Row index order of the Fourier matrix: partitions in
-    reverse-lexicographic order, then (i, j) row-major."""
-    order = []
-    for shape in enumerate_partitions(n):
-        d = irrep_dimension(shape)
-        for i in range(d):
-            for j in range(d):
-                order.append((shape, i, j))
-    return order
 
 
 @lru_cache(maxsize=None)

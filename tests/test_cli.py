@@ -107,15 +107,39 @@ def test_verify_spectrum_at_n6_with_d144(capsys):
     assert doc["s"] == 0.5
 
 
-def test_certify_over_statevector_cap_exits_3_before_any_stack(capsys):
+def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
+    # sigma's own stack would take 119 MB and the circuit five of them; the
+    # formula reads only the 15 transposition images (2.5 MB).
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     tensor_rep.cache_clear()
-    code, doc = invoke(
-        ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys
-    )
+    try:
+        code, doc = invoke(
+            ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys
+        )
+        assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
+    finally:
+        tensor_rep.cache_clear()
+    assert code == 0
+    assert doc["violations"] == 0
+
+
+def test_certify_prices_the_transposition_images_before_the_acceptance_operator(
+    capsys, monkeypatch
+):
+    # D = 30: the 10 images and the working arrays take 158,400 B.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "100000")
+    tensor_rep.cache_clear()
+    try:
+        code, doc = invoke(
+            ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], capsys
+        )
+        sigma = tensor_rep(Partition.parse("3,2"), Partition.parse("3,1,1"))
+        assert sigma._transpositions is None and sigma._stack is None
+    finally:
+        tensor_rep.cache_clear()
     assert code == 3
     assert doc["status"] == "resource-limit"
-    assert "statevector" in doc["error"]
-    assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
+    assert "transposition images" in doc["error"]
 
 
 def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys, monkeypatch):
@@ -164,6 +188,7 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["wfs", "project", "3,2,1", "3,2,1", "3,2,1"],
         ["wfs", "measure", "3,2,1", "3,2,1", "--seed", "4"],
         ["state", "phi-pi", "3,2,1", "3,2,1", "3,2,1"],
+        ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "3", "--seed", "1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
@@ -195,9 +220,10 @@ def test_verify_certify_reports(capsys):
         assert report["distance_to_target"] <= report["bound"] + 1e-8
 
 
-def test_certify_lemma_subcommand(capsys):
+@pytest.mark.parametrize("shape", ["2,1", "4,3"], ids=["n3", "n7"])
+def test_certify_lemma_subcommand(shape, capsys):
     code, doc = invoke(
-        ["certify-lemma", "2,1", "--multiplicity", "2", "--trials", "5", "--seed", "0"],
+        ["certify-lemma", shape, "--multiplicity", "2", "--trials", "5", "--seed", "0"],
         capsys,
     )
     assert code == 0

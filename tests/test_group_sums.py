@@ -14,7 +14,6 @@ from snverify.symgroup import Partition, enumerate_group, enumerate_partitions
 from snverify.verifier import channel_E, internal_test_probability
 from snverify.wfs import gpe_kraus, wfs_projector
 from snverify.yyrep import (
-    ft_row_order,
     identity_times_irrep,
     irrep,
     regular_representations,
@@ -58,7 +57,7 @@ def test_projector_matches_per_element_sum(rep):
         close(wfs_projector(rep, shape).matrix, brute)
 
 
-def test_kraus_element_matches_per_element_sum(rep):
+def test_kraus_element_matches_per_element_sum(rep, ft_row_order):
     group = enumerate_group(rep.n)
     size = len(group)
     rows = ft_row_order(rep.n)

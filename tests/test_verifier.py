@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify import verifier
+from snverify import verifier, yyrep
 from snverify.entangled import phi_plus, unvec, vec
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
-from snverify.symgroup import Partition, enumerate_group, enumerate_partitions
+from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
 from snverify.verifier import (
     certify_corollary_bound,
     certify_lemma_bound,
@@ -23,7 +23,15 @@ from snverify.verifier import (
     verification_acceptance_operator,
 )
 from snverify.wfs import wfs_projector
-from snverify.yyrep import identity_times_irrep, irrep, rep_evaluate, tensor_rep
+from snverify.yyrep import (
+    identity_times_irrep,
+    irrep,
+    lift_with_identity,
+    regular_representations,
+    rep_evaluate,
+    tensor_rep,
+    transposition_images,
+)
 
 P = Partition.parse
 
@@ -46,6 +54,79 @@ def test_channel_is_idempotent_self_adjoint_projection():
         for g in enumerate_group(3):
             m = rep_evaluate(sigma, g)
             np.testing.assert_allclose(m @ ex, ex @ m, atol=1e-9)
+
+
+TOWER_REPS = {
+    "irrep-3,1,1": lambda: irrep(P("3,1,1")),
+    "tensor-3,2x3,1,1": lambda: tensor_rep(P("3,2"), P("3,1,1")),
+    "lift-3,2xI3": lambda: lift_with_identity(irrep(P("3,2")), 3),
+    "lift-2,1x2,1xI2": lambda: lift_with_identity(tensor_rep(P("2,1"), P("2,1")), 2),
+    "I2x2,2,1": lambda: identity_times_irrep(2, P("2,2,1")),
+    "left-regular-4": lambda: regular_representations(4)[0],
+    "right-regular-4": lambda: regular_representations(4)[1],
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER_REPS))
+def test_coset_tower_matches_the_stack_average(name, stack_average):
+    rep = TOWER_REPS[name]()
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        x = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+        np.testing.assert_allclose(channel_E(rep, x), stack_average(rep, x), rtol=0, atol=1e-12)
+
+
+def test_transposition_images_are_the_transpositions():
+    rep = irrep(P("3,2"))
+    images = transposition_images(rep)
+    assert images.shape == (10, 5, 5) and not images.flags.writeable
+    assert transposition_images(rep) is images
+    k = 0
+    for high in range(2, 6):
+        for low in range(1, high):
+            t = Permutation.identity(5).images
+            t = tuple(high if v == low else low if v == high else v for v in t)
+            np.testing.assert_allclose(images[k], rep_evaluate(rep, Permutation(t)), atol=1e-12)
+            k += 1
+
+
+def test_coset_tower_at_d144_is_a_projection_onto_the_commutant():
+    tensor_rep.cache_clear()
+    try:
+        sigma = tensor_rep(P("4,2"), P("3,2,1"))
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((144, 144)) + 1j * rng.standard_normal((144, 144))
+        ex = channel_E(sigma, x)
+        np.testing.assert_allclose(channel_E(sigma, ex), ex, rtol=0, atol=1e-12)
+        for g in sigma.generator_images:
+            np.testing.assert_allclose(g @ ex, ex @ g, rtol=0, atol=1e-12)
+        assert sigma._stack is None
+    finally:
+        tensor_rep.cache_clear()
+
+
+def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
+    # The lemma reads no stack at all; the corollary's group sums read the
+    # irrep stacks of mu and nu, never sigma's.
+    rep_stack = yyrep.rep_stack
+    allowed_kinds = set()
+
+    def guarded(rep):
+        if rep.kind not in allowed_kinds:
+            raise AssertionError(f"certification built the stack of a {rep.kind} rep")
+        return rep_stack(rep)
+
+    monkeypatch.setattr(yyrep, "rep_stack", guarded)
+    monkeypatch.setattr(verifier, "rep_stack", guarded)
+    reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=5, seed=0)
+    assert all(r.bound_satisfied for r in reports)
+    allowed_kinds.add("irrep")
+    tensor_rep.cache_clear()
+    try:
+        trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=5, seed=0)
+    finally:
+        tensor_rep.cache_clear()
+    assert all(t.corollary.bound_satisfied and t.theorem.bound_satisfied for t in trials)
 
 
 def test_commutant_projector_vectorizes_the_channel(commutant_oracle):
@@ -87,7 +168,8 @@ def test_internal_test_half_on_traceless_orthogonal_state():
 def test_internal_test_formula_and_circuit_relation():
     # circuit = 1/2 + Re<X,E(X)>/2; formula squares the magnitude.  The
     # two agree at probability 1 and satisfy the exact algebraic relation
-    # on random states.
+    # on random states, though the formula sums over the coset tower and
+    # the circuit over the whole stack.
     sigma = tensor_rep(P("2,1"), P("2,1"))
     for seed in range(10):
         psi = haar_state(16, np.random.default_rng(seed))

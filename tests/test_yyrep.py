@@ -27,7 +27,6 @@ from snverify.symgroup import (
 from snverify.yyrep import (
     character,
     fourier_transform_matrix,
-    ft_row_order,
     identity_times_irrep,
     irrep,
     irrep_character,
@@ -348,7 +347,7 @@ def test_fourier_transform_block_diagonalizes_regular_reps(n):
         assert np.abs(right_hat[mask]).max() < 1e-10
 
 
-def test_ft_row_order_matches_matrix_entries():
+def test_ft_row_order_matches_matrix_entries(ft_row_order):
     n = 3
     ft = fourier_transform_matrix(n)
     group = enumerate_group(n)
