@@ -220,10 +220,18 @@ def test_verify_certify_reports(capsys):
         assert report["distance_to_target"] <= report["bound"] + 1e-8
 
 
-@pytest.mark.parametrize("shape", ["2,1", "4,3"], ids=["n3", "n7"])
-def test_certify_lemma_subcommand(shape, capsys):
+def test_certify_lemma_subcommand(capsys):
     code, doc = invoke(
-        ["certify-lemma", shape, "--multiplicity", "2", "--trials", "5", "--seed", "0"],
+        ["certify-lemma", "2,1", "--multiplicity", "2", "--trials", "5", "--seed", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert doc["violations"] == 0
+
+
+def test_certify_lemma_subcommand_at_n7(capsys):
+    code, doc = invoke(
+        ["certify-lemma", "4,3", "--multiplicity", "2", "--trials", "5", "--seed", "0"],
         capsys,
     )
     assert code == 0
