@@ -5,6 +5,8 @@ entangled subspace states, and the two-step verification algorithm with
 numerically certified robustness bounds.
 """
 
+import types
+
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -30,7 +32,6 @@ from .yyrep import (
     GroupRep,
     character,
     fourier_transform_matrix,
-    group_sum,
     identity_times_irrep,
     irrep,
     irrep_character,
@@ -76,63 +77,8 @@ from .selftest import run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptanceOperator",
-    "CertificationTrial",
-    "DegenerateInputError",
-    "GroupRep",
-    "InvalidArgumentError",
-    "KrausElement",
-    "Multiplicity",
-    "NumericalConsistencyError",
-    "Partition",
-    "Permutation",
-    "Projector",
-    "ResourceLimitError",
-    "SnverifyError",
-    "StandardTableau",
-    "StateVector",
-    "Subspace",
-    "TestReport",
-    "adjacent_transposition_decomposition",
-    "certify_corollary_bound",
-    "certify_lemma_bound",
-    "channel_E",
-    "character",
-    "class_size",
-    "compose",
-    "conjugacy_class_of",
-    "enumerate_group",
-    "enumerate_partitions",
-    "enumerate_tableaux",
-    "fourier_transform_matrix",
-    "gpe_kraus",
-    "group_sum",
-    "identity_times_irrep",
-    "internal_test_probability",
-    "inverse",
-    "irrep",
-    "irrep_character",
-    "irrep_dimension",
-    "is_positive",
-    "isotypic_block_basis",
-    "kronecker_coefficient",
-    "lift_with_identity",
-    "lightning_distribution",
-    "m_lambda_subspace",
-    "max_entangled_over",
-    "measure_wfs",
-    "phi_plus",
-    "psi_lambda",
-    "regular_representations",
-    "rep_evaluate",
-    "rep_stack",
-    "run_selftest",
-    "run_verifier_sampled",
-    "tensor_rep",
-    "unvec",
-    "vec",
-    "verification_acceptance_operator",
-    "wfs_povm",
-    "wfs_projector",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

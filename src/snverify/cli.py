@@ -2,8 +2,10 @@
 
 Every subcommand prints a single JSON document on stdout; exit codes are
 0 (ok), 2 (invalid argument), 3 (resource limit), 4 (numerical
-consistency).  All stochastic subcommands take --seed and are fully
-determined by it; timing and progress go to stderr only.
+consistency), and 141, with nothing on stderr, when the reader closes
+stdout before the document is written.  All stochastic subcommands take
+--seed and are fully determined by it; timing and progress go to stderr
+only.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -323,6 +326,7 @@ _HANDLERS = {
 }
 
 _STATUS_BY_CODE = {2: "invalid-argument", 3: "resource-limit", 4: "numerical-consistency"}
+CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 # Peak bytes per complex entry of the --pretty writer, _round_floats and
@@ -381,7 +385,12 @@ def main(argv: list[str] | None = None) -> int:
         result = run(argv, pretty)
     except SystemExit:  # --help
         return 0
-    print(json.dumps(result.payload, indent=2) if pretty else serialize.dumps(result.payload))
+    try:
+        print(json.dumps(result.payload, indent=2) if pretty else serialize.dumps(result.payload))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT_EXIT
     if result.exit_code:
         return result.exit_code
     if result.payload.get("all_passed") is False:

@@ -1,6 +1,7 @@
 """Vectorization calculus, maximally entangled states over subspaces, the
 post-sampling states on a doubled register, and the span of block-wise
-maximally entangled states inside an isotypic component.
+maximally entangled states inside an isotypic component, whose irrep
+blocks come from the Young lattice of wfs with no sum over the group.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
-from .symgroup import Partition, irrep_dimension
-from .wfs import Projector, wfs_projector
-from .yyrep import GroupRep, group_sum, irrep, rep_stack
+from .symgroup import Partition, Permutation, axial_distance, enumerate_tableaux, irrep_dimension
+from .wfs import Projector, tableau_projector, wfs_projector
+from .yyrep import GroupRep, rep_evaluate
 
 ORTHO_TOL = 1e-8
 
@@ -163,51 +164,50 @@ def psi_lambda(
     xi = wfs_projector(rep, shape).matrix
     scale = math.factorial(rep.n) / irrep_dimension(shape)
     raw = vec(scale * (xi @ unvec(phi, d)))
-    norm_sq = float(np.linalg.norm(raw) ** 2)
-    if norm_sq < 1e-12:
+    weight = norm_sq(raw)
+    if weight < 1e-12:
         raise DegenerateInputError(
             f"phi has no component in the {shape} isotypic subspace"
         )
     return (
-        StateVector(registers=(d, d), amplitudes=raw / math.sqrt(norm_sq)),
-        norm_sq,
+        StateVector(registers=(d, d), amplitudes=raw / math.sqrt(weight)),
+        weight,
     )
-
-
-def _matrix_units(rep: GroupRep, shape: Partition) -> np.ndarray:
-    """The d operators e_i1 = (d/|G|) sum_g rho^shape_i1(g)* rep(g), as a
-    d x D x D array; rho^shape is real, so the weights are its first
-    column."""
-    lam_stack = rep_stack(irrep(shape))
-    weights = (lam_stack.shape[1] / len(lam_stack)) * lam_stack[:, :, 0].T
-    return group_sum(rep, weights)
 
 
 def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     """Orthonormal bases of the individual irrep blocks inside the shape
-    isotypic component of rep.
+    isotypic component of rep, aligned so that rep(g) B_a = B_a rho^shape(g).
 
-    Built from the matrix-unit operators e_ij = (d/|G|) sum_g
-    rho^shape_ij(g)* rep(g): eigenvectors of the Hermitian idempotent e_11
-    seed each block, and e_i1 transports them along the irrep slots.
-    Returns one D x d matrix per block (possibly none); conjugating rep by
-    the stacked basis yields I_m tensor rho^shape.
+    The seeds are the eigenvectors of e_11, the 0/1 projector onto the
+    Gelfand-Tsetlin weight of shape's first tableau, one per block.  Each
+    is carried along the Young-Yamanouchi basis by the seminormal rule: if
+    T = sigma_i P with P before T, v_T = (rep(sigma_i) - 1/tau) v_P /
+    sqrt(1 - 1/tau^2), tau the axial distance of i in P.  Returns one
+    D x d matrix per block (possibly none); conjugating rep by the stacked
+    basis yields I_m tensor rho^shape.
     """
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    units = _matrix_units(rep, shape)
-    d = len(units)
-    e11 = units[0]
-    evals, evecs = np.linalg.eigh(e11)
-    seeds = [evecs[:, k] for k in range(len(evals)) if evals[k] > 0.5]
-    blocks = []
-    for w in seeds:
-        cols = []
-        for i in range(d):
-            v = units[i] @ w
-            cols.append(v / np.linalg.norm(v))
-        blocks.append(np.column_stack(cols))
-    return blocks
+    tableaux = enumerate_tableaux(shape)
+    # e_11 and its eigh, then the d transported columns of at most D / d seeds.
+    require_bytes((rep.n + 8) * rep.dim**2 * 8, f"the irrep blocks of {shape} at D = {rep.dim}")
+    evals, evecs = np.linalg.eigh(tableau_projector(rep, tableaux[0]))
+    seeds = evecs[:, evals > 0.5]
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    gens = rep.generator_images or [  # a lift holds none
+        rep_evaluate(rep, Permutation.transposition(rep.n, i)) for i in range(1, rep.n)]
+    cols = np.empty((len(tableaux), rep.dim, seeds.shape[1]))
+    cols[0] = seeds
+    for k, t in enumerate(tableaux[1:], start=1):
+        # The first i with i + 1 in a higher row: swapping them gives an
+        # earlier tableau.
+        i = next(i for i in range(1, rep.n) if t.position_of(i + 1)[0] < t.position_of(i)[0])
+        parent = t.swap(i)
+        tau = axial_distance(parent, i)
+        v = cols[index[parent.rows]]
+        cols[k] = (gens[i - 1] @ v - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
+    return list(cols.transpose(2, 1, 0))
 
 
 def m_lambda_subspace(rep: GroupRep, shape: Partition) -> Subspace:

@@ -62,14 +62,8 @@ def _kronecker_char(mu: Partition, nu: Partition, lam: Partition) -> int:
 def _kronecker_rank(mu: Partition, nu: Partition, lam: Partition) -> int:
     from .wfs import wfs_projector  # avoid import cycle
 
-    proj = wfs_projector(tensor_rep(mu, nu), lam)
-    d = irrep_dimension(lam)
-    m, rem = divmod(proj.rank, d)
-    if rem != 0:
-        raise NumericalConsistencyError(
-            f"rank {proj.rank} of the {lam} projector is not divisible by d = {d}"
-        )
-    return m
+    # The projector's rank is checked against the m d of the character route.
+    return wfs_projector(tensor_rep(mu, nu), lam).rank // irrep_dimension(lam)
 
 
 def kronecker_coefficient(

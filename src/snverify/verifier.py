@@ -18,7 +18,7 @@ from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import measure_wfs, wfs_projector
 from .yyrep import (
-    GroupRep, lift_with_identity, rep_stack, stack_bytes, tensor_rep, transposition_images
+    GroupRep, irrep, lift_with_identity, rep_stack, stack_bytes, tensor_rep, transposition_images
 )
 
 BOUND_SLACK = 1e-8
@@ -127,6 +127,16 @@ def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
     return 0.5 + 0.5 * abs(overlap) ** 2
 
 
+def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
+    """The internal test's acceptance on vec X, simulated exactly: qubit x
+    control x target, Hadamard, controlled-U, Hadamard, then P(0).  Control
+    block k of the |0> branch is (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|)."""
+    out0 = _conjugated(rep, x)
+    out0 += x
+    out0 /= 2 * math.sqrt(len(out0))
+    return norm_sq(out0)
+
+
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
     """Acceptance probability of the internal-state test, by two
     independent routes.
@@ -137,22 +147,16 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     phase-estimation circuit with control dimension |G| and
     U = sum_k |k><k| tensor rep(k) tensor rep(k)*, giving
     1/2 + 1/2 Re<tau|U|tau>, one block per element of rep's stack.
-    Certification needs only the formula; this is for `verify run` and
-    the cross-checks.
+    Certification needs only the formula and `verify run` only the
+    circuit; this is for the cross-checks.
     """
     d = rep.dim
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (d * d,):
         raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
     x = unvec(psi, d)
-    # Exact simulation: qubit tensor control tensor target, Hadamard /
-    # controlled-U / Hadamard, then the probability of measuring 0.  The
-    # control starts uniform, so control block k of the |0> branch is
-    # (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|).
-    out0 = _conjugated(rep, x)
-    out0 += x
-    out0 /= 2 * math.sqrt(len(out0))
-    return _formula_value(rep, x), norm_sq(out0)
+    circuit = _circuit_value(rep, x)  # its stacks are priced first
+    return _formula_value(rep, x), circuit
 
 
 def verification_acceptance_operator(
@@ -165,14 +169,15 @@ def verification_acceptance_operator(
     m^2 times) and 0 otherwise, and the eigenvalue-1 space is spanned by the
     orthonormal vec(B_a B_b^dagger)/sqrt(d_lambda) over the irrep blocks B_a
     of the lambda component.  Checked: the block count and rank(Xi) against
-    the Kronecker coefficient m, and each B_a B_b^dagger fixed by Xi and
-    commuting with the generators."""
+    the Kronecker coefficient m, and each B_a fixed by Xi and intertwining
+    the generators with rho^lambda's, so that every B_a B_b^dagger is fixed
+    by Xi and commutes with the representation."""
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     m = kronecker_coefficient(mu, nu, lam).value
     d, d_lam = irrep_dimension(mu) * irrep_dimension(nu), irrep_dimension(lam)
-    # The m^2 products B_a B_b^T, the two products and the difference of the
-    # commutation check: four m^2 D^2 arrays, priced before any group sum.
+    # The m^2 products B_a B_b^T, their scaled copy and the complex basis of
+    # the accepting subspace: four m^2 D^2 arrays, priced before the lattice.
     require_bytes(4 * m * m * d * d * 8, f"the {m * m} accepting columns at D = {d}")
     sigma = tensor_rep(mu, nu)
     xi = wfs_projector(sigma, lam)
@@ -182,12 +187,14 @@ def verification_acceptance_operator(
             f"{len(blocks)} irrep blocks and rank(Xi) = {xi.rank} contradict "
             f"m = {m}, d_lambda = {d_lam}"
         )
-    units = blocks[:, None] @ blocks.conj().transpose(0, 2, 1)  # [a, b] = B_a B_b^dagger
-    residual = float(np.abs(xi.matrix @ units - units).max(initial=0.0))
-    for g in sigma.generator_images:
-        residual = max(residual, float(np.abs(g @ units - units @ g).max(initial=0.0)))
+    # Xi B_a = B_a and rep(sigma_i) B_a = B_a rho^lambda(sigma_i) put every
+    # B_a B_b^T in the commutant and fix it by Xi.
+    residual = float(np.abs(xi.matrix @ blocks - blocks).max(initial=0.0))
+    for g, h in zip(sigma.generator_images, irrep(lam).generator_images):
+        residual = max(residual, float(np.abs(g @ blocks - blocks @ h).max(initial=0.0)))
     if residual > EIGEN_ONE_TOL:
-        raise NumericalConsistencyError(f"B_a B_b^dagger leave the commutant by {residual}")
+        raise NumericalConsistencyError(f"the irrep blocks leave the commutant by {residual}")
+    units = blocks[:, None] @ blocks.transpose(0, 2, 1)  # [a, b] = B_a B_b^T
     half = m * d_lam * d - m * m
     spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
     basis = units.reshape(m * m, d * d).T / math.sqrt(d_lam)
@@ -324,7 +331,7 @@ def run_verifier_sampled(
     label, post = measure_wfs(lift_with_identity(sigma, sigma.dim), psi, seed)
     if label != lam:
         return {"accepted": False, "measured": str(label), "stage": "weak-fourier-sampling"}
-    _, circuit_value = internal_test_probability(sigma, post)
+    circuit_value = _circuit_value(sigma, unvec(post, sigma.dim))
     coin = np.random.default_rng(seed + 1).random()
     accepted = coin < circuit_value
     return {

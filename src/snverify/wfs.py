@@ -1,18 +1,28 @@
 """Weak Fourier sampling: isotypic projectors, the phase-estimation Kraus
 characterization, seeded measurement, and the irrep sampling distribution
 on the maximally entangled state.
+
+The projectors come from the Young lattice, not from a group sum.  On the
+projector Q_kappa onto the kappa-isotypic part under S_{k-1}, X_k has as
+eigenvalues the contents of kappa's addable cells (Okounkov-Vershik,
+Selecta Math. 1996).  So Q_(1) = I, Q_kappa' = sum_{kappa < kappa'}
+L(X_k) Q_kappa with L the Lagrange polynomial picking the content of
+kappa'/kappa, and Xi_lambda = Q_lambda at level n.  Along one tableau's
+chain the factors give the projector onto its Gelfand-Tsetlin weight.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .symgroup import Partition, enumerate_partitions, irrep_dimension
-from .yyrep import GroupRep, character_vector, group_sum, irrep, rep_stack, summed_stacks
+from .kronecker import kronecker_coefficient, multiplicity_character
+from .symgroup import Partition, StandardTableau, enumerate_partitions, irrep_dimension
+from .yyrep import GroupRep, jucys_murphy_product
 
 RANK_TOL = 1e-6
 
@@ -46,38 +56,120 @@ class KrausElement:
     shape_label: Partition
 
 
+def _addable(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Each shape with one cell more than parts, with that cell's content
+    (column - row), top row first."""
+    cells = []
+    for r in range(len(parts) + 1):
+        length = parts[r] if r < len(parts) else 0
+        if r == 0 or parts[r - 1] > length:
+            cells.append((parts[:r] + (length + 1,) + parts[r + 1 :], length - r))
+    return cells
+
+
+def _split(rep: GroupRep, y: np.ndarray, k: int, cells, wanted, contents) -> list:
+    """(child, L(X_k) Y) for each wanted child among cells, L the Lagrange
+    polynomial that is 1 at its content and 0 at the other contents; Y
+    already carries (X_k - c) for the contents c not in cells.  Halving
+    the cells shares products: a cells take about a log2 a, not a (a - 1)."""
+    if len(cells) == 1:
+        (child, c), = cells
+        return [(child, y / math.prod(c - o for o in contents if o != c))]
+    half = len(cells) // 2
+    out = []
+    for part, rest in ((cells[:half], cells[half:]), (cells[half:], cells[:half])):
+        if any(child in wanted for child, _ in part):
+            z = y
+            for _, other in rest:
+                # z is symmetric and commutes with X_k: this is (X_k - other) z.
+                z = jucys_murphy_product(rep, z, k) - other * z
+            out += _split(rep, z, k, part, wanted, contents)
+    return out
+
+
+def _lattice(rep: GroupRep, plan: list) -> dict[tuple[int, ...], np.ndarray]:
+    """Q_kappa for the shapes kappa of plan's last level, where plan lists
+    the shapes kept at each level k = 1..n; each Q is summed over its kept
+    parents."""
+    # Two levels, the n - 1 terms of a product with X_k and _split's partial products.
+    require_bytes((2 * max(map(len, plan)) + rep.n + 4) * rep.dim**2 * 8,
+                  f"the Young-lattice projectors of S_{rep.n} at D = {rep.dim}")
+    level = {(1,): np.eye(rep.dim)}
+    for k, kept in enumerate(plan[1:], start=2):
+        kept, nxt = set(kept), {}
+        for kappa, q in level.items():
+            cells = _addable(kappa)
+            for child, y in _split(rep, q, k, cells, kept, [c for _, c in cells]):
+                nxt[child] = nxt[child] + y if child in nxt else y
+        level = nxt
+    return level
+
+
+def _plan_inside(n: int, shapes) -> list:
+    """The plan of the shapes contained in one of shapes, partitions of n."""
+    plan = [[(1,)]]
+    for _ in range(2, n + 1):
+        children = dict.fromkeys(c for kappa in plan[-1] for c, _ in _addable(kappa))
+        plan.append([c for c in children if any(
+            len(c) <= len(s.parts) and all(map(operator.le, c, s.parts)) for s in shapes)])
+    return plan
+
+
+def tableau_projector(rep: GroupRep, tableau: StandardTableau) -> np.ndarray:
+    """Projector onto the Gelfand-Tsetlin weight of a standard tableau, of
+    rank the multiplicity of its shape: the lattice along its chain of
+    shapes, the product of one Lagrange factor per level."""
+    if tableau.n != rep.n:
+        raise InvalidArgumentError(f"degree mismatch: tableau of {tableau.n}, rep of S_{rep.n}")
+    chain = [[tuple(p for p in (sum(e <= k for e in row) for row in tableau.rows) if p)]
+             for k in range(1, rep.n + 1)]
+    return _lattice(rep, chain)[tableau.shape.parts]
+
+
+def _checked(rep: GroupRep, shape: Partition, matrix: np.ndarray) -> Projector:
+    """The projector, once its trace is the exact m d of the character route."""
+    proj, m = Projector.from_matrix(matrix), multiplicity_character(rep, shape).value
+    if proj.rank != m * irrep_dimension(shape):
+        raise NumericalConsistencyError(f"the {shape} projector has trace {np.trace(matrix)}, "
+                                        f"not m d = {m * irrep_dimension(shape)}")
+    return proj
+
+
 def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
-    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g); S_n
-    characters are real, so the weights are d/|G| chi^shape."""
+    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g), built over
+    the shapes of the Young lattice that shape contains."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    summed_stacks(rep)  # refuse an oversized stack before the characters enumerate S_n
-    weights = (irrep_dimension(shape) / math.factorial(rep.n)) * character_vector(shape)
-    return Projector.from_matrix(group_sum(rep, weights))
+    return _checked(rep, shape, _lattice(rep, _plan_inside(rep.n, [shape]))[shape.parts])
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
-    """One projector per partition of n, in canonical partition order."""
-    return [(shape, wfs_projector(rep, shape)) for shape in enumerate_partitions(rep.n)]
+    """One projector per partition of n, in canonical partition order, from
+    one pass over the Young lattice."""
+    shapes = enumerate_partitions(rep.n)
+    level = _lattice(rep, _plan_inside(rep.n, shapes))
+    return [(shape, _checked(rep, shape, level[shape.parts])) for shape in shapes]
 
 
 def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     """Kraus element (1/sqrt|G|) sum_g (Pi_shape FT|g>) tensor rep(g) of the
-    generalized phase estimation circuit.  Only shape's d^2 control rows,
-    sqrt(d/|G|) rho^shape_ij(g), are nonzero: their group_sum over sqrt|G|."""
+    generalized phase estimation circuit.  Only shape's d^2 control rows
+    are nonzero; row (i, j) is the matrix unit e_ij / sqrt(d), and
+    e_ij = sum_a B_a[:, i] B_a[:, j]^T over the aligned irrep blocks B_a."""
+    from .entangled import isotypic_block_basis  # avoid import cycle
+
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
     d = irrep_dimension(shape)
-    # The output and the d^2 sums (D x D float64 blocks), and the weights.
-    nbytes = (size + d * d) * rep.dim**2 * 8 + d * d * size * 8
-    require_bytes(nbytes, f"the Kraus element of {shape} at D = {rep.dim}")
-    # sqrt(d/|G|) / sqrt|G| = sqrt(d) / |G|.
-    weights = (math.sqrt(d) / size) * rep_stack(irrep(shape)).reshape(size, d * d).T
+    # The output and the d^2 units (D x D float64 blocks).
+    require_bytes((size + d * d) * rep.dim**2 * 8, f"the Kraus element of {shape} at D = {rep.dim}")
+    blocks = np.array(isotypic_block_basis(rep, shape)).reshape(-1, rep.dim, d)
     shapes = enumerate_partitions(rep.n)
     offset = sum(irrep_dimension(p) ** 2 for p in shapes[: shapes.index(shape)])
     out = np.zeros((size, rep.dim, rep.dim))
-    out[offset : offset + d * d] = group_sum(rep, weights)
+    units = np.einsum("axi,ayj->ijxy", blocks, blocks) / math.sqrt(d)
+    out[offset : offset + d * d] = units.reshape(d * d, rep.dim, rep.dim)
     return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)
 
 
@@ -113,8 +205,6 @@ def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, floa
     applied to the maximally entangled state: shape -> (d/(d_mu d_nu)) * m."""
     if mu.n != nu.n:
         raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
-    from .kronecker import kronecker_coefficient  # avoid import cycle
-
     d_mu, d_nu = irrep_dimension(mu), irrep_dimension(nu)
     weights = {
         shape: irrep_dimension(shape) * kronecker_coefficient(mu, nu, shape).value

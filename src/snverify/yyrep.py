@@ -3,26 +3,15 @@ representations, and the dense group Fourier transform for S_n.
 
 Every representation here is real orthogonal, so its data is float64.
 A GroupRep holds generator images for the adjacent transpositions
-sigma_1..sigma_{n-1}.  rep_stack evaluates it on the whole group at once:
-a cached, read-only |G| x D x D array in the order of
-symgroup.enumerate_group.  The stack of a tensor product rho^mu x rho^nu
-is the batched Kronecker product of its factors' stacks, built only for
-the internal test's circuit, which needs each element on its own; every
-other kind fills its stack at one matrix product per element.
-transposition_images caches the n(n-1)/2 images of the transpositions
-(j k), which the group average verifier.channel_E sums over through the
-coset tower S_1 < S_2 < ... < S_n without any stack.  rep_evaluate
-multiplies the images along an adjacent-transposition decomposition; it
-evaluates a single element, also where S_n is too large to enumerate.
-
-group_sum is the one whole-group sum, sum_g w(g) rep(g), for one weight
-vector or a matrix of them.  An irrep or regular rep contracts its own
-stack.  A tensor product contracts the two factor stacks,
-sum_g w(g) A_g x B_g, and never reads or builds its own stack.  A lift
-sigma x I and I_m x rho sum over the base and take the Kronecker product
-with the identity.  Every sum runs through einsum, whose C loop fixes the
-reduction order, so results are byte-reproducible for a given NumPy build
-and independent of the BLAS thread count.
+sigma_1..sigma_{n-1}; rep_evaluate multiplies them along a decomposition
+of one element, also where S_n is too large to enumerate.
+transposition_images caches the n(n-1)/2 images of the (j k).  They serve
+the coset-tower average verifier.channel_E and jucys_murphy_product,
+which applies the Jucys-Murphy elements X_k = sum_{j<k} (j k) that the
+isotypic projectors of wfs branch by; no isotypic quantity sums over the
+group.  rep_stack evaluates a representation on the whole group, as a
+cached |G| x D x D array in the order of symgroup.enumerate_group, for
+the Fourier transform, the self-test and the internal test's circuit.
 
 Characters need no matrix: irrep_character is the exact integer given by
 the Murnaghan-Nakayama border-strip rule, and class_character builds the
@@ -118,9 +107,9 @@ def irrep(shape: Partition) -> GroupRep:
                     generator_images=images, labels=(shape,))
 
 
-# One entry: a command works on one (mu, nu) pair.  Group sums read only the
-# factor stacks, but the pair's own stack, built for the internal test, can
-# take hundreds of MB, so no older pair is kept alive.
+# One entry: a command works on one (mu, nu) pair, and the pair's own stack,
+# built for the internal test, can take hundreds of MB, so no older pair is
+# kept alive.
 @lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     """rho^mu tensor rho^nu, generator-wise Kronecker products."""
@@ -273,50 +262,26 @@ def transposition_images(rep: GroupRep) -> np.ndarray:
     return rep._transpositions
 
 
-def summed_stacks(rep: GroupRep) -> tuple[np.ndarray, ...]:
-    """The stacks group_sum(rep, .) contracts, each priced and built on
-    first use: the two factors' of a tensor product, the base's of a lift
-    or I_m x rho, and rep's own otherwise."""
-    if rep.kind in ("lift", "identity-times-irrep"):
-        return summed_stacks(rep.base)
-    if rep.kind == "tensor":
-        return tuple(rep_stack(irrep(shape)) for shape in rep.labels)
-    return (rep_stack(rep),)
+def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
+    """Y^T X_k for a D x C array Y and X_k = sum_{j<k} rep((j k)), 2 <= k <= n;
+    on the symmetric Y that commute with X_k this is X_k Y.
 
-
-def group_sum(rep: GroupRep, weights: np.ndarray) -> np.ndarray:
-    """sum_g w(g) rep(g) over enumerate_group(rep.n), for real weights of
-    shape (|G|,) or (k, |G|); returns a D x D or k x D x D array.
-
-    A tensor product rho^mu x rho^nu contracts the stacks A of rho^mu and B
-    of rho^nu, sum_g w(g) A_g x B_g, and never builds its own stack.
-    """
-    weights = np.asarray(weights, dtype=float)
-    size = math.factorial(rep.n)
-    lead = weights.shape[:-1]
-    count = math.prod(lead)
-    what = f"the group sum of S_{rep.n} at D = {rep.dim}"
-    nbytes = count * rep.dim**2 * 8
-    if rep.kind in ("lift", "identity-times-irrep"):
-        require_bytes(nbytes + count * rep.base.dim**2 * 8, what)  # and the base's sum
-        base, eye = group_sum(rep.base, weights), np.eye(rep.lift_dim)
-        return _kron(base, eye) if rep.kind == "lift" else _kron(eye, base)
-    if rep.kind == "tensor":
-        a, b = summed_stacks(rep)
-        # And one weighted copy of A with one sum in (a, a, b, b) order.
-        require_bytes(nbytes + rep.dim**2 * 8 + a.nbytes, what)
-        da, db = a.shape[1], b.shape[1]
-        flat_a, flat_b = a.reshape(size, -1), b.reshape(size, -1)
-        out = np.empty((count, rep.dim, rep.dim))
-        # One weight vector per einsum: faster than one einsum over all of
-        # them, with the same sums in the same order.
-        for w, part in zip(weights.reshape(count, size), out):
-            block = np.einsum("gx,gy->xy", w[:, None] * flat_a, flat_b)
-            part.reshape(da, db, da, db)[...] = block.reshape(da, da, db, db).transpose(0, 2, 1, 3)
-        return out.reshape(*lead, rep.dim, rep.dim)
-    stack = rep_stack(rep)
-    require_bytes(nbytes, what)
-    return np.einsum("...g,gij->...ij", weights, stack)
+    On rho^mu x rho^nu, X_k = sum_j A_j x B_j over the factors' images.
+    Each term is two products that contract the leading axis of Y's
+    (mu, nu, C) index, turning it into (nu, C, mu) and then (C, mu, nu):
+    no D x D image is built, and every product has inner and outer
+    dimension d_mu or d_nu, a shape whose bits do not depend on the BLAS
+    thread count.  Any other kind multiplies by the sum of its images."""
+    lo, hi = (k - 1) * (k - 2) // 2, k * (k - 1) // 2
+    if rep.kind != "tensor":
+        return y.T @ transposition_images(rep)[lo:hi].sum(axis=0)
+    a, b = (transposition_images(irrep(shape))[lo:hi] for shape in rep.labels)
+    cols, da, db = y.shape[1], a.shape[1], b.shape[1]
+    out = np.zeros((cols * da, db))
+    for ta, tb in zip(a, b):
+        turned = y.reshape(da, db * cols).T @ ta
+        out += turned.reshape(db, cols * da).T @ tb
+    return out.reshape(cols, da * db)
 
 
 @lru_cache(maxsize=None)
@@ -358,19 +323,6 @@ def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
         value = _border_strip_sum(tuple(c - j for c in moved[j:]), rest)
         total += -value if between % 2 else value
     return total
-
-
-@lru_cache(maxsize=None)
-def _cycle_types(n: int) -> tuple[Partition, ...]:
-    return tuple(conjugacy_class_of(g) for g in enumerate_group(n))
-
-
-@lru_cache(maxsize=None)
-def character_vector(shape: Partition) -> np.ndarray:
-    """chi^shape(g) for every g of enumerate_group(shape.n), read-only."""
-    chi = np.array([irrep_character(shape, ct) for ct in _cycle_types(shape.n)], dtype=float)
-    chi.setflags(write=False)
-    return chi
 
 
 def class_character(rep: GroupRep, cycle_type: Partition) -> int:

@@ -1,10 +1,18 @@
 """Oracles shared by several test files."""
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from snverify.symgroup import enumerate_group, enumerate_partitions, irrep_dimension
-from snverify.yyrep import rep_evaluate, rep_stack
+from snverify.symgroup import (
+    conjugacy_class_of,
+    enumerate_group,
+    enumerate_partitions,
+    irrep_dimension,
+)
+from snverify.yyrep import irrep, irrep_character, rep_evaluate, rep_stack
 
 
 def _commutant(rep) -> np.ndarray:
@@ -51,3 +59,56 @@ def _ft_row_order(n: int) -> list:
 @pytest.fixture
 def ft_row_order():
     return _ft_row_order
+
+
+@lru_cache(maxsize=None)
+def _character_vector(shape) -> np.ndarray:
+    """chi^shape(g) for every g of enumerate_group(shape.n)."""
+    return np.array([
+        irrep_character(shape, conjugacy_class_of(g)) for g in enumerate_group(shape.n)
+    ], dtype=float)
+
+
+def _group_sum(rep, weights) -> np.ndarray:
+    """sum_g w(g) rep(g) over enumerate_group(rep.n), for weights of shape
+    (|G|,) or (k, |G|).  A tensor product contracts its two factor stacks,
+    sum_g w(g) A_g x B_g, and builds no stack of its own; a lift and
+    I_m x rho sum over the base and take the Kronecker product with the
+    identity."""
+    weights = np.asarray(weights, dtype=float)
+    if rep.kind in ("lift", "identity-times-irrep"):
+        base, eye = _group_sum(rep.base, weights), np.eye(rep.lift_dim)
+        pair = (base, eye) if rep.kind == "lift" else (eye, base)
+        return np.einsum("...ij,...kl->...ikjl", *pair).reshape(*weights.shape[:-1], rep.dim, rep.dim)
+    if rep.kind == "tensor":
+        a, b = (rep_stack(irrep(shape)) for shape in rep.labels)
+        block = np.einsum("...g,gij,gkl->...ikjl", weights, a, b)
+        return block.reshape(*weights.shape[:-1], rep.dim, rep.dim)
+    return np.einsum("...g,gij->...ij", weights, rep_stack(rep))
+
+
+def _group_sum_projector(rep, shape) -> np.ndarray:
+    """Xi = (d/|G|) sum_g chi^shape(g) rep(g), as a whole-group sum."""
+    return _group_sum(rep, irrep_dimension(shape) / math.factorial(rep.n) * _character_vector(shape))
+
+
+def _matrix_units(rep, shape) -> np.ndarray:
+    """The d operators e_i1 = (d/|G|) sum_g rho^shape_i1(g) rep(g), as a
+    d x D x D whole-group sum."""
+    lam_stack = rep_stack(irrep(shape))
+    return _group_sum(rep, (lam_stack.shape[1] / len(lam_stack)) * lam_stack[:, :, 0].T)
+
+
+@pytest.fixture
+def character_vector():
+    return _character_vector
+
+
+@pytest.fixture
+def group_sum_projector():
+    return _group_sum_projector
+
+
+@pytest.fixture
+def matrix_units():
+    return _matrix_units

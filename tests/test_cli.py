@@ -142,18 +142,23 @@ def test_certify_prices_the_transposition_images_before_the_acceptance_operator(
     assert "transposition images" in doc["error"]
 
 
-def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys, monkeypatch):
-    # n = 8, D = 64 * 1: the group sums read the S_8 stack of 5,2,1
-    # (d = 64), which would take 1.32 GB in float64.
+def test_verify_spectrum_at_n8_enumerates_no_group_and_builds_no_stack(capsys, monkeypatch):
+    # n = 8, D = 64: the stack of 5,2,1 alone would take 1.32 GB; the
+    # lattice reads 28 transposition images of each factor instead.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     enumerated = []
-    cycle_types = yyrep._cycle_types
-    monkeypatch.setattr(yyrep, "_cycle_types", lambda n: enumerated.append(n) or cycle_types(n))
-    code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
-    assert code == 3
-    assert doc["status"] == "resource-limit"
-    assert "stack" in doc["error"]
-    assert tensor_rep(Partition.parse("5,2,1"), Partition.parse("8"))._stack is None
-    assert enumerated == []  # refused before the characters enumerate S_8
+    enumerate_group = yyrep.enumerate_group
+    monkeypatch.setattr(yyrep, "enumerate_group", lambda n: enumerated.append(n) or enumerate_group(n))
+    tensor_rep.cache_clear()
+    try:
+        code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
+        assert tensor_rep(Partition.parse("5,2,1"), Partition.parse("8"))._stack is None
+    finally:
+        tensor_rep.cache_clear()
+    assert code == 0
+    assert doc["eigenvalue_one_multiplicity"] == 1
+    assert yyrep.irrep(Partition.parse("5,2,1"))._stack is None
+    assert enumerated == []
 
 
 @pytest.mark.parametrize(
@@ -165,7 +170,8 @@ def test_verify_spectrum_over_stack_cap_exits_3_before_the_stack(capsys, monkeyp
     ids=["kron-both-m5", "povm-d256"],
 )
 def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, monkeypatch):
-    # D = 256: sigma's own stack would take 377 MB; the factor stacks 2 MB.
+    # D = 256: sigma's own stack would take 377 MB; the lattice holds a few
+    # D x D arrays.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     try:
         code, doc = invoke(argv, capsys)
@@ -189,6 +195,10 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["wfs", "measure", "3,2,1", "3,2,1", "--seed", "4"],
         ["state", "phi-pi", "3,2,1", "3,2,1", "3,2,1"],
         ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "3", "--seed", "1"],
+        ["wfs", "project", "4,3", "4,2,1", "4,2,1"],
+        ["verify", "spectrum", "4,3", "4,2,1", "4,2,1"],
+        ["verify", "certify", "4,3", "4,2,1", "4,2,1", "--trials", "2", "--seed", "1"],
+        ["state", "psi-lambda", "4,3", "4,2,1", "4,2,1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
@@ -198,6 +208,29 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
         cmd = [sys.executable, "-m", "snverify.cli", *argv]
         outs.append(subprocess.run(cmd, capture_output=True, check=True, env=env).stdout)
     assert outs[0] == outs[1]
+
+
+def test_wfs_project_at_n9_fits_a_small_budget():
+    # The group-sum route enumerated S_9 and built the 371 MB stack of 8,1.
+    env = dict(os.environ, SNVERIFY_MAX_BYTES=str(32 << 20))
+    cmd = [sys.executable, "-m", "snverify.cli", "wfs", "project", "8,1", "9", "8,1"]
+    proc = subprocess.run(cmd, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["rank"] == 8
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # rep ft 5 writes 0.6 MB, more than a pipe holds, so the write meets
+    # the closed pipe.
+    cmd = [sys.executable, "-m", "snverify.cli", "rep", "ft", "5"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert head == b'{"rows": 120, "cols"'
+    assert stderr == b""
 
 
 def test_state_phi_plus_round_trips(capsys):

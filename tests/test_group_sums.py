@@ -1,6 +1,6 @@
-"""Every whole-group sum is one contraction against the stacked group
-evaluation; each is checked here against a brute-force per-element Python
-sum over the single-element chain rep_evaluate, at n <= 4.
+"""Every isotypic quantity, the group average and the circuit are checked
+here against a brute-force per-element Python sum over the single-element
+chain rep_evaluate, at n <= 4.
 """
 
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from snverify.entangled import _matrix_units, psi_lambda, unvec, vec
+from snverify.entangled import isotypic_block_basis, psi_lambda, unvec, vec
 from snverify.errors import DegenerateInputError
 from snverify.symgroup import Partition, enumerate_group, enumerate_partitions
 from snverify.verifier import channel_E, internal_test_probability
@@ -74,10 +74,12 @@ def test_kraus_element_matches_per_element_sum(rep, ft_row_order):
 
 
 def test_block_units_match_per_element_sum(rep):
+    # e_i1 = sum_a B_a[:, i] B_a[:, 0]^T over the aligned irrep blocks.
     group = enumerate_group(rep.n)
     for shape in enumerate_partitions(rep.n):
         lam = irrep(shape)
-        units = _matrix_units(rep, shape)
+        blocks = np.array(isotypic_block_basis(rep, shape)).reshape(-1, rep.dim, lam.dim)
+        units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
         assert units.shape == (lam.dim, rep.dim, rep.dim)
         for i in range(lam.dim):
             brute = sum(

@@ -106,21 +106,15 @@ def test_coset_tower_at_d144_is_a_projection_onto_the_commutant():
 
 
 def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
-    # The lemma reads no stack at all; the corollary's group sums read the
-    # irrep stacks of mu and nu, never sigma's.
-    rep_stack = yyrep.rep_stack
-    allowed_kinds = set()
-
+    # Neither reads a stack: the formula averages through the coset tower,
+    # and the projector and irrep blocks come from the Young lattice.
     def guarded(rep):
-        if rep.kind not in allowed_kinds:
-            raise AssertionError(f"certification built the stack of a {rep.kind} rep")
-        return rep_stack(rep)
+        raise AssertionError(f"certification built the stack of a {rep.kind} rep")
 
     monkeypatch.setattr(yyrep, "rep_stack", guarded)
     monkeypatch.setattr(verifier, "rep_stack", guarded)
     reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=5, seed=0)
     assert all(r.bound_satisfied for r in reports)
-    allowed_kinds.add("irrep")
     tensor_rep.cache_clear()
     try:
         trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=5, seed=0)
@@ -392,6 +386,20 @@ def test_sampled_run_accepts_witness_state():
             assert not out["accepted"]
             assert out["stage"] == "weak-fourier-sampling"
     assert accepted > 0
+
+
+def test_sampled_run_reads_only_the_circuit(monkeypatch):
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    xi = wfs_projector(sigma, P("3,1"))
+    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)  # always samples 3,1
+
+    def no_formula(rep, x):
+        raise AssertionError("verify run averaged over the group for the formula")
+
+    monkeypatch.setattr(verifier, "channel_E", no_formula)
+    out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
+    assert out["stage"] == "internal-state-test"
+    assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sampled_run_is_seed_deterministic():

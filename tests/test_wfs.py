@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify.entangled import _matrix_units, isotypic_block_basis, phi_plus, psi_lambda
+from snverify import wfs
+from snverify.entangled import isotypic_block_basis, phi_plus, psi_lambda
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
-from snverify.kronecker import kronecker_coefficient
+from snverify.kronecker import Multiplicity, kronecker_coefficient
 from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
 from snverify.wfs import (
     Projector,
@@ -21,8 +22,8 @@ from snverify.wfs import (
     wfs_projector,
 )
 from snverify.yyrep import (
-    character_vector,
     fourier_transform_matrix,
+    identity_times_irrep,
     irrep,
     lift_with_identity,
     regular_representations,
@@ -114,8 +115,8 @@ def test_kraus_element_squares_to_projector(mu, nu):
 
 
 def test_kraus_element_reads_only_the_factor_stacks():
-    # Its sums go through group_sum: no Fourier transform, and no stack of
-    # the tensor product itself.
+    # Its rows come from the irrep blocks: no Fourier transform, and no
+    # stack of the tensor product itself.
     tensor_rep.cache_clear()
     fourier_transform_matrix.cache_clear()
     sigma = tensor_rep(P("3,1"), P("2,1,1"))
@@ -251,7 +252,7 @@ def test_isotypic_sums_never_build_the_tensor_stack():
     tensor_rep.cache_clear()
 
 
-def test_factored_sums_match_the_tensor_stack_contraction_at_n6():
+def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector):
     # The contraction against sigma's own stack is the oracle.
     sigma = tensor_rep(P("3,2,1"), P("5,1"))
     stack = rep_stack(sigma)
@@ -261,5 +262,87 @@ def test_factored_sums_match_the_tensor_stack_contraction_at_n6():
         np.testing.assert_allclose(wfs_projector(sigma, shape).matrix, oracle, rtol=0, atol=1e-12)
     lam = rep_stack(irrep(P("4,2")))
     oracle = np.einsum("kg,gij->kij", lam.shape[1] / len(lam) * lam[:, :, 0].T, stack)
-    np.testing.assert_allclose(_matrix_units(sigma, P("4,2")), oracle, rtol=0, atol=1e-12)
+    blocks = np.array(isotypic_block_basis(sigma, P("4,2")))
+    units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
+    np.testing.assert_allclose(units, oracle, rtol=0, atol=1e-12)
     tensor_rep.cache_clear()  # drop the 37 MB stack
+
+
+# ------------------------------------- the Young lattice against group sums
+
+# The tensor pairs of the benchmarked commands at n = 6, with their labels.
+BENCH_N6 = {
+    ("3,2,1", "5,1"): ["4,2", "3,2,1"],
+    ("3,2,1", "4,1,1"): ["3,2,1"],
+    ("5,1", "3,3"): ["4,2"],
+}
+
+
+def tensor_pairs_up_to_n5_and_bench():
+    pairs = [(mu, nu) for n in range(1, 6) for mu, nu in all_tensor_pairs(n)]
+    return pairs + [(P(mu), P(nu)) for mu, nu in BENCH_N6]
+
+
+@pytest.mark.parametrize(
+    "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
+)
+def test_lattice_povm_matches_the_group_sum_projectors(mu, nu, group_sum_projector):
+    sigma = tensor_rep(mu, nu)
+    total = np.zeros((sigma.dim, sigma.dim))
+    for lam, proj in wfs_povm(sigma):
+        oracle = group_sum_projector(sigma, lam)
+        np.testing.assert_allclose(proj.matrix, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wfs_projector(sigma, lam).matrix, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(proj.matrix @ proj.matrix, proj.matrix, rtol=0, atol=1e-12)
+        assert proj.rank == kronecker_coefficient(mu, nu, lam).value * irrep_dimension(lam)
+        total += proj.matrix
+    np.testing.assert_allclose(total, np.eye(sigma.dim), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
+)
+def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units):
+    # e_i1 = sum_a B_a[:, i] B_a[:, 0]^T, and each block intertwines the
+    # generators with the irrep's.
+    sigma = tensor_rep(mu, nu)
+    labels = BENCH_N6.get((str(mu), str(nu)))
+    for lam in [P(t) for t in labels] if labels else enumerate_partitions(sigma.n):
+        d = irrep_dimension(lam)
+        blocks = np.array(isotypic_block_basis(sigma, lam)).reshape(-1, sigma.dim, d)
+        assert len(blocks) == kronecker_coefficient(mu, nu, lam).value
+        units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
+        np.testing.assert_allclose(units, matrix_units(sigma, lam), rtol=0, atol=1e-12)
+        for g, h in zip(sigma.generator_images, irrep(lam).generator_images):
+            np.testing.assert_allclose(g @ blocks, blocks @ h, rtol=0, atol=1e-12)
+
+
+DERIVED_REPS = {
+    "irrep-3,1,1": lambda: irrep(P("3,1,1")),
+    "I2x2,2,1": lambda: identity_times_irrep(2, P("2,2,1")),
+    "lift-2,1x2,1xI2": lambda: lift_with_identity(tensor_rep(P("2,1"), P("2,1")), 2),
+    "left-regular-4": lambda: regular_representations(4)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVED_REPS))
+def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum_projector):
+    rep = DERIVED_REPS[name]()
+    for lam, proj in wfs_povm(rep):
+        oracle = group_sum_projector(rep, lam)
+        np.testing.assert_allclose(proj.matrix, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wfs_projector(rep, lam).matrix, oracle, rtol=0, atol=1e-12)
+
+
+def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
+    exact = wfs.multiplicity_character
+
+    def off_by_one(rep, shape):
+        return Multiplicity(value=exact(rep, shape).value + 1, route="character-sum")
+
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    monkeypatch.setattr(wfs, "multiplicity_character", off_by_one)
+    with pytest.raises(NumericalConsistencyError, match="not m d"):
+        wfs_projector(sigma, P("2,1,1"))
+    with pytest.raises(NumericalConsistencyError, match="not m d"):
+        wfs_povm(sigma)
