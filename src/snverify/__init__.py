@@ -35,7 +35,6 @@ from .yyrep import (
     identity_times_irrep,
     irrep,
     irrep_character,
-    lift_with_identity,
     regular_representations,
     rep_evaluate,
     rep_stack,

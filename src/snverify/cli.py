@@ -43,7 +43,6 @@ from .yyrep import (
     fourier_transform_matrix,
     irrep,
     irrep_character,
-    lift_with_identity,
     rep_evaluate,
     tensor_rep,
 )
@@ -113,14 +112,12 @@ def _cmd_wfs(args) -> dict:
             "ranks": {_partition_key(lam): p.rank for lam, p in povm},
             "completeness_residual": float(np.abs(total - np.eye(sigma.dim)).max()),
         }
-    # measure
-    if args.state:
-        psi = _load_state(args.state)
-        rep = sigma if psi.shape == (sigma.dim,) else lift_with_identity(sigma, sigma.dim)
-    else:
-        rep = lift_with_identity(sigma, sigma.dim)
-        psi = phi_plus(sigma.dim).amplitudes
-    label, post = measure_wfs(rep, psi, args.seed)
+    # measure, on C^D or on the first register of C^D x C^D
+    psi = _load_state(args.state) if args.state else phi_plus(sigma.dim).amplitudes
+    if psi.shape not in ((sigma.dim,), (sigma.dim**2,)):
+        raise InvalidArgumentError(
+            f"state has dimension {psi.shape}, not D = {sigma.dim} or D^2 = {sigma.dim**2}")
+    label, post = measure_wfs(sigma, psi, args.seed)
     from .entangled import StateVector
 
     return {

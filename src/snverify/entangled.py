@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
-from .symgroup import Partition, Permutation, axial_distance, enumerate_tableaux, irrep_dimension
+from .symgroup import Partition, axial_distance, enumerate_tableaux, irrep_dimension
 from .wfs import Projector, tableau_projector, wfs_projector
-from .yyrep import GroupRep, rep_evaluate
+from .yyrep import GroupRep
 
 ORTHO_TOL = 1e-8
 
@@ -195,8 +195,6 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     evals, evecs = np.linalg.eigh(tableau_projector(rep, tableaux[0]))
     seeds = evecs[:, evals > 0.5]
     index = {t.rows: k for k, t in enumerate(tableaux)}
-    gens = rep.generator_images or [  # a lift holds none
-        rep_evaluate(rep, Permutation.transposition(rep.n, i)) for i in range(1, rep.n)]
     cols = np.empty((len(tableaux), rep.dim, seeds.shape[1]))
     cols[0] = seeds
     for k, t in enumerate(tableaux[1:], start=1):
@@ -206,7 +204,7 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
         parent = t.swap(i)
         tau = axial_distance(parent, i)
         v = cols[index[parent.rows]]
-        cols[k] = (gens[i - 1] @ v - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
+        cols[k] = (rep.generator_images[i - 1] @ v - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
     return list(cols.transpose(2, 1, 0))
 
 

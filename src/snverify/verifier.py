@@ -16,10 +16,8 @@ from .entangled import (
 )
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
-from .wfs import measure_wfs, wfs_projector
-from .yyrep import (
-    GroupRep, irrep, lift_with_identity, rep_stack, stack_bytes, tensor_rep, transposition_images
-)
+from .wfs import Projector, measure_wfs, wfs_projector
+from .yyrep import GroupRep, irrep, level_images, tensor_rep, transposition_images
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
@@ -74,26 +72,6 @@ class CertificationTrial:
     degenerate: bool = False
 
 
-def _conjugated(rep: GroupRep, x: np.ndarray) -> np.ndarray:
-    """rep(k) X rep(k)^T for every k, as a complex |G| x D x D array.  rep
-    is real, so with X = X_r + i X_i this is two real batched products,
-    and the stack is never upcast to a complex copy.  Priced as what it
-    holds at once: the stack, two real temporaries of its size and the
-    complex result."""
-    require_bytes(
-        5 * stack_bytes(rep), f"the internal-test statevector of S_{rep.n} at D = {rep.dim}"
-    )
-    stack = rep_stack(rep)
-    out = np.empty(stack.shape, dtype=complex)
-    # Contiguous parts, so that matmul hands them to BLAS.
-    x_re, x_im = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
-    left = np.matmul(stack, x_re)
-    out.real = left @ stack.transpose(0, 2, 1)
-    np.matmul(stack, x_im, out=left)
-    out.imag = left @ stack.transpose(0, 2, 1)
-    return out
-
-
 def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     """Group average (1/|G|) sum_g rep(g) X rep(g)^T; the orthogonal
     projection onto the commutant of the representation.
@@ -107,12 +85,11 @@ def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     d = rep.dim
     if x.shape != (d, d):
         raise InvalidArgumentError(f"X must be {d} x {d}, got {x.shape}")
-    images = transposition_images(rep)
     y = np.concatenate([x.real, x.imag])
     right = np.empty_like(y)
     for k in range(2, rep.n + 1):
         total = y.copy()
-        for t in images[(k - 1) * (k - 2) // 2 : k * (k - 1) // 2]:
+        for t in level_images(rep, k):
             np.matmul(y, t.T, out=right)
             total += np.matmul(t, right.reshape(2, d, d)).reshape(2 * d, d)
         total /= k
@@ -130,11 +107,31 @@ def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
 def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
     """The internal test's acceptance on vec X, simulated exactly: qubit x
     control x target, Hadamard, controlled-U, Hadamard, then P(0).  Control
-    block k of the |0> branch is (X + rep(k) X rep(k)^dagger) / (2 sqrt|G|)."""
-    out0 = _conjugated(rep, x)
-    out0 += x
-    out0 /= 2 * math.sqrt(len(out0))
-    return norm_sq(out0)
+    block g of the |0> branch is (X + rep(g) X rep(g)^T) / (2 sqrt|G|).
+
+    Every g is c_n ... c_2 with c_k = e or (j k), j < k, so the walk goes
+    down that coset tree depth first: a child conjugates its parent's Y
+    by one transposition image, as channel_E does, and each leaf adds
+    ||X + Y||_F^2 in a fixed order.  The value stays a sum over elements,
+    independent of channel_E's average, and no stack is built."""
+    d, n = rep.dim, rep.n
+    # The images, then real-over-imaginary pairs: X, the product buffer,
+    # one Y per level and the leaf with its norm's temporaries.
+    require_bytes((n * (n - 1) // 2 + 2 * n + 10) * d * d * 8,
+                  f"the coset-tree walk of S_{n} at D = {d}")
+    x2 = np.concatenate([x.real, x.imag])
+    right = np.empty_like(x2)
+
+    def walk(y: np.ndarray, k: int) -> float:
+        if k > n:
+            return norm_sq(x2 + y)
+        total = walk(y, k + 1)
+        for t in level_images(rep, k):
+            np.matmul(y, t.T, out=right)
+            total += walk(np.matmul(t, right.reshape(2, d, d)).reshape(2 * d, d), k + 1)
+        return total
+
+    return walk(x2, 2) / (4 * math.factorial(n))
 
 
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
@@ -142,20 +139,16 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     independent routes.
 
     formula_value is 1/2 + 1/2 |<X, E(X)>_F|^2 with psi = vec X, where
-    channel_E sums over the coset tower and never builds rep's stack;
-    circuit_value is an exact statevector simulation of the 1-bit
-    phase-estimation circuit with control dimension |G| and
-    U = sum_k |k><k| tensor rep(k) tensor rep(k)*, giving
-    1/2 + 1/2 Re<tau|U|tau>, one block per element of rep's stack.
-    Certification needs only the formula and `verify run` only the
-    circuit; this is for the cross-checks.
+    channel_E averages over the coset tower; circuit_value is an exact
+    simulation of the 1-bit phase-estimation circuit with control
+    dimension |G| and U = sum_g |g><g| tensor rep(g) tensor rep(g)*,
+    giving 1/2 + 1/2 Re<tau|U|tau>, one control block per group element,
+    each reached by a walk down the coset tree.  Neither builds rep's
+    stack.  Certification needs only the formula and `verify run` only
+    the circuit; this is for the cross-checks.
     """
-    d = rep.dim
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (d * d,):
-        raise InvalidArgumentError(f"state must live on C^{d * d}, got {psi.shape}")
-    x = unvec(psi, d)
-    circuit = _circuit_value(rep, x)  # its stacks are priced first
+    x = unvec(psi, rep.dim)
+    circuit = _circuit_value(rep, x)  # its walk is priced first
     return _formula_value(rep, x), circuit
 
 
@@ -172,6 +165,14 @@ def verification_acceptance_operator(
     the Kronecker coefficient m, and each B_a fixed by Xi and intertwining
     the generators with rho^lambda's, so that every B_a B_b^dagger is fixed
     by Xi and commutes with the representation."""
+    return _acceptance_operator(mu, nu, lam)[0]
+
+
+def _acceptance_operator(
+    mu: Partition, nu: Partition, lam: Partition
+) -> tuple[AcceptanceOperator, Projector]:
+    """verification_acceptance_operator, with the Xi_lambda it is built
+    from, so that certification builds Xi once."""
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     m = kronecker_coefficient(mu, nu, lam).value
@@ -198,7 +199,7 @@ def verification_acceptance_operator(
     half = m * d_lam * d - m * m
     spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
     basis = units.reshape(m * m, d * d).T / math.sqrt(d_lam)
-    return AcceptanceOperator(spectrum, c=1.0, s=0.5 if half else 0.0, accepting_basis=basis)
+    return AcceptanceOperator(spectrum, c=1.0, s=0.5 if half else 0.0, accepting_basis=basis), xi
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,7 +216,7 @@ def _trial_state(center: np.ndarray, perturbation: float | None, seed: int) -> n
         return haar_state(dim, rng)
     with np.errstate(over="ignore"):  # an overflowing perturbation is rejected below
         raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        norm = np.linalg.norm(raw)
+        norm = math.sqrt(norm_sq(raw))
     if not math.isfinite(norm):
         raise InvalidArgumentError(f"perturbation {perturbation} overflows the trial state")
     return raw / norm
@@ -289,8 +290,8 @@ def certify_corollary_bound(
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     transposition_images(sigma)  # priced before the acceptance operator
-    accepting = verification_acceptance_operator(mu, nu, lam).accepting_subspace()
-    xi = wfs_projector(sigma, lam)
+    op, xi = _acceptance_operator(mu, nu, lam)
+    accepting = op.accepting_subspace()
     center = max_entangled_over_range(xi).amplitudes
     trials_out = []
     for t in range(trials):
@@ -328,7 +329,8 @@ def run_verifier_sampled(
     sampling on the left register, then a coin flip at the internal-test
     circuit probability."""
     sigma = tensor_rep(mu, nu)
-    label, post = measure_wfs(lift_with_identity(sigma, sigma.dim), psi, seed)
+    # unvec admits only a state of the register pair C^D x C^D.
+    label, post = measure_wfs(sigma, unvec(psi, sigma.dim).reshape(-1), seed)
     if label != lam:
         return {"accepted": False, "measured": str(label), "stage": "weak-fourier-sampling"}
     circuit_value = _circuit_value(sigma, unvec(post, sigma.dim))

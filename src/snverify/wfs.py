@@ -176,18 +176,19 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
 def measure_wfs(
     rep: GroupRep, psi: np.ndarray, seed: int
 ) -> tuple[Partition, np.ndarray]:
-    """Sample an irrep label with probability <psi|Xi|psi> and return the
-    normalized post-measurement state.  Deterministic given the seed.  A
-    lift sigma tensor I is measured on its base, with no lifted matrix:
-    psi = vec X, probability ||Xi X||_F^2, post-state vec(Xi X) normalized."""
+    """Sample an irrep label by measuring rep on the first register of
+    psi = vec X, X of shape D x k (k = 1 is a state of rep's own space),
+    and return the normalized post-measurement state.  The label has
+    probability ||Xi X||_F^2 and the post-state is vec(Xi X) normalized;
+    no lifted Xi tensor I is built.  Deterministic given the seed."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (rep.dim,):
-        raise InvalidArgumentError(f"state has dimension {psi.shape}, rep has {rep.dim}")
+    if psi.ndim != 1 or psi.size % rep.dim:
+        raise InvalidArgumentError(
+            f"state has dimension {psi.shape}, not a multiple of rep's {rep.dim}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise InvalidArgumentError("state must be a unit vector")
-    base = rep.base if rep.kind == "lift" else rep
-    x = psi.reshape(base.dim, -1)
-    povm = wfs_povm(base)
+    x = psi.reshape(rep.dim, -1)
+    povm = wfs_povm(rep)
     images = [p.matrix @ x for _, p in povm]
     probs = np.array([np.sum(y.real**2 + y.imag**2) for y in images])
     total = probs.sum()

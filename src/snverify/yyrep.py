@@ -5,13 +5,15 @@ Every representation here is real orthogonal, so its data is float64.
 A GroupRep holds generator images for the adjacent transpositions
 sigma_1..sigma_{n-1}; rep_evaluate multiplies them along a decomposition
 of one element, also where S_n is too large to enumerate.
-transposition_images caches the n(n-1)/2 images of the (j k).  They serve
-the coset-tower average verifier.channel_E and jucys_murphy_product,
-which applies the Jucys-Murphy elements X_k = sum_{j<k} (j k) that the
-isotypic projectors of wfs branch by; no isotypic quantity sums over the
-group.  rep_stack evaluates a representation on the whole group, as a
-cached |G| x D x D array in the order of symgroup.enumerate_group, for
-the Fourier transform, the self-test and the internal test's circuit.
+transposition_images caches the n(n-1)/2 images of the (j k), and
+level_images reads those of one level k.  They serve the verifier's
+coset-tower average channel_E and its coset-tree circuit, and
+jucys_murphy_product, which applies the Jucys-Murphy elements
+X_k = sum_{j<k} (j k) that the isotypic projectors of wfs branch by; no
+isotypic quantity sums over the group.  rep_stack evaluates a
+representation on the whole group, as a cached |G| x D x D array in the
+order of symgroup.enumerate_group, for the Fourier transform and the
+self-test's orthogonality suites, both on irreps.
 
 Characters need no matrix: irrep_character is the exact integer given by
 the Murnaghan-Nakayama border-strip rule, and class_character builds the
@@ -48,9 +50,9 @@ class GroupRep:
     """A representation of S_n given by its generator images.
 
     kind is one of "irrep", "tensor", "left-regular", "right-regular",
-    "lift", "identity-times-irrep"; labels carries the partition labels
-    where applicable.  base points at the underlying rep for "lift" and
-    "identity-times-irrep".
+    "identity-times-irrep"; labels carries the partition labels where
+    applicable.  base and lift_dim give the irrep and the multiplicity m
+    of "identity-times-irrep".
     """
 
     n: int
@@ -107,9 +109,9 @@ def irrep(shape: Partition) -> GroupRep:
                     generator_images=images, labels=(shape,))
 
 
-# One entry: a command works on one (mu, nu) pair, and the pair's own stack,
-# built for the internal test, can take hundreds of MB, so no older pair is
-# kept alive.
+# One entry: a command works on one (mu, nu) pair, and a pair's generator
+# and cached transposition images take 52 MB at n = 7, D = 490, so no
+# older pair is kept alive.
 @lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     """rho^mu tensor rho^nu, generator-wise Kronecker products."""
@@ -120,16 +122,6 @@ def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
     images = tuple(np.kron(x, y) for x, y in zip(a.generator_images, b.generator_images))
     return GroupRep(n=mu.n, dim=a.dim * b.dim, kind="tensor",
                     generator_images=images, labels=(mu, nu))
-
-
-def lift_with_identity(rep: GroupRep, d2: int) -> GroupRep:
-    """sigma tensor I_{d2}: the same action on a doubled register pair.
-    It holds no generator images and has no stack: its characters,
-    projectors and measurements factor through the base."""
-    if d2 < 1:
-        raise InvalidArgumentError(f"lift dimension must be positive, got {d2}")
-    return GroupRep(n=rep.n, dim=rep.dim * d2, kind="lift",
-                    generator_images=(), labels=rep.labels, base=rep, lift_dim=d2)
 
 
 def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
@@ -178,8 +170,6 @@ def rep_evaluate(rep: GroupRep, g: Permutation) -> np.ndarray:
     adjacent-transposition decomposition."""
     if g.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
-    if rep.kind == "lift":
-        return np.kron(rep_evaluate(rep.base, g), np.eye(rep.lift_dim))
     mat = np.eye(rep.dim)
     for i in adjacent_transposition_decomposition(g):
         mat = mat @ rep.generator_images[i - 1]
@@ -201,35 +191,17 @@ def _stack_plan(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of the trailing matrices, broadcast over leading
-    axes: out[..., (i, k), (j, l)] = a[..., i, j] b[..., k, l]."""
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, rows, cols)
-
-
 def rep_stack(rep: GroupRep) -> np.ndarray:
     """rep(g) for every g of enumerate_group(rep.n), as a read-only
-    |G| x D x D array built once per representation.  A tensor product is
-    the batched Kronecker product of its factors' stacks; any other kind
-    takes one product per element, rep(g) = rep(g o sigma_{j+1})
-    rep(sigma_{j+1})."""
-    if rep.kind == "lift":
-        raise InvalidArgumentError("a lift has no stack; sum over its base instead")
+    |G| x D x D array built once per representation, one product per
+    element: rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1})."""
     if rep._stack is None:
-        what = f"the stack of S_{rep.n} at D = {rep.dim}"
-        if rep.kind == "tensor":
-            a, b = (irrep(shape) for shape in rep.labels)
-            require_bytes(stack_bytes(rep) + stack_bytes(a) + stack_bytes(b), what)
-            stack = _kron(rep_stack(a), rep_stack(b))
-        else:
-            require_bytes(stack_bytes(rep), what)
-            plan = _stack_plan(rep.n)
-            stack = np.empty((len(plan) + 1, rep.dim, rep.dim))
-            stack[0] = np.eye(rep.dim)
-            for k, (parent, j) in enumerate(plan, start=1):
-                np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
+        require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {rep.dim}")
+        plan = _stack_plan(rep.n)
+        stack = np.empty((len(plan) + 1, rep.dim, rep.dim))
+        stack[0] = np.eye(rep.dim)
+        for k, (parent, j) in enumerate(plan, start=1):
+            np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
         stack.setflags(write=False)
         rep._stack = stack
     return rep._stack
@@ -239,27 +211,29 @@ def transposition_images(rep: GroupRep) -> np.ndarray:
     """rep((j k)) for 1 <= j < k <= n, as a read-only n(n-1)/2 x D x D
     array built once per representation: (j k) at (k-1)(k-2)/2 + j - 1,
     so the images of level k are contiguous.  (k-1 k) is the generator
-    sigma_{k-1} and (j k) = sigma_j (j+1 k) sigma_j; a lift is its base's
-    images times the identity."""
+    sigma_{k-1} and (j k) = sigma_j (j+1 k) sigma_j."""
     if rep._transpositions is None:
         count = rep.n * (rep.n - 1) // 2
         # And the working arrays of channel_E: its complex input and output
         # and four real pairs.
         require_bytes((count + 12) * rep.dim**2 * 8,
                       f"the {count} transposition images of S_{rep.n} at D = {rep.dim}")
-        if rep.kind == "lift":
-            images = _kron(transposition_images(rep.base), np.eye(rep.lift_dim))
-        else:
-            gens = rep.generator_images
-            images = np.empty((count, rep.dim, rep.dim))
-            for k in range(2, rep.n + 1):
-                start = (k - 1) * (k - 2) // 2
-                images[start + k - 2] = gens[k - 2]
-                for j in range(k - 2, 0, -1):
-                    images[start + j - 1] = gens[j - 1] @ images[start + j] @ gens[j - 1]
+        gens = rep.generator_images
+        images = np.empty((count, rep.dim, rep.dim))
+        for k in range(2, rep.n + 1):
+            start = (k - 1) * (k - 2) // 2
+            images[start + k - 2] = gens[k - 2]
+            for j in range(k - 2, 0, -1):
+                images[start + j - 1] = gens[j - 1] @ images[start + j] @ gens[j - 1]
         images.setflags(write=False)
         rep._transpositions = images
     return rep._transpositions
+
+
+def level_images(rep: GroupRep, k: int) -> np.ndarray:
+    """rep((j k)) for j = 1..k-1, 2 <= k <= n: level k of
+    transposition_images."""
+    return transposition_images(rep)[(k - 1) * (k - 2) // 2 : k * (k - 1) // 2]
 
 
 def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
@@ -272,10 +246,9 @@ def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
     no D x D image is built, and every product has inner and outer
     dimension d_mu or d_nu, a shape whose bits do not depend on the BLAS
     thread count.  Any other kind multiplies by the sum of its images."""
-    lo, hi = (k - 1) * (k - 2) // 2, k * (k - 1) // 2
     if rep.kind != "tensor":
-        return y.T @ transposition_images(rep)[lo:hi].sum(axis=0)
-    a, b = (transposition_images(irrep(shape))[lo:hi] for shape in rep.labels)
+        return y.T @ level_images(rep, k).sum(axis=0)
+    a, b = (level_images(irrep(shape), k) for shape in rep.labels)
     cols, da, db = y.shape[1], a.shape[1], b.shape[1]
     out = np.zeros((cols * da, db))
     for ta, tb in zip(a, b):
@@ -337,7 +310,7 @@ def class_character(rep: GroupRep, cycle_type: Partition) -> int:
     if rep.kind == "tensor":
         mu, nu = rep.labels
         return irrep_character(mu, cycle_type) * irrep_character(nu, cycle_type)
-    if rep.kind in ("lift", "identity-times-irrep"):
+    if rep.kind == "identity-times-irrep":
         return rep.lift_dim * class_character(rep.base, cycle_type)
     if rep.kind in ("left-regular", "right-regular"):
         return rep.dim if cycle_type.parts == (1,) * rep.n else 0

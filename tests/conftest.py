@@ -30,13 +30,10 @@ def commutant_oracle():
 
 
 def _stack_average(rep, x) -> np.ndarray:
-    """(1/|G|) sum_g rep(g) X rep(g)^T over rep's whole stack (a lift's
-    is its base's times the identity): the group average element by
-    element, against which channel_E's coset tower is checked."""
-    if rep.kind == "lift":
-        stack = np.array([np.kron(s, np.eye(rep.lift_dim)) for s in rep_stack(rep.base)])
-    else:
-        stack = rep_stack(rep)
+    """(1/|G|) sum_g rep(g) X rep(g)^T over rep's whole stack: the group
+    average element by element, against which channel_E's coset tower is
+    checked."""
+    stack = rep_stack(rep)
     return (stack @ x @ stack.transpose(0, 2, 1)).mean(axis=0)
 
 
@@ -72,13 +69,11 @@ def _character_vector(shape) -> np.ndarray:
 def _group_sum(rep, weights) -> np.ndarray:
     """sum_g w(g) rep(g) over enumerate_group(rep.n), for weights of shape
     (|G|,) or (k, |G|).  A tensor product contracts its two factor stacks,
-    sum_g w(g) A_g x B_g, and builds no stack of its own; a lift and
-    I_m x rho sum over the base and take the Kronecker product with the
-    identity."""
+    sum_g w(g) A_g x B_g, and builds no stack of its own; I_m x rho sums
+    over the irrep and takes the Kronecker product with the identity."""
     weights = np.asarray(weights, dtype=float)
-    if rep.kind in ("lift", "identity-times-irrep"):
-        base, eye = _group_sum(rep.base, weights), np.eye(rep.lift_dim)
-        pair = (base, eye) if rep.kind == "lift" else (eye, base)
+    if rep.kind == "identity-times-irrep":
+        pair = (np.eye(rep.lift_dim), _group_sum(rep.base, weights))
         return np.einsum("...ij,...kl->...ikjl", *pair).reshape(*weights.shape[:-1], rep.dim, rep.dim)
     if rep.kind == "tensor":
         a, b = (rep_stack(irrep(shape)) for shape in rep.labels)

@@ -199,9 +199,16 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["verify", "spectrum", "4,3", "4,2,1", "4,2,1"],
         ["verify", "certify", "4,3", "4,2,1", "4,2,1", "--trials", "2", "--seed", "1"],
         ["state", "psi-lambda", "4,3", "4,2,1", "4,2,1"],
+        ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "3", "--seed", "1",
+         "--perturbation", "0.1"],
+        ["verify", "run", "4,2", "3,2,1", "3,2,1", "--state", "{phi144}", "--seed", "1"],
     ],
 )
-def test_verifier_stdout_is_independent_of_blas_thread_count(argv):
+def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
+    if "{phi144}" in argv:
+        state = tmp_path / "phi144.json"
+        state.write_text(serialize.dumps(serialize.state_to_json(phi_plus(144))))
+        argv = [token.format(phi144=state) for token in argv]
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -320,6 +327,31 @@ def test_verify_run_with_state_file(tmp_path, capsys):
     assert isinstance(doc["accepted"], bool)
 
 
+def test_verify_run_at_d144_fits_the_default_budget_without_sigmas_stack(
+    tmp_path, capsys, monkeypatch
+):
+    # sigma's own stack would take 119 MB; the coset-tree walk holds the 15
+    # transposition images and 22 D x D arrays (6.1 MB).
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    path = tmp_path / "phi144.json"
+    path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(144))))
+    stacks = []
+    rep_stack = yyrep.rep_stack
+    monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
+    tensor_rep.cache_clear()
+    try:
+        code, doc = invoke(
+            ["verify", "run", "4,2", "3,2,1", "3,2,1", "--state", str(path), "--seed", "1"], capsys
+        )
+        assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
+    finally:
+        tensor_rep.cache_clear()
+    assert code == 0, doc
+    assert doc["measured"] == "3,2,1" and doc["stage"] == "internal-state-test"
+    assert doc["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert stacks == []
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_invalid_partition_exits_2(capsys):
@@ -398,8 +430,19 @@ def test_sym_dim_is_priced_before_the_hook_length_formula(capsys):
             ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
             '{"registers": [4], "amplitudes": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
         ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [8], "amplitudes": [[1.0, 0.0]' + ', [0.0, 0.0]' * 7 + ']}',
+        ),
+        (
+            ["verify", "run", "2,1", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[1.0, 0.0]' + ', [0.0, 0.0]' * 3 + ']}',
+        ),
     ],
-    ids=["missing-file", "not-json", "malformed-amplitude", "nan-amplitude"],
+    ids=[
+        "missing-file", "not-json", "malformed-amplitude", "nan-amplitude",
+        "measure-neither-d-nor-d2", "run-not-d2",
+    ],
 )
 def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "state.json"

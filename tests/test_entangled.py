@@ -24,12 +24,11 @@ from snverify.entangled import (
     vec_state,
 )
 from snverify.errors import DegenerateInputError, InvalidArgumentError
-from snverify.symgroup import Partition, Permutation, enumerate_group, irrep_dimension
+from snverify.symgroup import Partition, enumerate_group, irrep_dimension
 from snverify.wfs import wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
-    lift_with_identity,
     regular_representations,
     rep_evaluate,
     tensor_rep,
@@ -208,18 +207,6 @@ def test_isotypic_blocks_are_mutually_orthogonal():
 def test_block_basis_empty_for_absent_label():
     rep = identity_times_irrep(2, P("2,1"))
     assert isotypic_block_basis(rep, P("3")) == []
-
-
-def test_block_basis_of_a_lift_intertwines_its_generators():
-    sigma = tensor_rep(P("2,1"), P("2,1"))
-    lifted = lift_with_identity(sigma, 3)
-    lam = irrep(P("2,1"))
-    blocks = isotypic_block_basis(lifted, P("2,1"))
-    assert len(blocks) == 3  # m = 1, times the lift
-    for i in range(1, 3):
-        g = rep_evaluate(lifted, Permutation.transposition(3, i))
-        for b in blocks:
-            np.testing.assert_allclose(g @ b, b @ lam.generator_images[i - 1], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------- entangled-span spaces

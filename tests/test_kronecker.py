@@ -21,7 +21,6 @@ from snverify.wfs import lightning_distribution
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
-    lift_with_identity,
     regular_representations,
     rep_evaluate,
     tensor_rep,
@@ -129,7 +128,6 @@ def test_multiplicity_character_on_tensor_rep():
 
 def test_multiplicity_character_on_derived_reps():
     lam = P("2,1")
-    assert multiplicity_character(lift_with_identity(tensor_rep(lam, lam), 3), lam).value == 3
     assert multiplicity_character(identity_times_irrep(2, lam), lam).value == 2
     assert multiplicity_character(identity_times_irrep(2, lam), P("3")).value == 0
     # every irrep occurs in the regular representation d times

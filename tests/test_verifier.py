@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify import verifier, yyrep
-from snverify.entangled import phi_plus, unvec, vec
-from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
+from snverify import serialize, verifier, yyrep
+from snverify.cli import run
+from snverify.entangled import max_entangled_over_range, phi_plus, unvec, vec
+from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
 from snverify.verifier import (
     certify_corollary_bound,
@@ -26,7 +27,6 @@ from snverify.wfs import wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
-    lift_with_identity,
     regular_representations,
     rep_evaluate,
     tensor_rep,
@@ -59,8 +59,6 @@ def test_channel_is_idempotent_self_adjoint_projection():
 TOWER_REPS = {
     "irrep-3,1,1": lambda: irrep(P("3,1,1")),
     "tensor-3,2x3,1,1": lambda: tensor_rep(P("3,2"), P("3,1,1")),
-    "lift-3,2xI3": lambda: lift_with_identity(irrep(P("3,2")), 3),
-    "lift-2,1x2,1xI2": lambda: lift_with_identity(tensor_rep(P("2,1"), P("2,1")), 2),
     "I2x2,2,1": lambda: identity_times_irrep(2, P("2,2,1")),
     "left-regular-4": lambda: regular_representations(4)[0],
     "right-regular-4": lambda: regular_representations(4)[1],
@@ -105,6 +103,16 @@ def test_coset_tower_at_d144_is_a_projection_onto_the_commutant():
         tensor_rep.cache_clear()
 
 
+def test_certification_builds_xi_once(monkeypatch):
+    calls = []
+    build = verifier.wfs_projector
+    monkeypatch.setattr(
+        verifier, "wfs_projector", lambda rep, shape: calls.append(shape) or build(rep, shape)
+    )
+    certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2, seed=0)
+    assert calls == [P("3,1,1")]
+
+
 def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
     # Neither reads a stack: the formula averages through the coset tower,
     # and the projector and irrep blocks come from the Young lattice.
@@ -112,7 +120,7 @@ def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
         raise AssertionError(f"certification built the stack of a {rep.kind} rep")
 
     monkeypatch.setattr(yyrep, "rep_stack", guarded)
-    monkeypatch.setattr(verifier, "rep_stack", guarded)
+    monkeypatch.setattr(verifier, "rep_stack", guarded, raising=False)
     reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=5, seed=0)
     assert all(r.bound_satisfied for r in reports)
     tensor_rep.cache_clear()
@@ -175,10 +183,44 @@ def test_internal_test_formula_and_circuit_relation():
         assert circuit >= 0.5 - 1e-12
 
 
-def test_internal_test_respects_statevector_cap():
-    with pytest.raises(ResourceLimitError):
-        rep = identity_times_irrep(40, P("4,1,1,1"))
-        internal_test_probability(rep, np.zeros(rep.dim**2))
+def test_circuit_walk_is_priced_before_it_allocates(tmp_path, monkeypatch):
+    # D = 30: the sampling lattice is priced at 165,600 B, the walk at
+    # 216,000 B (the 10 images and 20 D x D arrays).
+    mu, nu, lam = P("3,2"), P("3,1,1"), P("3,1,1")
+    xi = wfs_projector(tensor_rep(mu, nu), lam)
+    path = tmp_path / "witness.json"
+    path.write_text(serialize.dumps(serialize.state_to_json(max_entangled_over_range(xi))))
+    stacks = []
+    rep_stack = yyrep.rep_stack
+    monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "200000")
+    tensor_rep.cache_clear()
+    try:
+        result = run(["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", str(path)])
+        sigma = tensor_rep(mu, nu)
+        assert sigma._transpositions is None and sigma._stack is None
+    finally:
+        tensor_rep.cache_clear()
+    assert result.exit_code == 3
+    assert result.payload["error"].startswith("the coset-tree walk of S_5 at D = 30: 216000 B")
+    assert stacks == []
+
+
+def test_circuit_walk_holds_what_it_prices():
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    tensor_rep.cache_clear()
+    sigma = tensor_rep(P("3,2"), P("3,1,1"))
+    tracemalloc.start()
+    try:
+        verifier._circuit_value(sigma, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        tensor_rep.cache_clear()
+    priced = (10 + 2 * 5 + 10) * 30 * 30 * 8
+    # Python's own objects add a few kB beside the arrays.
+    assert priced - 8192 < peak < priced + 8192, f"peak {peak} B, priced {priced} B"
 
 
 # ------------------------------------------------------- acceptance operator
@@ -400,6 +442,21 @@ def test_sampled_run_reads_only_the_circuit(monkeypatch):
     out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
     assert out["stage"] == "internal-state-test"
     assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sampled_run_builds_no_stack(monkeypatch):
+    def guarded(rep):
+        raise AssertionError(f"verify run built the stack of a {rep.kind} rep")
+
+    monkeypatch.setattr(yyrep, "rep_stack", guarded)
+    monkeypatch.setattr(verifier, "rep_stack", guarded, raising=False)
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    xi = wfs_projector(sigma, P("3,1"))
+    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)  # always samples 3,1
+    out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
+    assert out["stage"] == "internal-state-test"
+    assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
+    assert sigma._stack is None
 
 
 def test_sampled_run_is_seed_deterministic():

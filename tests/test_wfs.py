@@ -12,7 +12,7 @@ from snverify import wfs
 from snverify.entangled import isotypic_block_basis, phi_plus, psi_lambda
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.kronecker import Multiplicity, kronecker_coefficient
-from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
+from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import (
     Projector,
     gpe_kraus,
@@ -25,9 +25,7 @@ from snverify.yyrep import (
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
-    lift_with_identity,
     regular_representations,
-    rep_evaluate,
     rep_stack,
     tensor_rep,
 )
@@ -76,18 +74,6 @@ def test_projector_ranks_on_regular_representation():
     for shape in enumerate_partitions(4):
         proj = wfs_projector(left, shape)
         assert proj.rank == irrep_dimension(shape) ** 2
-
-
-def test_lifted_projector_factors():
-    sigma = tensor_rep(P("2,1"), P("2,1"))
-    lifted = lift_with_identity(sigma, sigma.dim)
-    for shape in enumerate_partitions(3):
-        base = wfs_projector(sigma, shape)
-        big = wfs_projector(lifted, shape)
-        np.testing.assert_allclose(
-            big.matrix, np.kron(base.matrix, np.eye(sigma.dim)), atol=1e-10
-        )
-        assert big.rank == base.rank * sigma.dim
 
 
 def test_projector_rejects_non_integral_trace():
@@ -139,60 +125,47 @@ def test_kraus_channel_is_trace_preserving():
 
 def test_measure_is_seed_deterministic():
     sigma = tensor_rep(P("2,1"), P("2,1"))
-    lifted = lift_with_identity(sigma, sigma.dim)
     psi = phi_plus(sigma.dim).amplitudes
-    a_label, a_post = measure_wfs(lifted, psi, seed=5)
-    b_label, b_post = measure_wfs(lifted, psi, seed=5)
+    a_label, a_post = measure_wfs(sigma, psi, seed=5)
+    b_label, b_post = measure_wfs(sigma, psi, seed=5)
     assert a_label == b_label
     assert a_post.tobytes() == b_post.tobytes()
 
 
 def test_measure_post_state_lies_in_measured_component():
     sigma = tensor_rep(P("3,1"), P("3,1"))
-    lifted = lift_with_identity(sigma, sigma.dim)
     psi = phi_plus(sigma.dim).amplitudes
     for seed in range(6):
-        label, post = measure_wfs(lifted, psi, seed)
-        proj = wfs_projector(lifted, label)
-        np.testing.assert_allclose(proj.matrix @ post, post, atol=1e-10)
+        label, post = measure_wfs(sigma, psi, seed)
+        lifted = np.kron(wfs_projector(sigma, label).matrix, np.eye(sigma.dim))
+        np.testing.assert_allclose(lifted @ post, post, atol=1e-10)
         assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_measure_on_lift_matches_dense_lifted_projectors():
-    # The lift is measured on its base; the dense lifted projector is the oracle.
+    # sigma is measured on the first register of C^D x C^k, psi = vec X with
+    # X of shape D x k: the register pair (k = D), sigma's own space (k = 1)
+    # and a smaller second register.  The dense lifted Xi x I_k is the oracle.
     sigma = tensor_rep(P("3,1"), P("2,1,1"))
-    lifted = lift_with_identity(sigma, sigma.dim)
     rng = np.random.default_rng(3)
-    for seed in range(8):
-        psi = rng.standard_normal(lifted.dim) + 1j * rng.standard_normal(lifted.dim)
-        psi /= np.linalg.norm(psi)
-        label, post = measure_wfs(lifted, psi, seed)
-        image = wfs_projector(lifted, label).matrix @ psi
-        np.testing.assert_allclose(post, image / np.linalg.norm(image), atol=1e-12)
-
-
-def test_lift_holds_no_lifted_matrices():
-    sigma = tensor_rep(P("2,1"), P("2,1"))
-    lifted = lift_with_identity(sigma, 3)
-    assert lifted.generator_images == ()
-    with pytest.raises(InvalidArgumentError):
-        rep_stack(lifted)
-    for g in enumerate_group(3):
-        np.testing.assert_allclose(
-            rep_evaluate(lifted, g), np.kron(rep_evaluate(sigma, g), np.eye(3)), atol=1e-12
-        )
+    for k in (sigma.dim, 1, 3):
+        for seed in range(8):
+            psi = rng.standard_normal(sigma.dim * k) + 1j * rng.standard_normal(sigma.dim * k)
+            psi /= np.linalg.norm(psi)
+            label, post = measure_wfs(sigma, psi, seed)
+            image = np.kron(wfs_projector(sigma, label).matrix, np.eye(k)) @ psi
+            np.testing.assert_allclose(post, image / np.linalg.norm(image), atol=1e-12)
 
 
 def test_measure_frequencies_match_lightning_distribution():
     mu = nu = P("2,1")
     sigma = tensor_rep(mu, nu)
-    lifted = lift_with_identity(sigma, sigma.dim)
     psi = phi_plus(sigma.dim).amplitudes
     dist = lightning_distribution(mu, nu)
     counts = {shape: 0 for shape in dist}
     trials = 600
     for seed in range(trials):
-        label, _ = measure_wfs(lifted, psi, seed)
+        label, _ = measure_wfs(sigma, psi, seed)
         counts[label] += 1
     for shape, prob in dist.items():
         assert counts[shape] / trials == pytest.approx(prob, abs=0.07)
@@ -202,6 +175,12 @@ def test_measure_rejects_non_unit_state():
     sigma = tensor_rep(P("2,1"), P("2,1"))
     with pytest.raises(InvalidArgumentError):
         measure_wfs(sigma, np.ones(4), seed=0)
+
+
+def test_measure_rejects_a_state_of_no_register_pair():
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    with pytest.raises(InvalidArgumentError, match="not a multiple"):
+        measure_wfs(sigma, np.eye(6)[0], seed=0)
 
 
 # ---------------------------------------------------------------- lightning
@@ -320,7 +299,6 @@ def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units):
 DERIVED_REPS = {
     "irrep-3,1,1": lambda: irrep(P("3,1,1")),
     "I2x2,2,1": lambda: identity_times_irrep(2, P("2,2,1")),
-    "lift-2,1x2,1xI2": lambda: lift_with_identity(tensor_rep(P("2,1"), P("2,1")), 2),
     "left-regular-4": lambda: regular_representations(4)[0],
 }
 

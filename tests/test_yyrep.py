@@ -30,7 +30,6 @@ from snverify.yyrep import (
     identity_times_irrep,
     irrep,
     irrep_character,
-    lift_with_identity,
     regular_representations,
     rep_evaluate,
     rep_stack,
@@ -267,12 +266,10 @@ def test_character_orthogonality_rows():
 def test_derived_representation_characters():
     mu, nu = P("2,1"), P("2,1")
     sigma = tensor_rep(mu, nu)
-    lifted = lift_with_identity(sigma, 3)
     blocked = identity_times_irrep(2, mu)
     for g in enumerate_group(3):
         chi_mu = irrep_character(mu, conjugacy_class_of(g))
         assert character(sigma, g) == pytest.approx(chi_mu * chi_mu, abs=1e-10)
-        assert character(lifted, g) == pytest.approx(3 * chi_mu * chi_mu, abs=1e-10)
         assert character(blocked, g) == pytest.approx(2 * chi_mu, abs=1e-10)
         np.testing.assert_allclose(
             rep_evaluate(blocked, g),
