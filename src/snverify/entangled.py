@@ -77,8 +77,8 @@ class Subspace:
 def norm_sq(v: np.ndarray) -> float:
     """Squared norm as a NumPy sum: the BLAS dot behind np.linalg.norm
     splits its sum by thread count, so its last bits depend on
-    OPENBLAS_NUM_THREADS."""
-    return float(np.sum(v.real**2 + v.imag**2))
+    OPENBLAS_NUM_THREADS.  A real v skips its zero imaginary part: x^2 + 0.0 = x^2."""
+    return float(np.sum(v**2 if np.isrealobj(v) else v.real**2 + v.imag**2))
 
 
 def vec(a: np.ndarray) -> np.ndarray:

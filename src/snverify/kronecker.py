@@ -1,17 +1,17 @@
 """Irrep multiplicities and Kronecker coefficients via two independent
 routes: character sums over conjugacy classes, and isotypic projector
-ranks.
+ranks.  Kronecker sums read whole columns (yyrep.character_columns),
+multiplicity_character single entries (yyrep.irrep_character).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidArgumentError, NumericalConsistencyError
 from .symgroup import Partition, class_size, enumerate_partitions, irrep_dimension
-from .yyrep import GroupRep, class_character, irrep_character, tensor_rep
+from .yyrep import GroupRep, character_columns, class_character, irrep_character, tensor_rep
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,19 @@ def multiplicity_character(rep: GroupRep, shape: Partition) -> Multiplicity:
     return Multiplicity(value=value, route="character-sum")
 
 
-@lru_cache(maxsize=None)
-def _kronecker_char(mu: Partition, nu: Partition, lam: Partition) -> int:
-    total = sum(
-        class_size(ct)
-        * irrep_character(lam, ct)
-        * irrep_character(mu, ct)
-        * irrep_character(nu, ct)
-        for ct in enumerate_partitions(mu.n)
-    )
-    return _group_average(total, mu.n, f"kronecker({mu};{nu};{lam})")
+def kronecker_multiplicities(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """m_{mu nu lam} = sum_rho |C_rho| chi^mu chi^nu chi^lam / n! for every lam."""
+    if mu.n != nu.n:
+        raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
+    shapes = enumerate_partitions(mu.n)
+    i, j = shapes.index(mu), shapes.index(nu)
+    totals = [0] * len(shapes)
+    for rho, column in character_columns(mu.n):
+        weight = class_size(rho) * column[i] * column[j]
+        if weight:
+            totals = [t + weight * c for t, c in zip(totals, column)]
+    return {lam: _group_average(t, mu.n, f"kronecker({mu};{nu};{lam})")
+            for lam, t in zip(shapes, totals)}
 
 
 def _kronecker_rank(mu: Partition, nu: Partition, lam: Partition) -> int:
@@ -78,11 +81,11 @@ def kronecker_coefficient(
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     if route == "char":
-        return Multiplicity(value=_kronecker_char(mu, nu, lam), route="character-sum")
+        return Multiplicity(value=kronecker_multiplicities(mu, nu)[lam], route="character-sum")
     if route == "rank":
         return Multiplicity(value=_kronecker_rank(mu, nu, lam), route="projector-rank")
     if route == "both":
-        by_char = _kronecker_char(mu, nu, lam)
+        by_char = kronecker_multiplicities(mu, nu)[lam]
         by_rank = _kronecker_rank(mu, nu, lam)
         if by_char != by_rank:
             raise NumericalConsistencyError(

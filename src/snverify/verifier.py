@@ -116,8 +116,8 @@ def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
     independent of channel_E's average, and no stack is built."""
     d, n = rep.dim, rep.n
     # The images, then real-over-imaginary pairs: X, the product buffer,
-    # one Y per level and the leaf with its norm's temporaries.
-    require_bytes((n * (n - 1) // 2 + 2 * n + 10) * d * d * 8,
+    # one Y per level, the leaf and its square.
+    require_bytes((n * (n - 1) // 2 + 2 * n + 6) * d * d * 8,
                   f"the coset-tree walk of S_{n} at D = {d}")
     x2 = np.concatenate([x.real, x.imag])
     right = np.empty_like(x2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .kronecker import kronecker_coefficient, multiplicity_character
+from .kronecker import kronecker_multiplicities, multiplicity_character
 from .symgroup import Partition, StandardTableau, enumerate_partitions, irrep_dimension
 from .yyrep import GroupRep, jucys_murphy_product
 
@@ -204,13 +204,9 @@ def measure_wfs(
 def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, float]:
     """Distribution of the sampled irrep label when weak Fourier sampling is
     applied to the maximally entangled state: shape -> (d/(d_mu d_nu)) * m."""
-    if mu.n != nu.n:
-        raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
+    weights = {shape: irrep_dimension(shape) * m
+               for shape, m in kronecker_multiplicities(mu, nu).items()}
     d_mu, d_nu = irrep_dimension(mu), irrep_dimension(nu)
-    weights = {
-        shape: irrep_dimension(shape) * kronecker_coefficient(mu, nu, shape).value
-        for shape in enumerate_partitions(mu.n)
-    }
     total = sum(weights.values())
     if total != d_mu * d_nu:
         raise NumericalConsistencyError(

@@ -17,8 +17,9 @@ self-test's orthogonality suites, both on irreps.
 
 Characters need no matrix: irrep_character is the exact integer given by
 the Murnaghan-Nakayama border-strip rule, and class_character builds the
-character of every other kind from it.  The trace of the dense chain is
-kept only as a test oracle.
+character of every other kind from it; character_columns runs the rule
+forward, a whole column at a time.  The trace of the dense chain is kept
+only as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, require_bytes
+from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
 from .symgroup import (
     Partition,
     Permutation,
     adjacent_transposition_decomposition,
     axial_distance,
+    class_size,
     compose,
     conjugacy_class_of,
     enumerate_group,
@@ -257,7 +259,8 @@ def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(cols, da * db)
 
 
-@lru_cache(maxsize=None)
+# Bounded: an entry at n = 20 needs at most a few hundred subproblems.
+@lru_cache(maxsize=1 << 12)
 def irrep_character(shape: Partition, cycle_type: Partition) -> int:
     """Character of the irrep at a conjugacy class, an exact integer by the
     Murnaghan-Nakayama rule (Sagan, The Symmetric Group, 4.10)."""
@@ -270,7 +273,7 @@ def irrep_character(shape: Partition, cycle_type: Partition) -> int:
     return _border_strip_sum(beta[::-1], cycle_type.parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
     """chi^lambda at the cycle parts, where beta holds the beta-numbers of
     lambda in ascending order (its abacus, no bead at 0).
@@ -296,6 +299,47 @@ def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
         value = _border_strip_sum(tuple(c - j for c in moved[j:]), rest)
         total += -value if between % 2 else value
     return total
+
+
+def character_columns(n: int):
+    """Yield (rho, [chi^lambda(rho) for lambda in enumerate_partitions(n)])
+    for every cycle type rho of n by the forward Murnaghan-Nakayama rule,
+    each column checked to square-sum to n!/|C_rho|.  lambda is the n-bead
+    mask with bits lambda_i + n - i; a strip of length r moves a bead b up
+    to an empty b + r, with sign (-1)^(beads between).  The walk goes depth
+    first down the trie of cycle types, parts smallest first (at n = 20,
+    1,253 nodes extend 89,033 masks; largest first, 2,713 and 603,953)."""
+    shapes = enumerate_partitions(n)
+    # n live columns of at most p(n) entries, 70-141 B each from n = 10 to 25 (tracemalloc).
+    require_bytes(n * len(shapes) * 144, f"the character walk of S_{n}")
+    masks = [sum(1 << (p + n - 1 - i) for i, p in enumerate(s.parts + (0,) * (n - len(s.parts))))
+             for s in shapes]
+
+    def walk(column: dict[int, int], left: int, least: int, parts: tuple[int, ...]):
+        if not left:
+            yield Partition(parts[::-1]), [column.get(m, 0) for m in masks]
+            return
+        for r in [*range(least, left // 2 + 1), left]:
+            yield from walk(_add_strips(column, r), left - r, r, parts + (r,))
+
+    for rho, values in walk({(1 << n) - 1: 1}, n, 1, ()):
+        if sum(v * v for v in values) * class_size(rho) != math.factorial(n):
+            raise NumericalConsistencyError(f"column {rho} of S_{n}: squares do not sum to n!/|C|")
+        yield rho, values
+
+
+def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
+    """Every border strip of length r added to every mask of column."""
+    out: dict[int, int] = {}
+    for mask, value in column.items():
+        movable = mask & ~(mask >> r)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            high = low << r
+            odd = (mask & (high - (low << 1))).bit_count() & 1
+            out[mask ^ low ^ high] = out.get(mask ^ low ^ high, 0) + (-value if odd else value)
+    return out
 
 
 def class_character(rep: GroupRep, cycle_type: Partition) -> int:

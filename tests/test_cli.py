@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from snverify import serialize, verifier, yyrep
 from snverify.cli import _round_floats, main, run
 from snverify.entangled import phi_plus
-from snverify.symgroup import Partition, enumerate_partitions
+from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
 from snverify.yyrep import tensor_rep
 
@@ -352,7 +352,76 @@ def test_verify_run_at_d144_fits_the_default_budget_without_sigmas_stack(
     assert stacks == []
 
 
+# m_lam in enumerate_partitions order, computed by the backward
+# irrep_character route.
+FROZEN_LIGHTNING = {
+    ("5,3,1", "4,3,2"): [0, 1, 3, 3, 5, 10, 5, 4, 14, 10, 15, 5, 7, 13, 16, 16, 13, 3, 3, 12,
+                         8, 6, 11, 6, 1, 3, 3, 1, 0, 0],
+    ("5,4,3", "4,4,2,2"): [0, 0, 1, 1, 3, 6, 3, 4, 14, 10, 15, 5, 4, 19, 25, 32, 28, 24, 7, 2,
+                           14, 31, 37, 19, 66, 46, 23, 44, 28, 7, 15, 17, 22, 64, 40, 45, 49,
+                           88, 44, 40, 46, 24, 5, 5, 31, 28, 49, 23, 31, 45, 64, 66, 28, 17, 37,
+                           32, 15, 3, 5, 22, 19, 15, 31, 25, 10, 14, 19, 14, 6, 1, 2, 4, 4, 3, 1,
+                           0, 0],
+}
+FROZEN_KRON = [
+    (("4,3,2", "4,3,2", "3,3,2,1"), 11),
+    (("5,2,2", "4,4,1", "3,3,2,1"), 4),
+    (("6,4,2", "5,4,3", "4,4,2,2"), 31),
+    (("3,3,3,3", "4,4,4", "6,3,2,1"), 2),
+]
+
+
+def test_character_commands_read_no_backward_entry(capsys, monkeypatch):
+    # lightning and kron --route char at n = 9 and 12 read only the forward
+    # columns: the backward irrep_character raises wherever it is bound.
+    def refuse(*args):
+        raise AssertionError("irrep_character was called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("snverify") and hasattr(
+            module, "irrep_character"
+        ):
+            monkeypatch.setattr(module, "irrep_character", refuse)
+    for (mu, nu), ms in FROZEN_LIGHTNING.items():
+        code, doc = invoke(["lightning", mu, nu], capsys)
+        shapes = enumerate_partitions(Partition.parse(mu).n)
+        d = irrep_dimension(Partition.parse(mu)) * irrep_dimension(Partition.parse(nu))
+        assert code == 0
+        assert doc == {f"({lam})": irrep_dimension(lam) * m / d for lam, m in zip(shapes, ms)}
+    for argv, m in FROZEN_KRON:
+        code, doc = invoke(["kron", *argv, "--route", "char"], capsys)
+        assert code == 0
+        assert doc == {"m": m, "route": "character-sum"}
+
+
 # -------------------------------------------------------------- exit codes
+
+def test_lightning_prices_the_character_walk_before_any_column(capsys, monkeypatch):
+    # n = 20: the walk is priced at 20 x 627 entries of 144 B (1.8 MB), the
+    # partitions it reads at 150 kB.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
+    strips = []
+    monkeypatch.setattr(yyrep, "_add_strips", lambda column, r: strips.append(r))
+    code, doc = invoke(["lightning", "6,5,4,3,2", "5,5,5,5"], capsys)
+    assert code == 3
+    assert doc["error"].startswith("the character walk of S_20: 1805760 B predicted")
+    assert strips == []
+
+
+def test_a_corrupted_character_column_exits_4(capsys, monkeypatch):
+    add_strips = yyrep._add_strips
+
+    def corrupted(column, r):
+        out = add_strips(column, r)
+        out[max(out)] += 1
+        return out
+
+    monkeypatch.setattr(yyrep, "_add_strips", corrupted)
+    code, doc = invoke(["lightning", "3,2", "2,2,1"], capsys)
+    assert code == 4
+    assert doc["status"] == "numerical-consistency"
+    assert "squares do not sum to n!/|C|" in doc["error"]
+
 
 def test_invalid_partition_exits_2(capsys):
     code, doc = invoke(["sym", "dim", "1,2"], capsys)

@@ -14,13 +14,21 @@ from snverify.kronecker import (
     _group_average,
     is_positive,
     kronecker_coefficient,
+    kronecker_multiplicities,
     multiplicity_character,
 )
-from snverify.symgroup import Partition, enumerate_group, enumerate_partitions, irrep_dimension
+from snverify.symgroup import (
+    Partition,
+    class_size,
+    enumerate_group,
+    enumerate_partitions,
+    irrep_dimension,
+)
 from snverify.wfs import lightning_distribution
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
+    irrep_character,
     regular_representations,
     rep_evaluate,
     tensor_rep,
@@ -161,6 +169,21 @@ def test_lightning_at_n12_sums_to_one():
         irrep_dimension(lam) * kronecker_coefficient(mu, nu, lam).value for lam in dist
     )
     assert weights == irrep_dimension(mu) * irrep_dimension(nu)
+
+
+def test_lightning_at_n15_matches_the_backward_route():
+    # The forward columns against sums of backward entries, for every lam.
+    mu, nu = P("6,5,4"), P("5,5,3,2")
+    classes = enumerate_partitions(15)
+    forward = kronecker_multiplicities(mu, nu)
+    assert list(forward) == list(classes)
+    for lam in classes:
+        total = sum(
+            class_size(ct) * irrep_character(mu, ct) * irrep_character(nu, ct)
+            * irrep_character(lam, ct)
+            for ct in classes
+        )
+        assert forward[lam] == _group_average(total, 15, f"backward {lam}"), lam
 
 
 def test_is_positive():

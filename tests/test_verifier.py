@@ -185,7 +185,7 @@ def test_internal_test_formula_and_circuit_relation():
 
 def test_circuit_walk_is_priced_before_it_allocates(tmp_path, monkeypatch):
     # D = 30: the sampling lattice is priced at 165,600 B, the walk at
-    # 216,000 B (the 10 images and 20 D x D arrays).
+    # 187,200 B (the 10 images and 16 D x D arrays).
     mu, nu, lam = P("3,2"), P("3,1,1"), P("3,1,1")
     xi = wfs_projector(tensor_rep(mu, nu), lam)
     path = tmp_path / "witness.json"
@@ -193,7 +193,7 @@ def test_circuit_walk_is_priced_before_it_allocates(tmp_path, monkeypatch):
     stacks = []
     rep_stack = yyrep.rep_stack
     monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "200000")
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "180000")
     tensor_rep.cache_clear()
     try:
         result = run(["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", str(path)])
@@ -202,7 +202,7 @@ def test_circuit_walk_is_priced_before_it_allocates(tmp_path, monkeypatch):
     finally:
         tensor_rep.cache_clear()
     assert result.exit_code == 3
-    assert result.payload["error"].startswith("the coset-tree walk of S_5 at D = 30: 216000 B")
+    assert result.payload["error"].startswith("the coset-tree walk of S_5 at D = 30: 187200 B")
     assert stacks == []
 
 
@@ -218,7 +218,7 @@ def test_circuit_walk_holds_what_it_prices():
     finally:
         tracemalloc.stop()
         tensor_rep.cache_clear()
-    priced = (10 + 2 * 5 + 10) * 30 * 30 * 8
+    priced = (10 + 2 * 5 + 6) * 30 * 30 * 8
     # Python's own objects add a few kB beside the arrays.
     assert priced - 8192 < peak < priced + 8192, f"peak {peak} B, priced {priced} B"
 

@@ -25,7 +25,9 @@ from snverify.symgroup import (
     irrep_dimension,
 )
 from snverify.yyrep import (
+    _border_strip_sum,
     character,
+    character_columns,
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
@@ -237,6 +239,22 @@ def test_exact_row_orthogonality_at_n10():
         for b in shapes:
             total = sum(z * x * y for z, x, y in zip(sizes, rows[a], rows[b]))
             assert total == (math.factorial(10) if a == b else 0), (a, b)
+
+
+def test_forward_columns_match_backward_entries_up_to_n12():
+    # Every entry of every table up to S_12 (5,929 entries at n = 12).
+    for n in range(1, 13):
+        shapes = enumerate_partitions(n)
+        columns = dict(character_columns(n))
+        assert sorted(columns) == sorted(shapes)
+        for rho, column in columns.items():
+            assert column == [irrep_character(shape, rho) for shape in shapes], (n, rho)
+            assert all(type(value) is int for value in column)
+
+
+def test_character_memos_are_bounded():
+    for memo in (irrep_character, _border_strip_sum):
+        assert memo.cache_info().maxsize is not None
 
 
 def test_character_is_a_class_function():
