@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .entangled import max_entangled_over_range, phi_plus, psi_lambda
+from .entangled import StateVector, max_entangled_over_range, phi_plus, psi_lambda
 from .errors import InvalidArgumentError, SnverifyError, require_bytes
 from .kronecker import kronecker_coefficient
 from .selftest import run_selftest
@@ -41,6 +41,7 @@ from .verifier import (
 from .wfs import lightning_distribution, measure_wfs, wfs_povm, wfs_projector
 from .yyrep import (
     fourier_transform_matrix,
+    identity_times_irrep,
     irrep,
     irrep_character,
     rep_evaluate,
@@ -118,8 +119,6 @@ def _cmd_wfs(args) -> dict:
         raise InvalidArgumentError(
             f"state has dimension {psi.shape}, not D = {sigma.dim} or D^2 = {sigma.dim**2}")
     label, post = measure_wfs(sigma, psi, args.seed)
-    from .entangled import StateVector
-
     return {
         "label": str(label),
         "post_state": serialize.state_to_json(
@@ -212,8 +211,6 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_certify_lemma(args) -> dict:
     shape = Partition.parse(args.shape)
-    from .yyrep import identity_times_irrep
-
     rep = identity_times_irrep(args.multiplicity, shape)
     reports = certify_lemma_bound(
         rep, args.trials, args.seed, perturbation=args.perturbation

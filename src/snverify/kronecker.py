@@ -1,13 +1,16 @@
 """Irrep multiplicities and Kronecker coefficients via two independent
 routes: character sums over conjugacy classes, and isotypic projector
-ranks.  Kronecker sums read whole columns (yyrep.character_columns),
-multiplicity_character single entries (yyrep.irrep_character).
+ranks.  Kronecker sums read whole columns (yyrep.character_columns), one
+walk of the table for every m_lambda of a pair, kept for the last pair
+only; multiplicity_character reads single entries (yyrep.irrep_character).
+Both come from the one border-strip kernel of yyrep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidArgumentError, NumericalConsistencyError
 from .symgroup import Partition, class_size, enumerate_partitions, irrep_dimension
@@ -47,8 +50,11 @@ def multiplicity_character(rep: GroupRep, shape: Partition) -> Multiplicity:
     return Multiplicity(value=value, route="character-sum")
 
 
+# One entry: a command asks for one (mu, nu) pair, often once per lam.
+@lru_cache(maxsize=1)
 def kronecker_multiplicities(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """m_{mu nu lam} = sum_rho |C_rho| chi^mu chi^nu chi^lam / n! for every lam."""
+    """m_{mu nu lam} = sum_rho |C_rho| chi^mu chi^nu chi^lam / n! for every
+    lam.  The dict is shared by every caller of the pair: read it only."""
     if mu.n != nu.n:
         raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
     shapes = enumerate_partitions(mu.n)

@@ -304,37 +304,22 @@ def axial_distance(t: StandardTableau, i: int) -> int:
     return (c2 - r2) - (c1 - r1)
 
 
-def adjacent_transposition_decomposition(
-    g: Permutation, strategy: str = "bubble"
-) -> list[int]:
+def adjacent_transposition_decomposition(g: Permutation) -> list[int]:
     """Indices i_1..i_k with g = sigma_{i_1} o sigma_{i_2} o ... o sigma_{i_k}
-    (composition left-to-right as listed, rightmost applied first).
-
-    The "bubble" strategy sorts the one-line word with adjacent swaps; the
-    "insertion" strategy places n, n-1, ... in turn.  Both return at most
-    n(n-1)/2 indices; they generally differ, which tests exploit to check
-    that representation evaluation is decomposition-independent.
+    (composition left-to-right as listed, rightmost applied first), at most
+    n(n-1)/2 of them: the swaps of a bubble sort of g's one-line word.
     """
     word = list(g.images)
     n = len(word)
     swaps: list[int] = []
-    if strategy == "bubble":
-        changed = True
-        while changed:
-            changed = False
-            for j in range(n - 1):
-                if word[j] > word[j + 1]:
-                    word[j], word[j + 1] = word[j + 1], word[j]
-                    swaps.append(j + 1)
-                    changed = True
-    elif strategy == "insertion":
-        for target in range(n, 1, -1):
-            pos = word.index(target)
-            for j in range(pos, target - 1):
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n - 1):
+            if word[j] > word[j + 1]:
                 word[j], word[j + 1] = word[j + 1], word[j]
                 swaps.append(j + 1)
-    else:
-        raise InvalidArgumentError(f"unknown decomposition strategy {strategy!r}")
+                changed = True
     # word * s_{j1} * ... * s_{jm} = e  =>  g = s_{jm} o ... o s_{j1}
     return swaps[::-1]
 

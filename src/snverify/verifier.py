@@ -245,14 +245,12 @@ def certify_lemma_bound(
     With perturbation set, trial states are normalized perturbations of the
     maximally entangled state at that scale instead of Haar-random states.
     """
-    if rep.kind == "irrep":
-        m, d1 = 1, rep.dim
-    elif rep.kind == "identity-times-irrep":
-        m, d1 = rep.lift_dim, rep.base.dim
-    else:
+    if rep.kind not in ("irrep", "identity-times-irrep"):
         raise InvalidArgumentError(
             "lemma certification needs an irrep or identity-times-irrep representation"
         )
+    d1 = irrep_dimension(rep.labels[0])
+    m = rep.dim // d1
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
     d = rep.dim
     target = product_target_subspace(m, d1)

@@ -15,15 +15,19 @@ representation on the whole group, as a cached |G| x D x D array in the
 order of symgroup.enumerate_group, for the Fourier transform and the
 self-test's orthogonality suites, both on irreps.
 
-Characters need no matrix: irrep_character is the exact integer given by
-the Murnaghan-Nakayama border-strip rule, and class_character builds the
-character of every other kind from it; character_columns runs the rule
-forward, a whole column at a time.  The trace of the dense chain is kept
-only as a test oracle.
+Characters need no matrix.  One Murnaghan-Nakayama kernel, _add_strips,
+adds every border strip of one length to a dict of abacus masks:
+character_columns runs it forward from the empty shape, a whole column of
+the table at a time, and irrep_character runs it on the upside-down abacus
+for a single exact entry, walking only the shapes inside lambda.
+class_character builds the character of every other kind from those
+entries.  The trace of the dense chain and the backward beta-number
+recursion are kept only as test oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,8 +57,8 @@ class GroupRep:
 
     kind is one of "irrep", "tensor", "left-regular", "right-regular",
     "identity-times-irrep"; labels carries the partition labels where
-    applicable.  base and lift_dim give the irrep and the multiplicity m
-    of "identity-times-irrep".
+    applicable.  "identity-times-irrep" is I_m x irrep(labels[0]), with
+    m = dim // d of that irrep.
     """
 
     n: int
@@ -62,8 +66,6 @@ class GroupRep:
     kind: str
     generator_images: tuple[np.ndarray, ...]
     labels: tuple[Partition, ...] = ()
-    base: "GroupRep | None" = None
-    lift_dim: int = 0
     _stack: "np.ndarray | None" = field(default=None, repr=False)
     _transpositions: "np.ndarray | None" = field(default=None, repr=False)
 
@@ -135,7 +137,7 @@ def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
     require_bytes(shape.n * (m * base.dim) ** 2 * 8, f"the generator images of I_{m} x {shape}")
     images = tuple(np.kron(np.eye(m), img) for img in base.generator_images)
     return GroupRep(n=shape.n, dim=m * base.dim, kind="identity-times-irrep",
-                    generator_images=images, labels=(shape,), base=base, lift_dim=m)
+                    generator_images=images, labels=(shape,))
 
 
 def regular_representations(n: int) -> tuple[GroupRep, GroupRep]:
@@ -259,46 +261,40 @@ def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(cols, da * db)
 
 
-# Bounded: an entry at n = 20 needs at most a few hundred subproblems.
+# Bounded: a miss costs one walk, so the memo need not keep every entry.
 @lru_cache(maxsize=1 << 12)
 def irrep_character(shape: Partition, cycle_type: Partition) -> int:
     """Character of the irrep at a conjugacy class, an exact integer by the
-    Murnaghan-Nakayama rule (Sagan, The Symmetric Group, 4.10)."""
+    Murnaghan-Nakayama rule (Sagan, The Symmetric Group, 4.10).
+
+    Removing a border strip from lambda is adding one on the upside-down
+    abacus: bead p of character_columns' mask sits at 2n - 1 - p, so lambda
+    has bits n + i - lambda_i and the empty shape the top n of 2n slots.
+    _add_strips then removes one part of rho at a time, and a bead pushed
+    past slot 2n - 1 leaves no shape.  Every state is a shape inside lambda,
+    one level at a time."""
     if shape.n != cycle_type.n:
         raise InvalidArgumentError(
             f"degree mismatch: class of S_{cycle_type.n}, irrep of S_{shape.n}"
         )
-    k = len(shape.parts)
-    beta = tuple(part + k - 1 - i for i, part in enumerate(shape.parts))
-    return _border_strip_sum(beta[::-1], cycle_type.parts)
+    n = shape.n
+    # Each level holds at most the shapes inside lambda, at character_columns' 144 B an entry.
+    require_bytes(_shapes_inside(shape) * 144, f"the character walk of {shape}")
+    parts = shape.parts + (0,) * (n - len(shape.parts))
+    level, limit = {sum(1 << (n + i - p) for i, p in enumerate(parts)): 1}, 1 << 2 * n
+    for r in cycle_type.parts:
+        level = {m: v for m, v in _add_strips(level, r).items() if m < limit}
+    return level.get(((1 << n) - 1) << n, 0)
 
 
-@lru_cache(maxsize=1 << 14)
-def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    """chi^lambda at the cycle parts, where beta holds the beta-numbers of
-    lambda in ascending order (its abacus, no bead at 0).
-
-    Removing a border strip of length r = parts[0] moves one bead from b
-    to an empty slot b - r, with sign (-1)^(beads strictly between); the
-    smaller partition then takes the remaining parts.
-    """
-    if not parts:
-        return 1
-    r, rest = parts[0], parts[1:]
-    total = 0
-    for pos, b in enumerate(beta):
-        slot = b - r
-        if slot < 0 or slot in beta:
-            continue
-        between = sum(1 for c in beta[:pos] if c > slot)
-        moved = sorted(beta[:pos] + (slot,) + beta[pos + 1 :])
-        # Beads packed at 0, 1, ..., j - 1 are empty rows: drop them.
-        j = 0
-        while j < len(moved) and moved[j] == j:
-            j += 1
-        value = _border_strip_sum(tuple(c - j for c in moved[j:]), rest)
-        total += -value if between % 2 else value
-    return total
+def _shapes_inside(shape: Partition) -> int:
+    """The number of partitions kappa with kappa_i <= lambda_i, by rows from
+    the last: ways[c] counts the rows below with the top one at most c."""
+    ways = [1] * (shape.parts[0] + 1)
+    for part in reversed(shape.parts):
+        kept = list(itertools.accumulate(ways[: part + 1]))
+        ways = kept + kept[-1:] * (len(ways) - part - 1)
+    return ways[-1]
 
 
 def character_columns(n: int):
@@ -355,7 +351,8 @@ def class_character(rep: GroupRep, cycle_type: Partition) -> int:
         mu, nu = rep.labels
         return irrep_character(mu, cycle_type) * irrep_character(nu, cycle_type)
     if rep.kind == "identity-times-irrep":
-        return rep.lift_dim * class_character(rep.base, cycle_type)
+        shape = rep.labels[0]
+        return rep.dim // irrep_dimension(shape) * irrep_character(shape, cycle_type)
     if rep.kind in ("left-regular", "right-regular"):
         return rep.dim if cycle_type.parts == (1,) * rep.n else 0
     raise InvalidArgumentError(f"no character for representation kind {rep.kind!r}")

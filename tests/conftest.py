@@ -15,6 +15,26 @@ from snverify.symgroup import (
 from snverify.yyrep import irrep, irrep_character, rep_evaluate, rep_stack
 
 
+def _insertion_word(g) -> list[int]:
+    """Indices i_1..i_k with g = sigma_{i_1} o ... o sigma_{i_k}, placing
+    n, n-1, ... in turn: a second word beside symgroup's bubble sort, which
+    it generally differs from, so that tests can check that evaluation does
+    not depend on the word."""
+    word = list(g.images)
+    swaps = []
+    for target in range(len(word), 1, -1):
+        for j in range(word.index(target), target - 1):
+            word[j], word[j + 1] = word[j + 1], word[j]
+            swaps.append(j + 1)
+    return swaps[::-1]
+
+
+# Session scope: hypothesis tests take it too.
+@pytest.fixture(scope="session")
+def insertion_word():
+    return _insertion_word
+
+
 def _commutant(rep) -> np.ndarray:
     """W = (1/|G|) sum_g rep(g) tensor rep(g)*, on C^{D^2}, summed one element
     at a time through rep_evaluate: the dense D^2 x D^2 projection onto the
@@ -59,6 +79,48 @@ def ft_row_order():
 
 
 @lru_cache(maxsize=None)
+def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """chi^lambda at the cycle parts, where beta holds the beta-numbers of
+    lambda in ascending order (its abacus, no bead at 0).
+
+    Removing a border strip of length r = parts[0] moves one bead from b
+    to an empty slot b - r, with sign (-1)^(beads strictly between); the
+    smaller partition then takes the remaining parts.
+    """
+    if not parts:
+        return 1
+    r, rest = parts[0], parts[1:]
+    total = 0
+    for pos, b in enumerate(beta):
+        slot = b - r
+        if slot < 0 or slot in beta:
+            continue
+        between = sum(1 for c in beta[:pos] if c > slot)
+        moved = sorted(beta[:pos] + (slot,) + beta[pos + 1 :])
+        # Beads packed at 0, 1, ..., j - 1 are empty rows: drop them.
+        j = 0
+        while j < len(moved) and moved[j] == j:
+            j += 1
+        value = _border_strip_sum(tuple(c - j for c in moved[j:]), rest)
+        total += -value if between % 2 else value
+    return total
+
+
+def _backward_character(shape, cycle_type) -> int:
+    """chi^shape at cycle_type by the backward Murnaghan-Nakayama recursion
+    on beta-numbers, memoised per subproblem: an oracle for the forward
+    walks of yyrep, independent of their bit masks."""
+    k = len(shape.parts)
+    beta = tuple(part + k - 1 - i for i, part in enumerate(shape.parts))
+    return _border_strip_sum(beta[::-1], cycle_type.parts)
+
+
+@pytest.fixture
+def backward_character():
+    return _backward_character
+
+
+@lru_cache(maxsize=None)
 def _character_vector(shape) -> np.ndarray:
     """chi^shape(g) for every g of enumerate_group(shape.n)."""
     return np.array([
@@ -73,7 +135,8 @@ def _group_sum(rep, weights) -> np.ndarray:
     over the irrep and takes the Kronecker product with the identity."""
     weights = np.asarray(weights, dtype=float)
     if rep.kind == "identity-times-irrep":
-        pair = (np.eye(rep.lift_dim), _group_sum(rep.base, weights))
+        base = irrep(rep.labels[0])
+        pair = (np.eye(rep.dim // base.dim), _group_sum(base, weights))
         return np.einsum("...ij,...kl->...ikjl", *pair).reshape(*weights.shape[:-1], rep.dim, rep.dim)
     if rep.kind == "tensor":
         a, b = (rep_stack(irrep(shape)) for shape in rep.labels)

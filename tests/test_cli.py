@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snverify import serialize, verifier, yyrep
+from snverify import kronecker, serialize, verifier, yyrep
 from snverify.cli import _round_floats, main, run
 from snverify.entangled import phi_plus
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
@@ -352,8 +352,8 @@ def test_verify_run_at_d144_fits_the_default_budget_without_sigmas_stack(
     assert stacks == []
 
 
-# m_lam in enumerate_partitions order, computed by the backward
-# irrep_character route.
+# m_lam in enumerate_partitions order, computed from single entries by
+# the backward Murnaghan-Nakayama recursion (now the oracle of conftest.py).
 FROZEN_LIGHTNING = {
     ("5,3,1", "4,3,2"): [0, 1, 3, 3, 5, 10, 5, 4, 14, 10, 15, 5, 7, 13, 16, 16, 13, 3, 3, 12,
                          8, 6, 11, 6, 1, 3, 3, 1, 0, 0],
@@ -373,7 +373,7 @@ FROZEN_KRON = [
 
 def test_character_commands_read_no_backward_entry(capsys, monkeypatch):
     # lightning and kron --route char at n = 9 and 12 read only the forward
-    # columns: the backward irrep_character raises wherever it is bound.
+    # columns: the single-entry irrep_character raises wherever it is bound.
     def refuse(*args):
         raise AssertionError("irrep_character was called")
 
@@ -402,6 +402,7 @@ def test_lightning_prices_the_character_walk_before_any_column(capsys, monkeypat
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
     strips = []
     monkeypatch.setattr(yyrep, "_add_strips", lambda column, r: strips.append(r))
+    kronecker.kronecker_multiplicities.cache_clear()
     code, doc = invoke(["lightning", "6,5,4,3,2", "5,5,5,5"], capsys)
     assert code == 3
     assert doc["error"].startswith("the character walk of S_20: 1805760 B predicted")
@@ -417,10 +418,44 @@ def test_a_corrupted_character_column_exits_4(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(yyrep, "_add_strips", corrupted)
+    kronecker.kronecker_multiplicities.cache_clear()
     code, doc = invoke(["lightning", "3,2", "2,2,1"], capsys)
     assert code == 4
     assert doc["status"] == "numerical-consistency"
     assert "squares do not sum to n!/|C|" in doc["error"]
+
+
+STAIRCASE = ",".join(str(part) for part in range(10, 0, -1))
+IDENTITY_55 = ",".join(str(i) for i in range(1, 56))
+
+
+def test_rep_char_of_the_staircase_at_n55(capsys):
+    code, doc = invoke(["rep", "char", STAIRCASE, IDENTITY_55], capsys)
+    assert code == 0
+    assert doc == {"chi": [float(44261486084874072183645699204710400), 0.0]}
+
+
+def test_rep_char_prices_the_walk_before_any_strip(capsys, monkeypatch):
+    # delta_10 holds 58,786 shapes: 8,465,184 B at 144 B each.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
+    strips = []
+    monkeypatch.setattr(yyrep, "_add_strips", lambda level, r: strips.append(r))
+    yyrep.irrep_character.cache_clear()
+    code, doc = invoke(["rep", "char", STAIRCASE, IDENTITY_55], capsys)
+    assert code == 3
+    assert doc["error"].startswith(f"the character walk of {STAIRCASE}: 8465184 B predicted")
+    assert strips == []
+
+
+def test_verify_certify_walks_the_character_table_once(capsys, monkeypatch):
+    # certify_corollary_bound and the acceptance operator both read m.
+    walks = []
+    columns = kronecker.character_columns
+    monkeypatch.setattr(kronecker, "character_columns", lambda n: walks.append(n) or columns(n))
+    kronecker.kronecker_multiplicities.cache_clear()
+    code, doc = invoke(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "2"], capsys)
+    assert code == 0, doc
+    assert walks == [5]
 
 
 def test_invalid_partition_exits_2(capsys):

@@ -28,7 +28,6 @@ from snverify.wfs import lightning_distribution
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
-    irrep_character,
     regular_representations,
     rep_evaluate,
     tensor_rep,
@@ -171,7 +170,7 @@ def test_lightning_at_n12_sums_to_one():
     assert weights == irrep_dimension(mu) * irrep_dimension(nu)
 
 
-def test_lightning_at_n15_matches_the_backward_route():
+def test_lightning_at_n15_matches_the_backward_route(backward_character):
     # The forward columns against sums of backward entries, for every lam.
     mu, nu = P("6,5,4"), P("5,5,3,2")
     classes = enumerate_partitions(15)
@@ -179,8 +178,8 @@ def test_lightning_at_n15_matches_the_backward_route():
     assert list(forward) == list(classes)
     for lam in classes:
         total = sum(
-            class_size(ct) * irrep_character(mu, ct) * irrep_character(nu, ct)
-            * irrep_character(lam, ct)
+            class_size(ct) * backward_character(mu, ct) * backward_character(nu, ct)
+            * backward_character(lam, ct)
             for ct in classes
         )
         assert forward[lam] == _group_average(total, 15, f"backward {lam}"), lam

@@ -247,14 +247,14 @@ def test_group_enumeration_cap(monkeypatch):
 
 # ----------------------------------------------------------- decompositions
 
-@given(perm_strategy, st.sampled_from(["bubble", "insertion"]))
-def test_decomposition_reconstructs_the_permutation(g, strategy):
-    swaps = adjacent_transposition_decomposition(g, strategy)
-    assert len(swaps) <= g.n * (g.n - 1) // 2
-    acc = Permutation.identity(g.n)
-    for i in swaps:
-        acc = compose(acc, Permutation.transposition(g.n, i))
-    assert acc == g
+@given(g=perm_strategy)
+def test_decomposition_reconstructs_the_permutation(insertion_word, g):
+    for swaps in (adjacent_transposition_decomposition(g), insertion_word(g)):
+        assert len(swaps) <= g.n * (g.n - 1) // 2
+        acc = Permutation.identity(g.n)
+        for i in swaps:
+            acc = compose(acc, Permutation.transposition(g.n, i))
+        assert acc == g
 
 
 def test_decomposition_of_identity_is_empty():
@@ -262,12 +262,10 @@ def test_decomposition_of_identity_is_empty():
         assert adjacent_transposition_decomposition(Permutation.identity(n)) == []
 
 
-def test_decomposition_strategies_can_differ():
+def test_decomposition_strategies_can_differ(insertion_word):
     # Both must multiply back to g, but the words themselves differ for
     # some elements; representation evaluation must not care.
     differing = 0
     for g in enumerate_group(4):
-        a = adjacent_transposition_decomposition(g, "bubble")
-        b = adjacent_transposition_decomposition(g, "insertion")
-        differing += a != b
+        differing += adjacent_transposition_decomposition(g) != insertion_word(g)
     assert differing > 0

@@ -4,6 +4,7 @@ defining intertwining identities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from snverify.errors import ResourceLimitError
 from snverify.symgroup import (
     Partition,
     Permutation,
-    adjacent_transposition_decomposition,
     class_representative,
     class_size,
     compose,
@@ -25,7 +25,7 @@ from snverify.symgroup import (
     irrep_dimension,
 )
 from snverify.yyrep import (
-    _border_strip_sum,
+    _shapes_inside,
     character,
     character_columns,
     fourier_transform_matrix,
@@ -105,7 +105,7 @@ def test_evaluation_is_a_homomorphism(data):
     )
 
 
-def test_evaluation_is_decomposition_independent():
+def test_evaluation_is_decomposition_independent(insertion_word):
     # Multiplying generator images along the alternate decomposition, and
     # the whole-group stack, must reproduce the bubble-sort evaluation.
     reps = [irrep(shape) for n in range(1, 6) for shape in enumerate_partitions(n)]
@@ -126,7 +126,7 @@ def test_evaluation_is_decomposition_independent():
             if rep.n > 4:
                 continue
             alt = np.eye(rep.dim, dtype=complex)
-            for i in adjacent_transposition_decomposition(g, "insertion"):
+            for i in insertion_word(g):
                 alt = alt @ rep.generator_images[i - 1]
             np.testing.assert_allclose(alt, chain, rtol=0, atol=1e-12)
 
@@ -241,20 +241,61 @@ def test_exact_row_orthogonality_at_n10():
             assert total == (math.factorial(10) if a == b else 0), (a, b)
 
 
-def test_forward_columns_match_backward_entries_up_to_n12():
-    # Every entry of every table up to S_12 (5,929 entries at n = 12).
+def test_forward_columns_match_backward_entries_up_to_n12(backward_character):
+    # Every entry of every table up to S_12 (5,929 entries at n = 12), by
+    # whole columns and by single entries.
     for n in range(1, 13):
         shapes = enumerate_partitions(n)
         columns = dict(character_columns(n))
         assert sorted(columns) == sorted(shapes)
         for rho, column in columns.items():
+            assert column == [backward_character(shape, rho) for shape in shapes], (n, rho)
             assert column == [irrep_character(shape, rho) for shape in shapes], (n, rho)
             assert all(type(value) is int for value in column)
 
 
 def test_character_memos_are_bounded():
-    for memo in (irrep_character, _border_strip_sum):
-        assert memo.cache_info().maxsize is not None
+    assert irrep_character.cache_info().maxsize is not None
+
+
+def test_staircase_character_at_n55():
+    # delta_10 = (10, 9, ..., 1) at the identity: its dimension, by one walk
+    # over the 58,786 shapes inside it.
+    staircase = Partition(tuple(range(10, 0, -1)))
+    value = irrep_character(staircase, Partition((1,) * 55))
+    assert value == 44261486084874072183645699204710400
+    assert value == irrep_dimension(staircase)
+
+
+def test_character_walk_holds_what_it_prices():
+    # Each level holds at most the shapes inside lambda; the price allows
+    # 144 B an entry.
+    cases = [("10,9,8,7,6", "1" + ",1" * 39), ("12,11,10,9,8,7,3", "3" + ",3" * 19),
+             ("8,8,8,8,8,8", "2" + ",2" * 23)]
+    for shape_text, rho_text in cases:
+        shape, rho = P(shape_text), P(rho_text)
+        tracemalloc.start()
+        try:
+            irrep_character.__wrapped__(shape, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _shapes_inside(shape) * 144, (shape_text, peak)
+
+
+def test_shapes_inside_counts_the_partitions_below():
+    for n in range(1, 9):
+        shapes = enumerate_partitions(n)
+        for shape in shapes:
+            inside = 1 + sum(  # the empty shape, and every nonempty kappa
+                len(kappa.parts) <= len(shape.parts)
+                and all(a <= b for a, b in zip(kappa.parts, shape.parts))
+                for k in range(1, n + 1)
+                for kappa in enumerate_partitions(k)
+            )
+            assert _shapes_inside(shape) == inside, shape
+    assert _shapes_inside(P("35,35")) == 666
+    assert _shapes_inside(Partition((25,) + (1,) * 25)) == 651
 
 
 def test_character_is_a_class_function():
