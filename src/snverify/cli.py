@@ -11,6 +11,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -95,7 +96,7 @@ def _cmd_rep(args) -> dict:
     g = Permutation.parse(args.perm)
     if args.action == "matrix":
         return serialize.matrix_to_json(rep_evaluate(irrep(shape), g))
-    return {"chi": [float(irrep_character(shape, conjugacy_class_of(g))), 0.0]}
+    return {"chi": [irrep_character(shape, conjugacy_class_of(g)), 0.0]}
 
 
 def _cmd_wfs(args) -> dict:
@@ -290,14 +291,18 @@ def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
         parser.add_argument(name, **keywords)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  For a command of _COMMANDS only its own subparser
+    is built; otherwise (help, an unknown command, none) the whole table,
+    which the usage and choice texts list."""
     parser = _Parser(
         prog="snverify",
         description="Symmetric-group representation and verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    table = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
+    for name, (help_text, arguments) in table.items():
+        p = sub.add_parser(name, help=help_text)
         if isinstance(arguments, dict):
             actions = p.add_subparsers(dest="action", required=True)
             for action, action_arguments in arguments.items():
@@ -333,7 +338,7 @@ PRETTY_ENTRY_BYTES = 464
 def run(argv: list[str], pretty: bool = False) -> CommandResult:
     """Execute one CLI invocation; returns the result without printing.
     With pretty, the payload is the list form rounded for --pretty."""
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         require_bytes(0, "nothing")  # a malformed budget fails every command alike
@@ -375,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     pretty = "--pretty" in argv
     if pretty:
         argv.remove("--pretty")
+    # The import-time heap lives until exit: freezing it spares the run's
+    # full collections, and those at interpreter exit, from walking it.
+    # Only the first call in a process freezes: a later one would make the
+    # cyclic garbage a caller left since then immortal.
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         result = run(argv, pretty)
     except SystemExit:  # --help

@@ -127,8 +127,13 @@ def tableau_projector(rep: GroupRep, tableau: StandardTableau) -> np.ndarray:
 
 
 def _checked(rep: GroupRep, shape: Partition, matrix: np.ndarray) -> Projector:
-    """The projector, once its trace is the exact m d of the character route."""
-    proj, m = Projector.from_matrix(matrix), multiplicity_character(rep, shape).value
+    """The projector, once its trace is the exact m d of the character route:
+    on a tensor rep from the pair's one cached column walk, else entry by entry."""
+    if rep.kind == "tensor":
+        m = kronecker_multiplicities(*rep.labels)[shape]
+    else:
+        m = multiplicity_character(rep, shape).value
+    proj = Projector.from_matrix(matrix)
     if proj.rank != m * irrep_dimension(shape):
         raise NumericalConsistencyError(f"the {shape} projector has trace {np.trace(matrix)}, "
                                         f"not m d = {m * irrep_dimension(shape)}")

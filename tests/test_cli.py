@@ -16,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snverify import kronecker, serialize, verifier, yyrep
+from snverify import cli, kronecker, serialize, verifier, yyrep
 from snverify.cli import _round_floats, main, run
 from snverify.entangled import phi_plus
+from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
 from snverify.yyrep import tensor_rep
@@ -397,15 +398,15 @@ def test_character_commands_read_no_backward_entry(capsys, monkeypatch):
 # -------------------------------------------------------------- exit codes
 
 def test_lightning_prices_the_character_walk_before_any_column(capsys, monkeypatch):
-    # n = 20: the walk is priced at 20 x 627 entries of 144 B (1.8 MB), the
-    # partitions it reads at 150 kB.
+    # n = 20: the walk is priced at 20 x 627 entries of 144 B and 4,096 B
+    # fixed (1.8 MB), the partitions it reads at 150 kB.
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
     strips = []
     monkeypatch.setattr(yyrep, "_add_strips", lambda column, r: strips.append(r))
     kronecker.kronecker_multiplicities.cache_clear()
     code, doc = invoke(["lightning", "6,5,4,3,2", "5,5,5,5"], capsys)
     assert code == 3
-    assert doc["error"].startswith("the character walk of S_20: 1805760 B predicted")
+    assert doc["error"].startswith("the character walk of S_20: 1809856 B predicted")
     assert strips == []
 
 
@@ -432,18 +433,18 @@ IDENTITY_55 = ",".join(str(i) for i in range(1, 56))
 def test_rep_char_of_the_staircase_at_n55(capsys):
     code, doc = invoke(["rep", "char", STAIRCASE, IDENTITY_55], capsys)
     assert code == 0
-    assert doc == {"chi": [float(44261486084874072183645699204710400), 0.0]}
+    assert doc == {"chi": [44261486084874072183645699204710400, 0.0]}
 
 
 def test_rep_char_prices_the_walk_before_any_strip(capsys, monkeypatch):
-    # delta_10 holds 58,786 shapes: 8,465,184 B at 144 B each.
+    # delta_10 holds 58,786 shapes: 8,465,184 B at 144 B each, and 4,096 B fixed.
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
     strips = []
     monkeypatch.setattr(yyrep, "_add_strips", lambda level, r: strips.append(r))
     yyrep.irrep_character.cache_clear()
     code, doc = invoke(["rep", "char", STAIRCASE, IDENTITY_55], capsys)
     assert code == 3
-    assert doc["error"].startswith(f"the character walk of {STAIRCASE}: 8465184 B predicted")
+    assert doc["error"].startswith(f"the character walk of {STAIRCASE}: 8469280 B predicted")
     assert strips == []
 
 
@@ -565,6 +566,73 @@ def test_unknown_subcommand_exits_2(capsys):
         assert main(argv) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "invalid-argument"
+
+
+# ------------------------------------------------------- one-command parser
+
+def _sample_argv(words, arguments):
+    """words and a value for every argument: an option's last choice, else
+    by type, else a partition."""
+    argv = list(words)
+    for arg in arguments:
+        name, keywords = (arg, {}) if isinstance(arg, str) else arg
+        value = (keywords["choices"][-1] if "choices" in keywords
+                 else {int: "3", float: "0.5"}.get(keywords.get("type"), "2,1"))
+        argv += [name, value] if name.startswith("--") else [value]
+    return argv
+
+
+def _table_argv():
+    for command, (_, arguments) in cli._COMMANDS.items():
+        if isinstance(arguments, dict):
+            for action, action_arguments in arguments.items():
+                yield _sample_argv([command, action], action_arguments)
+        else:
+            yield _sample_argv([command], arguments)
+
+
+@pytest.mark.parametrize("argv", list(_table_argv()), ids=" ".join)
+def test_one_command_parser_parses_like_the_whole_table(argv):
+    whole = cli.build_parser().parse_args(argv)
+    assert cli.build_parser(argv[0]).parse_args(argv) == whole
+    other = "sym" if argv[0] != "sym" else "kron"
+    with pytest.raises(InvalidArgumentError, match="invalid choice"):
+        cli.build_parser(argv[0]).parse_args([other, *argv[1:]])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["kron", "--help"], ["verify", "--help"], ["verify", "run", "--help"],
+     ["foo"], [], ["kron", "3,2"], ["rep", "bogus", "3"], ["lightning", "2,1", "2,1", "extra"],
+     ["verify", "run", "2,1", "2,1", "2,1"], ["sym"]],
+    ids=repr,
+)
+def test_help_and_usage_errors_match_the_whole_table(argv, capsys, monkeypatch):
+    def outcome():
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    one_command = outcome()
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+    assert outcome() == one_command
+
+
+def test_cli_process_prints_the_run_payload_and_main_freezes_the_heap_once():
+    argv = ["lightning", "4,4", "3,3,2"]
+    proc = subprocess.run([sys.executable, "-m", "snverify.cli", *argv],
+                          capture_output=True, check=True)
+    assert proc.stdout.decode() == serialize.dumps(run(argv).payload) + "\n"
+    # Importing freezes nothing; main freezes, and a second main adds nothing.
+    script = ("import gc, sys; import snverify.cli as cli; counts = [gc.get_freeze_count()]\n"
+              "for _ in range(2):\n"
+              "    cli.main(sys.argv[1:]); counts.append(gc.get_freeze_count())\n"
+              "print(*counts, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, check=True)
+    imported, first, second = map(int, proc.stderr.split())
+    assert imported == 0 < first
+    assert second <= first
 
 
 @pytest.mark.parametrize(

@@ -313,14 +313,27 @@ def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum
 
 
 def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
-    exact = wfs.multiplicity_character
+    # A tensor rep reads its pair's column walk, any other kind single entries.
+    exact, exact_pair = wfs.multiplicity_character, wfs.kronecker_multiplicities
 
     def off_by_one(rep, shape):
         return Multiplicity(value=exact(rep, shape).value + 1, route="character-sum")
 
-    sigma = tensor_rep(P("3,1"), P("2,1,1"))
     monkeypatch.setattr(wfs, "multiplicity_character", off_by_one)
-    with pytest.raises(NumericalConsistencyError, match="not m d"):
-        wfs_projector(sigma, P("2,1,1"))
-    with pytest.raises(NumericalConsistencyError, match="not m d"):
-        wfs_povm(sigma)
+    monkeypatch.setattr(wfs, "kronecker_multiplicities",
+                        lambda mu, nu: {lam: m + 1 for lam, m in exact_pair(mu, nu).items()})
+    for rep, shape in ((tensor_rep(P("3,1"), P("2,1,1")), P("2,1,1")),
+                       (identity_times_irrep(2, P("2,1,1")), P("2,1,1"))):
+        with pytest.raises(NumericalConsistencyError, match="not m d"):
+            wfs_projector(rep, shape)
+        with pytest.raises(NumericalConsistencyError, match="not m d"):
+            wfs_povm(rep)
+
+
+def test_tensor_projectors_read_the_pairs_column_walk_not_single_entries(monkeypatch):
+    entries = []
+    monkeypatch.setattr(wfs, "multiplicity_character", lambda *args: entries.append(args))
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    wfs_povm(sigma)
+    wfs_projector(sigma, P("2,2"))
+    assert entries == []

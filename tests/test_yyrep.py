@@ -3,7 +3,10 @@ against frozen hand-derived matrices, brute-force character sums, and the
 defining intertwining identities.
 """
 
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -281,6 +284,43 @@ def test_character_walk_holds_what_it_prices():
         finally:
             tracemalloc.stop()
         assert peak <= _shapes_inside(shape) * 144, (shape_text, peak)
+
+
+# Prices every require_bytes call, then traces each walk alone: the entry
+# chi^(1)((1)) and the columns of S_1, in a fresh process as the CLI runs them.
+_TINY_WALKS = """
+import json, tracemalloc
+from snverify import yyrep
+from snverify.symgroup import Partition
+
+prices, checked = [], yyrep.require_bytes
+yyrep.require_bytes = lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what)
+one = Partition((1,))
+
+def entry():
+    yyrep.irrep_character(one, one)
+
+def columns():
+    for _ in yyrep.character_columns(1):
+        pass
+
+peaks = []
+for walk in (entry, columns):
+    tracemalloc.start()
+    walk()
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps([peaks, prices]))
+"""
+
+
+def test_tiny_character_walks_hold_less_than_their_price():
+    # Below a few kB a walk's fixed cost outweighs its 144 B an entry.
+    proc = subprocess.run([sys.executable, "-c", _TINY_WALKS], capture_output=True, check=True)
+    peaks, prices = json.loads(proc.stdout)
+    assert len(prices) == 2
+    for peak, price in zip(peaks, prices):
+        assert peak <= price, (peaks, prices)
 
 
 def test_shapes_inside_counts_the_partitions_below():
