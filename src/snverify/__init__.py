@@ -30,7 +30,6 @@ from .symgroup import (
 )
 from .yyrep import (
     GroupRep,
-    character,
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
@@ -49,7 +48,7 @@ from .wfs import (
     wfs_povm,
     wfs_projector,
 )
-from .kronecker import Multiplicity, is_positive, kronecker_coefficient
+from .kronecker import Multiplicity, kronecker_coefficient
 from .entangled import (
     StateVector,
     Subspace,

@@ -99,11 +99,18 @@ def _cmd_rep(args) -> dict:
     return {"chi": [irrep_character(shape, conjugacy_class_of(g)), 0.0]}
 
 
+def _require_square_json(d: int) -> None:
+    """Price the JSON of a D x D projector or a state on C^D x C^D before
+    the lattice builds it."""
+    serialize.require_json(d * d, f"{d * d} complex entries")
+
+
 def _cmd_wfs(args) -> dict:
     mu, nu = Partition.parse(args.mu), Partition.parse(args.nu)
     sigma = tensor_rep(mu, nu)
     if args.action == "project":
         lam = Partition.parse(args.shape)
+        _require_square_json(sigma.dim)
         return serialize.projector_to_json(wfs_projector(sigma, lam), lam)
     if args.action == "povm":
         povm = wfs_povm(sigma)
@@ -147,11 +154,11 @@ def _cmd_state(args) -> dict:
     if args.action == "phi-plus":
         return serialize.state_to_json(phi_plus(args.d))
     mu, nu, lam = (Partition.parse(t) for t in (args.mu, args.nu, args.shape))
-    if args.action == "phi-pi":
-        xi = wfs_projector(tensor_rep(mu, nu), lam)
-        return serialize.state_to_json(max_entangled_over_range(xi))
-    # psi-lambda
     sigma = tensor_rep(mu, nu)
+    _require_square_json(sigma.dim)
+    if args.action == "phi-pi":
+        return serialize.state_to_json(max_entangled_over_range(wfs_projector(sigma, lam)))
+    # psi-lambda
     phi = _load_state(args.state) if args.state else phi_plus(sigma.dim).amplitudes
     state, normalization = psi_lambda(sigma, lam, phi)
     return {

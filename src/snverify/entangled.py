@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, axial_distance, enumerate_tableaux, irrep_dimension
 from .wfs import Projector, tableau_projector, wfs_projector
-from .yyrep import GroupRep
+from .yyrep import GroupRep, turn
 
 ORTHO_TOL = 1e-8
 
@@ -95,16 +95,6 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     if v.shape != (d * d,):
         raise InvalidArgumentError(f"vector of length {v.shape} is not d^2 with d = {d}")
     return v.reshape(d, d)
-
-
-def vec_state(a: np.ndarray) -> tuple[StateVector, float]:
-    """Normalized vectorization plus the Frobenius norm of the input."""
-    raw = vec(a)
-    norm = float(np.linalg.norm(raw))
-    if norm < 1e-12:
-        raise DegenerateInputError("cannot normalize the vectorization of a zero matrix")
-    d = a.shape[0]
-    return StateVector(registers=(d, d), amplitudes=raw / norm), norm
 
 
 def phi_plus(d: int) -> StateVector:
@@ -204,7 +194,7 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
         parent = t.swap(i)
         tau = axial_distance(parent, i)
         v = cols[index[parent.rows]]
-        cols[k] = (rep.generator_images[i - 1] @ v - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
+        cols[k] = (turn(rep, (i, i + 1), v).T - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
     return list(cols.transpose(2, 1, 0))
 
 

@@ -100,7 +100,3 @@ def kronecker_coefficient(
             )
         return Multiplicity(value=by_char, route="character-sum")
     raise InvalidArgumentError(f"unknown route {route!r}")
-
-
-def is_positive(mu: Partition, nu: Partition, lam: Partition) -> bool:
-    return kronecker_coefficient(mu, nu, lam).value > 0

@@ -1,5 +1,5 @@
-"""JSON schemas for matrices, states, projectors, and subspaces, and the
-one writer of the CLI's output.
+"""JSON schemas for matrices, states and projectors, and the one writer
+of the CLI's output.
 
 Complex entries serialize as [re, im] pairs at full double precision;
 matrices are row-major.  A document holds each complex array as a
@@ -25,10 +25,10 @@ import json
 
 import numpy as np
 
-from .entangled import StateVector, Subspace
+from .entangled import StateVector
 from .errors import InvalidArgumentError, require_bytes
 from .symgroup import Partition
-from .wfs import KrausElement, Projector
+from .wfs import Projector
 
 # Peak bytes per entry of a holder and its text(), measured with tracemalloc
 # on 518,400 all-distinct entries whose floats print 22.7 characters on
@@ -118,22 +118,6 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     return {"rows": rows, "cols": cols, "data": _complex_list(matrix)}
 
 
-def matrix_from_json(doc: dict) -> np.ndarray:
-    try:
-        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
-    except (KeyError, TypeError):
-        raise InvalidArgumentError("matrix JSON needs rows, cols, data") from None
-    if not all(isinstance(k, int) and k >= 0 for k in (rows, cols)):
-        raise InvalidArgumentError("matrix JSON rows and cols must be nonnegative integers")
-    try:
-        flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError):
-        raise InvalidArgumentError("matrix JSON data needs [re, im] entry pairs") from None
-    if len(flat) != rows * cols:
-        raise InvalidArgumentError(f"matrix data length {len(flat)} != {rows}*{cols}")
-    return flat.reshape(rows, cols)
-
-
 def state_to_json(state: StateVector) -> dict:
     return {
         "registers": list(state.registers),
@@ -160,17 +144,3 @@ def projector_to_json(proj: Projector, label: Partition) -> dict:
     doc["lambda"] = str(label)
     doc["rank"] = proj.rank
     return doc
-
-
-def kraus_to_json(kraus: KrausElement) -> dict:
-    doc = matrix_to_json(kraus.matrix)
-    doc["lambda"] = str(kraus.shape_label)
-    return doc
-
-
-def subspace_to_json(space: Subspace) -> dict:
-    return {
-        "ambient_dim": space.ambient_dim,
-        "dim": space.dim,
-        "basis": [_complex_list(space.basis[:, k]) for k in range(space.dim)],
-    }

@@ -187,18 +187,6 @@ def conjugacy_class_of(p: Permutation) -> Partition:
     return Partition(tuple(sorted((len(c) for c in p.cycles()), reverse=True)))
 
 
-def class_representative(cycle_type: Partition) -> Permutation:
-    """Canonical permutation with the given cycle type: consecutive cycles
-    (1..k1)(k1+1..k1+k2)..."""
-    images = []
-    start = 1
-    for part in cycle_type.parts:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return Permutation(tuple(images))
-
-
 def class_size(cycle_type: Partition) -> int:
     """Number of elements of S_n with the given cycle type: n!/z where
     z = prod_k k^{m_k} m_k!."""

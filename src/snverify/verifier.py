@@ -17,7 +17,7 @@ from .entangled import (
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import Projector, measure_wfs, wfs_projector
-from .yyrep import GroupRep, irrep, level_images, tensor_rep, transposition_images
+from .yyrep import GroupRep, irrep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
 EIGEN_ONE_TOL = 1e-8
@@ -77,24 +77,25 @@ def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     projection onto the commutant of the representation.
 
     S_k is the disjoint union of the cosets (j k) S_{k-1}, j <= k, so the
-    average is Y <- (Y + sum_{j<k} t_jk Y t_jk^T) / k for k = 2..n from
-    Y = X, with t_jk = rep((j k)): n(n-1)/2 conjugations and no stack.
-    rep is real, so Y is held as its real part over its imaginary part and
-    each conjugation is two real products."""
+    average is Y <- (Y + sum_{j<k} t_jk Y t_jk) / k for k = 2..n from
+    Y = X, with t_jk = rep((j k)): n(n-1)/2 conjugations, each two turns,
+    and no stack.  rep is real, so Y is held as the pair of its real and
+    imaginary parts."""
     x = np.asarray(x, dtype=complex)
     d = rep.dim
     if x.shape != (d, d):
         raise InvalidArgumentError(f"X must be {d} x {d}, got {x.shape}")
-    y = np.concatenate([x.real, x.imag])
-    right = np.empty_like(y)
+    _require_average(rep)
+    y = np.stack([x.real, x.imag])
     for k in range(2, rep.n + 1):
-        total = y.copy()
-        for t in level_images(rep, k):
-            np.matmul(y, t.T, out=right)
-            total += np.matmul(t, right.reshape(2, d, d)).reshape(2 * d, d)
-        total /= k
-        y = total
-    return y[:d] + 1j * y[d:]
+        y = sum((turn(rep, (j, k), turn(rep, (j, k), y)) for j in range(1, k)), y) / k
+    return y[0] + 1j * y[1]
+
+
+def _require_average(rep: GroupRep) -> None:
+    # The complex input, and by tracemalloc ten more real D x D arrays: Y,
+    # the running sum, and the three products of a conjugation's two turns.
+    require_bytes(12 * rep.dim**2 * 8, f"the coset-tower average of S_{rep.n} at D = {rep.dim}")
 
 
 def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
@@ -111,24 +112,21 @@ def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
 
     Every g is c_n ... c_2 with c_k = e or (j k), j < k, so the walk goes
     down that coset tree depth first: a child conjugates its parent's Y
-    by one transposition image, as channel_E does, and each leaf adds
+    by turning it twice, as channel_E does, and each leaf adds
     ||X + Y||_F^2 in a fixed order.  The value stays a sum over elements,
     independent of channel_E's average, and no stack is built."""
     d, n = rep.dim, rep.n
-    # The images, then real-over-imaginary pairs: X, the product buffer,
-    # one Y per level, the leaf and its square.
-    require_bytes((n * (n - 1) // 2 + 2 * n + 6) * d * d * 8,
-                  f"the coset-tree walk of S_{n} at D = {d}")
-    x2 = np.concatenate([x.real, x.imag])
-    right = np.empty_like(x2)
+    # By tracemalloc, n + 2 pairs of real D x D arrays: X, a Y for each
+    # level below the first, and the leaf and its square.
+    require_bytes((2 * n + 4) * d * d * 8, f"the coset-tree walk of S_{n} at D = {d}")
+    x2 = np.stack([x.real, x.imag])
 
     def walk(y: np.ndarray, k: int) -> float:
         if k > n:
             return norm_sq(x2 + y)
         total = walk(y, k + 1)
-        for t in level_images(rep, k):
-            np.matmul(y, t.T, out=right)
-            total += walk(np.matmul(t, right.reshape(2, d, d)).reshape(2 * d, d), k + 1)
+        for j in range(1, k):
+            total += walk(turn(rep, (j, k), turn(rep, (j, k), y)), k + 1)
         return total
 
     return walk(x2, 2) / (4 * math.factorial(n))
@@ -188,11 +186,12 @@ def _acceptance_operator(
             f"{len(blocks)} irrep blocks and rank(Xi) = {xi.rank} contradict "
             f"m = {m}, d_lambda = {d_lam}"
         )
-    # Xi B_a = B_a and rep(sigma_i) B_a = B_a rho^lambda(sigma_i) put every
-    # B_a B_b^T in the commutant and fix it by Xi.
+    # Xi B_a = B_a and rep(t) B_a = B_a rho^lambda(t) for t = (i i+1) put
+    # every B_a B_b^T in the commutant and fix it by Xi.
     residual = float(np.abs(xi.matrix @ blocks - blocks).max(initial=0.0))
-    for g, h in zip(sigma.generator_images, irrep(lam).generator_images):
-        residual = max(residual, float(np.abs(g @ blocks - blocks @ h).max(initial=0.0)))
+    for i in range(1, lam.n):
+        gap = turn(sigma, (i, i + 1), blocks) - turn(irrep(lam), (i, i + 1), blocks.mT).mT
+        residual = max(residual, float(np.abs(gap).max(initial=0.0)))
     if residual > EIGEN_ONE_TOL:
         raise NumericalConsistencyError(f"the irrep blocks leave the commutant by {residual}")
     units = blocks[:, None] @ blocks.transpose(0, 2, 1)  # [a, b] = B_a B_b^T
@@ -287,7 +286,7 @@ def certify_corollary_bound(
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
-    transposition_images(sigma)  # priced before the acceptance operator
+    _require_average(sigma)  # priced before the acceptance operator
     op, xi = _acceptance_operator(mu, nu, lam)
     accepting = op.accepting_subspace()
     center = max_entangled_over_range(xi).amplitudes

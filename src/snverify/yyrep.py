@@ -4,11 +4,12 @@ representations, and the dense group Fourier transform for S_n.
 Every representation here is real orthogonal, so its data is float64.
 A GroupRep holds generator images for the adjacent transpositions
 sigma_1..sigma_{n-1}; rep_evaluate multiplies them along a decomposition
-of one element, also where S_n is too large to enumerate.
-transposition_images caches the n(n-1)/2 images of the (j k), and
-level_images reads those of one level k.  They serve the verifier's
-coset-tower average channel_E and its coset-tree circuit, and
-jucys_murphy_product, which applies the Jucys-Murphy elements
+of one element, also where S_n is too large to enumerate.  A tensor
+product holds only its labels.  turn(rep, t, Y) = Y^T rep(t), the one
+code that applies a transposition image, reads a tensor product's factor
+images and any other kind's own, as transposition_images caches them.
+It serves the verifier's coset-tower average channel_E, its coset-tree
+circuit and its irrep blocks, and jucys_murphy_product, which applies the Jucys-Murphy elements
 X_k = sum_{j<k} (j k) that the isotypic projectors of wfs branch by; no
 isotypic quantity sums over the group.  rep_stack evaluates a
 representation on the whole group, as a cached |G| x D x D array in the
@@ -42,7 +43,6 @@ from .symgroup import (
     axial_distance,
     class_size,
     compose,
-    conjugacy_class_of,
     enumerate_group,
     enumerate_partitions,
     enumerate_tableaux,
@@ -58,8 +58,8 @@ class GroupRep:
     kind is one of "irrep", "tensor", "left-regular", "right-regular",
     "identity-times-irrep"; labels carries the partition labels where
     applicable.  "identity-times-irrep" is I_m x irrep(labels[0]), with
-    m = dim // d of that irrep.
-    """
+    m = dim // d of that irrep.  A "tensor" keeps its factors' image pairs
+    in _transpositions."""
 
     n: int
     dim: int
@@ -67,7 +67,7 @@ class GroupRep:
     generator_images: tuple[np.ndarray, ...]
     labels: tuple[Partition, ...] = ()
     _stack: "np.ndarray | None" = field(default=None, repr=False)
-    _transpositions: "np.ndarray | None" = field(default=None, repr=False)
+    _transpositions: "np.ndarray | tuple | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for img in self.generator_images:
@@ -113,19 +113,12 @@ def irrep(shape: Partition) -> GroupRep:
                     generator_images=images, labels=(shape,))
 
 
-# One entry: a command works on one (mu, nu) pair, and a pair's generator
-# and cached transposition images take 52 MB at n = 7, D = 490, so no
-# older pair is kept alive.
-@lru_cache(maxsize=1)
 def tensor_rep(mu: Partition, nu: Partition) -> GroupRep:
-    """rho^mu tensor rho^nu, generator-wise Kronecker products."""
+    """rho^mu tensor rho^nu, held as its two labels; turn applies it."""
     if mu.n != nu.n:
         raise InvalidArgumentError(f"degree mismatch: {mu} vs {nu}")
-    a, b = irrep(mu), irrep(nu)
-    require_bytes(mu.n * (a.dim * b.dim) ** 2 * 8, f"the generator images of {mu} x {nu}")
-    images = tuple(np.kron(x, y) for x, y in zip(a.generator_images, b.generator_images))
-    return GroupRep(n=mu.n, dim=a.dim * b.dim, kind="tensor",
-                    generator_images=images, labels=(mu, nu))
+    return GroupRep(n=mu.n, dim=irrep_dimension(mu) * irrep_dimension(nu), kind="tensor",
+                    generator_images=(), labels=(mu, nu))
 
 
 def identity_times_irrep(m: int, shape: Partition) -> GroupRep:
@@ -174,10 +167,16 @@ def rep_evaluate(rep: GroupRep, g: Permutation) -> np.ndarray:
     adjacent-transposition decomposition."""
     if g.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: permutation of S_{g.n}, rep of S_{rep.n}")
-    mat = np.eye(rep.dim)
+    images, mat = _images(rep), np.eye(rep.dim)
     for i in adjacent_transposition_decomposition(g):
-        mat = mat @ rep.generator_images[i - 1]
+        mat = mat @ images[i - 1]
     return mat
+
+
+def _images(rep: GroupRep) -> tuple[np.ndarray, ...]:
+    if rep.kind == "tensor":  # it has no images to multiply
+        raise InvalidArgumentError(f"{rep.labels[0]} x {rep.labels[1]} is applied by turn only")
+    return rep.generator_images
 
 
 @lru_cache(maxsize=None)
@@ -200,12 +199,13 @@ def rep_stack(rep: GroupRep) -> np.ndarray:
     |G| x D x D array built once per representation, one product per
     element: rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1})."""
     if rep._stack is None:
+        images = _images(rep)
         require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {rep.dim}")
         plan = _stack_plan(rep.n)
         stack = np.empty((len(plan) + 1, rep.dim, rep.dim))
         stack[0] = np.eye(rep.dim)
         for k, (parent, j) in enumerate(plan, start=1):
-            np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
+            np.matmul(stack[parent], images[j], out=stack[k])
         stack.setflags(write=False)
         rep._stack = stack
     return rep._stack
@@ -217,12 +217,10 @@ def transposition_images(rep: GroupRep) -> np.ndarray:
     so the images of level k are contiguous.  (k-1 k) is the generator
     sigma_{k-1} and (j k) = sigma_j (j+1 k) sigma_j."""
     if rep._transpositions is None:
-        count = rep.n * (rep.n - 1) // 2
-        # And the working arrays of channel_E: its complex input and output
-        # and four real pairs.
-        require_bytes((count + 12) * rep.dim**2 * 8,
+        gens, count = _images(rep), rep.n * (rep.n - 1) // 2
+        # And the two products that conjugate one of them.
+        require_bytes((count + 2) * rep.dim**2 * 8,
                       f"the {count} transposition images of S_{rep.n} at D = {rep.dim}")
-        gens = rep.generator_images
         images = np.empty((count, rep.dim, rep.dim))
         for k in range(2, rep.n + 1):
             start = (k - 1) * (k - 2) // 2
@@ -234,31 +232,30 @@ def transposition_images(rep: GroupRep) -> np.ndarray:
     return rep._transpositions
 
 
-def level_images(rep: GroupRep, k: int) -> np.ndarray:
-    """rep((j k)) for j = 1..k-1, 2 <= k <= n: level k of
-    transposition_images."""
-    return transposition_images(rep)[(k - 1) * (k - 2) // 2 : k * (k - 1) // 2]
+def turn(rep: GroupRep, t: tuple[int, int], y: np.ndarray) -> np.ndarray:
+    """Y^T rep(t), (..., C, D), for t = (j k), j < k, and a (..., D, C) Y.
+    rep(t) is symmetric, so turning twice conjugates.  On rho^mu x rho^nu,
+    rep(t) = A x B, and two products contract the leading axis of Y's
+    (mu, nu, C) index, turning it into (nu, C, mu) and then (C, mu, nu):
+    the large dimension is the rows of the left operand and the other two
+    are d_mu or d_nu, a shape whose bits do not depend on the BLAS thread
+    count.  Any other kind is one product with its dense image."""
+    index = (t[1] - 1) * (t[1] - 2) // 2 + t[0] - 1
+    if rep.kind != "tensor":
+        return y.mT @ transposition_images(rep)[index]
+    if rep._transpositions is None:  # the factors' pairs, looked up once per rep
+        rep._transpositions = tuple(zip(*(transposition_images(irrep(s)) for s in rep.labels)))
+    a, b = rep._transpositions[index]
+    lead, da, db, cols = y.shape[:-2], len(a), len(b), y.shape[-1]
+    turned = y.reshape(lead + (da, db * cols)).mT @ a
+    turned = turned.reshape(lead + (db, cols * da)).mT @ b
+    return turned.reshape(lead + (cols, da * db))
 
 
 def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
     """Y^T X_k for a D x C array Y and X_k = sum_{j<k} rep((j k)), 2 <= k <= n;
-    on the symmetric Y that commute with X_k this is X_k Y.
-
-    On rho^mu x rho^nu, X_k = sum_j A_j x B_j over the factors' images.
-    Each term is two products that contract the leading axis of Y's
-    (mu, nu, C) index, turning it into (nu, C, mu) and then (C, mu, nu):
-    no D x D image is built, and every product has inner and outer
-    dimension d_mu or d_nu, a shape whose bits do not depend on the BLAS
-    thread count.  Any other kind multiplies by the sum of its images."""
-    if rep.kind != "tensor":
-        return y.T @ level_images(rep, k).sum(axis=0)
-    a, b = (level_images(irrep(shape), k) for shape in rep.labels)
-    cols, da, db = y.shape[1], a.shape[1], b.shape[1]
-    out = np.zeros((cols * da, db))
-    for ta, tb in zip(a, b):
-        turned = y.reshape(da, db * cols).T @ ta
-        out += turned.reshape(db, cols * da).T @ tb
-    return out.reshape(cols, da * db)
+    on the symmetric Y that commute with X_k this is X_k Y."""
+    return sum(turn(rep, (j, k), y) for j in range(1, k))
 
 
 # What a character walk holds beyond its entries (frames, the partitions it
@@ -362,11 +359,6 @@ def class_character(rep: GroupRep, cycle_type: Partition) -> int:
     if rep.kind in ("left-regular", "right-regular"):
         return rep.dim if cycle_type.parts == (1,) * rep.n else 0
     raise InvalidArgumentError(f"no character for representation kind {rep.kind!r}")
-
-
-def character(rep: GroupRep, g: Permutation) -> complex:
-    """Trace of rep at g, a class function."""
-    return complex(class_character(rep, conjugacy_class_of(g)))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from snverify.symgroup import (
     enumerate_partitions,
     irrep_dimension,
 )
-from snverify.yyrep import irrep, irrep_character, rep_evaluate, rep_stack
+from snverify.yyrep import GroupRep, irrep, irrep_character, rep_evaluate, rep_stack
 
 
 def _insertion_word(g) -> list[int]:
@@ -35,11 +35,28 @@ def insertion_word():
     return _insertion_word
 
 
+def _dense_rep(rep):
+    """rep with dense generator images.  A tensor product holds none, so
+    its oracle is a "kron-oracle" rep with the np.kron images of its
+    factors, which rep_evaluate, rep_stack and the dense branch of turn
+    read like any other; every other kind is returned as it is."""
+    if rep.kind != "tensor":
+        return rep
+    a, b = (irrep(shape).generator_images for shape in rep.labels)
+    return GroupRep(n=rep.n, dim=rep.dim, kind="kron-oracle", labels=rep.labels,
+                    generator_images=tuple(np.kron(x, y) for x, y in zip(a, b)))
+
+
+@pytest.fixture(scope="session")
+def dense_rep():
+    return _dense_rep
+
+
 def _commutant(rep) -> np.ndarray:
     """W = (1/|G|) sum_g rep(g) tensor rep(g)*, on C^{D^2}, summed one element
     at a time through rep_evaluate: the dense D^2 x D^2 projection onto the
     commutant, for small D only."""
-    group = enumerate_group(rep.n)
+    group, rep = enumerate_group(rep.n), _dense_rep(rep)
     total = sum(np.kron(rep_evaluate(rep, g), rep_evaluate(rep, g).conj()) for g in group)
     return total / len(group)
 
@@ -53,7 +70,7 @@ def _stack_average(rep, x) -> np.ndarray:
     """(1/|G|) sum_g rep(g) X rep(g)^T over rep's whole stack: the group
     average element by element, against which channel_E's coset tower is
     checked."""
-    stack = rep_stack(rep)
+    stack = rep_stack(_dense_rep(rep))
     return (stack @ x @ stack.transpose(0, 2, 1)).mean(axis=0)
 
 

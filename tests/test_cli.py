@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snverify import cli, kronecker, serialize, verifier, yyrep
+from snverify import cli, kronecker, serialize, verifier, wfs, yyrep
 from snverify.cli import _round_floats, main, run
-from snverify.entangled import phi_plus
+from snverify.entangled import max_entangled_over_range, phi_plus
 from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
@@ -67,7 +67,8 @@ def test_sym_tableaux(capsys):
 def test_rep_matrix_round_trips_schema(capsys):
     code, doc = invoke(["rep", "matrix", "2,1", "2,3,1"], capsys)
     assert code == 0
-    m = serialize.matrix_from_json(doc)
+    assert (doc["rows"], doc["cols"]) == (2, 2)
+    m = np.array([complex(re, im) for re, im in doc["data"]]).reshape(2, 2)
     np.testing.assert_allclose(np.trace(m), -1.0, atol=1e-10)
 
 
@@ -95,10 +96,7 @@ def test_verify_spectrum(capsys):
 def test_verify_spectrum_at_n6_with_d144(capsys):
     # D = 9 * 16 = 144: the closed-form route never builds the 20736^2 operator.
     m = run(["kron", "4,2", "3,2,1", "3,2,1", "--route", "char"]).payload["m"]
-    try:
-        code, doc = invoke(["verify", "spectrum", "4,2", "3,2,1", "3,2,1"], capsys)
-    finally:
-        tensor_rep.cache_clear()  # drop the cached pair
+    code, doc = invoke(["verify", "spectrum", "4,2", "3,2,1", "3,2,1"], capsys)
     assert code == 0
     spectrum = np.array(doc["spectrum"])
     half = m * 16 * 144 - m * m
@@ -110,37 +108,45 @@ def test_verify_spectrum_at_n6_with_d144(capsys):
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; the
-    # formula reads only the 15 transposition images (2.5 MB).
+    # formula holds 12 D x D arrays (2.0 MB) and the factors' images.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
-    tensor_rep.cache_clear()
-    try:
-        code, doc = invoke(
-            ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys
-        )
-        assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
-    finally:
-        tensor_rep.cache_clear()
+    code, doc = invoke(["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys)
     assert code == 0
     assert doc["violations"] == 0
 
 
-def test_certify_prices_the_transposition_images_before_the_acceptance_operator(
+def test_certify_prices_the_coset_tower_average_before_the_acceptance_operator(
     capsys, monkeypatch
 ):
-    # D = 30: the 10 images and the working arrays take 158,400 B.
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "100000")
-    tensor_rep.cache_clear()
-    try:
-        code, doc = invoke(
-            ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], capsys
-        )
-        sigma = tensor_rep(Partition.parse("3,2"), Partition.parse("3,1,1"))
-        assert sigma._transpositions is None and sigma._stack is None
-    finally:
-        tensor_rep.cache_clear()
+    # D = 30: 12 D x D arrays take 86,400 B.
+    built = []
+    monkeypatch.setattr(verifier, "_acceptance_operator", lambda *args: built.append(args))
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "86399")
+    code, doc = invoke(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], capsys)
     assert code == 3
-    assert doc["status"] == "resource-limit"
-    assert "transposition images" in doc["error"]
+    assert doc["error"].startswith("the coset-tower average of S_5 at D = 30: 86400 B")
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "3"],
+     ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "{witness}"]],
+    ids=["certify", "run"],
+)
+def test_verifier_reads_no_transposition_image_of_sigma(argv, tmp_path, capsys, monkeypatch):
+    # turn reads the factors' images; sigma's own would be D x D.
+    xi = wfs_projector(tensor_rep(Partition.parse("3,2"), Partition.parse("3,1,1")),
+                       Partition.parse("3,1,1"))
+    path = tmp_path / "witness.json"
+    path.write_text(serialize.dumps(serialize.state_to_json(max_entangled_over_range(xi))))
+    kinds = []
+    images = yyrep.transposition_images
+    monkeypatch.setattr(yyrep, "transposition_images",
+                        lambda rep: kinds.append(rep.kind) or images(rep))
+    code, doc = invoke([token.format(witness=path) for token in argv], capsys)
+    assert code == 0, doc
+    assert "irrep" in kinds and "tensor" not in kinds
 
 
 def test_verify_spectrum_at_n8_enumerates_no_group_and_builds_no_stack(capsys, monkeypatch):
@@ -150,12 +156,7 @@ def test_verify_spectrum_at_n8_enumerates_no_group_and_builds_no_stack(capsys, m
     enumerated = []
     enumerate_group = yyrep.enumerate_group
     monkeypatch.setattr(yyrep, "enumerate_group", lambda n: enumerated.append(n) or enumerate_group(n))
-    tensor_rep.cache_clear()
-    try:
-        code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
-        assert tensor_rep(Partition.parse("5,2,1"), Partition.parse("8"))._stack is None
-    finally:
-        tensor_rep.cache_clear()
+    code, doc = invoke(["verify", "spectrum", "5,2,1", "8", "5,2,1"], capsys)
     assert code == 0
     assert doc["eigenvalue_one_multiplicity"] == 1
     assert yyrep.irrep(Partition.parse("5,2,1"))._stack is None
@@ -174,10 +175,7 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
     # D = 256: sigma's own stack would take 377 MB; the lattice holds a few
     # D x D arrays.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
-    try:
-        code, doc = invoke(argv, capsys)
-    finally:
-        tensor_rep.cache_clear()
+    code, doc = invoke(argv, capsys)
     assert code == 0
     assert expect.items() <= doc.items()
 
@@ -331,22 +329,17 @@ def test_verify_run_with_state_file(tmp_path, capsys):
 def test_verify_run_at_d144_fits_the_default_budget_without_sigmas_stack(
     tmp_path, capsys, monkeypatch
 ):
-    # sigma's own stack would take 119 MB; the coset-tree walk holds the 15
-    # transposition images and 22 D x D arrays (6.1 MB).
+    # sigma's own stack would take 119 MB; the coset-tree walk holds 16
+    # D x D arrays (2.7 MB) and the factors' images.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     path = tmp_path / "phi144.json"
     path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(144))))
     stacks = []
     rep_stack = yyrep.rep_stack
     monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
-    tensor_rep.cache_clear()
-    try:
-        code, doc = invoke(
-            ["verify", "run", "4,2", "3,2,1", "3,2,1", "--state", str(path), "--seed", "1"], capsys
-        )
-        assert tensor_rep(Partition.parse("4,2"), Partition.parse("3,2,1"))._stack is None
-    finally:
-        tensor_rep.cache_clear()
+    code, doc = invoke(
+        ["verify", "run", "4,2", "3,2,1", "3,2,1", "--state", str(path), "--seed", "1"], capsys
+    )
     assert code == 0, doc
     assert doc["measured"] == "3,2,1" and doc["stage"] == "internal-state-test"
     assert doc["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-12)
@@ -496,6 +489,25 @@ def test_rep_ft_prices_its_json_before_building_the_transform(capsys, monkeypatc
         assert code == 3
         assert doc["error"].startswith("the JSON of the ")
     assert stacks == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wfs", "project", "5,3", "4,2,2", "5,3"], ["state", "phi-pi", "5,3", "4,2,2", "5,3"],
+     ["state", "psi-lambda", "5,3", "4,2,2", "5,3"]],
+    ids=["wfs-project", "phi-pi", "psi-lambda"],
+)
+def test_square_outputs_price_their_json_before_the_lattice(argv, capsys, monkeypatch):
+    # D = 1,568: the D^2 entries outweigh the lattice's arrays, which took
+    # seconds to build before the JSON was refused.
+    def refuse(*args):
+        raise AssertionError("the lattice ran")
+
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    monkeypatch.setattr(wfs, "_lattice", refuse)
+    code, doc = invoke(argv, capsys)
+    assert code == 3
+    assert doc["error"].startswith("the JSON of 2458624 complex entries: 629407744 B")
 
 
 def test_pretty_output_is_priced_before_it_is_rounded(capsys, monkeypatch):

@@ -21,7 +21,6 @@ from snverify.entangled import (
     psi_lambda,
     unvec,
     vec,
-    vec_state,
 )
 from snverify.errors import DegenerateInputError, InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_group, irrep_dimension
@@ -60,16 +59,6 @@ def test_vec_preserves_frobenius_inner_product(seed, d):
     a, b = random_matrix(rng, d), random_matrix(rng, d)
     assert np.vdot(vec(a), vec(b)) == pytest.approx(np.trace(a.conj().T @ b), abs=1e-9)
     np.testing.assert_allclose(unvec(vec(a), d), a, atol=0)
-
-
-def test_vec_state_normalizes():
-    rng = np.random.default_rng(7)
-    a = random_matrix(rng, 3)
-    state, norm = vec_state(a)
-    assert norm == pytest.approx(np.linalg.norm(a), abs=1e-12)
-    np.testing.assert_allclose(state.amplitudes * norm, vec(a), atol=1e-12)
-    with pytest.raises(DegenerateInputError):
-        vec_state(np.zeros((3, 3)))
 
 
 def test_phi_plus_is_normalized_vec_identity():

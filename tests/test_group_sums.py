@@ -1,6 +1,7 @@
 """Every isotypic quantity, the group average and the circuit are checked
 here against a brute-force per-element Python sum over the single-element
-chain rep_evaluate, at n <= 4.
+chain rep_evaluate, at n <= 4; a tensor product is evaluated through its
+dense np.kron oracle.
 """
 
 import math
@@ -47,17 +48,17 @@ def close(got, expected):
     np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
 
 
-def test_projector_matches_per_element_sum(rep):
+def test_projector_matches_per_element_sum(rep, dense_rep):
     group = enumerate_group(rep.n)
     for shape in enumerate_partitions(rep.n):
         d = irrep(shape).dim
         brute = sum(
-            d / len(group) * np.conj(chain_chi(shape, g)) * rep_evaluate(rep, g) for g in group
+            d / len(group) * np.conj(chain_chi(shape, g)) * rep_evaluate(dense_rep(rep), g) for g in group
         )
         close(wfs_projector(rep, shape).matrix, brute)
 
 
-def test_kraus_element_matches_per_element_sum(rep, ft_row_order):
+def test_kraus_element_matches_per_element_sum(rep, ft_row_order, dense_rep):
     group = enumerate_group(rep.n)
     size = len(group)
     rows = ft_row_order(rep.n)
@@ -69,11 +70,11 @@ def test_kraus_element_matches_per_element_sum(rep, ft_row_order):
                 if lab == shape else 0.0
                 for lab, i, j in rows
             ])
-            brute += np.kron(control[:, None], rep_evaluate(rep, g)) / math.sqrt(size)
+            brute += np.kron(control[:, None], rep_evaluate(dense_rep(rep), g)) / math.sqrt(size)
         close(gpe_kraus(rep, shape).matrix, brute)
 
 
-def test_block_units_match_per_element_sum(rep):
+def test_block_units_match_per_element_sum(rep, dense_rep):
     # e_i1 = sum_a B_a[:, i] B_a[:, 0]^T over the aligned irrep blocks.
     group = enumerate_group(rep.n)
     for shape in enumerate_partitions(rep.n):
@@ -83,20 +84,20 @@ def test_block_units_match_per_element_sum(rep):
         assert units.shape == (lam.dim, rep.dim, rep.dim)
         for i in range(lam.dim):
             brute = sum(
-                lam.dim / len(group) * np.conj(rep_evaluate(lam, g)[i, 0]) * rep_evaluate(rep, g)
+                lam.dim / len(group) * np.conj(rep_evaluate(lam, g)[i, 0]) * rep_evaluate(dense_rep(rep), g)
                 for g in group
             )
             close(units[i], brute)
 
 
-def test_psi_lambda_matches_per_element_sum(rep):
+def test_psi_lambda_matches_per_element_sum(rep, dense_rep):
     d = rep.dim
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     phi /= np.linalg.norm(phi)
     for shape in enumerate_partitions(rep.n):
         total = sum(
-            np.conj(chain_chi(shape, h)) * (rep_evaluate(rep, h) @ unvec(phi, d))
+            np.conj(chain_chi(shape, h)) * (rep_evaluate(dense_rep(rep), h) @ unvec(phi, d))
             for h in enumerate_group(rep.n)
         )
         norm_sq = float(np.linalg.norm(total) ** 2)
@@ -109,11 +110,11 @@ def test_psi_lambda_matches_per_element_sum(rep):
         close(state.amplitudes, vec(total) / math.sqrt(norm_sq))
 
 
-def test_channel_matches_per_element_sum(rep):
+def test_channel_matches_per_element_sum(rep, dense_rep):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
     group = enumerate_group(rep.n)
-    brute = sum(rep_evaluate(rep, g) @ x @ rep_evaluate(rep, g).conj().T for g in group)
+    brute = sum(rep_evaluate(dense_rep(rep), g) @ x @ rep_evaluate(dense_rep(rep), g).conj().T for g in group)
     close(channel_E(rep, x), brute / len(group))
 
 
@@ -124,7 +125,7 @@ def test_commutant_matches_per_element_sum(rep, commutant_oracle):
     close(commutant_oracle(rep) @ vec(x), vec(channel_E(rep, x)))
 
 
-def test_circuit_value_matches_statevector_loop(rep):
+def test_circuit_value_matches_statevector_loop(rep, dense_rep):
     d = rep.dim
     group = enumerate_group(rep.n)
     size = len(group)
@@ -135,7 +136,7 @@ def test_circuit_value_matches_statevector_loop(rep):
     tau = np.kron(np.full(size, 1.0 / math.sqrt(size)), psi)
     u_tau = np.empty_like(tau)
     for k, g in enumerate(group):
-        mat = rep_evaluate(rep, g)
+        mat = rep_evaluate(dense_rep(rep), g)
         block = unvec(tau[k * d * d : (k + 1) * d * d], d)
         u_tau[k * d * d : (k + 1) * d * d] = vec(mat @ block @ mat.conj().T)
     brute = float(np.linalg.norm((tau + u_tau) / 2) ** 2)

@@ -12,7 +12,6 @@ from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.kronecker import (
     Multiplicity,
     _group_average,
-    is_positive,
     kronecker_coefficient,
     kronecker_multiplicities,
     multiplicity_character,
@@ -183,11 +182,6 @@ def test_lightning_at_n15_matches_the_backward_route(backward_character):
             for ct in classes
         )
         assert forward[lam] == _group_average(total, 15, f"backward {lam}"), lam
-
-
-def test_is_positive():
-    assert is_positive(P("2,1"), P("2,1"), P("2,1"))
-    assert not is_positive(P("3"), P("3"), P("2,1"))
 
 
 def test_negative_multiplicity_rejected():

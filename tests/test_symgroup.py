@@ -17,7 +17,6 @@ from snverify.symgroup import (
     StandardTableau,
     adjacent_transposition_decomposition,
     axial_distance,
-    class_representative,
     class_size,
     compose,
     conjugacy_class_of,
@@ -196,13 +195,6 @@ def test_conjugacy_class_is_conjugation_invariant(g):
     for h in enumerate_group(g.n)[:6]:
         conj = compose(compose(h, g), inverse(h))
         assert conjugacy_class_of(conj) == conjugacy_class_of(g)
-
-
-def test_class_representative_has_its_cycle_type():
-    for n in range(1, 7):
-        for cycle_type in enumerate_partitions(n):
-            rep = class_representative(cycle_type)
-            assert conjugacy_class_of(rep) == cycle_type
 
 
 def test_class_sizes_sum_to_group_order():

@@ -8,10 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify import serialize, verifier, yyrep
-from snverify.cli import run
-from snverify.entangled import max_entangled_over_range, phi_plus, unvec, vec
-from snverify.errors import InvalidArgumentError, NumericalConsistencyError
+from snverify import verifier, yyrep
+from snverify.entangled import phi_plus, unvec, vec
+from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
 from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
 from snverify.verifier import (
     certify_corollary_bound,
@@ -38,7 +37,7 @@ P = Partition.parse
 
 # ------------------------------------------------------------ group average
 
-def test_channel_is_idempotent_self_adjoint_projection():
+def test_channel_is_idempotent_self_adjoint_projection(dense_rep):
     sigma = tensor_rep(P("2,1"), P("2,1"))
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -52,7 +51,7 @@ def test_channel_is_idempotent_self_adjoint_projection():
         assert lhs == pytest.approx(rhs, abs=1e-9)
         # output commutes with the whole representation
         for g in enumerate_group(3):
-            m = rep_evaluate(sigma, g)
+            m = rep_evaluate(dense_rep(sigma), g)
             np.testing.assert_allclose(m @ ex, ex @ m, atol=1e-9)
 
 
@@ -88,19 +87,14 @@ def test_transposition_images_are_the_transpositions():
             k += 1
 
 
-def test_coset_tower_at_d144_is_a_projection_onto_the_commutant():
-    tensor_rep.cache_clear()
-    try:
-        sigma = tensor_rep(P("4,2"), P("3,2,1"))
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((144, 144)) + 1j * rng.standard_normal((144, 144))
-        ex = channel_E(sigma, x)
-        np.testing.assert_allclose(channel_E(sigma, ex), ex, rtol=0, atol=1e-12)
-        for g in sigma.generator_images:
-            np.testing.assert_allclose(g @ ex, ex @ g, rtol=0, atol=1e-12)
-        assert sigma._stack is None
-    finally:
-        tensor_rep.cache_clear()
+def test_coset_tower_at_d144_is_a_projection_onto_the_commutant(dense_rep):
+    sigma = tensor_rep(P("4,2"), P("3,2,1"))
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((144, 144)) + 1j * rng.standard_normal((144, 144))
+    ex = channel_E(sigma, x)
+    np.testing.assert_allclose(channel_E(sigma, ex), ex, rtol=0, atol=1e-12)
+    for g in dense_rep(sigma).generator_images:
+        np.testing.assert_allclose(g @ ex, ex @ g, rtol=0, atol=1e-12)
 
 
 def test_certification_builds_xi_once(monkeypatch):
@@ -123,11 +117,7 @@ def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
     monkeypatch.setattr(verifier, "rep_stack", guarded, raising=False)
     reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=5, seed=0)
     assert all(r.bound_satisfied for r in reports)
-    tensor_rep.cache_clear()
-    try:
-        trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=5, seed=0)
-    finally:
-        tensor_rep.cache_clear()
+    trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=5, seed=0)
     assert all(t.corollary.bound_satisfied and t.theorem.bound_satisfied for t in trials)
 
 
@@ -183,42 +173,32 @@ def test_internal_test_formula_and_circuit_relation():
         assert circuit >= 0.5 - 1e-12
 
 
-def test_circuit_walk_is_priced_before_it_allocates(tmp_path, monkeypatch):
-    # D = 30: the sampling lattice is priced at 165,600 B, the walk at
-    # 187,200 B (the 10 images and 16 D x D arrays).
-    mu, nu, lam = P("3,2"), P("3,1,1"), P("3,1,1")
-    xi = wfs_projector(tensor_rep(mu, nu), lam)
-    path = tmp_path / "witness.json"
-    path.write_text(serialize.dumps(serialize.state_to_json(max_entangled_over_range(xi))))
-    stacks = []
-    rep_stack = yyrep.rep_stack
-    monkeypatch.setattr(yyrep, "rep_stack", lambda rep: stacks.append(rep) or rep_stack(rep))
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "180000")
-    tensor_rep.cache_clear()
-    try:
-        result = run(["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", str(path)])
-        sigma = tensor_rep(mu, nu)
-        assert sigma._transpositions is None and sigma._stack is None
-    finally:
-        tensor_rep.cache_clear()
-    assert result.exit_code == 3
-    assert result.payload["error"].startswith("the coset-tree walk of S_5 at D = 30: 187200 B")
-    assert stacks == []
+def test_circuit_walk_is_priced_before_it_allocates(monkeypatch):
+    # D = 30: the walk is priced at 100,800 B, 14 D x D arrays.  verify run
+    # prices the sampling lattice, 165,600 B, first, so the walk is called
+    # here directly.
+    sigma = tensor_rep(P("3,2"), P("3,1,1"))
+    turns = []
+    monkeypatch.setattr(verifier, "turn", lambda *args: turns.append(args))
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "100799")
+    with pytest.raises(ResourceLimitError) as raised:
+        verifier._circuit_value(sigma, np.eye(30, dtype=complex))
+    assert str(raised.value).startswith("the coset-tree walk of S_5 at D = 30: 100800 B")
+    assert turns == []
 
 
 def test_circuit_walk_holds_what_it_prices():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    tensor_rep.cache_clear()
     sigma = tensor_rep(P("3,2"), P("3,1,1"))
+    verifier._circuit_value(sigma, x)  # the factors' images, cached and priced apart
     tracemalloc.start()
     try:
         verifier._circuit_value(sigma, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        tensor_rep.cache_clear()
-    priced = (10 + 2 * 5 + 6) * 30 * 30 * 8
+    priced = (2 * 5 + 4) * 30 * 30 * 8
     # Python's own objects add a few kB beside the arrays.
     assert priced - 8192 < peak < priced + 8192, f"peak {peak} B, priced {priced} B"
 
@@ -323,7 +303,6 @@ def test_structured_verifier_stays_below_one_dense_operator_in_memory():
         "run_verifier_sampled": lambda: run_verifier_sampled(mu, nu, lam, witness, seed=0),
     }
     for name, call in runs.items():
-        tensor_rep.cache_clear()
         tracemalloc.start()
         try:
             call()
@@ -456,7 +435,6 @@ def test_sampled_run_builds_no_stack(monkeypatch):
     out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
     assert out["stage"] == "internal-state-test"
     assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
-    assert sigma._stack is None
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -468,7 +446,6 @@ def test_sampled_run_is_seed_deterministic():
 
 def test_acceptance_operator_at_d144_builds_no_tensor_stack():
     mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
-    tensor_rep.cache_clear()
     tracemalloc.start()
     try:
         verification_acceptance_operator(mu, nu, lam)
@@ -476,5 +453,3 @@ def test_acceptance_operator_at_d144_builds_no_tensor_stack():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20, f"peak {peak} B"
-    assert tensor_rep(mu, nu)._stack is None
-    tensor_rep.cache_clear()

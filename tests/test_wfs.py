@@ -102,14 +102,12 @@ def test_kraus_element_squares_to_projector(mu, nu):
 
 def test_kraus_element_reads_only_the_factor_stacks():
     # Its rows come from the irrep blocks: no Fourier transform, and no
-    # stack of the tensor product itself.
-    tensor_rep.cache_clear()
+    # stack of the tensor product itself, which has no images to stack.
     fourier_transform_matrix.cache_clear()
     sigma = tensor_rep(P("3,1"), P("2,1,1"))
     for shape in enumerate_partitions(4):
         gpe_kraus(sigma, shape)
     assert fourier_transform_matrix.cache_info().misses == 0
-    assert sigma._stack is None
 
 
 def test_kraus_channel_is_trace_preserving():
@@ -215,7 +213,6 @@ def test_lightning_with_sign_twist_permutes_labels():
 
 def test_isotypic_sums_never_build_the_tensor_stack():
     mu, nu, lam = P("3,2,1"), P("4,1,1"), P("3,2,1")
-    tensor_rep.cache_clear()
     sigma = tensor_rep(mu, nu)  # D = 160
     tracemalloc.start()
     try:
@@ -227,14 +224,12 @@ def test_isotypic_sums_never_build_the_tensor_stack():
     assert kronecker_coefficient(mu, nu, lam, route="rank").value == 4
     psi_lambda(sigma, lam, phi_plus(sigma.dim).amplitudes)
     assert len(isotypic_block_basis(sigma, lam)) == 4
-    assert sigma._stack is None
-    tensor_rep.cache_clear()
 
 
-def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector):
-    # The contraction against sigma's own stack is the oracle.
+def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector, dense_rep):
+    # The contraction against the stack of sigma's dense oracle is the oracle.
     sigma = tensor_rep(P("3,2,1"), P("5,1"))
-    stack = rep_stack(sigma)
+    stack = rep_stack(dense_rep(sigma))
     for shape in enumerate_partitions(6):
         weights = irrep_dimension(shape) / len(stack) * character_vector(shape)
         oracle = np.einsum("g,gij->ij", weights, stack)
@@ -244,7 +239,6 @@ def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector
     blocks = np.array(isotypic_block_basis(sigma, P("4,2")))
     units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
     np.testing.assert_allclose(units, oracle, rtol=0, atol=1e-12)
-    tensor_rep.cache_clear()  # drop the 37 MB stack
 
 
 # ------------------------------------- the Young lattice against group sums
@@ -281,7 +275,7 @@ def test_lattice_povm_matches_the_group_sum_projectors(mu, nu, group_sum_project
 @pytest.mark.parametrize(
     "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
 )
-def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units):
+def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units, dense_rep):
     # e_i1 = sum_a B_a[:, i] B_a[:, 0]^T, and each block intertwines the
     # generators with the irrep's.
     sigma = tensor_rep(mu, nu)
@@ -292,7 +286,7 @@ def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units):
         assert len(blocks) == kronecker_coefficient(mu, nu, lam).value
         units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
         np.testing.assert_allclose(units, matrix_units(sigma, lam), rtol=0, atol=1e-12)
-        for g, h in zip(sigma.generator_images, irrep(lam).generator_images):
+        for g, h in zip(dense_rep(sigma).generator_images, irrep(lam).generator_images):
             np.testing.assert_allclose(g @ blocks, blocks @ h, rtol=0, atol=1e-12)
 
 

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snverify.errors import ResourceLimitError
+from snverify.errors import InvalidArgumentError, ResourceLimitError
 from snverify.symgroup import (
     Partition,
     Permutation,
-    class_representative,
     class_size,
     compose,
     conjugacy_class_of,
@@ -29,8 +28,8 @@ from snverify.symgroup import (
 )
 from snverify.yyrep import (
     _shapes_inside,
-    character,
     character_columns,
+    class_character,
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
@@ -40,6 +39,8 @@ from snverify.yyrep import (
     rep_stack,
     stack_bytes,
     tensor_rep,
+    transposition_images,
+    turn,
     yy_generator_matrix,
 )
 
@@ -108,12 +109,12 @@ def test_evaluation_is_a_homomorphism(data):
     )
 
 
-def test_evaluation_is_decomposition_independent(insertion_word):
+def test_evaluation_is_decomposition_independent(insertion_word, dense_rep):
     # Multiplying generator images along the alternate decomposition, and
     # the whole-group stack, must reproduce the bubble-sort evaluation.
     reps = [irrep(shape) for n in range(1, 6) for shape in enumerate_partitions(n)]
     reps += [
-        tensor_rep(P("2,1"), P("2,1")),
+        dense_rep(tensor_rep(P("2,1"), P("2,1"))),
         identity_times_irrep(2, P("2,1")),
         regular_representations(3)[0],
     ]
@@ -139,7 +140,6 @@ def test_representation_data_is_float64_and_priced_as_held():
     assert yy_generator_matrix(P("3,2"), 2).dtype == np.float64
     reps = [
         irrep(P("3,2")),
-        tensor_rep(P("3,1"), P("2,1,1")),
         identity_times_irrep(3, P("2,1")),
         regular_representations(3)[1],
     ]
@@ -157,6 +157,65 @@ def test_inverse_evaluates_to_transpose():
             np.testing.assert_allclose(
                 rep_evaluate(rep, inverse(g)), rep_evaluate(rep, g).T.conj(), atol=1e-12
             )
+
+
+def _transposition(n: int, j: int, k: int) -> Permutation:
+    images = list(range(1, n + 1))
+    images[j - 1], images[k - 1] = k, j
+    return Permutation(tuple(images))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_turn_matches_the_dense_kron_oracle(n, dense_rep):
+    # Every transposition of every pair: Y^T sigma(t) for a plain block, a
+    # block with a leading batch axis and blocks of no columns, the empty
+    # component of isotypic_block_basis.  The oracle's own turn is the
+    # dense branch, and turning twice conjugates.
+    rng = np.random.default_rng(n)
+    shapes = enumerate_partitions(n)
+    for mu in shapes:
+        for nu in shapes:
+            sigma = tensor_rep(mu, nu)
+            oracle, d = dense_rep(sigma), sigma.dim
+            for k in range(2, n + 1):
+                for j in range(1, k):
+                    image = rep_evaluate(oracle, _transposition(n, j, k))
+                    for shape in ((d, 3), (2, d, 3), (d, 0), (2, d, 0)):
+                        y = rng.standard_normal(shape)
+                        want = np.swapaxes(y, -1, -2) @ image
+                        got = turn(sigma, (j, k), y)
+                        assert got.shape == want.shape, (mu, nu, shape)
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(turn(oracle, (j, k), y), want,
+                                                   rtol=0, atol=1e-12)
+                    x = rng.standard_normal((2, d, d))
+                    np.testing.assert_allclose(turn(sigma, (j, k), turn(sigma, (j, k), x)),
+                                               image @ x @ image, rtol=0, atol=1e-12)
+
+
+def test_tensor_rep_builds_no_image_and_a_turn_stays_small():
+    # D = 1,568: one dense image of sigma would take 19.7 MB.
+    mu, nu = P("5,3"), P("4,2,2")
+    for shape in (mu, nu):
+        transposition_images(irrep(shape))
+    y = np.ones((1568, 1))
+    tracemalloc.start()
+    try:
+        sigma = tensor_rep(mu, nu)
+        out = turn(sigma, (3, 8), y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sigma.dim == 1568 and sigma.generator_images == () and out.shape == (1, 1568)
+    assert peak < 1 << 20, f"peak {peak} B"
+
+
+def test_dense_evaluation_refuses_a_tensor_rep():
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    for call in (lambda: rep_evaluate(sigma, Permutation((2, 1, 3))),
+                 lambda: rep_stack(sigma), lambda: transposition_images(sigma)):
+        with pytest.raises(InvalidArgumentError, match="applied by turn only"):
+            call()
 
 
 # --------------------------------------------------------------- characters
@@ -187,6 +246,15 @@ def test_character_tables(table):
             assert irrep_character(shape, P(cycle_text)) == value
 
 
+def _class_representative(cycle_type: Partition) -> Permutation:
+    """The permutation (1..k1)(k1+1..k1+k2)... of the given cycle type."""
+    images, start = [], 1
+    for part in cycle_type.parts:
+        images += list(range(start + 1, start + part)) + [start]
+        start += part
+    return Permutation(tuple(images))
+
+
 def test_murnaghan_nakayama_matches_dense_trace_oracle():
     # The trace of the Young-Yamanouchi matrix at a class representative,
     # rounded, is an independent route to every character.
@@ -194,7 +262,9 @@ def test_murnaghan_nakayama_matches_dense_trace_oracle():
         for shape in enumerate_partitions(n):
             rep = irrep(shape)
             for ct in enumerate_partitions(n):
-                trace = np.trace(rep_evaluate(rep, class_representative(ct))).real
+                g = _class_representative(ct)
+                assert conjugacy_class_of(g) == ct
+                trace = np.trace(rep_evaluate(rep, g)).real
                 value = irrep_character(shape, ct)
                 assert type(value) is int
                 assert abs(trace - value) < 1e-9, (shape, ct, trace)
@@ -343,7 +413,7 @@ def test_character_is_a_class_function():
         rep = irrep(shape)
         for g in enumerate_group(4):
             by_class = irrep_character(shape, conjugacy_class_of(g))
-            assert character(rep, g) == pytest.approx(by_class, abs=1e-10)
+            assert class_character(rep, conjugacy_class_of(g)) == by_class
             assert np.trace(rep_evaluate(rep, g)) == pytest.approx(by_class, abs=1e-10)
 
 
@@ -367,9 +437,10 @@ def test_derived_representation_characters():
     sigma = tensor_rep(mu, nu)
     blocked = identity_times_irrep(2, mu)
     for g in enumerate_group(3):
-        chi_mu = irrep_character(mu, conjugacy_class_of(g))
-        assert character(sigma, g) == pytest.approx(chi_mu * chi_mu, abs=1e-10)
-        assert character(blocked, g) == pytest.approx(2 * chi_mu, abs=1e-10)
+        ct = conjugacy_class_of(g)
+        chi_mu = irrep_character(mu, ct)
+        assert class_character(sigma, ct) == chi_mu * chi_mu
+        assert class_character(blocked, ct) == 2 * chi_mu
         np.testing.assert_allclose(
             rep_evaluate(blocked, g),
             np.kron(np.eye(2), rep_evaluate(irrep(mu), g)),
@@ -399,7 +470,7 @@ def test_regular_character_is_group_order_at_identity_only():
     for rep in regular_representations(4):
         for g in enumerate_group(4):
             expected = 24 if g == Permutation.identity(4) else 0
-            assert character(rep, g) == expected
+            assert class_character(rep, conjugacy_class_of(g)) == expected
             # the closed form agrees with the trace of the permutation matrix
             assert np.trace(rep_evaluate(rep, g)) == expected
 
