@@ -92,10 +92,11 @@ def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     return y[0] + 1j * y[1]
 
 
-def _require_average(rep: GroupRep) -> None:
-    # The complex input, and by tracemalloc ten more real D x D arrays: Y,
-    # the running sum, and the three products of a conjugation's two turns.
-    require_bytes(12 * rep.dim**2 * 8, f"the coset-tower average of S_{rep.n} at D = {rep.dim}")
+def _require_average(rep: GroupRep, arrays: int = 12, what: str = "the coset-tower average"):
+    # arrays real D x D arrays (by tracemalloc the average's 12: its complex input, Y,
+    # the sum, a conjugation's three products) and, but on a tensor, the n(n-1)/2 images turn reads.
+    images = 0 if rep.kind == "tensor" else rep.n * (rep.n - 1) // 2
+    require_bytes((arrays + images) * rep.dim**2 * 8, f"{what} of S_{rep.n} at D = {rep.dim}")
 
 
 def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
@@ -115,10 +116,9 @@ def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
     by turning it twice, as channel_E does, and each leaf adds
     ||X + Y||_F^2 in a fixed order.  The value stays a sum over elements,
     independent of channel_E's average, and no stack is built."""
-    d, n = rep.dim, rep.n
-    # By tracemalloc, n + 2 pairs of real D x D arrays: X, a Y for each
-    # level below the first, and the leaf and its square.
-    require_bytes((2 * n + 4) * d * d * 8, f"the coset-tree walk of S_{n} at D = {d}")
+    n = rep.n
+    # n + 2 pairs of D x D arrays (tracemalloc): X, a Y per lower level, the leaf and its square.
+    _require_average(rep, 2 * n + 4, "the coset-tree walk")
     x2 = np.stack([x.real, x.imag])
 
     def walk(y: np.ndarray, k: int) -> float:
@@ -189,12 +189,13 @@ def _acceptance_operator(
     # Xi B_a = B_a and rep(t) B_a = B_a rho^lambda(t) for t = (i i+1) put
     # every B_a B_b^T in the commutant and fix it by Xi.
     residual = float(np.abs(xi.matrix @ blocks - blocks).max(initial=0.0))
-    for i in range(1, lam.n):
-        gap = turn(sigma, (i, i + 1), blocks) - turn(irrep(lam), (i, i + 1), blocks.mT).mT
+    flipped = blocks.transpose(0, 2, 1)
+    for t in zip(range(1, lam.n), range(2, lam.n + 1)):
+        gap = turn(sigma, t, blocks) - turn(irrep(lam), t, flipped).transpose(0, 2, 1)
         residual = max(residual, float(np.abs(gap).max(initial=0.0)))
     if residual > EIGEN_ONE_TOL:
         raise NumericalConsistencyError(f"the irrep blocks leave the commutant by {residual}")
-    units = blocks[:, None] @ blocks.transpose(0, 2, 1)  # [a, b] = B_a B_b^T
+    units = blocks[:, None] @ flipped  # [a, b] = B_a B_b^T
     half = m * d_lam * d - m * m
     spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
     basis = units.reshape(m * m, d * d).T / math.sqrt(d_lam)

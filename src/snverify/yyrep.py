@@ -9,12 +9,13 @@ product holds only its labels.  turn(rep, t, Y) = Y^T rep(t), the one
 code that applies a transposition image, reads a tensor product's factor
 images and any other kind's own, as transposition_images caches them.
 It serves the verifier's coset-tower average channel_E, its coset-tree
-circuit and its irrep blocks, and jucys_murphy_product, which applies the Jucys-Murphy elements
-X_k = sum_{j<k} (j k) that the isotypic projectors of wfs branch by; no
-isotypic quantity sums over the group.  rep_stack evaluates a
-representation on the whole group, as a cached |G| x D x D array in the
-order of symgroup.enumerate_group, for the Fourier transform and the
-self-test's orthogonality suites, both on irreps.
+circuit and its irrep blocks, and jucys_murphy_product, which applies
+the Jucys-Murphy elements X_k = sum_{j<k} (j k) that the isotypic
+projectors of wfs branch by; no isotypic quantity sums over the group.
+rep_stack evaluates a representation on the whole group, as a cached
+|G| x D x D array in the order of symgroup.enumerate_group, for the
+Fourier transform and the self-test's orthogonality suites, both on
+irreps.
 
 Characters need no matrix.  One Murnaghan-Nakayama kernel, _add_strips,
 adds every border strip of one length to a dict of abacus masks:
@@ -59,7 +60,7 @@ class GroupRep:
     "identity-times-irrep"; labels carries the partition labels where
     applicable.  "identity-times-irrep" is I_m x irrep(labels[0]), with
     m = dim // d of that irrep.  A "tensor" keeps its factors' image pairs
-    in _transpositions."""
+    in _factor_pairs and has no transposition images."""
 
     n: int
     dim: int
@@ -67,7 +68,8 @@ class GroupRep:
     generator_images: tuple[np.ndarray, ...]
     labels: tuple[Partition, ...] = ()
     _stack: "np.ndarray | None" = field(default=None, repr=False)
-    _transpositions: "np.ndarray | tuple | None" = field(default=None, repr=False)
+    _transpositions: "np.ndarray | None" = field(default=None, repr=False)
+    _factor_pairs: "tuple | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for img in self.generator_images:
@@ -242,13 +244,13 @@ def turn(rep: GroupRep, t: tuple[int, int], y: np.ndarray) -> np.ndarray:
     count.  Any other kind is one product with its dense image."""
     index = (t[1] - 1) * (t[1] - 2) // 2 + t[0] - 1
     if rep.kind != "tensor":
-        return y.mT @ transposition_images(rep)[index]
-    if rep._transpositions is None:  # the factors' pairs, looked up once per rep
-        rep._transpositions = tuple(zip(*(transposition_images(irrep(s)) for s in rep.labels)))
-    a, b = rep._transpositions[index]
+        return np.swapaxes(y, -1, -2) @ transposition_images(rep)[index]
+    if rep._factor_pairs is None:  # looked up once per rep
+        rep._factor_pairs = tuple(zip(*(transposition_images(irrep(s)) for s in rep.labels)))
+    a, b = rep._factor_pairs[index]
     lead, da, db, cols = y.shape[:-2], len(a), len(b), y.shape[-1]
-    turned = y.reshape(lead + (da, db * cols)).mT @ a
-    turned = turned.reshape(lead + (db, cols * da)).mT @ b
+    turned = np.swapaxes(y.reshape(lead + (da, db * cols)), -1, -2) @ a
+    turned = np.swapaxes(turned.reshape(lead + (db, cols * da)), -1, -2) @ b
     return turned.reshape(lead + (cols, da * db))
 
 

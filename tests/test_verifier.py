@@ -203,6 +203,30 @@ def test_circuit_walk_holds_what_it_prices():
     assert priced - 8192 < peak < priced + 8192, f"peak {peak} B, priced {priced} B"
 
 
+@pytest.mark.parametrize("step", ["average", "walk"])
+def test_a_dense_rep_is_priced_with_its_transposition_images(step, monkeypatch):
+    # I_2 x rho^(4,2,1), D = 70, as certify-lemma builds it: turn reads its
+    # 21 dense images (823,200 B), made on the first turn and held with the
+    # working arrays, 12 D x D for the average and 2n + 4 for the walk.
+    rep = identity_times_irrep(2, P("4,2,1"))
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+    prices, checked = [], verifier.require_bytes
+    monkeypatch.setattr(verifier, "require_bytes",
+                        lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what))
+    call = verifier.channel_E if step == "average" else verifier._circuit_value
+    tracemalloc.start()
+    try:
+        call(rep, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = 12 if step == "average" else 2 * 7 + 4
+    assert prices == [(21 + arrays) * 70 * 70 * 8]
+    # The average's price also counts the complex input, made before it runs.
+    assert prices[0] - 5 * 70 * 70 * 8 < peak < prices[0] + 8192, f"peak {peak} B"
+
+
 # ------------------------------------------------------- acceptance operator
 
 def test_acceptance_spectrum_for_multiplicity_one_instance():

@@ -212,8 +212,13 @@ def test_tensor_rep_builds_no_image_and_a_turn_stays_small():
 
 def test_dense_evaluation_refuses_a_tensor_rep():
     sigma = tensor_rep(P("2,1"), P("2,1"))
-    for call in (lambda: rep_evaluate(sigma, Permutation((2, 1, 3))),
-                 lambda: rep_stack(sigma), lambda: transposition_images(sigma)):
+    calls = (lambda: rep_evaluate(sigma, Permutation((2, 1, 3))),
+             lambda: rep_stack(sigma), lambda: transposition_images(sigma))
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="applied by turn only"):
+            call()
+    turn(sigma, (1, 3), np.eye(4))  # the factors' images, now held by sigma
+    for call in calls:
         with pytest.raises(InvalidArgumentError, match="applied by turn only"):
             call()
 
