@@ -169,23 +169,30 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     """Orthonormal bases of the individual irrep blocks inside the shape
     isotypic component of rep, aligned so that rep(g) B_a = B_a rho^shape(g).
 
-    The seeds are the eigenvectors of e_11, the 0/1 projector onto the
-    Gelfand-Tsetlin weight of shape's first tableau, one per block.  Each
-    is carried along the Young-Yamanouchi basis by the seminormal rule: if
-    T = sigma_i P with P before T, v_T = (rep(sigma_i) - 1/tau) v_P /
-    sqrt(1 - 1/tau^2), tau the axial distance of i in P.  Returns one
-    D x d matrix per block (possibly none); conjugating rep by the stacked
-    basis yields I_m tensor rho^shape.
+    The seeds, one per block, are the columns of L in the pivoted Cholesky
+    e_11 = L L^T of the 0/1 projector onto the Gelfand-Tsetlin weight of
+    shape's first tableau: orthonormal and, unlike eigh's, independent of the
+    BLAS thread count.  Each is carried along the Young-Yamanouchi basis by
+    the seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i)
+    - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.
+    Returns one D x d matrix per block (possibly none); conjugating rep by
+    the stacked basis yields I_m tensor rho^shape.
     """
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     tableaux = enumerate_tableaux(shape)
-    # e_11 and its eigh, then the d transported columns of at most D / d seeds.
+    # e_11 and its factor, then the d transported columns of at most D / d seeds.
     require_bytes((rep.n + 8) * rep.dim**2 * 8, f"the irrep blocks of {shape} at D = {rep.dim}")
-    evals, evecs = np.linalg.eigh(tableau_projector(rep, tableaux[0]))
-    seeds = evecs[:, evals > 0.5]
+    e11 = tableau_projector(rep, tableaux[0])
+    rank = Projector.from_matrix(e11).rank  # its trace must be an integer
+    seeds, residual = np.zeros((rep.dim, rank)), e11.diagonal().copy()
+    for k in range(rank):
+        j = int(np.argmax(residual))
+        col = e11[:, j] - seeds[:, :k] @ seeds[j, :k]
+        seeds[:, k] = col / math.sqrt(col[j])
+        residual -= seeds[:, k] ** 2
     index = {t.rows: k for k, t in enumerate(tableaux)}
-    cols = np.empty((len(tableaux), rep.dim, seeds.shape[1]))
+    cols = np.empty((len(tableaux), rep.dim, rank))
     cols[0] = seeds
     for k, t in enumerate(tableaux[1:], start=1):
         # The first i with i + 1 in a higher row: swapping them gives an

@@ -1,22 +1,21 @@
 """The internal-state test, the full two-step verification algorithm, its
-acceptance operator and spectrum, and Monte-Carlo certification of the
-robustness bounds.
+acceptance operator, held as the irrep blocks of the lambda component, and
+Monte-Carlo certification of the robustness bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .entangled import (
-    Subspace, isotypic_block_basis, max_entangled_over_range, norm_sq, unvec, vec
-)
+from .entangled import Subspace, isotypic_block_basis, norm_sq, unvec, vec
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
-from .wfs import Projector, measure_wfs, wfs_projector
+from .wfs import measure_wfs
 from .yyrep import GroupRep, irrep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
@@ -27,18 +26,43 @@ REPORT_BYTES = 1300
 
 @dataclass(frozen=True)
 class AcceptanceOperator:
-    """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier,
-    held in closed form: its spectrum (descending), the completeness/
-    soundness split, and an orthonormal basis of its eigenvalue-1 space as
-    D^2 x m^2 columns.  The D^2 x D^2 matrix itself is never built."""
+    """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier in
+    closed form: the m aligned irrep blocks B_a (read-only, m x D x d_lambda)
+    of the lambda component, its descending spectrum and the completeness/
+    soundness split; vec(B_a B_b^T)/sqrt(d_lambda) span its eigenvalue 1."""
 
+    blocks: np.ndarray
     spectrum: np.ndarray
     c: float
     s: float
-    accepting_basis: np.ndarray
 
-    def accepting_subspace(self) -> Subspace:
-        return Subspace(ambient_dim=self.accepting_basis.shape[0], basis=self.accepting_basis)
+    @cached_property
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """B^T and the m columns vec(B_a^T), complex and C-ordered: as much as the build priced."""
+        m, d, d_lam = self.blocks.shape
+        rows = self.blocks.transpose(0, 2, 1).reshape(m * d_lam, d).astype(complex)
+        return rows, np.ascontiguousarray(rows.reshape(m, d_lam * d).T)
+
+    def _split(self, x: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Gamma X = B Z, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X, K =
+        (T/d_lambda) x I, T_ab = tr(B_a^T X B_b): X - P X is the orthogonal sum
+        of X - Gamma X and B (Z - K B^T).  Each product is a C-ordered matrix
+        times vectors, one gemv per vector, whose bits do not depend on the
+        BLAS thread count."""
+        m, d, d_lam = self.blocks.shape
+        rows, cols = self._vectors
+        z = (np.ascontiguousarray(x.T) @ rows[:, :, None])[..., 0]
+        # T_ab = <vec Z_a, vec B_b^T>, Z_a the d_lambda rows of Z for block a.
+        t = (z.reshape(m, d_lam * d) @ rows.reshape(m, d_lam * d)[:, :, None])[..., 0].T / d_lam
+        k_bt = (cols @ t[:, :, None])[..., 0].reshape(z.shape)  # row a: sum_b T_ab vec(B_b^T)
+        gamma = (np.ascontiguousarray(z.T) @ rows.T[:, :, None])[..., 0]
+        inner = norm_sq(z - k_bt)
+        return gamma, inner, math.sqrt(norm_sq(x - gamma) + inner)
+
+    def distance_to(self, psi: np.ndarray) -> float:
+        """||X - P X||_F for psi = vec X, P onto the eigenvalue-1 space, summed from
+        explicit residuals: never ||psi||^2 - ||P psi||^2, which cancels near it."""
+        return self._split(unvec(psi, self.blocks.shape[1]))[2]
 
 
 @dataclass(frozen=True)
@@ -158,48 +182,30 @@ def verification_acceptance_operator(
     lemma W projects onto the commutant, the sum of M_m tensor I_d, and
     commutes with Gamma: the spectrum is 1 (m^2 times), 1/2 (m d_lambda D -
     m^2 times) and 0 otherwise, and the eigenvalue-1 space is spanned by the
-    orthonormal vec(B_a B_b^dagger)/sqrt(d_lambda) over the irrep blocks B_a
-    of the lambda component.  Checked: the block count and rank(Xi) against
-    the Kronecker coefficient m, and each B_a fixed by Xi and intertwining
-    the generators with rho^lambda's, so that every B_a B_b^dagger is fixed
-    by Xi and commutes with the representation."""
-    return _acceptance_operator(mu, nu, lam)[0]
-
-
-def _acceptance_operator(
-    mu: Partition, nu: Partition, lam: Partition
-) -> tuple[AcceptanceOperator, Projector]:
-    """verification_acceptance_operator, with the Xi_lambda it is built
-    from, so that certification builds Xi once."""
-    if not mu.n == nu.n == lam.n:
-        raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
+    orthonormal vec(B_a B_b^T)/sqrt(d_lambda) over the irrep blocks B_a of
+    the lambda component.  Checked: m blocks for the Kronecker coefficient m,
+    B^T B = I and each B_a intertwining the generators with rho^lambda's, so
+    that B spans the component and B B^T = Xi_lambda, which is not built."""
     m = kronecker_coefficient(mu, nu, lam).value
-    d, d_lam = irrep_dimension(mu) * irrep_dimension(nu), irrep_dimension(lam)
-    # The m^2 products B_a B_b^T, their scaled copy and the complex basis of
-    # the accepting subspace: four m^2 D^2 arrays, priced before the lattice.
-    require_bytes(4 * m * m * d * d * 8, f"the {m * m} accepting columns at D = {d}")
     sigma = tensor_rep(mu, nu)
-    xi = wfs_projector(sigma, lam)
+    d, d_lam = sigma.dim, irrep_dimension(lam)
+    # The D^2 spectrum, blocks, rows, a turn and its gap (tracemalloc), before the lattice.
+    require_bytes((d * d + 4 * m * d * d_lam) * 8, f"the acceptance operator of {lam} at D = {d}")
     blocks = np.array(isotypic_block_basis(sigma, lam), dtype=float).reshape(-1, d, d_lam)
-    if len(blocks) != m or xi.rank != m * d_lam:
-        raise NumericalConsistencyError(
-            f"{len(blocks)} irrep blocks and rank(Xi) = {xi.rank} contradict "
-            f"m = {m}, d_lambda = {d_lam}"
-        )
-    # Xi B_a = B_a and rep(t) B_a = B_a rho^lambda(t) for t = (i i+1) put
-    # every B_a B_b^T in the commutant and fix it by Xi.
-    residual = float(np.abs(xi.matrix @ blocks - blocks).max(initial=0.0))
+    if len(blocks) != m:
+        raise NumericalConsistencyError(f"{len(blocks)} irrep blocks contradict m = {m}")
     flipped = blocks.transpose(0, 2, 1)
+    rows = flipped.reshape(m * d_lam, d)
+    residual = float(np.abs(rows @ rows.T - np.eye(m * d_lam)).max(initial=0.0))
     for t in zip(range(1, lam.n), range(2, lam.n + 1)):
         gap = turn(sigma, t, blocks) - turn(irrep(lam), t, flipped).transpose(0, 2, 1)
         residual = max(residual, float(np.abs(gap).max(initial=0.0)))
-    if residual > EIGEN_ONE_TOL:
-        raise NumericalConsistencyError(f"the irrep blocks leave the commutant by {residual}")
-    units = blocks[:, None] @ flipped  # [a, b] = B_a B_b^T
+    if not residual <= EIGEN_ONE_TOL:  # NaN fails too
+        raise NumericalConsistencyError(f"irrep blocks {residual} off orthonormal intertwiners")
+    blocks.setflags(write=False)
     half = m * d_lam * d - m * m
     spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
-    basis = units.reshape(m * m, d * d).T / math.sqrt(d_lam)
-    return AcceptanceOperator(spectrum, c=1.0, s=0.5 if half else 0.0, accepting_basis=basis), xi
+    return AcceptanceOperator(blocks, spectrum, c=1.0, s=0.5 if half else 0.0)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,11 +213,10 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / math.sqrt(norm_sq(v))
 
 
-def _trial_state(center: np.ndarray, perturbation: float | None, seed: int) -> np.ndarray:
-    """A Haar-random state, or with perturbation set the normalized
+def _trial_state(dim: int, center, perturbation: float | None, seed: int) -> np.ndarray:
+    """A Haar-random state on C^dim, or with perturbation set the normalized
     perturbation of center at that scale; determined by the seed."""
     rng = np.random.default_rng(seed)
-    dim = len(center)
     if perturbation is None:
         return haar_state(dim, rng)
     with np.errstate(over="ignore"):  # an overflowing perturbation is rejected below
@@ -257,7 +262,7 @@ def certify_lemma_bound(
     center = vec(np.eye(d)) / math.sqrt(d)
     reports = []
     for t in range(trials):
-        psi = _trial_state(center, perturbation, seed + t)
+        psi = _trial_state(d * d, center, perturbation, seed + t)
         acceptance = _formula_value(rep, unvec(psi, d))
         distance = target.distance_to(psi)
         eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
@@ -278,6 +283,10 @@ def certify_corollary_bound(
     most 3 sqrt(2 eps), where 1 - eps is the product of the sampling and
     internal-test acceptance probabilities; the post-sampling state also
     satisfies the 2 sqrt(2 eps') internal-test bound.
+
+    Gamma psi = vec(B B^T X) and both distances come from one split of psi
+    by the operator's irrep blocks B.  Perturbed trials center on the state
+    vec(B B^T)/sqrt(m d_lambda), which only they build.
     """
     m = kronecker_coefficient(mu, nu, lam).value
     if m < 1:
@@ -288,34 +297,29 @@ def certify_corollary_bound(
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     _require_average(sigma)  # priced before the acceptance operator
-    op, xi = _acceptance_operator(mu, nu, lam)
-    accepting = op.accepting_subspace()
-    center = max_entangled_over_range(xi).amplitudes
+    op = verification_acceptance_operator(mu, nu, lam)
+    center = None
+    if perturbation is not None:  # B B^T = Gamma I
+        center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * irrep_dimension(lam))
     trials_out = []
     for t in range(trials):
-        psi = _trial_state(center, perturbation, seed + t)
-        projected = vec(xi.matrix @ unvec(psi, d))  # Gamma psi, Gamma = Xi tensor I
+        psi = _trial_state(d * d, center, perturbation, seed + t)
+        projected, inner, distance = op._split(unvec(psi, d))  # Gamma = B B^T tensor I
         p_sample = norm_sq(projected)
         if p_sample < 1e-14:
-            corollary = TestReport.build(0.0, accepting.distance_to(psi), 3.0 * math.sqrt(2.0))
+            corollary = TestReport.build(0.0, distance, 3.0 * math.sqrt(2.0))
             theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
-            trials_out.append(
-                CertificationTrial(corollary=corollary, theorem=theorem, degenerate=True)
-            )
+            trials_out.append(CertificationTrial(corollary, theorem, degenerate=True))
             continue
         post = projected / math.sqrt(p_sample)
-        p_internal = _formula_value(sigma, unvec(post, d))
+        p_internal = _formula_value(sigma, post)
         total = p_sample * p_internal
         eps_total = max(1.0 - total, 0.0)
-        corollary = TestReport.build(
-            total, accepting.distance_to(psi), 3.0 * math.sqrt(2.0 * eps_total)
-        )
+        corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * eps_total))
         eps_internal = max(1.0 - p_internal, 0.0)
-        theorem = TestReport.build(
-            p_internal,
-            accepting.distance_to(post),
-            2.0 * math.sqrt(2.0 * eps_internal),
-        )
+        # post is in Gamma's range, and its Z and K are psi's over sqrt(p_sample).
+        theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample),
+                                   2.0 * math.sqrt(2.0 * eps_internal))
         trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))
     return trials_out
 

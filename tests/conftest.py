@@ -6,13 +6,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from snverify.entangled import Subspace, isotypic_block_basis, vec
 from snverify.symgroup import (
     conjugacy_class_of,
     enumerate_group,
     enumerate_partitions,
     irrep_dimension,
 )
-from snverify.yyrep import GroupRep, irrep, irrep_character, rep_evaluate, rep_stack
+from snverify.yyrep import GroupRep, irrep, irrep_character, rep_evaluate, rep_stack, tensor_rep
 
 
 def _insertion_word(g) -> list[int]:
@@ -64,6 +65,23 @@ def _commutant(rep) -> np.ndarray:
 @pytest.fixture
 def commutant_oracle():
     return _commutant
+
+
+def _accepting_subspace(mu, nu, lam) -> Subspace:
+    """The verifier's accepting eigenspace for rho^mu x rho^nu and lam as
+    dense columns: the m^2 orthonormal vec(B_a B_b^T)/sqrt(d_lam) over the
+    irrep blocks B_a, a D^2 x m^2 array, for small D only.  The oracle for
+    the closed form that AcceptanceOperator holds."""
+    sigma = tensor_rep(mu, nu)
+    blocks = isotypic_block_basis(sigma, lam)
+    cols = [vec(a @ b.T) / math.sqrt(irrep_dimension(lam)) for a in blocks for b in blocks]
+    basis = np.column_stack(cols) if cols else np.zeros((sigma.dim**2, 0))
+    return Subspace(ambient_dim=sigma.dim**2, basis=basis)
+
+
+@pytest.fixture
+def accepting_oracle():
+    return _accepting_subspace
 
 
 def _stack_average(rep, x) -> np.ndarray:

@@ -218,10 +218,10 @@ def test_criterion_5_lightning_distribution():
     )
 
 
-def test_criterion_6_verifier_completeness_and_uniqueness():
+def test_criterion_6_verifier_completeness_and_uniqueness(accepting_oracle):
     op = verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
     ones = int(np.sum(op.spectrum > 1.0 - 1e-8))
-    accepting = op.accepting_subspace()
+    accepting = accepting_oracle(P("2,1"), P("2,1"), P("2,1"))
     xi = wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
     eigvec_residual = accepting.distance_to(witness)

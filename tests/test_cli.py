@@ -39,6 +39,23 @@ def test_kron_example(capsys):
     assert doc == {"m": 1, "routes_agree": True}
 
 
+def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
+    # route both returns the character route's m once the projector's trace
+    # is m d_lambda; an m one too large must fail that check.
+    multiplicities = kronecker.kronecker_multiplicities
+
+    def off_by_one(mu, nu):
+        return {lam: m + (lam == Partition.parse("2,1"))
+                for lam, m in multiplicities(mu, nu).items()}
+
+    monkeypatch.setattr(kronecker, "kronecker_multiplicities", off_by_one)
+    monkeypatch.setattr(wfs, "kronecker_multiplicities", off_by_one)
+    code, doc = invoke(["kron", "2,1", "2,1", "2,1", "--route", "both"], capsys)
+    assert code == 4
+    assert doc["status"] == "numerical-consistency"
+    assert doc["error"].startswith("the 2,1 projector has trace")
+
+
 def test_sym_dim_example(capsys):
     code, doc = invoke(["sym", "dim", "2,1"], capsys)
     assert code == 0
@@ -106,6 +123,19 @@ def test_verify_spectrum_at_n6_with_d144(capsys):
     assert doc["s"] == 0.5
 
 
+def test_verify_spectrum_at_d490_fits_64_mib(capsys, monkeypatch):
+    # The operator holds the D^2 spectrum and the m = 4 blocks, D x 35; the
+    # 16 accepting columns, which it no longer builds, were priced at
+    # 122,931,200 B.
+    argv = ["verify", "spectrum", "4,3", "4,2,1", "4,2,1"]
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    assert main(argv) == 0
+    unbounded = capsys.readouterr().out
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(64 << 20))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unbounded
+
+
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; the
     # formula holds 12 D x D arrays (2.0 MB) and the factors' images.
@@ -120,7 +150,8 @@ def test_certify_prices_the_coset_tower_average_before_the_acceptance_operator(
 ):
     # D = 30: 12 D x D arrays take 86,400 B.
     built = []
-    monkeypatch.setattr(verifier, "_acceptance_operator", lambda *args: built.append(args))
+    monkeypatch.setattr(verifier, "verification_acceptance_operator",
+                        lambda *args: built.append(args))
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "86399")
     code, doc = invoke(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], capsys)
     assert code == 3
@@ -695,9 +726,9 @@ def test_exact_center_state_certifies(capsys):
         ["state", "phi-plus", "100000"],
         ["sym", "partitions", "200"],
         ["certify-lemma", "2,1", "--multiplicity", "100000"],
-        ["verify", "spectrum", "4,2,1", "4,2,1", "4,2,1"],
+        ["verify", "spectrum", "4,3,1", "4,3,1", "4,3,1"],
     ],
-    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity", "accepting-m9-d1225"],
+    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity", "blocks-d4900"],
 )
 def test_oversized_input_exits_3_before_allocating(argv, capsys, monkeypatch):
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify import verifier, yyrep
-from snverify.entangled import phi_plus, unvec, vec
+from snverify import verifier, wfs, yyrep
+from snverify.entangled import norm_sq, phi_plus, unvec, vec
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
 from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
 from snverify.verifier import (
@@ -97,14 +97,18 @@ def test_coset_tower_at_d144_is_a_projection_onto_the_commutant(dense_rep):
         np.testing.assert_allclose(g @ ex, ex @ g, rtol=0, atol=1e-12)
 
 
-def test_certification_builds_xi_once(monkeypatch):
-    calls = []
-    build = verifier.wfs_projector
-    monkeypatch.setattr(
-        verifier, "wfs_projector", lambda rep, shape: calls.append(shape) or build(rep, shape)
-    )
-    certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2, seed=0)
-    assert calls == [P("3,1,1")]
+def test_certification_builds_the_blocks_once_and_no_xi(monkeypatch):
+    # Gamma psi, the distances and the center all read the irrep blocks.
+    calls, xis = [], []
+    build = verifier.isotypic_block_basis
+    monkeypatch.setattr(verifier, "isotypic_block_basis",
+                        lambda rep, shape: calls.append(shape) or build(rep, shape))
+    monkeypatch.setattr(wfs, "wfs_projector", lambda rep, shape: xis.append(shape))
+    for perturbation in (None, 0.1):
+        certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2, seed=0,
+                                perturbation=perturbation)
+    assert calls == [P("3,1,1")] * 2
+    assert xis == []
 
 
 def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
@@ -240,9 +244,8 @@ def test_acceptance_spectrum_for_multiplicity_one_instance():
     np.testing.assert_allclose(spectrum[8:], [0.0] * 8, atol=1e-9)
 
 
-def test_accepting_eigenvector_is_entangled_isotypic_state():
-    op = verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
-    accepting = op.accepting_subspace()
+def test_accepting_eigenvector_is_entangled_isotypic_state(accepting_oracle):
+    accepting = accepting_oracle(P("2,1"), P("2,1"), P("2,1"))
     assert accepting.dim == 1
     xi = wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
@@ -250,13 +253,14 @@ def test_accepting_eigenvector_is_entangled_isotypic_state():
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
-def test_acceptance_operator_for_zero_multiplicity_label():
+def test_acceptance_operator_for_zero_multiplicity_label(accepting_oracle):
     # (3) x (3) is trivial; the (2,1) component is empty, so the operator
     # vanishes and there is no eigenvalue 1.
     op = verification_acceptance_operator(P("3"), P("3"), P("2,1"))
     assert np.abs(op.spectrum).max() < 1e-9
     assert op.s == 0.0
-    assert op.accepting_subspace().dim == 0
+    assert op.blocks.shape == (0, 1, 2)
+    assert accepting_oracle(P("3"), P("3"), P("2,1")).dim == 0
 
 
 def test_acceptance_operator_n4_instance():
@@ -280,7 +284,7 @@ def dense_acceptance_operator(mu, nu, lam, w) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle):
+def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle, accepting_oracle):
     shapes = enumerate_partitions(n)
     for mu in shapes:
         for nu in shapes:
@@ -292,14 +296,47 @@ def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle):
                 ones = evecs[:, evals > 1.0 - 1e-8]
                 np.testing.assert_allclose(
                     ones @ ones.conj().T,
-                    op.accepting_subspace().projector_matrix(),
+                    accepting_oracle(mu, nu, lam).projector_matrix(),
                     atol=1e-10,
                 )
                 assert op.c == 1.0
                 assert op.s <= 8.0 / 9.0
 
 
-@pytest.mark.parametrize("corrupt", ["drop-block", "foreign-block"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle):
+    # Seeded states and, where m > 0, the witness vec(Xi)/sqrt(m d_lam).
+    # With m = 0 there is no accepting state and the distance is ||psi||.
+    # Certification reads a post-sampling state's distance off psi's split.
+    rng = np.random.default_rng(n)
+    shapes = enumerate_partitions(n)
+    for mu in shapes:
+        for nu in shapes:
+            d = tensor_rep(mu, nu).dim
+            states = [haar_state(d * d, rng) for _ in range(3)]
+            for lam in shapes:
+                op = verification_acceptance_operator(mu, nu, lam)
+                oracle = accepting_oracle(mu, nu, lam)
+                witnesses = []
+                if oracle.dim:
+                    xi = wfs_projector(tensor_rep(mu, nu), lam)
+                    witnesses = [vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)]
+                for psi in states + [2.0 * states[0]] + witnesses:
+                    assert op.distance_to(psi) == pytest.approx(oracle.distance_to(psi),
+                                                                rel=1e-14, abs=1e-14)
+                for psi in witnesses:
+                    assert op.distance_to(psi) < 1e-14
+                for psi in states[:1] if oracle.dim else []:
+                    projected, inner, _ = op._split(unvec(psi, d))
+                    post = vec(projected) / math.sqrt(norm_sq(projected))
+                    assert math.sqrt(inner / norm_sq(projected)) == pytest.approx(
+                        oracle.distance_to(post), rel=1e-14, abs=1e-14)
+                if not oracle.dim:
+                    for psi in states:
+                        assert op.distance_to(psi) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("corrupt", ["drop-block", "foreign-block", "scaled-block"])
 def test_closed_form_operator_checks_its_blocks(corrupt, monkeypatch):
     real_blocks = verifier.isotypic_block_basis
 
@@ -307,6 +344,8 @@ def test_closed_form_operator_checks_its_blocks(corrupt, monkeypatch):
         blocks = real_blocks(rep, shape)
         if corrupt == "drop-block":
             return blocks[1:]
+        if corrupt == "scaled-block":  # still an intertwiner, but B^T B != I
+            return [blocks[0] * (1 + 1e-6), *blocks[1:]]
         # an orthonormal D x d block outside the isotypic component
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(blocks[0].shape))
         return [q]
@@ -466,6 +505,30 @@ def test_sampled_run_is_seed_deterministic():
     a = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     b = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     assert a == b
+
+
+def test_acceptance_operator_holds_what_it_prices(monkeypatch):
+    # D = 490, m = 4, d_lam = 35: the D^2 spectrum, and the blocks with
+    # their rows and a turn of them, 4 m D d_lam floats.  The blocks' own
+    # lattice is priced apart, so it is built untraced.
+    mu, nu, lam = P("4,3"), P("4,2,1"), P("4,2,1")
+    blocks = verifier.isotypic_block_basis(tensor_rep(mu, nu), lam)
+    monkeypatch.setattr(verifier, "isotypic_block_basis", lambda rep, shape: blocks)
+    verification_acceptance_operator(mu, nu, lam)  # the factors' images, cached and priced apart
+    prices, checked = [], verifier.require_bytes
+    monkeypatch.setattr(verifier, "require_bytes",
+                        lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what))
+    tracemalloc.start()
+    try:
+        op = verification_acceptance_operator(mu, nu, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.blocks.shape == (4, 490, 35)
+    assert prices == [(490 * 490 + 4 * 4 * 490 * 35) * 8]
+    # The operator keeps the spectrum and one copy of the blocks.
+    held = (490 * 490 + 4 * 490 * 35) * 8
+    assert held < peak < prices[0] + 8192, f"peak {peak} B"
 
 
 def test_acceptance_operator_at_d144_builds_no_tensor_stack():
