@@ -51,10 +51,7 @@ from .wfs import (
 from .kronecker import Multiplicity, kronecker_coefficient
 from .entangled import (
     StateVector,
-    Subspace,
     isotypic_block_basis,
-    m_lambda_subspace,
-    max_entangled_over,
     phi_plus,
     psi_lambda,
     unvec,

@@ -1,7 +1,7 @@
-"""Vectorization calculus, maximally entangled states over subspaces, the
-post-sampling states on a doubled register, and the span of block-wise
-maximally entangled states inside an isotypic component, whose irrep
-blocks come from the Young lattice of wfs with no sum over the group.
+"""Vectorization calculus, maximally entangled states over the range of a
+projector, the post-sampling states on a doubled register, and the irrep
+blocks of an isotypic component, which come from the Young lattice of wfs
+with no sum over the group.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, axial_distance, enumerate_tableaux, irrep_dimension
-from .wfs import Projector, tableau_projector, wfs_projector
+from .wfs import LATTICE_SPARE, Projector, by_columns, tableau_projector, wfs_projector
 from .yyrep import GroupRep, turn
-
-ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,38 +38,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return math.prod(self.registers)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of C^{ambient_dim} given by orthonormal basis columns.
-    A zero-column basis is the empty subspace."""
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
-            raise InvalidArgumentError("basis must be ambient_dim x k")
-        gram = basis.conj().T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=ORTHO_TOL):
-            raise InvalidArgumentError("basis columns must be orthonormal")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector_matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    def distance_to(self, psi: np.ndarray) -> float:
-        """Exact distance from a vector to this subspace: norm of the
-        orthogonal residual."""
-        residual = psi - self.basis @ (self.basis.conj().T @ psi)
-        return math.sqrt(norm_sq(residual))
 
 
 def norm_sq(v: np.ndarray) -> float:
@@ -106,29 +72,6 @@ def phi_plus(d: int) -> StateVector:
     return StateVector(registers=(d, d), amplitudes=vec(np.eye(d)) / math.sqrt(d))
 
 
-def orthonormalize(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass; drops
-    near-null columns.  Deterministic given column order."""
-    cols = []
-    for j in range(vectors.shape[1]):
-        v = np.array(vectors[:, j], dtype=complex)
-        for _ in range(2):
-            for u in cols:
-                v = v - u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > tol:
-            cols.append(v / norm)
-    if not cols:
-        return np.zeros((vectors.shape[0], 0), dtype=complex)
-    return np.column_stack(cols)
-
-
-def max_entangled_over(pi: Subspace) -> StateVector:
-    """|Phi_Pi> = (1/sqrt d1) sum_i |b_i> tensor |b_i*> = vec(B B^dagger)/sqrt(d1);
-    invariant under the choice of orthonormal basis."""
-    return max_entangled_over_range(Projector(matrix=pi.projector_matrix(), rank=pi.dim))
-
-
 def max_entangled_over_range(proj: Projector) -> StateVector:
     """The maximally entangled state over range(P), vec(P)/sqrt(rank P),
     normalized by the exact integer rank."""
@@ -153,7 +96,7 @@ def psi_lambda(
         raise InvalidArgumentError(f"phi must live on C^{d * d}, got {phi.shape}")
     xi = wfs_projector(rep, shape).matrix
     scale = math.factorial(rep.n) / irrep_dimension(shape)
-    raw = vec(scale * (xi @ unvec(phi, d)))
+    raw = vec(scale * by_columns(xi, unvec(phi, d)))
     weight = norm_sq(raw)
     if weight < 1e-12:
         raise DegenerateInputError(
@@ -181,8 +124,10 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     tableaux = enumerate_tableaux(shape)
-    # e_11 and its factor, then the d transported columns of at most D / d seeds.
-    require_bytes((rep.n + 8) * rep.dim**2 * 8, f"the irrep blocks of {shape} at D = {rep.dim}")
+    # e_11's lattice along one chain, which outlasts e_11, its factor and the d transported
+    # columns of at most D / d seeds (tracemalloc: 5 D x D arrays at D = 144 and 490).
+    require_bytes((2 + LATTICE_SPARE) * rep.dim**2 * 8,
+                  f"the irrep blocks of {shape} at D = {rep.dim}")
     e11 = tableau_projector(rep, tableaux[0])
     rank = Projector.from_matrix(e11).rank  # its trace must be an integer
     seeds, residual = np.zeros((rep.dim, rank)), e11.diagonal().copy()
@@ -203,14 +148,3 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
         v = cols[index[parent.rows]]
         cols[k] = (turn(rep, (i, i + 1), v).T - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
     return list(cols.transpose(2, 1, 0))
-
-
-def m_lambda_subspace(rep: GroupRep, shape: Partition) -> Subspace:
-    """Span of the block-wise maximally entangled states vec(B_a B_a^T)/sqrt(d)
-    of the shape isotypic component, inside C^{D^2}, one per irrep block
-    B_a.  The columns are orthonormal because the blocks are."""
-    dd = rep.dim * rep.dim
-    blocks = isotypic_block_basis(rep, shape)
-    d = irrep_dimension(shape)
-    cols = [vec(b @ b.conj().T) / math.sqrt(d) for b in blocks]
-    return Subspace(ambient_dim=dd, basis=np.column_stack(cols) if cols else np.zeros((dd, 0)))

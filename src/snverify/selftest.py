@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangled import (
-    Subspace,
-    max_entangled_over,
-    max_entangled_over_range,
-    m_lambda_subspace,
-    orthonormalize,
-    psi_lambda,
-    vec,
-)
+from .entangled import isotypic_block_basis, max_entangled_over_range, norm_sq, psi_lambda, vec
 from .kronecker import kronecker_coefficient, kronecker_multiplicities
 from .symgroup import (
     Partition,
@@ -41,7 +33,7 @@ from .verifier import (
     internal_test_probability,
     verification_acceptance_operator,
 )
-from .wfs import wfs_povm, wfs_projector, gpe_kraus
+from .wfs import Projector, wfs_povm, wfs_projector, gpe_kraus
 from .yyrep import (
     identity_times_irrep,
     irrep,
@@ -274,22 +266,15 @@ def suite_entangled(n_max: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     # basis invariance of the maximally entangled state over a random plane
     raw = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    basis = orthonormalize(raw)
-    space = Subspace(ambient_dim=4, basis=basis)
+    basis = np.linalg.qr(raw)[0]
     mix = np.linalg.qr(
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     )[0]
-    remixed = Subspace(ambient_dim=4, basis=basis @ mix)
-    out.check_residual(
-        float(
-            np.abs(
-                max_entangled_over(space).amplitudes
-                - max_entangled_over(remixed).amplitudes
-            ).max()
-        ),
-        1e-9,
-        "basis invariance",
-    )
+    states = [
+        max_entangled_over_range(Projector(matrix=b @ b.conj().T, rank=2)).amplitudes
+        for b in (basis, basis @ mix)
+    ]
+    out.check_residual(float(np.abs(states[0] - states[1]).max()), 1e-9, "basis invariance")
     # post-sampling states stay inside the isotypic component
     two_one = Partition((2, 1))
     sigma = tensor_rep(two_one, two_one)
@@ -304,32 +289,34 @@ def suite_entangled(n_max: int, seed: int) -> SuiteResult:
         1e-8,
         "psi-lambda image",
     )
-    # block span vs fixed points of the internal test; equality at multiplicity one
-    span = m_lambda_subspace(sigma, two_one)
-    fixed = _fixed_points(sigma, two_one)
-    out.check(span.dim == 1 and fixed.dim == 1, what="m=1 dims")
-    out.check_residual(fixed.distance_to(span.basis[:, 0]), 1e-8, "m=1 span overlap")
+    # block states vs fixed points of the internal test; equality at multiplicity one
+    count, rank, off = _block_states_and_fixed_points(sigma, two_one)
+    out.check(count == 1 and abs(rank - 1) <= 1e-8, abs(rank - 1), "m=1 dims")
+    out.check_residual(off, 1e-8, "m=1 span overlap")
     if n_max >= 3:
         left, _ = regular_representations(3)
-        span_l = m_lambda_subspace(left, two_one)
-        fixed_l = _fixed_points(left, two_one)
-        out.check(span_l.dim == 2, what="regular span dim")
-        out.check(fixed_l.dim == 4, what="regular fixed dim")
-        containment = max(
-            fixed_l.distance_to(span_l.basis[:, k]) for k in range(span_l.dim)
-        )
-        out.check_residual(containment, 1e-8, "containment")
+        count, rank, off = _block_states_and_fixed_points(left, two_one)
+        out.check(count == 2, what="regular span dim")
+        out.check_residual(abs(rank - 4), 1e-8, "regular fixed dim")
+        out.check_residual(off, 1e-8, "containment")
     return out
 
 
-def _fixed_points(rep, shape: Partition) -> Subspace:
-    """Range of X -> E(Xi X), the internal test's fixed points in the shape
-    component (dimension m^2), from the D^2 matrix units; for small D only."""
+def _block_states_and_fixed_points(rep, shape: Partition) -> tuple[int, float, float]:
+    """The number of irrep blocks B_a of the shape component, the trace of
+    X -> Xi E(X) on the D^2 matrix units, and the largest ||Xi E(X_a) - X_a||_F
+    over the block states X_a = B_a B_a^T / sqrt(d).  Xi tensor I commutes
+    with the channel's W, so the map is an orthogonal projection onto the
+    internal test's fixed points in the component, and its trace is their
+    dimension m^2.  For small D only."""
     d = rep.dim
     xi = wfs_projector(rep, shape).matrix
     units = np.eye(d * d).reshape(d * d, d, d)
-    cols = np.column_stack([vec(channel_E(rep, xi @ unit)) for unit in units])
-    return Subspace(ambient_dim=d * d, basis=orthonormalize(cols))
+    rank = sum(float(np.vdot(unit, xi @ channel_E(rep, unit)).real) for unit in units)
+    blocks = isotypic_block_basis(rep, shape)
+    states = [b @ b.T / math.sqrt(irrep_dimension(shape)) for b in blocks]
+    off = max((math.sqrt(norm_sq(xi @ channel_E(rep, x) - x)) for x in states), default=0.0)
+    return len(blocks), rank, off
 
 
 def suite_verifier(n_max: int, trials: int, seed: int) -> SuiteResult:

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .entangled import Subspace, isotypic_block_basis, norm_sq, unvec, vec
+from .entangled import isotypic_block_basis, norm_sq, unvec, vec
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
 from .wfs import measure_wfs
@@ -227,16 +227,6 @@ def _trial_state(dim: int, center, perturbation: float | None, seed: int) -> np.
     return raw / norm
 
 
-def product_target_subspace(m: int, d1: int) -> Subspace:
-    """Span of vec(A tensor I_{d1}/sqrt(d1)) over A in C^{m x m}: the
-    states the internal test characterizes for sigma = I_m tensor irrep."""
-    # The m^2 columns of C^{(m d1)^2}, once as a list and once stacked.
-    require_bytes(2 * m**4 * d1**2 * 16, f"the {m * m} target columns of I_{m} x C^{d1}")
-    units = np.eye(m * m).reshape(m * m, m, m)  # unit[a * m + b] = |a><b|
-    cols = [vec(np.kron(unit, np.eye(d1))) / math.sqrt(d1) for unit in units]
-    return Subspace(ambient_dim=(m * d1) ** 2, basis=np.column_stack(cols))
-
-
 def certify_lemma_bound(
     rep: GroupRep,
     trials: int,
@@ -245,7 +235,11 @@ def certify_lemma_bound(
 ) -> list[TestReport]:
     """Certify the internal-test robustness bound for sigma = I_m tensor
     irrep: for seeded random states, the distance to the product target
-    subspace is at most 2 sqrt(2 eps).
+    subspace span vec(A tensor I_d1)/sqrt(d1) is at most 2 sqrt(2 eps).
+
+    By Schur's lemma that span is the commutant of sigma, so the distance
+    from psi = vec X is ||X - (T/d1) tensor I_d1||_F, T_ab = tr X_ab over X's
+    d1 x d1 blocks, summed from that residual formed explicitly.
 
     With perturbation set, trial states are normalized perturbations of the
     maximally entangled state at that scale instead of Haar-random states.
@@ -258,13 +252,17 @@ def certify_lemma_bound(
     m = rep.dim // d1
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
     d = rep.dim
-    target = product_target_subspace(m, d1)
+    _require_average(rep)  # priced before the first trial state
     center = vec(np.eye(d)) / math.sqrt(d)
+    identity = np.eye(d1)[:, None, :]  # I_d1 in every block of a (m, d1, m, d1) view
     reports = []
     for t in range(trials):
         psi = _trial_state(d * d, center, perturbation, seed + t)
-        acceptance = _formula_value(rep, unvec(psi, d))
-        distance = target.distance_to(psi)
+        x = unvec(psi, d)
+        acceptance = _formula_value(rep, x)
+        blocks = x.reshape(m, d1, m, d1)  # blocks[a, :, b] = X_ab
+        traces = np.trace(blocks, axis1=1, axis2=3) / d1
+        distance = math.sqrt(norm_sq(blocks - traces[:, None, :, None] * identity))
         eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
         reports.append(TestReport.build(acceptance, distance, 2.0 * math.sqrt(2.0 * eps)))
     return reports

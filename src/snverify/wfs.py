@@ -25,6 +25,9 @@ from .symgroup import Partition, StandardTableau, enumerate_partitions, irrep_di
 from .yyrep import GroupRep, jucys_murphy_product
 
 RANK_TOL = 1e-6
+# D x D arrays a lattice step holds beside two levels of projectors: one parent's
+# children, _split's partial products and a product with X_k (tracemalloc, n <= 9).
+LATTICE_SPARE = 5
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def _lattice(rep: GroupRep, plan: list) -> dict[tuple[int, ...], np.ndarray]:
     """Q_kappa for the shapes kappa of plan's last level, where plan lists
     the shapes kept at each level k = 1..n; each Q is summed over its kept
     parents."""
-    # Two levels, the n - 1 terms of a product with X_k and _split's partial products.
-    require_bytes((2 * max(map(len, plan)) + rep.n + 4) * rep.dim**2 * 8,
+    levels = max((len(a) + len(b) for a, b in zip(plan, plan[1:])), default=1)
+    require_bytes((levels + LATTICE_SPARE) * rep.dim**2 * 8,
                   f"the Young-lattice projectors of S_{rep.n} at D = {rep.dim}")
     level = {(1,): np.eye(rep.dim)}
     for k, kept in enumerate(plan[1:], start=2):
@@ -178,6 +181,15 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)
 
 
+def by_columns(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for a real C-ordered D x D matrix and a complex D x k x, as one
+    gemv per column of x.real and x.imag: a gemm that contracts over D gives
+    bits that depend on the BLAS thread count, a gemv does not."""
+    cols = np.ascontiguousarray(np.stack([x.real, x.imag]).transpose(0, 2, 1))
+    y = (matrix @ cols[..., None])[..., 0]
+    return (y[0] + 1j * y[1]).T
+
+
 def measure_wfs(
     rep: GroupRep, psi: np.ndarray, seed: int
 ) -> tuple[Partition, np.ndarray]:
@@ -194,7 +206,7 @@ def measure_wfs(
         raise InvalidArgumentError("state must be a unit vector")
     x = psi.reshape(rep.dim, -1)
     povm = wfs_povm(rep)
-    images = [p.matrix @ x for _, p in povm]
+    images = [by_columns(p.matrix, x) for _, p in povm]
     probs = np.array([np.sum(y.real**2 + y.imag**2) for y in images])
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from snverify.entangled import Subspace, isotypic_block_basis, vec
+from snverify.entangled import isotypic_block_basis, vec
 from snverify.symgroup import (
     conjugacy_class_of,
     enumerate_group,
@@ -67,7 +67,18 @@ def commutant_oracle():
     return _commutant
 
 
-def _accepting_subspace(mu, nu, lam) -> Subspace:
+def _span_distance(cols: np.ndarray, psi: np.ndarray) -> float:
+    """||psi - C C^H psi|| for orthonormal columns C: the distance from psi
+    to their span, as a dense residual."""
+    return float(np.linalg.norm(psi - cols @ (cols.conj().T @ psi)))
+
+
+@pytest.fixture
+def span_distance():
+    return _span_distance
+
+
+def _accepting_columns(mu, nu, lam) -> np.ndarray:
     """The verifier's accepting eigenspace for rho^mu x rho^nu and lam as
     dense columns: the m^2 orthonormal vec(B_a B_b^T)/sqrt(d_lam) over the
     irrep blocks B_a, a D^2 x m^2 array, for small D only.  The oracle for
@@ -75,13 +86,25 @@ def _accepting_subspace(mu, nu, lam) -> Subspace:
     sigma = tensor_rep(mu, nu)
     blocks = isotypic_block_basis(sigma, lam)
     cols = [vec(a @ b.T) / math.sqrt(irrep_dimension(lam)) for a in blocks for b in blocks]
-    basis = np.column_stack(cols) if cols else np.zeros((sigma.dim**2, 0))
-    return Subspace(ambient_dim=sigma.dim**2, basis=basis)
+    return np.column_stack(cols) if cols else np.zeros((sigma.dim**2, 0))
 
 
 @pytest.fixture
 def accepting_oracle():
-    return _accepting_subspace
+    return _accepting_columns
+
+
+def _product_target_columns(m: int, d1: int) -> np.ndarray:
+    """The m^2 orthonormal columns vec(e_ab tensor I_d1)/sqrt(d1) that span
+    vec(A tensor I_d1) over A in C^{m x m}, an (m d1)^2 x m^2 array: the
+    oracle for certify_lemma_bound's closed-form distance, for small m d1."""
+    units = np.eye(m * m).reshape(m * m, m, m)  # units[a * m + b] = e_ab
+    return np.column_stack([vec(np.kron(unit, np.eye(d1))) / math.sqrt(d1) for unit in units])
+
+
+@pytest.fixture
+def product_target_oracle():
+    return _product_target_columns
 
 
 def _stack_average(rep, x) -> np.ndarray:

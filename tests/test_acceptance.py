@@ -218,13 +218,13 @@ def test_criterion_5_lightning_distribution():
     )
 
 
-def test_criterion_6_verifier_completeness_and_uniqueness(accepting_oracle):
+def test_criterion_6_verifier_completeness_and_uniqueness(accepting_oracle, span_distance):
     op = verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
     ones = int(np.sum(op.spectrum > 1.0 - 1e-8))
     accepting = accepting_oracle(P("2,1"), P("2,1"), P("2,1"))
     xi = wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
-    eigvec_residual = accepting.distance_to(witness)
+    eigvec_residual = span_distance(accepting, witness)
     gap_empty = not np.any((op.spectrum > op.s + 1e-8) & (op.spectrum < 1.0 - 1e-8))
     report(
         6,

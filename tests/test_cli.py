@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from snverify import cli, kronecker, serialize, verifier, wfs, yyrep
 from snverify.cli import _round_floats, main, run
-from snverify.entangled import max_entangled_over_range, phi_plus
+from snverify.entangled import StateVector, max_entangled_over_range, phi_plus
 from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
@@ -136,6 +136,15 @@ def test_verify_spectrum_at_d490_fits_64_mib(capsys, monkeypatch):
     assert capsys.readouterr().out == unbounded
 
 
+def test_verify_spectrum_at_d490_fits_16_mb(capsys, monkeypatch):
+    # The irrep blocks hold e_11's lattice along one chain, 7 D x D arrays
+    # (13,445,600 B); priced at (n + 8) D x D they exited 3 at 28,812,000 B.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "16000000")
+    code, doc = invoke(["verify", "spectrum", "4,3", "4,2,1", "4,2,1"], capsys)
+    assert code == 0, doc
+    assert doc["eigenvalue_one_multiplicity"] == 16
+
+
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; the
     # formula holds 12 D x D arrays (2.0 MB) and the factors' images.
@@ -232,13 +241,26 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "3", "--seed", "1",
          "--perturbation", "0.1"],
         ["verify", "run", "4,2", "3,2,1", "3,2,1", "--state", "{phi144}", "--seed", "1"],
+        ["wfs", "measure", "4,3", "5,1,1", "--state", "{haar210}"],
+        ["state", "psi-lambda", "4,3", "5,1,1", "4,2,1", "--state", "{haar210}"],
+        ["verify", "run", "4,3", "5,1,1", "4,2,1", "--state", "{phipi210}", "--seed", "1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
-    if "{phi144}" in argv:
-        state = tmp_path / "phi144.json"
-        state.write_text(serialize.dumps(serialize.state_to_json(phi_plus(144))))
-        argv = [token.format(phi144=state) for token in argv]
+    # D = 210 states on C^D x C^D: Haar, and vec(Xi)/sqrt(rank) of 4,2,1 in 4,3 x 5,1,1.
+    states = {
+        "phi144": lambda: phi_plus(144),
+        "haar210": lambda: StateVector(
+            (210, 210), verifier.haar_state(210 * 210, np.random.default_rng(0))),
+        "phipi210": lambda: max_entangled_over_range(
+            wfs_projector(tensor_rep(Partition((4, 3)), Partition((5, 1, 1))),
+                          Partition((4, 2, 1)))),
+    }
+    for name, state in states.items():
+        if "{" + name + "}" in argv:
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize.dumps(serialize.state_to_json(state())))
+            argv = [token.replace("{" + name + "}", str(path)) for token in argv]
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -306,6 +328,17 @@ def test_certify_lemma_subcommand_at_n7(capsys):
     )
     assert code == 0
     assert doc["violations"] == 0
+
+
+def test_certify_lemma_at_multiplicity_30_fits_the_default_budget(capsys, monkeypatch):
+    # I_30 x rho^(3,1,1), D = 180: the 900 dense target columns were priced
+    # at 933,120,000 B; the closed-form distance holds a few D x D arrays.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    code, doc = invoke(
+        ["certify-lemma", "3,1,1", "--multiplicity", "30", "--trials", "2", "--seed", "1"], capsys
+    )
+    assert code == 0, doc
+    assert doc["violations"] == 0 and len(doc["reports"]) == 2
 
 
 def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
@@ -773,8 +806,31 @@ def test_selftest_stdout_is_byte_identical_across_processes():
         assert c.stdout == a.stdout, f"OPENBLAS_NUM_THREADS={threads}"
     doc = json.loads(a.stdout)
     assert doc["all_passed"] is True
+    assert {suite["name"]: suite["passed"] for suite in doc["suites"]} == {
+        "schur-orthogonality": 13, "character-orthogonality": 13,
+        "twisted-character-identity": 62, "wfs-povm": 149, "gpe-kraus": 35,
+        "kronecker-routes": 48, "lightning-distribution": 35, "vectorization": 300,
+        "entangled-subspaces": 7, "verifier": 36,
+    }
     # timings go to stderr only, so they cannot break determinism
     assert b"s" in a.stderr
+
+
+def test_selftest_block_states_must_be_fixed_points(monkeypatch):
+    # Blocks turned by a random rotation stay orthonormal but intertwine
+    # nothing, so their block states leave the internal test's fixed points.
+    from snverify import selftest
+
+    blocks = selftest.isotypic_block_basis
+
+    def rotated(rep, shape):
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((rep.dim, rep.dim)))[0]
+        return [q @ b for b in blocks(rep, shape)]
+
+    monkeypatch.setattr(selftest, "isotypic_block_basis", rotated)
+    doc = selftest.suite_entangled(3, 7).to_json()
+    assert (doc["passed"], doc["failed"]) == (5, 2)
+    assert doc["failures"] == ["m=1 span overlap", "containment"]
 
 
 def test_selftest_exit_nonzero_on_failure(capsys, monkeypatch):

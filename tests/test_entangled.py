@@ -1,6 +1,6 @@
-"""Vectorization calculus, maximally entangled subspace states, the
-post-sampling states, and the block-entangled span of an isotypic
-component.
+"""Vectorization calculus, maximally entangled states over the range of a
+projector, the post-sampling states, and the irrep blocks of an isotypic
+component with their block-entangled states.
 """
 
 import math
@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from snverify.entangled import (
     StateVector,
-    Subspace,
     isotypic_block_basis,
-    m_lambda_subspace,
-    max_entangled_over,
-    orthonormalize,
+    max_entangled_over_range,
     phi_plus,
     psi_lambda,
     unvec,
@@ -24,7 +21,7 @@ from snverify.entangled import (
 )
 from snverify.errors import DegenerateInputError, InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_group, irrep_dimension
-from snverify.wfs import wfs_projector
+from snverify.wfs import Projector, wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
@@ -75,61 +72,37 @@ def test_state_vector_validation():
         StateVector(registers=(2,), amplitudes=np.ones(4) / 2.0)
 
 
-# ------------------------------------------------------------ subspaces
+# -------------------------------------------- maximally entangled over ranges
 
-def test_subspace_distance_is_residual_norm():
-    basis = np.eye(4)[:, :2].astype(complex)
-    space = Subspace(ambient_dim=4, basis=basis)
-    v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
-    assert space.distance_to(v) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert space.dim == 2
-    np.testing.assert_allclose(space.projector_matrix(), np.diag([1, 1, 0, 0]), atol=0)
+def range_projector(basis) -> Projector:
+    return Projector.from_matrix(basis @ basis.conj().T)
 
-
-def test_subspace_rejects_non_orthonormal_basis():
-    with pytest.raises(InvalidArgumentError):
-        Subspace(ambient_dim=3, basis=np.ones((3, 2)))
-
-
-def test_orthonormalize_spans_and_drops_dependents():
-    rng = np.random.default_rng(3)
-    a = random_matrix(rng, 4)[:, :2]
-    stacked = np.column_stack([a, a @ np.array([[1.0], [2.0]])])  # third is dependent
-    q = orthonormalize(stacked)
-    assert q.shape == (4, 2)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-10)
-    # same span: original columns are reproduced by projection
-    np.testing.assert_allclose(q @ (q.conj().T @ a), a, atol=1e-10)
-
-
-# -------------------------------------------- maximally entangled over spaces
 
 def test_max_entangled_is_basis_invariant():
     rng = np.random.default_rng(11)
-    raw = random_matrix(rng, 6)[:, :3]
-    basis = orthonormalize(raw)
-    space = Subspace(ambient_dim=6, basis=basis)
+    basis = np.linalg.qr(random_matrix(rng, 6)[:, :3])[0]
     # rotate the basis by a random unitary of the subspace
     u, _ = np.linalg.qr(random_matrix(rng, 3))
-    rotated = Subspace(ambient_dim=6, basis=basis @ u)
-    a = max_entangled_over(space).amplitudes
-    b = max_entangled_over(rotated).amplitudes
+    a = max_entangled_over_range(range_projector(basis)).amplitudes
+    b = max_entangled_over_range(range_projector(basis @ u)).amplitudes
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_max_entangled_over_full_space_is_phi_plus():
-    space = Subspace(ambient_dim=4, basis=np.eye(4, dtype=complex))
+    full = Projector.from_matrix(np.eye(4))
     np.testing.assert_allclose(
-        max_entangled_over(space).amplitudes, phi_plus(4).amplitudes, atol=1e-12
+        max_entangled_over_range(full).amplitudes, phi_plus(4).amplitudes, atol=1e-12
     )
 
 
 def test_max_entangled_equals_normalized_vec_of_projector():
+    # vec(B B^H)/sqrt(k) is the basis sum (1/sqrt k) sum_i b_i x conj(b_i).
     rng = np.random.default_rng(13)
-    basis = orthonormalize(random_matrix(rng, 5)[:, :2])
-    space = Subspace(ambient_dim=5, basis=basis)
-    expected = vec(space.projector_matrix()) / math.sqrt(2)
-    np.testing.assert_allclose(max_entangled_over(space).amplitudes, expected, atol=1e-10)
+    basis = np.linalg.qr(random_matrix(rng, 5)[:, :2])[0]
+    expected = sum(np.kron(b, b.conj()) for b in basis.T) / math.sqrt(2)
+    state = max_entangled_over_range(range_projector(basis))
+    assert state.registers == (5, 5)
+    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
 
 
 # ------------------------------------------------------- post-sampling states
@@ -210,26 +183,35 @@ def fixed_point_space(rep, lam, commutant) -> np.ndarray:
     return evecs[:, evals > 0.5]
 
 
+def block_states(rep, lam) -> np.ndarray:
+    """The columns vec(B_a B_a^T)/sqrt(d) over the irrep blocks B_a of the lam
+    component: one block-wise maximally entangled state per block."""
+    d = irrep_dimension(lam)
+    cols = [vec(b @ b.T) / math.sqrt(d) for b in isotypic_block_basis(rep, lam)]
+    return np.column_stack(cols) if cols else np.zeros((rep.dim**2, 0))
+
+
 def test_m_lambda_span_dimension_is_multiplicity(commutant_oracle):
     left, _ = regular_representations(3)
     for lam in (P("3"), P("2,1"), P("1,1,1")):
         d = irrep_dimension(lam)
-        span = m_lambda_subspace(left, lam)
+        span = block_states(left, lam)
         fixed = fixed_point_space(left, lam, commutant_oracle)
-        assert span.dim == d  # one entangled state per block, m = d here
+        assert span.shape[1] == d  # one entangled state per block, m = d here
+        np.testing.assert_allclose(span.conj().T @ span, np.eye(d), atol=1e-10)
         assert fixed.shape[1] == d * d  # full commutant block, m^2
         # the span is contained in the fixed-point space
         proj = fixed @ fixed.conj().T
-        np.testing.assert_allclose(proj @ span.basis, span.basis, atol=1e-8)
+        np.testing.assert_allclose(proj @ span, span, atol=1e-8)
 
 
 def test_m_lambda_routes_coincide_when_multiplicity_one(commutant_oracle):
     sigma = tensor_rep(P("2,1"), P("2,1"))
     for lam in (P("3"), P("2,1"), P("1,1,1")):
-        span = m_lambda_subspace(sigma, lam)
+        span = block_states(sigma, lam)
         fixed = fixed_point_space(sigma, lam, commutant_oracle)
-        assert span.dim == fixed.shape[1] == 1
-        overlap = abs(np.vdot(span.basis[:, 0], fixed[:, 0]))
+        assert span.shape[1] == fixed.shape[1] == 1
+        overlap = abs(np.vdot(span[:, 0], fixed[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
@@ -238,8 +220,8 @@ def test_m_lambda_span_states_are_block_entangled():
     # entangled state over the isotypic subspace.
     sigma = tensor_rep(P("2,1"), P("2,1"))
     lam = P("2,1")
-    span = m_lambda_subspace(sigma, lam)
+    span = block_states(sigma, lam)
     xi = wfs_projector(sigma, lam)
     expected = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
-    overlap = abs(np.vdot(span.basis[:, 0], expected))
+    overlap = abs(np.vdot(span[:, 0], expected))
     assert overlap == pytest.approx(1.0, abs=1e-8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snverify import serialize
-from snverify.entangled import orthonormalize, phi_plus
+from snverify.entangled import phi_plus
 from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition
 from snverify.wfs import gpe_kraus, wfs_projector
@@ -148,7 +148,7 @@ def test_writer_matches_json_on_empty_strided_and_real_input(values):
 def test_writer_matches_json_on_a_subspace_doc():
     # A document of several arrays: a subspace as its basis columns.
     rng = np.random.default_rng(3)
-    basis = orthonormalize(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    basis = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
     doc = {"ambient_dim": 6, "dim": 3,
            "basis": [serialize._complex_list(basis[:, k]) for k in range(3)]}
     assert serialize.dumps(doc) == _list_form(doc)

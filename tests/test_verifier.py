@@ -18,7 +18,6 @@ from snverify.verifier import (
     channel_E,
     haar_state,
     internal_test_probability,
-    product_target_subspace,
     run_verifier_sampled,
     verification_acceptance_operator,
 )
@@ -246,10 +245,10 @@ def test_acceptance_spectrum_for_multiplicity_one_instance():
 
 def test_accepting_eigenvector_is_entangled_isotypic_state(accepting_oracle):
     accepting = accepting_oracle(P("2,1"), P("2,1"), P("2,1"))
-    assert accepting.dim == 1
+    assert accepting.shape[1] == 1
     xi = wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
-    overlap = abs(np.vdot(accepting.basis[:, 0], witness))
+    overlap = abs(np.vdot(accepting[:, 0], witness))
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
@@ -260,7 +259,7 @@ def test_acceptance_operator_for_zero_multiplicity_label(accepting_oracle):
     assert np.abs(op.spectrum).max() < 1e-9
     assert op.s == 0.0
     assert op.blocks.shape == (0, 1, 2)
-    assert accepting_oracle(P("3"), P("3"), P("2,1")).dim == 0
+    assert accepting_oracle(P("3"), P("3"), P("2,1")).shape == (1, 0)
 
 
 def test_acceptance_operator_n4_instance():
@@ -294,17 +293,16 @@ def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle, acceptin
                 evals, evecs = np.linalg.eigh(dense_acceptance_operator(mu, nu, lam, w))
                 np.testing.assert_allclose(evals[::-1], op.spectrum, atol=1e-10)
                 ones = evecs[:, evals > 1.0 - 1e-8]
+                accepting = accepting_oracle(mu, nu, lam)
                 np.testing.assert_allclose(
-                    ones @ ones.conj().T,
-                    accepting_oracle(mu, nu, lam).projector_matrix(),
-                    atol=1e-10,
+                    ones @ ones.conj().T, accepting @ accepting.conj().T, atol=1e-10
                 )
                 assert op.c == 1.0
                 assert op.s <= 8.0 / 9.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle):
+def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_distance):
     # Seeded states and, where m > 0, the witness vec(Xi)/sqrt(m d_lam).
     # With m = 0 there is no accepting state and the distance is ||psi||.
     # Certification reads a post-sampling state's distance off psi's split.
@@ -317,21 +315,22 @@ def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle):
             for lam in shapes:
                 op = verification_acceptance_operator(mu, nu, lam)
                 oracle = accepting_oracle(mu, nu, lam)
+                m = oracle.shape[1]
                 witnesses = []
-                if oracle.dim:
+                if m:
                     xi = wfs_projector(tensor_rep(mu, nu), lam)
                     witnesses = [vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)]
                 for psi in states + [2.0 * states[0]] + witnesses:
-                    assert op.distance_to(psi) == pytest.approx(oracle.distance_to(psi),
+                    assert op.distance_to(psi) == pytest.approx(span_distance(oracle, psi),
                                                                 rel=1e-14, abs=1e-14)
                 for psi in witnesses:
                     assert op.distance_to(psi) < 1e-14
-                for psi in states[:1] if oracle.dim else []:
+                for psi in states[:1] if m else []:
                     projected, inner, _ = op._split(unvec(psi, d))
                     post = vec(projected) / math.sqrt(norm_sq(projected))
                     assert math.sqrt(inner / norm_sq(projected)) == pytest.approx(
-                        oracle.distance_to(post), rel=1e-14, abs=1e-14)
-                if not oracle.dim:
+                        span_distance(oracle, post), rel=1e-14, abs=1e-14)
+                if not m:
                     for psi in states:
                         assert op.distance_to(psi) == pytest.approx(1.0, abs=1e-15)
 
@@ -407,12 +406,29 @@ def test_lemma_rejects_other_representation_kinds():
         certify_lemma_bound(tensor_rep(P("2,1"), P("2,1")), trials=1, seed=0)
 
 
-def test_product_target_subspace_contains_block_states():
-    target = product_target_subspace(2, 2)
-    assert target.dim == 4
-    a = np.array([[1.0, 2.0], [3.0, 4.0]]) / math.sqrt(30)
-    psi = vec(np.kron(a, np.eye(2) / math.sqrt(2)))
-    assert target.distance_to(psi) < 1e-10
+def test_lemma_distance_matches_the_product_target_oracle(
+    product_target_oracle, span_distance, monkeypatch
+):
+    # Haar and perturbed trials, and a block state vec(A x I_d1)/sqrt(d1) of
+    # the target itself, at distance 0.
+    for m, shape in ((1, P("2,1")), (2, P("3,2")), (3, P("2,1"))):
+        rep = identity_times_irrep(m, shape)
+        d, d1 = rep.dim, rep.dim // m
+        oracle = product_target_oracle(m, d1)
+        center = vec(np.eye(d)) / math.sqrt(d)
+        for perturbation in (None, 0.1):
+            reports = certify_lemma_bound(rep, trials=4, seed=5, perturbation=perturbation)
+            for t, report in enumerate(reports):
+                psi = verifier._trial_state(d * d, center, perturbation, 5 + t)
+                assert report.distance_to_target == pytest.approx(
+                    span_distance(oracle, psi), rel=1e-14, abs=1e-15)
+        a = np.arange(1.0, m * m + 1).reshape(m, m)
+        block = vec(np.kron(a / np.linalg.norm(a), np.eye(d1) / math.sqrt(d1)))
+        monkeypatch.setattr(verifier, "haar_state", lambda dim, rng: block)
+        (report,) = certify_lemma_bound(rep, trials=1, seed=0)
+        assert span_distance(oracle, block) < 1e-15
+        assert report.distance_to_target < 1e-15
+        monkeypatch.undo()
 
 
 # ------------------------------------------------------------ Corollary bound

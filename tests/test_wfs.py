@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snverify import wfs
+from snverify import entangled, wfs
 from snverify.entangled import isotypic_block_basis, phi_plus, psi_lambda
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.kronecker import Multiplicity, kronecker_coefficient
-from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
+from snverify.symgroup import Partition, enumerate_partitions, enumerate_tableaux, irrep_dimension
 from snverify.wfs import (
     Projector,
     gpe_kraus,
@@ -331,3 +331,36 @@ def test_tensor_projectors_read_the_pairs_column_walk_not_single_entries(monkeyp
     wfs_povm(sigma)
     wfs_projector(sigma, P("2,2"))
     assert entries == []
+
+
+@pytest.mark.parametrize("step", ["tableau", "blocks", "projector", "povm"])
+def test_lattice_steps_hold_what_they_price(step, monkeypatch):
+    # D = 144, n = 6: a step holds two consecutive levels of projectors and
+    # at most 5 D x D arrays beside them; the irrep blocks hold the lattice
+    # of one chain, which outlasts their seeds and columns.  The factors'
+    # images are cached and priced apart, so they are built untraced.
+    sigma, lam = tensor_rep(P("4,2"), P("3,2,1")), P("3,2,1")
+    first = enumerate_tableaux(lam)[0]
+    calls = {
+        "tableau": (lambda: wfs.tableau_projector(sigma, first), [7]),
+        "blocks": (lambda: isotypic_block_basis(sigma, lam), [7, 7]),
+        "projector": (lambda: wfs_projector(sigma, lam), [6 + 5]),
+        "povm": (lambda: wfs_povm(sigma), [18 + 5]),
+    }
+    call, arrays = calls[step]
+    call()
+    prices = []
+    for module in (wfs, entangled):
+        checked = module.require_bytes
+        monkeypatch.setattr(module, "require_bytes", lambda nbytes, what, checked=checked:
+                            prices.append(nbytes) or checked(nbytes, what))
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = 144 * 144 * 8
+    assert prices == [k * square for k in arrays]
+    # Python's own objects add a few kB beside the arrays.
+    assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"
