@@ -43,6 +43,7 @@ from .wfs import (
     KrausElement,
     Projector,
     gpe_kraus,
+    isotypic_block_basis,
     lightning_distribution,
     measure_wfs,
     wfs_povm,
@@ -51,7 +52,6 @@ from .wfs import (
 from .kronecker import Multiplicity, kronecker_coefficient
 from .entangled import (
     StateVector,
-    isotypic_block_basis,
     phi_plus,
     psi_lambda,
     unvec,

@@ -101,7 +101,7 @@ def _cmd_rep(args) -> dict:
 
 def _require_square_json(d: int) -> None:
     """Price the JSON of a D x D projector or a state on C^D x C^D before
-    the lattice builds it."""
+    the irrep blocks are built."""
     serialize.require_json(d * d, f"{d * d} complex entries")
 
 

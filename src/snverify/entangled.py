@@ -1,7 +1,6 @@
 """Vectorization calculus, maximally entangled states over the range of a
-projector, the post-sampling states on a doubled register, and the irrep
-blocks of an isotypic component, which come from the Young lattice of wfs
-with no sum over the group.
+projector, and the post-sampling states on a doubled register, projected
+through the irrep blocks of wfs with no sum over the group.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
-from .symgroup import Partition, axial_distance, enumerate_tableaux, irrep_dimension
-from .wfs import LATTICE_SPARE, Projector, by_columns, tableau_projector, wfs_projector
-from .yyrep import GroupRep, turn
+from .symgroup import Partition, irrep_dimension
+from .wfs import Projector, block_columns, block_rows, by_columns, isotypic_block_basis
+from .yyrep import GroupRep
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,21 @@ def psi_lambda(
     """Post-weak-Fourier-sampling state on a doubled register:
     normalized sum_h chi^shape(h)* (rep(h) tensor I_D) |phi>, together
     with the squared norm of the unnormalized sum.  The sum is
-    (|G|/d) Xi_shape applied to the left register."""
-    if shape.n != rep.n:
-        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
+    (|G|/d) B (B^T X) for phi = vec X, B the irrep blocks of shape."""
     d = rep.dim
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (d * d,):
         raise InvalidArgumentError(f"phi must live on C^{d * d}, got {phi.shape}")
-    xi = wfs_projector(rep, shape).matrix
-    scale = math.factorial(rep.n) / irrep_dimension(shape)
-    raw = vec(scale * by_columns(xi, unvec(phi, d)))
+    if not np.isfinite(phi).all():
+        raise InvalidArgumentError("phi must have finite amplitudes")
+    blocks = isotypic_block_basis(rep, shape)
+    m, _, d_lam = blocks.shape
+    # The blocks, B and Z = B^T X beside by_columns' 4 D^2 floats, or the
+    # image beside norm_sq's three D^2 (tracemalloc).
+    require_bytes((5 * d + 4 * m * d_lam) * d * 8, f"psi-lambda of {shape} at D = {d}")
+    image = by_columns(block_columns(blocks), by_columns(block_rows(blocks), unvec(phi, d)))
+    image *= math.factorial(rep.n) / irrep_dimension(shape)
+    raw = vec(image)
     weight = norm_sq(raw)
     if weight < 1e-12:
         raise DegenerateInputError(
@@ -106,45 +110,3 @@ def psi_lambda(
         StateVector(registers=(d, d), amplitudes=raw / math.sqrt(weight)),
         weight,
     )
-
-
-def isotypic_block_basis(rep: GroupRep, shape: Partition) -> list[np.ndarray]:
-    """Orthonormal bases of the individual irrep blocks inside the shape
-    isotypic component of rep, aligned so that rep(g) B_a = B_a rho^shape(g).
-
-    The seeds, one per block, are the columns of L in the pivoted Cholesky
-    e_11 = L L^T of the 0/1 projector onto the Gelfand-Tsetlin weight of
-    shape's first tableau: orthonormal and, unlike eigh's, independent of the
-    BLAS thread count.  Each is carried along the Young-Yamanouchi basis by
-    the seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i)
-    - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.
-    Returns one D x d matrix per block (possibly none); conjugating rep by
-    the stacked basis yields I_m tensor rho^shape.
-    """
-    if shape.n != rep.n:
-        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    tableaux = enumerate_tableaux(shape)
-    # e_11's lattice along one chain, which outlasts e_11, its factor and the d transported
-    # columns of at most D / d seeds (tracemalloc: 5 D x D arrays at D = 144 and 490).
-    require_bytes((2 + LATTICE_SPARE) * rep.dim**2 * 8,
-                  f"the irrep blocks of {shape} at D = {rep.dim}")
-    e11 = tableau_projector(rep, tableaux[0])
-    rank = Projector.from_matrix(e11).rank  # its trace must be an integer
-    seeds, residual = np.zeros((rep.dim, rank)), e11.diagonal().copy()
-    for k in range(rank):
-        j = int(np.argmax(residual))
-        col = e11[:, j] - seeds[:, :k] @ seeds[j, :k]
-        seeds[:, k] = col / math.sqrt(col[j])
-        residual -= seeds[:, k] ** 2
-    index = {t.rows: k for k, t in enumerate(tableaux)}
-    cols = np.empty((len(tableaux), rep.dim, rank))
-    cols[0] = seeds
-    for k, t in enumerate(tableaux[1:], start=1):
-        # The first i with i + 1 in a higher row: swapping them gives an
-        # earlier tableau.
-        i = next(i for i in range(1, rep.n) if t.position_of(i + 1)[0] < t.position_of(i)[0])
-        parent = t.swap(i)
-        tau = axial_distance(parent, i)
-        v = cols[index[parent.rows]]
-        cols[k] = (turn(rep, (i, i + 1), v).T - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
-    return list(cols.transpose(2, 1, 0))

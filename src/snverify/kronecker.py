@@ -1,9 +1,10 @@
 """Irrep multiplicities and Kronecker coefficients via two independent
-routes: character sums over conjugacy classes, and isotypic projector
-ranks.  Kronecker sums read whole columns (yyrep.character_columns), one
-walk of the table for every m_lambda of a pair, kept for the last pair
-only; multiplicity_character reads single entries (yyrep.irrep_character).
-Both come from the one border-strip kernel of yyrep.
+routes: character sums over conjugacy classes, and the count of irrep
+blocks in an isotypic component.  Kronecker sums read whole columns
+(yyrep.character_columns), one walk of the table for every m_lambda of a
+pair, kept for the last pair only; multiplicity_character reads single
+entries (yyrep.irrep_character).  Both come from the one border-strip
+kernel of yyrep.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, NumericalConsistencyError
-from .symgroup import Partition, class_size, enumerate_partitions, irrep_dimension
+from .symgroup import Partition, class_size, enumerate_partitions
 from .yyrep import GroupRep, character_columns, class_character, irrep_character, tensor_rep
 
 
@@ -73,18 +74,18 @@ def kronecker_coefficient(
 ) -> Multiplicity:
     """Kronecker coefficient m_{mu nu lam}.
 
-    route "char" uses the triple character sum; route "rank" divides the
-    isotypic projector rank by d_lam; route "both" builds the projector too,
-    whose trace must equal the character route's m d_lam exactly.
+    route "char" uses the triple character sum; route "rank" counts the
+    irrep blocks of the lam component, which the block builder checks
+    against the character route's m; route "both" does both.
     """
-    from .wfs import wfs_projector  # avoid import cycle
+    from .wfs import isotypic_block_basis  # avoid import cycle
 
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     if route not in ("char", "rank", "both"):
         raise InvalidArgumentError(f"unknown route {route!r}")
-    if route != "char":  # the projector raises unless its trace is the character route's m d
-        rank = wfs_projector(tensor_rep(mu, nu), lam).rank // irrep_dimension(lam)
+    if route != "char":  # the builder raises unless it finds the character route's m blocks
+        rank = len(isotypic_block_basis(tensor_rep(mu, nu), lam))
         if route == "rank":
             return Multiplicity(value=rank, route="projector-rank")
     return Multiplicity(value=kronecker_multiplicities(mu, nu)[lam], route="character-sum")

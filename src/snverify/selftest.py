@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangled import isotypic_block_basis, max_entangled_over_range, norm_sq, psi_lambda, vec
+from .entangled import max_entangled_over_range, norm_sq, psi_lambda, vec
 from .kronecker import kronecker_coefficient, kronecker_multiplicities
 from .symgroup import (
     Partition,
@@ -33,7 +33,7 @@ from .verifier import (
     internal_test_probability,
     verification_acceptance_operator,
 )
-from .wfs import Projector, wfs_povm, wfs_projector, gpe_kraus
+from .wfs import Projector, gpe_kraus, isotypic_block_basis, wfs_povm, wfs_projector
 from .yyrep import (
     identity_times_irrep,
     irrep,

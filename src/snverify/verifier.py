@@ -7,19 +7,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .entangled import isotypic_block_basis, norm_sq, unvec, vec
+from .errors import InvalidArgumentError, require_bytes
+from .entangled import norm_sq, unvec, vec
 from .kronecker import kronecker_coefficient
 from .symgroup import Partition, irrep_dimension
-from .wfs import measure_wfs
-from .yyrep import GroupRep, irrep, tensor_rep, turn
+from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, measure_wfs
+from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
-EIGEN_ONE_TOL = 1e-8
 # Python memory per test report, measured through the CLI's JSON output.
 REPORT_BYTES = 1300
 
@@ -36,27 +34,20 @@ class AcceptanceOperator:
     c: float
     s: float
 
-    @cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """B^T and the m columns vec(B_a^T), complex and C-ordered: as much as the build priced."""
-        m, d, d_lam = self.blocks.shape
-        rows = self.blocks.transpose(0, 2, 1).reshape(m * d_lam, d).astype(complex)
-        return rows, np.ascontiguousarray(rows.reshape(m, d_lam * d).T)
-
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Gamma X = B Z, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X, K =
         (T/d_lambda) x I, T_ab = tr(B_a^T X B_b): X - P X is the orthogonal sum
-        of X - Gamma X and B (Z - K B^T).  Each product is a C-ordered matrix
-        times vectors, one gemv per vector, whose bits do not depend on the
-        BLAS thread count."""
+        of X - Gamma X and B (Z - K B^T).  Each product goes through
+        by_columns, whose bits do not depend on the BLAS thread count."""
         m, d, d_lam = self.blocks.shape
-        rows, cols = self._vectors
-        z = (np.ascontiguousarray(x.T) @ rows[:, :, None])[..., 0]
+        rows = block_rows(self.blocks)
+        z = by_columns(rows, x)
         # T_ab = <vec Z_a, vec B_b^T>, Z_a the d_lambda rows of Z for block a.
-        t = (z.reshape(m, d_lam * d) @ rows.reshape(m, d_lam * d)[:, :, None])[..., 0].T / d_lam
-        k_bt = (cols @ t[:, :, None])[..., 0].reshape(z.shape)  # row a: sum_b T_ab vec(B_b^T)
-        gamma = (np.ascontiguousarray(z.T) @ rows.T[:, :, None])[..., 0]
-        inner = norm_sq(z - k_bt)
+        flat = rows.reshape(m, d_lam * d)
+        t = by_columns(flat, z.reshape(m, d_lam * d).T).T / d_lam
+        k_bt = by_columns(np.ascontiguousarray(flat.T), t.T).T  # row a: sum_b T_ab vec(B_b^T)
+        gamma = by_columns(block_columns(self.blocks), z)
+        inner = norm_sq(z - k_bt.reshape(z.shape))
         return gamma, inner, math.sqrt(norm_sq(x - gamma) + inner)
 
     def distance_to(self, psi: np.ndarray) -> float:
@@ -183,26 +174,14 @@ def verification_acceptance_operator(
     commutes with Gamma: the spectrum is 1 (m^2 times), 1/2 (m d_lambda D -
     m^2 times) and 0 otherwise, and the eigenvalue-1 space is spanned by the
     orthonormal vec(B_a B_b^T)/sqrt(d_lambda) over the irrep blocks B_a of
-    the lambda component.  Checked: m blocks for the Kronecker coefficient m,
-    B^T B = I and each B_a intertwining the generators with rho^lambda's, so
-    that B spans the component and B B^T = Xi_lambda, which is not built."""
+    the lambda component, which the block builder checks, so that B B^T =
+    Xi_lambda, which is not built."""
     m = kronecker_coefficient(mu, nu, lam).value
     sigma = tensor_rep(mu, nu)
     d, d_lam = sigma.dim, irrep_dimension(lam)
-    # The D^2 spectrum, blocks, rows, a turn and its gap (tracemalloc), before the lattice.
-    require_bytes((d * d + 4 * m * d * d_lam) * 8, f"the acceptance operator of {lam} at D = {d}")
-    blocks = np.array(isotypic_block_basis(sigma, lam), dtype=float).reshape(-1, d, d_lam)
-    if len(blocks) != m:
-        raise NumericalConsistencyError(f"{len(blocks)} irrep blocks contradict m = {m}")
-    flipped = blocks.transpose(0, 2, 1)
-    rows = flipped.reshape(m * d_lam, d)
-    residual = float(np.abs(rows @ rows.T - np.eye(m * d_lam)).max(initial=0.0))
-    for t in zip(range(1, lam.n), range(2, lam.n + 1)):
-        gap = turn(sigma, t, blocks) - turn(irrep(lam), t, flipped).transpose(0, 2, 1)
-        residual = max(residual, float(np.abs(gap).max(initial=0.0)))
-    if not residual <= EIGEN_ONE_TOL:  # NaN fails too
-        raise NumericalConsistencyError(f"irrep blocks {residual} off orthonormal intertwiners")
-    blocks.setflags(write=False)
+    # The D^2 spectrum and the blocks, before the blocks' own chain.
+    require_bytes((d * d + m * d * d_lam) * 8, f"the acceptance operator of {lam} at D = {d}")
+    blocks = isotypic_block_basis(sigma, lam)
     half = m * d_lam * d - m * m
     spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
     return AcceptanceOperator(blocks, spectrum, c=1.0, s=0.5 if half else 0.0)

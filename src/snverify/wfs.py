@@ -2,32 +2,42 @@
 characterization, seeded measurement, and the irrep sampling distribution
 on the maximally entangled state.
 
-The projectors come from the Young lattice, not from a group sum.  On the
-projector Q_kappa onto the kappa-isotypic part under S_{k-1}, X_k has as
+Every isotypic quantity comes from one checked builder, isotypic_block_basis:
+the m aligned irrep blocks B_a of the lambda component.  Their seeds span
+the projector onto the Gelfand-Tsetlin weight of lambda's first tableau,
+built by Jucys-Murphy branching along that tableau's chain of shapes: on
+the projector onto the kappa-isotypic part under S_{k-1}, X_k has as
 eigenvalues the contents of kappa's addable cells (Okounkov-Vershik,
-Selecta Math. 1996).  So Q_(1) = I, Q_kappa' = sum_{kappa < kappa'}
-L(X_k) Q_kappa with L the Lagrange polynomial picking the content of
-kappa'/kappa, and Xi_lambda = Q_lambda at level n.  Along one tableau's
-chain the factors give the projector onto its Gelfand-Tsetlin weight.
+Selecta Math. 1996), so one Lagrange factor per level picks the chain's
+cell.  Then Xi_lambda = sum_a B_a B_a^T, a label is measured with
+probability ||B^T X||^2 and projected as B (B^T X), and no sum runs over
+the group.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
 from .kronecker import kronecker_multiplicities, multiplicity_character
-from .symgroup import Partition, StandardTableau, enumerate_partitions, irrep_dimension
-from .yyrep import GroupRep, jucys_murphy_product
+from .symgroup import (
+    Partition,
+    StandardTableau,
+    axial_distance,
+    enumerate_partitions,
+    enumerate_tableaux,
+    irrep_dimension,
+)
+from .yyrep import GroupRep, irrep, turn
 
 RANK_TOL = 1e-6
-# D x D arrays a lattice step holds beside two levels of projectors: one parent's
-# children, _split's partial products and a product with X_k (tracemalloc, n <= 9).
-LATTICE_SPARE = 5
+EIGEN_ONE_TOL = 1e-8
+# D x D arrays a chain of Lagrange factors holds at once: its projector, a
+# product with X_k and its terms, and one more (tracemalloc: 4.0 at D = 144 to 1,568).
+CHAIN_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -36,18 +46,6 @@ class Projector:
 
     matrix: np.ndarray
     rank: int
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "Projector":
-        trace = np.trace(matrix)
-        rank = round(trace.real)
-        if abs(trace - rank) > RANK_TOL:
-            raise NumericalConsistencyError(
-                f"projector trace {trace} is not within {RANK_TOL} of an integer"
-            )
-        matrix = np.asarray(matrix)
-        matrix.setflags(write=False)
-        return Projector(matrix=matrix, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -59,104 +57,124 @@ class KrausElement:
     shape_label: Partition
 
 
-def _addable(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Each shape with one cell more than parts, with that cell's content
-    (column - row), top row first."""
-    cells = []
-    for r in range(len(parts) + 1):
-        length = parts[r] if r < len(parts) else 0
-        if r == 0 or parts[r - 1] > length:
-            cells.append((parts[:r] + (length + 1,) + parts[r + 1 :], length - r))
-    return cells
-
-
-def _split(rep: GroupRep, y: np.ndarray, k: int, cells, wanted, contents) -> list:
-    """(child, L(X_k) Y) for each wanted child among cells, L the Lagrange
-    polynomial that is 1 at its content and 0 at the other contents; Y
-    already carries (X_k - c) for the contents c not in cells.  Halving
-    the cells shares products: a cells take about a log2 a, not a (a - 1)."""
-    if len(cells) == 1:
-        (child, c), = cells
-        return [(child, y / math.prod(c - o for o in contents if o != c))]
-    half = len(cells) // 2
-    out = []
-    for part, rest in ((cells[:half], cells[half:]), (cells[half:], cells[:half])):
-        if any(child in wanted for child, _ in part):
-            z = y
-            for _, other in rest:
-                # z is symmetric and commutes with X_k: this is (X_k - other) z.
-                z = jucys_murphy_product(rep, z, k) - other * z
-            out += _split(rep, z, k, part, wanted, contents)
-    return out
-
-
-def _lattice(rep: GroupRep, plan: list) -> dict[tuple[int, ...], np.ndarray]:
-    """Q_kappa for the shapes kappa of plan's last level, where plan lists
-    the shapes kept at each level k = 1..n; each Q is summed over its kept
-    parents."""
-    levels = max((len(a) + len(b) for a, b in zip(plan, plan[1:])), default=1)
-    require_bytes((levels + LATTICE_SPARE) * rep.dim**2 * 8,
-                  f"the Young-lattice projectors of S_{rep.n} at D = {rep.dim}")
-    level = {(1,): np.eye(rep.dim)}
-    for k, kept in enumerate(plan[1:], start=2):
-        kept, nxt = set(kept), {}
-        for kappa, q in level.items():
-            cells = _addable(kappa)
-            for child, y in _split(rep, q, k, cells, kept, [c for _, c in cells]):
-                nxt[child] = nxt[child] + y if child in nxt else y
-        level = nxt
-    return level
-
-
-def _plan_inside(n: int, shapes) -> list:
-    """The plan of the shapes contained in one of shapes, partitions of n."""
-    plan = [[(1,)]]
-    for _ in range(2, n + 1):
-        children = dict.fromkeys(c for kappa in plan[-1] for c, _ in _addable(kappa))
-        plan.append([c for c in children if any(
-            len(c) <= len(s.parts) and all(map(operator.le, c, s.parts)) for s in shapes)])
-    return plan
-
-
 def tableau_projector(rep: GroupRep, tableau: StandardTableau) -> np.ndarray:
     """Projector onto the Gelfand-Tsetlin weight of a standard tableau, of
-    rank the multiplicity of its shape: the lattice along its chain of
-    shapes, the product of one Lagrange factor per level."""
+    rank the multiplicity of its shape: from Q = I, at each level k = 2..n,
+    Q <- (X_k - c') Q / (c - c') for c the content of k's cell and c' that
+    of every other cell addable to the shape of 1..k-1."""
     if tableau.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: tableau of {tableau.n}, rep of S_{rep.n}")
-    chain = [[tuple(p for p in (sum(e <= k for e in row) for row in tableau.rows) if p)]
-             for k in range(1, rep.n + 1)]
-    return _lattice(rep, chain)[tableau.shape.parts]
+    require_bytes(CHAIN_ARRAYS * rep.dim**2 * 8, f"the chain of {tableau.shape} at D = {rep.dim}")
+    q = np.eye(rep.dim)
+    for k in range(2, rep.n + 1):
+        row, col = tableau.position_of(k)
+        parts = [p for p in (sum(e < k for e in r) for r in tableau.rows) if p] + [0]
+        for r, length in enumerate(parts):
+            other = length - r
+            if (r == 0 or parts[r - 1] > length) and other != col - row:
+                # Q is symmetric and commutes with X_k = sum_{j<k} (j k): Q^T X_k = X_k Q.
+                q = (sum(turn(rep, (j, k), q) for j in range(1, k)) - other * q) / (
+                    col - row - other)
+    return q
 
 
-def _checked(rep: GroupRep, shape: Partition, matrix: np.ndarray) -> Projector:
-    """The projector, once its trace is the exact m d of the character route:
-    on a tensor rep from the pair's one cached column walk, else entry by entry."""
+def block_rows(blocks: np.ndarray) -> np.ndarray:
+    """B^T, the m d x D matrix of the blocks' columns as rows, C-ordered."""
+    m, dim, d = blocks.shape
+    return blocks.transpose(0, 2, 1).reshape(m * d, dim)
+
+
+def block_columns(blocks: np.ndarray) -> np.ndarray:
+    """B, the D x m d matrix of the blocks side by side, C-ordered."""
+    m, dim, d = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(dim, m * d)
+
+
+def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
+    """Orthonormal bases B_a of the irrep blocks inside the shape isotypic
+    component of rep, aligned so that rep(g) B_a = B_a rho^shape(g), as a
+    read-only m x D x d array; stacked, they conjugate rep to I_m tensor
+    rho^shape.
+
+    The seeds are the columns of L in the pivoted Cholesky e_11 = L L^T of
+    the 0/1 projector onto the Gelfand-Tsetlin weight of shape's first
+    tableau: orthonormal and, unlike eigh's, independent of the BLAS thread
+    count.  Each is carried along the Young-Yamanouchi basis by the
+    seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i)
+    - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.
+    Checked: e_11 has trace the exact m of the character route (on a tensor
+    rep from the pair's one cached column walk; with m = 0 no chain is
+    walked), B^T B = I and each B_a intertwines the generators with
+    rho^shape's, so that B spans the component."""
+    if shape.n != rep.n:
+        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     if rep.kind == "tensor":
         m = kronecker_multiplicities(*rep.labels)[shape]
     else:
         m = multiplicity_character(rep, shape).value
-    proj = Projector.from_matrix(matrix)
-    if proj.rank != m * irrep_dimension(shape):
-        raise NumericalConsistencyError(f"the {shape} projector has trace {np.trace(matrix)}, "
-                                        f"not m d = {m * irrep_dimension(shape)}")
-    return proj
+    if not m:  # no chain to walk
+        blocks = np.zeros((0, rep.dim, irrep_dimension(shape)))
+        blocks.setflags(write=False)
+        return blocks
+    tableaux = enumerate_tableaux(shape)
+    e11 = tableau_projector(rep, tableaux[0])
+    if not abs(np.trace(e11) - m) <= RANK_TOL:
+        raise NumericalConsistencyError(f"the {shape} chain has trace {np.trace(e11)}, not m = {m}")
+    blocks = np.empty((m, rep.dim, len(tableaux)))
+    seeds, residual = blocks[:, :, 0].T, e11.diagonal().copy()
+    for k in range(m):
+        j = int(np.argmax(residual))
+        col = e11[:, j] - seeds[:, :k] @ seeds[j, :k]
+        seeds[:, k] = col / math.sqrt(col[j])
+        residual -= seeds[:, k] ** 2
+    del e11  # the checks hold at most 4 D x D arrays, within the chain's price
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    for k, t in enumerate(tableaux[1:], start=1):
+        # The first i with i + 1 in a higher row: swapping them gives an
+        # earlier tableau.
+        i = next(i for i in range(1, rep.n) if t.position_of(i + 1)[0] < t.position_of(i)[0])
+        parent = t.swap(i)
+        tau = axial_distance(parent, i)
+        v = blocks[:, :, index[parent.rows]]
+        blocks[:, :, k] = (turn(rep, (i, i + 1), v.T) - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
+    rows = block_rows(blocks)
+    gap = rows @ rows.T
+    gap.flat[:: len(gap) + 1] -= 1.0  # B^T B - I
+    residual = float(np.abs(gap).max())
+    del rows, gap
+    for t in zip(range(1, rep.n), range(2, rep.n + 1)):
+        gap = turn(rep, t, blocks)
+        gap -= turn(irrep(shape), t, blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
+        residual = max(residual, float(np.abs(gap).max()))
+    if not residual <= EIGEN_ONE_TOL:  # NaN fails too
+        raise NumericalConsistencyError(f"irrep blocks {residual} off orthonormal intertwiners")
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _projector(blocks: np.ndarray) -> Projector:
+    """sum_a B_a B_a^T, one gemv per row, as by_columns forms its products,
+    so that its bits do not depend on the BLAS thread count."""
+    b = block_columns(blocks)
+    matrix = (b @ b[:, :, None])[..., 0]
+    matrix.setflags(write=False)
+    return Projector(matrix=matrix, rank=b.shape[1])
 
 
 def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
-    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g), built over
-    the shapes of the Young lattice that shape contains."""
-    if shape.n != rep.n:
-        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    return _checked(rep, shape, _lattice(rep, _plan_inside(rep.n, [shape]))[shape.parts])
+    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g), summed over
+    the checked irrep blocks of its range."""
+    return _projector(isotypic_block_basis(rep, shape))
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
-    """One projector per partition of n, in canonical partition order, from
-    one pass over the Young lattice."""
+    """One projector per partition of n, in canonical partition order.
+    The blocks of all labels come first: together they hold D^2 floats."""
     shapes = enumerate_partitions(rep.n)
-    level = _lattice(rep, _plan_inside(rep.n, shapes))
-    return [(shape, _checked(rep, shape, level[shape.parts])) for shape in shapes]
+    # The projectors beside the blocks and one label's side-by-side copy.
+    require_bytes((len(shapes) + 2) * rep.dim**2 * 8, f"the POVM of S_{rep.n} at D = {rep.dim}")
+    blocks = [isotypic_block_basis(rep, shape) for shape in shapes]
+    return [(shape, _projector(b)) for shape, b in zip(shapes, blocks)]
 
 
 def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
@@ -164,15 +182,13 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     generalized phase estimation circuit.  Only shape's d^2 control rows
     are nonzero; row (i, j) is the matrix unit e_ij / sqrt(d), and
     e_ij = sum_a B_a[:, i] B_a[:, j]^T over the aligned irrep blocks B_a."""
-    from .entangled import isotypic_block_basis  # avoid import cycle
-
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     size = math.factorial(rep.n)
     d = irrep_dimension(shape)
     # The output and the d^2 units (D x D float64 blocks).
     require_bytes((size + d * d) * rep.dim**2 * 8, f"the Kraus element of {shape} at D = {rep.dim}")
-    blocks = np.array(isotypic_block_basis(rep, shape)).reshape(-1, rep.dim, d)
+    blocks = isotypic_block_basis(rep, shape)
     shapes = enumerate_partitions(rep.n)
     offset = sum(irrep_dimension(p) ** 2 for p in shapes[: shapes.index(shape)])
     out = np.zeros((size, rep.dim, rep.dim))
@@ -182,12 +198,14 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
 
 
 def by_columns(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """matrix @ x for a real C-ordered D x D matrix and a complex D x k x, as one
-    gemv per column of x.real and x.imag: a gemm that contracts over D gives
-    bits that depend on the BLAS thread count, a gemv does not."""
-    cols = np.ascontiguousarray(np.stack([x.real, x.imag]).transpose(0, 2, 1))
-    y = (matrix @ cols[..., None])[..., 0]
-    return (y[0] + 1j * y[1]).T
+    """matrix @ x, C-ordered, for a real C-ordered p x q matrix and a complex
+    q x k x, as one gemv per column of x.real and x.imag: a gemm that
+    contracts over q gives bits that depend on the BLAS thread count, a
+    gemv does not."""
+    y = (matrix @ np.stack([x.real.T, x.imag.T])[..., None])[..., 0]
+    out = np.empty(y.shape[:0:-1], dtype=complex)
+    out.real, out.imag = y[0].T, y[1].T
+    return out
 
 
 def measure_wfs(
@@ -196,26 +214,38 @@ def measure_wfs(
     """Sample an irrep label by measuring rep on the first register of
     psi = vec X, X of shape D x k (k = 1 is a state of rep's own space),
     and return the normalized post-measurement state.  The label has
-    probability ||Xi X||_F^2 and the post-state is vec(Xi X) normalized;
-    no lifted Xi tensor I is built.  Deterministic given the seed."""
+    probability ||B^T X||_F^2 over its irrep blocks B, and the post-state
+    is vec(B B^T X) normalized, formed for the sampled label only; no
+    projector is built.  Deterministic given the seed."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size % rep.dim:
         raise InvalidArgumentError(
             f"state has dimension {psi.shape}, not a multiple of rep's {rep.dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # NaN fails too
         raise InvalidArgumentError("state must be a unit vector")
     x = psi.reshape(rep.dim, -1)
-    povm = wfs_povm(rep)
-    images = [by_columns(p.matrix, x) for _, p in povm]
-    probs = np.array([np.sum(y.real**2 + y.imag**2) for y in images])
+    dim, k = x.shape
+    # The stacked rows of every label's blocks, twice while they stack, beside
+    # by_columns' 4 D k floats; or one label's B (at most D^2), Z and 4 D k more.
+    require_bytes((dim + max(dim, 2 * k) + 4 * k) * dim * 8,
+                  f"the measurement of S_{rep.n} at D = {dim}")
+    shapes = enumerate_partitions(rep.n)
+    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
+    # B^T X for every label at once: their rows stack to a D x D matrix.
+    z = by_columns(np.concatenate(rows), x)
+    parts = np.split(z, np.cumsum([len(r) for r in rows])[:-1])
+    # Not np.linalg.norm: its BLAS dot splits the sum by thread count.
+    probs = np.array([np.sum(y.real**2 + y.imag**2) for y in parts])
     total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
     rng = np.random.default_rng(seed)
-    choice = rng.choice(len(povm), p=probs / total)
-    # Not np.linalg.norm: its BLAS dot splits the sum by thread count.
-    post = images[choice].reshape(-1)
-    return povm[choice][0], post / math.sqrt(probs[choice])
+    choice = rng.choice(len(shapes), p=probs / total)
+    columns = np.ascontiguousarray(rows[choice].T)
+    del rows
+    post = by_columns(columns, parts[choice])
+    post /= math.sqrt(probs[choice])
+    return shapes[choice], post.reshape(-1)
 
 
 def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, float]:

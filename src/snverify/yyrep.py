@@ -8,10 +8,9 @@ of one element, also where S_n is too large to enumerate.  A tensor
 product holds only its labels.  turn(rep, t, Y) = Y^T rep(t), the one
 code that applies a transposition image, reads a tensor product's factor
 images and any other kind's own, as transposition_images caches them.
-It serves the verifier's coset-tower average channel_E, its coset-tree
-circuit and its irrep blocks, and jucys_murphy_product, which applies
-the Jucys-Murphy elements X_k = sum_{j<k} (j k) that the isotypic
-projectors of wfs branch by; no isotypic quantity sums over the group.
+It serves the verifier's coset-tower average channel_E and its coset-tree
+circuit, and wfs's irrep blocks, whose chain applies the Jucys-Murphy
+elements X_k = sum_{j<k} (j k); no isotypic quantity sums over the group.
 rep_stack evaluates a representation on the whole group, as a cached
 |G| x D x D array in the order of symgroup.enumerate_group, for the
 Fourier transform and the self-test's orthogonality suites, both on
@@ -252,12 +251,6 @@ def turn(rep: GroupRep, t: tuple[int, int], y: np.ndarray) -> np.ndarray:
     turned = np.swapaxes(y.reshape(lead + (da, db * cols)), -1, -2) @ a
     turned = np.swapaxes(turned.reshape(lead + (db, cols * da)), -1, -2) @ b
     return turned.reshape(lead + (cols, da * db))
-
-
-def jucys_murphy_product(rep: GroupRep, y: np.ndarray, k: int) -> np.ndarray:
-    """Y^T X_k for a D x C array Y and X_k = sum_{j<k} rep((j k)), 2 <= k <= n;
-    on the symmetric Y that commute with X_k this is X_k Y."""
-    return sum(turn(rep, (j, k), y) for j in range(1, k))
 
 
 # What a character walk holds beyond its entries (frames, the partitions it

@@ -1,12 +1,15 @@
 """Oracles shared by several test files."""
 
 import math
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from snverify.entangled import isotypic_block_basis, vec
+from snverify.entangled import vec
+from snverify.wfs import isotypic_block_basis
 from snverify.symgroup import (
     conjugacy_class_of,
     enumerate_group,
@@ -14,6 +17,11 @@ from snverify.symgroup import (
     irrep_dimension,
 )
 from snverify.yyrep import GroupRep, irrep, irrep_character, rep_evaluate, rep_stack, tensor_rep
+
+# pyproject's pythonpath finds src here; the tests that spawn
+# `python -m snverify.cli` find it through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _insertion_word(g) -> list[int]:

@@ -40,8 +40,8 @@ def test_kron_example(capsys):
 
 
 def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
-    # route both returns the character route's m once the projector's trace
-    # is m d_lambda; an m one too large must fail that check.
+    # route both returns the character route's m once the block builder's
+    # chain has that trace; an m one too large must fail that check.
     multiplicities = kronecker.kronecker_multiplicities
 
     def off_by_one(mu, nu):
@@ -53,7 +53,7 @@ def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
     code, doc = invoke(["kron", "2,1", "2,1", "2,1", "--route", "both"], capsys)
     assert code == 4
     assert doc["status"] == "numerical-consistency"
-    assert doc["error"].startswith("the 2,1 projector has trace")
+    assert doc["error"].startswith("the 2,1 chain has trace 1.0")
 
 
 def test_sym_dim_example(capsys):
@@ -244,14 +244,19 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
         ["wfs", "measure", "4,3", "5,1,1", "--state", "{haar210}"],
         ["state", "psi-lambda", "4,3", "5,1,1", "4,2,1", "--state", "{haar210}"],
         ["verify", "run", "4,3", "5,1,1", "4,2,1", "--state", "{phipi210}", "--seed", "1"],
+        ["wfs", "measure", "4,3", "4,2,1", "--state", "{haar490}"],
+        ["state", "psi-lambda", "4,3", "4,2,1", "4,2,1", "--state", "{haar490}"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
-    # D = 210 states on C^D x C^D: Haar, and vec(Xi)/sqrt(rank) of 4,2,1 in 4,3 x 5,1,1.
+    # States on C^D x C^D: Haar at D = 210 and 490, and vec(Xi)/sqrt(rank) of
+    # 4,2,1 in 4,3 x 5,1,1.
     states = {
         "phi144": lambda: phi_plus(144),
         "haar210": lambda: StateVector(
             (210, 210), verifier.haar_state(210 * 210, np.random.default_rng(0))),
+        "haar490": lambda: StateVector(
+            (490, 490), verifier.haar_state(490 * 490, np.random.default_rng(0))),
         "phipi210": lambda: max_entangled_over_range(
             wfs_projector(tensor_rep(Partition((4, 3)), Partition((5, 1, 1))),
                           Partition((4, 2, 1)))),
@@ -267,6 +272,28 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
         cmd = [sys.executable, "-m", "snverify.cli", *argv]
         outs.append(subprocess.run(cmd, capture_output=True, check=True, env=env).stdout)
     assert outs[0] == outs[1]
+
+
+def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
+    # Only wfs project, wfs povm and state phi-pi read Xi_lambda; the state
+    # paths and the rank route read the irrep blocks.
+    def refuse(*args):
+        raise AssertionError("a dense projector was built")
+
+    for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (wfs, "wfs_povm"),
+                         (cli, "wfs_projector"), (cli, "wfs_povm")):
+        monkeypatch.setattr(module, name, refuse)
+    path = tmp_path / "haar.json"
+    state = StateVector((30, 30), verifier.haar_state(30 * 30, np.random.default_rng(1)))
+    path.write_text(serialize.dumps(serialize.state_to_json(state)))
+    for argv in (["wfs", "measure", "3,2", "3,1,1", "--state", str(path), "--seed", "2"],
+                 ["wfs", "measure", "3,2", "3,1,1", "--seed", "2"],
+                 ["state", "psi-lambda", "3,2", "3,1,1", "3,1,1", "--state", str(path)],
+                 ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", str(path), "--seed", "2"],
+                 ["kron", "3,2", "3,1,1", "3,1,1", "--route", "rank"],
+                 ["kron", "3,2", "3,1,1", "3,1,1", "--route", "both"]):
+        code, doc = invoke(argv, capsys)
+        assert code == 0, (argv, doc)
 
 
 def test_wfs_project_at_n9_fits_a_small_budget():
@@ -562,13 +589,13 @@ def test_rep_ft_prices_its_json_before_building_the_transform(capsys, monkeypatc
     ids=["wfs-project", "phi-pi", "psi-lambda"],
 )
 def test_square_outputs_price_their_json_before_the_lattice(argv, capsys, monkeypatch):
-    # D = 1,568: the D^2 entries outweigh the lattice's arrays, which took
+    # D = 1,568: the D^2 entries outweigh the blocks' arrays, which took
     # seconds to build before the JSON was refused.
     def refuse(*args):
-        raise AssertionError("the lattice ran")
+        raise AssertionError("the chain ran")
 
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
-    monkeypatch.setattr(wfs, "_lattice", refuse)
+    monkeypatch.setattr(wfs, "tableau_projector", refuse)
     code, doc = invoke(argv, capsys)
     assert code == 3
     assert doc["error"].startswith("the JSON of 2458624 complex entries: 629407744 B")
@@ -825,7 +852,7 @@ def test_selftest_block_states_must_be_fixed_points(monkeypatch):
 
     def rotated(rep, shape):
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((rep.dim, rep.dim)))[0]
-        return [q @ b for b in blocks(rep, shape)]
+        return q @ blocks(rep, shape)
 
     monkeypatch.setattr(selftest, "isotypic_block_basis", rotated)
     doc = selftest.suite_entangled(3, 7).to_json()

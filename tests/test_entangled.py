@@ -4,6 +4,7 @@ component with their block-entangled states.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from snverify.entangled import (
     StateVector,
-    isotypic_block_basis,
     max_entangled_over_range,
     phi_plus,
     psi_lambda,
@@ -21,7 +21,7 @@ from snverify.entangled import (
 )
 from snverify.errors import DegenerateInputError, InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_group, irrep_dimension
-from snverify.wfs import Projector, wfs_projector
+from snverify.wfs import Projector, isotypic_block_basis, wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
@@ -75,7 +75,7 @@ def test_state_vector_validation():
 # -------------------------------------------- maximally entangled over ranges
 
 def range_projector(basis) -> Projector:
-    return Projector.from_matrix(basis @ basis.conj().T)
+    return Projector(matrix=basis @ basis.conj().T, rank=basis.shape[1])
 
 
 def test_max_entangled_is_basis_invariant():
@@ -89,7 +89,7 @@ def test_max_entangled_is_basis_invariant():
 
 
 def test_max_entangled_over_full_space_is_phi_plus():
-    full = Projector.from_matrix(np.eye(4))
+    full = Projector(matrix=np.eye(4), rank=4)
     np.testing.assert_allclose(
         max_entangled_over_range(full).amplitudes, phi_plus(4).amplitudes, atol=1e-12
     )
@@ -134,6 +134,18 @@ def test_psi_lambda_norm_scales_with_projector_weight():
     assert norm_sq == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psi_lambda_rejects_a_non_finite_phi(bad):
+    # Rejected before any product: no warning, no division by a NaN weight.
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    phi = phi_plus(sigma.dim).amplitudes.copy()
+    phi[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            psi_lambda(sigma, P("2,1"), phi)
+
+
 def test_psi_lambda_rejects_absent_component():
     rep = irrep(P("2,1"))  # contains only its own label
     with pytest.raises(DegenerateInputError):
@@ -168,7 +180,8 @@ def test_isotypic_blocks_are_mutually_orthogonal():
 
 def test_block_basis_empty_for_absent_label():
     rep = identity_times_irrep(2, P("2,1"))
-    assert isotypic_block_basis(rep, P("3")) == []
+    blocks = isotypic_block_basis(rep, P("3"))
+    assert blocks.shape == (0, rep.dim, 1) and not blocks.flags.writeable
 
 
 # ----------------------------------------------------- entangled-span spaces

@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from snverify.entangled import isotypic_block_basis, psi_lambda, unvec, vec
+from snverify.entangled import psi_lambda, unvec, vec
 from snverify.errors import DegenerateInputError
 from snverify.symgroup import Partition, enumerate_group, enumerate_partitions
 from snverify.verifier import channel_E, internal_test_probability
-from snverify.wfs import gpe_kraus, wfs_projector
+from snverify.wfs import gpe_kraus, isotypic_block_basis, wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
@@ -79,7 +79,7 @@ def test_block_units_match_per_element_sum(rep, dense_rep):
     group = enumerate_group(rep.n)
     for shape in enumerate_partitions(rep.n):
         lam = irrep(shape)
-        blocks = np.array(isotypic_block_basis(rep, shape)).reshape(-1, rep.dim, lam.dim)
+        blocks = isotypic_block_basis(rep, shape)
         units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
         assert units.shape == (lam.dim, rep.dim, rep.dim)
         for i in range(lam.dim):

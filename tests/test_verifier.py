@@ -337,19 +337,20 @@ def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_
 
 @pytest.mark.parametrize("corrupt", ["drop-block", "foreign-block", "scaled-block"])
 def test_closed_form_operator_checks_its_blocks(corrupt, monkeypatch):
-    real_blocks = verifier.isotypic_block_basis
+    # m = 1: the block builder checks the blocks it seeds from its chain.
+    chain = wfs.tableau_projector
 
-    def corrupted(rep, shape):
-        blocks = real_blocks(rep, shape)
-        if corrupt == "drop-block":
-            return blocks[1:]
-        if corrupt == "scaled-block":  # still an intertwiner, but B^T B != I
-            return [blocks[0] * (1 + 1e-6), *blocks[1:]]
-        # an orthonormal D x d block outside the isotypic component
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(blocks[0].shape))
-        return [q]
+    def corrupted(rep, tableau):
+        e11 = chain(rep, tableau)
+        if corrupt == "drop-block":  # trace 0, not m
+            return 0 * e11
+        if corrupt == "scaled-block":  # trace 1 within 1e-6, but B^T B != I
+            return e11 * (1 + 1e-7)
+        # a unit seed outside the isotypic component
+        v = np.random.default_rng(0).standard_normal(len(e11))
+        return np.outer(v, v) / (v @ v)
 
-    monkeypatch.setattr(verifier, "isotypic_block_basis", corrupted)
+    monkeypatch.setattr(wfs, "tableau_projector", corrupted)
     with pytest.raises(NumericalConsistencyError):
         verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
 
@@ -524,16 +525,16 @@ def test_sampled_run_is_seed_deterministic():
 
 
 def test_acceptance_operator_holds_what_it_prices(monkeypatch):
-    # D = 490, m = 4, d_lam = 35: the D^2 spectrum, and the blocks with
-    # their rows and a turn of them, 4 m D d_lam floats.  The blocks' own
-    # lattice is priced apart, so it is built untraced.
+    # D = 490, m = 4, d_lam = 35: the operator prices the D^2 spectrum and the
+    # m D d_lam floats of the blocks, which it keeps, before the blocks' chain
+    # prices its 5 D x D arrays; the chain is the peak.
     mu, nu, lam = P("4,3"), P("4,2,1"), P("4,2,1")
-    blocks = verifier.isotypic_block_basis(tensor_rep(mu, nu), lam)
-    monkeypatch.setattr(verifier, "isotypic_block_basis", lambda rep, shape: blocks)
     verification_acceptance_operator(mu, nu, lam)  # the factors' images, cached and priced apart
-    prices, checked = [], verifier.require_bytes
-    monkeypatch.setattr(verifier, "require_bytes",
-                        lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what))
+    prices = []
+    for module in (verifier, wfs):
+        checked = module.require_bytes
+        monkeypatch.setattr(module, "require_bytes", lambda nbytes, what, checked=checked:
+                            prices.append(nbytes) or checked(nbytes, what))
     tracemalloc.start()
     try:
         op = verification_acceptance_operator(mu, nu, lam)
@@ -541,10 +542,9 @@ def test_acceptance_operator_holds_what_it_prices(monkeypatch):
     finally:
         tracemalloc.stop()
     assert op.blocks.shape == (4, 490, 35)
-    assert prices == [(490 * 490 + 4 * 4 * 490 * 35) * 8]
-    # The operator keeps the spectrum and one copy of the blocks.
-    held = (490 * 490 + 4 * 490 * 35) * 8
-    assert held < peak < prices[0] + 8192, f"peak {peak} B"
+    square = 490 * 490 * 8
+    assert prices == [(490 * 490 + 4 * 490 * 35) * 8, 5 * square]
+    assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"
 
 
 def test_acceptance_operator_at_d144_builds_no_tensor_stack():

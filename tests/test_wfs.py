@@ -4,18 +4,20 @@ identity, seeded measurements, and the irrep sampling distribution.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from snverify import entangled, wfs
-from snverify.entangled import isotypic_block_basis, phi_plus, psi_lambda
+from snverify.entangled import phi_plus, psi_lambda
+from snverify.verifier import haar_state
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
-from snverify.kronecker import Multiplicity, kronecker_coefficient
+from snverify.kronecker import Multiplicity, kronecker_coefficient, kronecker_multiplicities
 from snverify.symgroup import Partition, enumerate_partitions, enumerate_tableaux, irrep_dimension
 from snverify.wfs import (
-    Projector,
     gpe_kraus,
+    isotypic_block_basis,
     lightning_distribution,
     measure_wfs,
     wfs_povm,
@@ -76,9 +78,12 @@ def test_projector_ranks_on_regular_representation():
         assert proj.rank == irrep_dimension(shape) ** 2
 
 
-def test_projector_rejects_non_integral_trace():
-    with pytest.raises(NumericalConsistencyError):
-        Projector.from_matrix(np.diag([0.5, 0.5, 0.3]))
+def test_projector_rejects_non_integral_trace(monkeypatch):
+    # The chain's projector must have the exact m as its trace.
+    chain = wfs.tableau_projector
+    monkeypatch.setattr(wfs, "tableau_projector", lambda rep, t: 0.5 * chain(rep, t))
+    with pytest.raises(NumericalConsistencyError, match="chain has trace 0.5"):
+        wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
 
 
 def test_degree_mismatch_rejected():
@@ -175,6 +180,18 @@ def test_measure_rejects_non_unit_state():
         measure_wfs(sigma, np.ones(4), seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measure_rejects_a_non_finite_state(bad):
+    # A NaN norm fails the unit check too, before any product or sampling.
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    psi = phi_plus(sigma.dim).amplitudes.copy()
+    psi[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="unit vector"):
+            measure_wfs(sigma, psi, seed=0)
+
+
 def test_measure_rejects_a_state_of_no_register_pair():
     sigma = tensor_rep(P("2,1"), P("2,1"))
     with pytest.raises(InvalidArgumentError, match="not a multiple"):
@@ -236,7 +253,7 @@ def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector
         np.testing.assert_allclose(wfs_projector(sigma, shape).matrix, oracle, rtol=0, atol=1e-12)
     lam = rep_stack(irrep(P("4,2")))
     oracle = np.einsum("kg,gij->kij", lam.shape[1] / len(lam) * lam[:, :, 0].T, stack)
-    blocks = np.array(isotypic_block_basis(sigma, P("4,2")))
+    blocks = isotypic_block_basis(sigma, P("4,2"))
     units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
     np.testing.assert_allclose(units, oracle, rtol=0, atol=1e-12)
 
@@ -281,8 +298,7 @@ def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units, dense
     sigma = tensor_rep(mu, nu)
     labels = BENCH_N6.get((str(mu), str(nu)))
     for lam in [P(t) for t in labels] if labels else enumerate_partitions(sigma.n):
-        d = irrep_dimension(lam)
-        blocks = np.array(isotypic_block_basis(sigma, lam)).reshape(-1, sigma.dim, d)
+        blocks = isotypic_block_basis(sigma, lam)
         assert len(blocks) == kronecker_coefficient(mu, nu, lam).value
         units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
         np.testing.assert_allclose(units, matrix_units(sigma, lam), rtol=0, atol=1e-12)
@@ -307,7 +323,8 @@ def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum
 
 
 def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
-    # A tensor rep reads its pair's column walk, any other kind single entries.
+    # The block builder checks its chain's trace against the exact m: a
+    # tensor rep reads its pair's column walk, any other kind single entries.
     exact, exact_pair = wfs.multiplicity_character, wfs.kronecker_multiplicities
 
     def off_by_one(rep, shape):
@@ -318,9 +335,9 @@ def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
                         lambda mu, nu: {lam: m + 1 for lam, m in exact_pair(mu, nu).items()})
     for rep, shape in ((tensor_rep(P("3,1"), P("2,1,1")), P("2,1,1")),
                        (identity_times_irrep(2, P("2,1,1")), P("2,1,1"))):
-        with pytest.raises(NumericalConsistencyError, match="not m d"):
+        with pytest.raises(NumericalConsistencyError, match="chain has trace"):
             wfs_projector(rep, shape)
-        with pytest.raises(NumericalConsistencyError, match="not m d"):
+        with pytest.raises(NumericalConsistencyError, match="chain has trace"):
             wfs_povm(rep)
 
 
@@ -333,21 +350,30 @@ def test_tensor_projectors_read_the_pairs_column_walk_not_single_entries(monkeyp
     assert entries == []
 
 
-@pytest.mark.parametrize("step", ["tableau", "blocks", "projector", "povm"])
+@pytest.mark.parametrize(
+    "step", ["tableau", "blocks", "projector", "povm", "measure", "psi-lambda"])
 def test_lattice_steps_hold_what_they_price(step, monkeypatch):
-    # D = 144, n = 6: a step holds two consecutive levels of projectors and
-    # at most 5 D x D arrays beside them; the irrep blocks hold the lattice
-    # of one chain, which outlasts their seeds and columns.  The factors'
-    # images are cached and priced apart, so they are built untraced.
-    sigma, lam = tensor_rep(P("4,2"), P("3,2,1")), P("3,2,1")
+    # D = 144, n = 6: a chain of Lagrange factors holds its projector and at
+    # most 4 D x D arrays beside it, and the irrep blocks hold no more.  The
+    # POVM holds its 11 projectors beside the blocks, measure and psi-lambda
+    # their products with a Haar state on C^D x C^D.  The factors' images
+    # are cached and priced apart, so they are built untraced.
+    mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
+    sigma, dim = tensor_rep(mu, nu), 144
     first = enumerate_tableaux(lam)[0]
+    psi = haar_state(dim * dim, np.random.default_rng(0))
+    chains = [5 * dim * dim] * sum(1 for m in kronecker_multiplicities(mu, nu).values() if m)
     calls = {
-        "tableau": (lambda: wfs.tableau_projector(sigma, first), [7]),
-        "blocks": (lambda: isotypic_block_basis(sigma, lam), [7, 7]),
-        "projector": (lambda: wfs_projector(sigma, lam), [6 + 5]),
-        "povm": (lambda: wfs_povm(sigma), [18 + 5]),
+        "tableau": (lambda: wfs.tableau_projector(sigma, first), chains[:1]),
+        "blocks": (lambda: isotypic_block_basis(sigma, lam), chains[:1]),
+        "projector": (lambda: wfs_projector(sigma, lam), chains[:1]),
+        "povm": (lambda: wfs_povm(sigma), [13 * dim * dim] + chains),
+        "measure": (lambda: measure_wfs(sigma, psi, 1), [7 * dim * dim] + chains),
+        # m d_lam = 3 x 16 columns of blocks.
+        "psi-lambda": (lambda: psi_lambda(sigma, lam, psi),
+                       chains[:1] + [(5 * dim + 4 * 48) * dim]),
     }
-    call, arrays = calls[step]
+    call, floats = calls[step]
     call()
     prices = []
     for module in (wfs, entangled):
@@ -360,7 +386,7 @@ def test_lattice_steps_hold_what_they_price(step, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    square = 144 * 144 * 8
-    assert prices == [k * square for k in arrays]
+    square = dim * dim * 8
+    assert prices == [8 * k for k in floats]
     # Python's own objects add a few kB beside the arrays.
     assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"
