@@ -28,12 +28,12 @@ from .symgroup import (
     inverse,
     irrep_dimension,
 )
+from .characters import irrep_character, lightning_distribution
 from .yyrep import (
     GroupRep,
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
-    irrep_character,
     regular_representations,
     rep_evaluate,
     rep_stack,
@@ -41,15 +41,15 @@ from .yyrep import (
 )
 from .wfs import (
     KrausElement,
+    Multiplicity,
     Projector,
     gpe_kraus,
     isotypic_block_basis,
-    lightning_distribution,
+    kronecker_coefficient,
     measure_wfs,
     wfs_povm,
     wfs_projector,
 )
-from .kronecker import Multiplicity, kronecker_coefficient
 from .entangled import (
     StateVector,
     phi_plus,

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
+from .characters import irrep_character, lightning_distribution
 from .entangled import StateVector, max_entangled_over_range, phi_plus, psi_lambda
 from .errors import InvalidArgumentError, SnverifyError, require_bytes
-from .kronecker import kronecker_coefficient
 from .selftest import run_selftest
 from .symgroup import (
     Partition,
@@ -39,15 +39,8 @@ from .verifier import (
     run_verifier_sampled,
     verification_acceptance_operator,
 )
-from .wfs import lightning_distribution, measure_wfs, wfs_povm, wfs_projector
-from .yyrep import (
-    fourier_transform_matrix,
-    identity_times_irrep,
-    irrep,
-    irrep_character,
-    rep_evaluate,
-    tensor_rep,
-)
+from .wfs import kronecker_coefficient, measure_wfs, wfs_povm, wfs_projector
+from .yyrep import fourier_transform_matrix, identity_times_irrep, irrep, rep_evaluate, tensor_rep
 
 
 @dataclass
@@ -137,10 +130,9 @@ def _cmd_wfs(args) -> dict:
 
 def _cmd_kron(args) -> dict:
     mu, nu, lam = (Partition.parse(t) for t in (args.mu, args.nu, args.shape))
-    if args.route == "both":
-        result = kronecker_coefficient(mu, nu, lam, route="both")
-        return {"m": result.value, "routes_agree": True}
     result = kronecker_coefficient(mu, nu, lam, route=args.route)
+    if args.route == "both":
+        return {"m": result.value, "routes_agree": True}
     return {"m": result.value, "route": result.route}
 
 
@@ -185,12 +177,20 @@ def _min_slack(reports) -> float | None:
 def _cmd_verify(args) -> dict:
     mu, nu, lam = (Partition.parse(t) for t in (args.mu, args.nu, args.shape))
     if args.action == "spectrum":
+        # The JSON of the D^2 eigenvalues, three shared floats, by tracemalloc
+        # from D = 30 to 1,568: json.dumps holds the list, its text and a copy,
+        # 18-26 B an entry, and the C encoder's pieces, 64 B more for the first
+        # 50,000 entries (it joins every 100,000, two an entry); --pretty, 84-103 B.
+        entries = tensor_rep(mu, nu).dim ** 2
+        nbytes = 112 * entries if args.pretty else 26 * entries + 64 * min(entries, 50_000)
+        require_bytes(nbytes, f"the JSON of {entries} eigenvalues")
         op = verification_acceptance_operator(mu, nu, lam)
+        (one, ones), (half, halves), (zero, zeros) = op.levels
         return {
-            "spectrum": [float(v) for v in op.spectrum],
+            "spectrum": [one] * ones + [half] * halves + [zero] * zeros,
             "c": op.c,
             "s": op.s,
-            "eigenvalue_one_multiplicity": int(np.sum(op.spectrum > 1.0 - 1e-8)),
+            "eigenvalue_one_multiplicity": ones,
         }
     if args.action == "certify":
         trials = certify_corollary_bound(
@@ -348,6 +348,7 @@ def run(argv: list[str], pretty: bool = False) -> CommandResult:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
+        args.pretty = pretty  # the handlers that build a long list price its writer
         require_bytes(0, "nothing")  # a malformed budget fails every command alike
         for name in ("trials", "seed"):
             if getattr(args, name, 0) < 0:

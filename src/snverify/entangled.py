@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, irrep_dimension
-from .wfs import Projector, block_columns, block_rows, by_columns, isotypic_block_basis
+from .wfs import Projector, block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq
 from .yyrep import GroupRep
 
 
@@ -37,13 +37,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return math.prod(self.registers)
-
-
-def norm_sq(v: np.ndarray) -> float:
-    """Squared norm as a NumPy sum: the BLAS dot behind np.linalg.norm
-    splits its sum by thread count, so its last bits depend on
-    OPENBLAS_NUM_THREADS.  A real v skips its zero imaginary part: x^2 + 0.0 = x^2."""
-    return float(np.sum(v**2 if np.isrealobj(v) else v.real**2 + v.imag**2))
 
 
 def vec(a: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangled import max_entangled_over_range, norm_sq, psi_lambda, vec
-from .kronecker import kronecker_coefficient, kronecker_multiplicities
+from .characters import irrep_character, lightning_distribution, multiplicities
+from .entangled import max_entangled_over_range, psi_lambda, vec
 from .symgroup import (
     Partition,
     class_size,
@@ -33,15 +33,16 @@ from .verifier import (
     internal_test_probability,
     verification_acceptance_operator,
 )
-from .wfs import Projector, gpe_kraus, isotypic_block_basis, wfs_povm, wfs_projector
-from .yyrep import (
-    identity_times_irrep,
-    irrep,
-    irrep_character,
-    regular_representations,
-    rep_stack,
-    tensor_rep,
+from .wfs import (
+    Projector,
+    gpe_kraus,
+    isotypic_block_basis,
+    kronecker_coefficient,
+    norm_sq,
+    wfs_povm,
+    wfs_projector,
 )
+from .yyrep import identity_times_irrep, irrep, regular_representations, rep_stack, tensor_rep
 
 
 @dataclass
@@ -197,7 +198,7 @@ def suite_kronecker(n_max: int, seed: int) -> SuiteResult:
         shapes = enumerate_partitions(n)
         for mu in shapes:
             for nu in shapes:
-                by_char = kronecker_multiplicities(mu, nu)
+                by_char = multiplicities(tensor_rep(mu, nu))
                 for lam in shapes:
                     by_rank = kronecker_coefficient(mu, nu, lam, route="rank").value
                     out.check(by_char[lam] == by_rank, what=f"routes {mu}|{nu}|{lam}")
@@ -220,8 +221,6 @@ def suite_kronecker(n_max: int, seed: int) -> SuiteResult:
 
 def suite_lightning(n_max: int) -> SuiteResult:
     out = SuiteResult("lightning-distribution")
-    from .wfs import lightning_distribution
-
     for n in range(2, min(n_max, 4) + 1):
         shapes = enumerate_partitions(n)
         for mu in shapes:
@@ -328,8 +327,7 @@ def suite_verifier(n_max: int, trials: int, seed: int) -> SuiteResult:
     ex = channel_E(sigma, x)
     out.check_residual(float(np.abs(channel_E(sigma, ex) - ex).max()), 1e-9, "E idempotent")
     op = verification_acceptance_operator(two_one, two_one, two_one)
-    ones = int(np.sum(op.spectrum > 1.0 - 1e-8))
-    out.check(ones == 1, what="eigenvalue-1 multiplicity")
+    out.check(op.levels[0] == (1.0, 1), what="eigenvalue-1 multiplicity")
     out.check(op.s <= 8.0 / 9.0 + 1e-12, what="soundness bound")
     witness = max_entangled_over_range(wfs_projector(sigma, two_one)).amplitudes
     out.check_residual(op.distance_to(witness), 1e-8, "witness eigenvector")

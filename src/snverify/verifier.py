@@ -1,6 +1,8 @@
 """The internal-state test, the full two-step verification algorithm, its
-acceptance operator, held as the irrep blocks of the lambda component, and
-Monte-Carlo certification of the robustness bounds.
+acceptance operator, and Monte-Carlo certification of the robustness
+bounds.  The operator is held as the irrep blocks of the lambda component
+alone: its three eigenvalue levels, completeness and soundness are read
+from their shape (m, D, d_lambda), and m^2 is its eigenvalue-1 count.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, require_bytes
-from .entangled import norm_sq, unvec, vec
-from .kronecker import kronecker_coefficient
+from .entangled import unvec, vec
 from .symgroup import Partition, irrep_dimension
-from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, measure_wfs
+from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, measure_wfs, norm_sq
 from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
@@ -25,14 +26,25 @@ REPORT_BYTES = 1300
 @dataclass(frozen=True)
 class AcceptanceOperator:
     """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier in
-    closed form: the m aligned irrep blocks B_a (read-only, m x D x d_lambda)
-    of the lambda component, its descending spectrum and the completeness/
-    soundness split; vec(B_a B_b^T)/sqrt(d_lambda) span its eigenvalue 1."""
+    closed form, held as the m aligned irrep blocks B_a (read-only, m x D x
+    d_lambda) of the lambda component; vec(B_a B_b^T)/sqrt(d_lambda) span its
+    eigenvalue 1."""
 
     blocks: np.ndarray
-    spectrum: np.ndarray
-    c: float
-    s: float
+    c = 1.0  # completeness: the witness is accepted with certainty
+
+    @property
+    def levels(self) -> tuple[tuple[float, int], ...]:
+        """The spectrum as descending (eigenvalue, count) pairs: 1 (m^2
+        times), 1/2 (m d_lambda D - m^2 times) and 0 otherwise."""
+        m, d, d_lam = self.blocks.shape
+        half = m * d_lam * d - m * m
+        return (1.0, m * m), (0.5, half), (0.0, d * d - m * m - half)
+
+    @property
+    def s(self) -> float:
+        """Soundness: the largest eigenvalue below 1."""
+        return 0.5 if self.levels[1][1] else 0.0
 
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Gamma X = B Z, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X, K =
@@ -171,20 +183,10 @@ def verification_acceptance_operator(
     """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier
     for sigma = rho^mu tensor rho^nu, Gamma = Xi_lambda tensor I.  By Schur's
     lemma W projects onto the commutant, the sum of M_m tensor I_d, and
-    commutes with Gamma: the spectrum is 1 (m^2 times), 1/2 (m d_lambda D -
-    m^2 times) and 0 otherwise, and the eigenvalue-1 space is spanned by the
-    orthonormal vec(B_a B_b^T)/sqrt(d_lambda) over the irrep blocks B_a of
-    the lambda component, which the block builder checks, so that B B^T =
-    Xi_lambda, which is not built."""
-    m = kronecker_coefficient(mu, nu, lam).value
-    sigma = tensor_rep(mu, nu)
-    d, d_lam = sigma.dim, irrep_dimension(lam)
-    # The D^2 spectrum and the blocks, before the blocks' own chain.
-    require_bytes((d * d + m * d * d_lam) * 8, f"the acceptance operator of {lam} at D = {d}")
-    blocks = isotypic_block_basis(sigma, lam)
-    half = m * d_lam * d - m * m
-    spectrum = np.repeat([1.0, 0.5, 0.0], [m * m, half, d * d - m * m - half])
-    return AcceptanceOperator(blocks, spectrum, c=1.0, s=0.5 if half else 0.0)
+    commutes with Gamma, so the operator is fixed by the irrep blocks B_a of
+    the lambda component, which the block builder checks: B B^T = Xi_lambda,
+    which is not built."""
+    return AcceptanceOperator(isotypic_block_basis(tensor_rep(mu, nu), lam))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,16 +267,16 @@ def certify_corollary_bound(
     by the operator's irrep blocks B.  Perturbed trials center on the state
     vec(B B^T)/sqrt(m d_lambda), which only they build.
     """
-    m = kronecker_coefficient(mu, nu, lam).value
-    if m < 1:
-        raise InvalidArgumentError(
-            f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
-        )
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     _require_average(sigma)  # priced before the acceptance operator
     op = verification_acceptance_operator(mu, nu, lam)
+    m = len(op.blocks)  # with m = 0 the builder walks no chain
+    if m < 1:
+        raise InvalidArgumentError(
+            f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
+        )
     center = None
     if perturbation is not None:  # B B^T = Gamma I
         center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * irrep_dimension(lam))

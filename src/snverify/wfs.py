@@ -1,6 +1,6 @@
 """Weak Fourier sampling: isotypic projectors, the phase-estimation Kraus
-characterization, seeded measurement, and the irrep sampling distribution
-on the maximally entangled state.
+characterization, seeded measurement, and Kronecker coefficients by their
+two routes.
 
 Every isotypic quantity comes from one checked builder, isotypic_block_basis:
 the m aligned irrep blocks B_a of the lambda component.  Their seeds span
@@ -11,7 +11,8 @@ eigenvalues the contents of kappa's addable cells (Okounkov-Vershik,
 Selecta Math. 1996), so one Lagrange factor per level picks the chain's
 cell.  Then Xi_lambda = sum_a B_a B_a^T, a label is measured with
 probability ||B^T X||^2 and projected as B (B^T X), and no sum runs over
-the group.
+the group.  The chain is checked against the exact m of the character
+route, characters.multiplicities; a Kronecker coefficient counts blocks.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import multiplicities
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .kronecker import kronecker_multiplicities, multiplicity_character
 from .symgroup import (
     Partition,
     StandardTableau,
@@ -31,7 +32,7 @@ from .symgroup import (
     enumerate_tableaux,
     irrep_dimension,
 )
-from .yyrep import GroupRep, irrep, turn
+from .yyrep import GroupRep, irrep, tensor_rep, turn
 
 RANK_TOL = 1e-6
 EIGEN_ONE_TOL = 1e-8
@@ -55,6 +56,16 @@ class KrausElement:
 
     matrix: np.ndarray
     shape_label: Partition
+
+
+@dataclass(frozen=True)
+class Multiplicity:
+    value: int
+    route: str
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise NumericalConsistencyError(f"multiplicity {self.value} is negative")
 
 
 def tableau_projector(rep: GroupRep, tableau: StandardTableau) -> np.ndarray:
@@ -102,16 +113,13 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     count.  Each is carried along the Young-Yamanouchi basis by the
     seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i)
     - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.
-    Checked: e_11 has trace the exact m of the character route (on a tensor
-    rep from the pair's one cached column walk; with m = 0 no chain is
-    walked), B^T B = I and each B_a intertwines the generators with
-    rho^shape's, so that B spans the component."""
+    Checked: e_11 has trace the exact m of the character route, from rep's
+    one cached column walk (with m = 0 no chain is walked), B^T B = I and
+    each B_a intertwines the generators with rho^shape's, so that B spans
+    the component."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    if rep.kind == "tensor":
-        m = kronecker_multiplicities(*rep.labels)[shape]
-    else:
-        m = multiplicity_character(rep, shape).value
+    m = multiplicities(rep)[shape]
     if not m:  # no chain to walk
         blocks = np.zeros((0, rep.dim, irrep_dimension(shape)))
         blocks.setflags(write=False)
@@ -151,6 +159,26 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     blocks.setflags(write=False)
     return blocks
 
+
+def kronecker_coefficient(
+    mu: Partition, nu: Partition, lam: Partition, route: str = "char"
+) -> Multiplicity:
+    """Kronecker coefficient m_{mu nu lam}.
+
+    route "char" uses the triple character sum; route "rank" counts the
+    irrep blocks of the lam component, which the block builder checks
+    against the character route's m; route "both" does both.
+    """
+    if not mu.n == nu.n == lam.n:
+        raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
+    if route not in ("char", "rank", "both"):
+        raise InvalidArgumentError(f"unknown route {route!r}")
+    sigma = tensor_rep(mu, nu)
+    if route != "char":  # the builder raises unless it finds the character route's m blocks
+        rank = len(isotypic_block_basis(sigma, lam))
+        if route == "rank":
+            return Multiplicity(value=rank, route="projector-rank")
+    return Multiplicity(value=multiplicities(sigma)[lam], route="character-sum")
 
 def _projector(blocks: np.ndarray) -> Projector:
     """sum_a B_a B_a^T, one gemv per row, as by_columns forms its products,
@@ -208,6 +236,13 @@ def by_columns(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def norm_sq(v: np.ndarray) -> float:
+    """Squared norm as a NumPy sum: the BLAS dot behind np.linalg.norm
+    splits its sum by thread count, so its last bits depend on
+    OPENBLAS_NUM_THREADS.  A real v skips its zero imaginary part: x^2 + 0.0 = x^2."""
+    return float(np.sum(v**2 if np.isrealobj(v) else v.real**2 + v.imag**2))
+
+
 def measure_wfs(
     rep: GroupRep, psi: np.ndarray, seed: int
 ) -> tuple[Partition, np.ndarray]:
@@ -234,8 +269,7 @@ def measure_wfs(
     # B^T X for every label at once: their rows stack to a D x D matrix.
     z = by_columns(np.concatenate(rows), x)
     parts = np.split(z, np.cumsum([len(r) for r in rows])[:-1])
-    # Not np.linalg.norm: its BLAS dot splits the sum by thread count.
-    probs = np.array([np.sum(y.real**2 + y.imag**2) for y in parts])
+    probs = np.array([norm_sq(y) for y in parts])
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
@@ -247,16 +281,3 @@ def measure_wfs(
     post /= math.sqrt(probs[choice])
     return shapes[choice], post.reshape(-1)
 
-
-def lightning_distribution(mu: Partition, nu: Partition) -> dict[Partition, float]:
-    """Distribution of the sampled irrep label when weak Fourier sampling is
-    applied to the maximally entangled state: shape -> (d/(d_mu d_nu)) * m."""
-    weights = {shape: irrep_dimension(shape) * m
-               for shape, m in kronecker_multiplicities(mu, nu).items()}
-    d_mu, d_nu = irrep_dimension(mu), irrep_dimension(nu)
-    total = sum(weights.values())
-    if total != d_mu * d_nu:
-        raise NumericalConsistencyError(
-            f"lightning weights sum to {total}, not d_mu d_nu = {d_mu * d_nu}"
-        )
-    return {shape: w / (d_mu * d_nu) for shape, w in weights.items()}

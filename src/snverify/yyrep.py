@@ -1,5 +1,5 @@
-"""Young-Yamanouchi irrep matrices, characters, tensor/regular
-representations, and the dense group Fourier transform for S_n.
+"""Young-Yamanouchi irrep matrices, tensor/regular representations, and
+the dense group Fourier transform for S_n.
 
 Every representation here is real orthogonal, so its data is float64.
 A GroupRep holds generator images for the adjacent transpositions
@@ -16,32 +16,24 @@ rep_stack evaluates a representation on the whole group, as a cached
 Fourier transform and the self-test's orthogonality suites, both on
 irreps.
 
-Characters need no matrix.  One Murnaghan-Nakayama kernel, _add_strips,
-adds every border strip of one length to a dict of abacus masks:
-character_columns runs it forward from the empty shape, a whole column of
-the table at a time, and irrep_character runs it on the upside-down abacus
-for a single exact entry, walking only the shapes inside lambda.
-class_character builds the character of every other kind from those
-entries.  The trace of the dense chain and the backward beta-number
-recursion are kept only as test oracles.
+Characters and multiplicities need no matrix: the characters module reads
+a GroupRep only through its n, kind, labels and dim.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
+from .errors import InvalidArgumentError, require_bytes
 from .symgroup import (
     Partition,
     Permutation,
     adjacent_transposition_decomposition,
     axial_distance,
-    class_size,
     compose,
     enumerate_group,
     enumerate_partitions,
@@ -251,109 +243,6 @@ def turn(rep: GroupRep, t: tuple[int, int], y: np.ndarray) -> np.ndarray:
     turned = np.swapaxes(y.reshape(lead + (da, db * cols)), -1, -2) @ a
     turned = np.swapaxes(turned.reshape(lead + (db, cols * da)), -1, -2) @ b
     return turned.reshape(lead + (cols, da * db))
-
-
-# What a character walk holds beyond its entries (frames, the partitions it
-# reads, the dicts of a level), by tracemalloc in a fresh process: 0.8 kB
-# for the entry chi^(1)((1)), 3.5 kB for the columns of S_2.
-WALK_FIXED_BYTES = 4096
-
-
-# Bounded: a miss costs one walk, so the memo need not keep every entry.
-@lru_cache(maxsize=1 << 12)
-def irrep_character(shape: Partition, cycle_type: Partition) -> int:
-    """Character of the irrep at a conjugacy class, an exact integer by the
-    Murnaghan-Nakayama rule (Sagan, The Symmetric Group, 4.10).
-
-    Removing a border strip from lambda is adding one on the upside-down
-    abacus: bead p of character_columns' mask sits at 2n - 1 - p, so lambda
-    has bits n + i - lambda_i and the empty shape the top n of 2n slots.
-    _add_strips then removes one part of rho at a time, and a bead pushed
-    past slot 2n - 1 leaves no shape.  Every state is a shape inside lambda,
-    one level at a time."""
-    if shape.n != cycle_type.n:
-        raise InvalidArgumentError(
-            f"degree mismatch: class of S_{cycle_type.n}, irrep of S_{shape.n}"
-        )
-    n = shape.n
-    # Each level holds at most the shapes inside lambda, at character_columns' 144 B an entry.
-    require_bytes(WALK_FIXED_BYTES + _shapes_inside(shape) * 144, f"the character walk of {shape}")
-    parts = shape.parts + (0,) * (n - len(shape.parts))
-    level, limit = {sum(1 << (n + i - p) for i, p in enumerate(parts)): 1}, 1 << 2 * n
-    for r in cycle_type.parts:
-        level = {m: v for m, v in _add_strips(level, r).items() if m < limit}
-    return level.get(((1 << n) - 1) << n, 0)
-
-
-def _shapes_inside(shape: Partition) -> int:
-    """The number of partitions kappa with kappa_i <= lambda_i, by rows from
-    the last: ways[c] counts the rows below with the top one at most c."""
-    ways = [1] * (shape.parts[0] + 1)
-    for part in reversed(shape.parts):
-        kept = list(itertools.accumulate(ways[: part + 1]))
-        ways = kept + kept[-1:] * (len(ways) - part - 1)
-    return ways[-1]
-
-
-def character_columns(n: int):
-    """Yield (rho, [chi^lambda(rho) for lambda in enumerate_partitions(n)])
-    for every cycle type rho of n by the forward Murnaghan-Nakayama rule,
-    each column checked to square-sum to n!/|C_rho|.  lambda is the n-bead
-    mask with bits lambda_i + n - i; a strip of length r moves a bead b up
-    to an empty b + r, with sign (-1)^(beads between).  The walk goes depth
-    first down the trie of cycle types, parts smallest first (at n = 20,
-    1,253 nodes extend 89,033 masks; largest first, 2,713 and 603,953)."""
-    shapes = enumerate_partitions(n)
-    # n live columns of at most p(n) entries, 70-141 B each from n = 10 to 25 (tracemalloc).
-    require_bytes(WALK_FIXED_BYTES + n * len(shapes) * 144, f"the character walk of S_{n}")
-    masks = [sum(1 << (p + n - 1 - i) for i, p in enumerate(s.parts + (0,) * (n - len(s.parts))))
-             for s in shapes]
-
-    def walk(column: dict[int, int], left: int, least: int, parts: tuple[int, ...]):
-        if not left:
-            yield Partition(parts[::-1]), [column.get(m, 0) for m in masks]
-            return
-        for r in [*range(least, left // 2 + 1), left]:
-            yield from walk(_add_strips(column, r), left - r, r, parts + (r,))
-
-    for rho, values in walk({(1 << n) - 1: 1}, n, 1, ()):
-        if sum(v * v for v in values) * class_size(rho) != math.factorial(n):
-            raise NumericalConsistencyError(f"column {rho} of S_{n}: squares do not sum to n!/|C|")
-        yield rho, values
-
-
-def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
-    """Every border strip of length r added to every mask of column."""
-    out: dict[int, int] = {}
-    for mask, value in column.items():
-        movable = mask & ~(mask >> r)
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            high = low << r
-            odd = (mask & (high - (low << 1))).bit_count() & 1
-            out[mask ^ low ^ high] = out.get(mask ^ low ^ high, 0) + (-value if odd else value)
-    return out
-
-
-def class_character(rep: GroupRep, cycle_type: Partition) -> int:
-    """Trace of rep on the conjugacy class of cycle_type, an exact integer
-    built from irrep characters; no matrix is evaluated."""
-    if cycle_type.n != rep.n:
-        raise InvalidArgumentError(
-            f"degree mismatch: class of S_{cycle_type.n}, rep of S_{rep.n}"
-        )
-    if rep.kind == "irrep":
-        return irrep_character(rep.labels[0], cycle_type)
-    if rep.kind == "tensor":
-        mu, nu = rep.labels
-        return irrep_character(mu, cycle_type) * irrep_character(nu, cycle_type)
-    if rep.kind == "identity-times-irrep":
-        shape = rep.labels[0]
-        return rep.dim // irrep_dimension(shape) * irrep_character(shape, cycle_type)
-    if rep.kind in ("left-regular", "right-regular"):
-        return rep.dim if cycle_type.parts == (1,) * rep.n else 0
-    raise InvalidArgumentError(f"no character for representation kind {rep.kind!r}")
 
 
 @lru_cache(maxsize=None)

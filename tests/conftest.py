@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snverify.characters import irrep_character
 from snverify.entangled import vec
 from snverify.wfs import isotypic_block_basis
 from snverify.symgroup import (
@@ -16,7 +17,7 @@ from snverify.symgroup import (
     enumerate_partitions,
     irrep_dimension,
 )
-from snverify.yyrep import GroupRep, irrep, irrep_character, rep_evaluate, rep_stack, tensor_rep
+from snverify.yyrep import GroupRep, irrep, rep_evaluate, rep_stack, tensor_rep
 
 # pyproject's pythonpath finds src here; the tests that spawn
 # `python -m snverify.cli` find it through PYTHONPATH.
@@ -175,7 +176,7 @@ def _border_strip_sum(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
 def _backward_character(shape, cycle_type) -> int:
     """chi^shape at cycle_type by the backward Murnaghan-Nakayama recursion
     on beta-numbers, memoised per subproblem: an oracle for the forward
-    walks of yyrep, independent of their bit masks."""
+    walks of characters, independent of their bit masks."""
     k = len(shape.parts)
     beta = tuple(part + k - 1 - i for i, part in enumerate(shape.parts))
     return _border_strip_sum(beta[::-1], cycle_type.parts)

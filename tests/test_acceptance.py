@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
+from snverify.characters import irrep_character, lightning_distribution
 from snverify.entangled import phi_plus, vec
-from snverify.kronecker import kronecker_coefficient
 from snverify.symgroup import (
     Partition,
     class_size,
@@ -29,8 +29,8 @@ from snverify.verifier import (
     certify_lemma_bound,
     verification_acceptance_operator,
 )
-from snverify.wfs import gpe_kraus, lightning_distribution, wfs_povm, wfs_projector
-from snverify.yyrep import identity_times_irrep, irrep, irrep_character, rep_evaluate, tensor_rep
+from snverify.wfs import gpe_kraus, kronecker_coefficient, wfs_povm, wfs_projector
+from snverify.yyrep import identity_times_irrep, irrep, rep_evaluate, tensor_rep
 
 P = Partition.parse
 
@@ -220,12 +220,13 @@ def test_criterion_5_lightning_distribution():
 
 def test_criterion_6_verifier_completeness_and_uniqueness(accepting_oracle, span_distance):
     op = verification_acceptance_operator(P("2,1"), P("2,1"), P("2,1"))
-    ones = int(np.sum(op.spectrum > 1.0 - 1e-8))
+    spectrum = np.repeat(*zip(*op.levels))
+    ones = int(np.sum(spectrum > 1.0 - 1e-8))
     accepting = accepting_oracle(P("2,1"), P("2,1"), P("2,1"))
     xi = wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
     eigvec_residual = span_distance(accepting, witness)
-    gap_empty = not np.any((op.spectrum > op.s + 1e-8) & (op.spectrum < 1.0 - 1e-8))
+    gap_empty = not np.any((spectrum > op.s + 1e-8) & (spectrum < 1.0 - 1e-8))
     report(
         6,
         f"S_3 verifier: eigenvalue 1 with multiplicity {ones}, witness "

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snverify import cli, kronecker, serialize, verifier, wfs, yyrep
+from snverify import characters, cli, serialize, verifier, wfs, yyrep
 from snverify.cli import _round_floats, main, run
 from snverify.entangled import StateVector, max_entangled_over_range, phi_plus
 from snverify.errors import InvalidArgumentError
@@ -42,14 +42,13 @@ def test_kron_example(capsys):
 def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
     # route both returns the character route's m once the block builder's
     # chain has that trace; an m one too large must fail that check.
-    multiplicities = kronecker.kronecker_multiplicities
+    multiplicities = characters.multiplicities
 
-    def off_by_one(mu, nu):
+    def off_by_one(rep):
         return {lam: m + (lam == Partition.parse("2,1"))
-                for lam, m in multiplicities(mu, nu).items()}
+                for lam, m in multiplicities(rep).items()}
 
-    monkeypatch.setattr(kronecker, "kronecker_multiplicities", off_by_one)
-    monkeypatch.setattr(wfs, "kronecker_multiplicities", off_by_one)
+    monkeypatch.setattr(wfs, "multiplicities", off_by_one)
     code, doc = invoke(["kron", "2,1", "2,1", "2,1", "--route", "both"], capsys)
     assert code == 4
     assert doc["status"] == "numerical-consistency"
@@ -143,6 +142,40 @@ def test_verify_spectrum_at_d490_fits_16_mb(capsys, monkeypatch):
     code, doc = invoke(["verify", "spectrum", "4,3", "4,2,1", "4,2,1"], capsys)
     assert code == 0, doc
     assert doc["eigenvalue_one_multiplicity"] == 16
+
+
+def test_verify_spectrum_prices_its_json_before_the_operator(capsys, monkeypatch):
+    # D = 1,568, m = 0: the JSON of 2,458,624 eigenvalues is priced at 26 B an
+    # entry and the encoder's pieces, 64 B for each of the first 50,000.
+    built = []
+    monkeypatch.setattr(cli, "verification_acceptance_operator", lambda *args: built.append(args))
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "50000000")
+    code, doc = invoke(["verify", "spectrum", "5,3", "4,2,2", "8"], capsys)
+    assert code == 3
+    assert doc["error"].startswith("the JSON of 2458624 eigenvalues: 67124224 B predicted")
+    assert built == []
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["plain", "pretty"])
+@pytest.mark.parametrize("triple", [["4,2", "3,2,1", "3,2,1"], ["4,3", "4,2,1", "7"]],
+                         ids=["d144", "d490-m0"])
+def test_verify_spectrum_json_holds_less_than_its_price(triple, pretty, monkeypatch):
+    # Each writer's peak, the whole command traced; the blocks' chain at
+    # D = 144 holds less than the writer.
+    argv = ["verify", "spectrum", *triple] + ["--pretty"] * pretty
+    prices, checked = [], cli.require_bytes
+    monkeypatch.setattr(cli, "require_bytes",
+                        lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # the factors' images, cached and priced apart
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    price = max(prices)
+    assert peak < price < 2 * peak, (peak, price)
 
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
@@ -486,8 +519,8 @@ def test_lightning_prices_the_character_walk_before_any_column(capsys, monkeypat
     # fixed (1.8 MB), the partitions it reads at 150 kB.
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
     strips = []
-    monkeypatch.setattr(yyrep, "_add_strips", lambda column, r: strips.append(r))
-    kronecker.kronecker_multiplicities.cache_clear()
+    monkeypatch.setattr(characters, "_add_strips", lambda column, r: strips.append(r))
+    characters._multiplicities.cache_clear()
     code, doc = invoke(["lightning", "6,5,4,3,2", "5,5,5,5"], capsys)
     assert code == 3
     assert doc["error"].startswith("the character walk of S_20: 1809856 B predicted")
@@ -495,15 +528,15 @@ def test_lightning_prices_the_character_walk_before_any_column(capsys, monkeypat
 
 
 def test_a_corrupted_character_column_exits_4(capsys, monkeypatch):
-    add_strips = yyrep._add_strips
+    add_strips = characters._add_strips
 
     def corrupted(column, r):
         out = add_strips(column, r)
         out[max(out)] += 1
         return out
 
-    monkeypatch.setattr(yyrep, "_add_strips", corrupted)
-    kronecker.kronecker_multiplicities.cache_clear()
+    monkeypatch.setattr(characters, "_add_strips", corrupted)
+    characters._multiplicities.cache_clear()
     code, doc = invoke(["lightning", "3,2", "2,2,1"], capsys)
     assert code == 4
     assert doc["status"] == "numerical-consistency"
@@ -524,8 +557,8 @@ def test_rep_char_prices_the_walk_before_any_strip(capsys, monkeypatch):
     # delta_10 holds 58,786 shapes: 8,465,184 B at 144 B each, and 4,096 B fixed.
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "1000000")
     strips = []
-    monkeypatch.setattr(yyrep, "_add_strips", lambda level, r: strips.append(r))
-    yyrep.irrep_character.cache_clear()
+    monkeypatch.setattr(characters, "_add_strips", lambda level, r: strips.append(r))
+    characters.irrep_character.cache_clear()
     code, doc = invoke(["rep", "char", STAIRCASE, IDENTITY_55], capsys)
     assert code == 3
     assert doc["error"].startswith(f"the character walk of {STAIRCASE}: 8469280 B predicted")
@@ -535,9 +568,9 @@ def test_rep_char_prices_the_walk_before_any_strip(capsys, monkeypatch):
 def test_verify_certify_walks_the_character_table_once(capsys, monkeypatch):
     # certify_corollary_bound and the acceptance operator both read m.
     walks = []
-    columns = kronecker.character_columns
-    monkeypatch.setattr(kronecker, "character_columns", lambda n: walks.append(n) or columns(n))
-    kronecker.kronecker_multiplicities.cache_clear()
+    columns = characters.character_columns
+    monkeypatch.setattr(characters, "character_columns", lambda n: walks.append(n) or columns(n))
+    characters._multiplicities.cache_clear()
     code, doc = invoke(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "2"], capsys)
     assert code == 0, doc
     assert walks == [5]

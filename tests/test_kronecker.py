@@ -8,14 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from snverify.characters import _group_average, lightning_distribution, multiplicities
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
-from snverify.kronecker import (
-    Multiplicity,
-    _group_average,
-    kronecker_coefficient,
-    kronecker_multiplicities,
-    multiplicity_character,
-)
 from snverify.symgroup import (
     Partition,
     class_size,
@@ -23,7 +17,7 @@ from snverify.symgroup import (
     enumerate_partitions,
     irrep_dimension,
 )
-from snverify.wfs import lightning_distribution
+from snverify.wfs import Multiplicity, kronecker_coefficient
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
@@ -126,20 +120,33 @@ def test_dimension_sum_identity():
 
 def test_multiplicity_character_on_tensor_rep():
     sigma = tensor_rep(P("2,1"), P("2,1"))
-    for lam in enumerate_partitions(3):
-        m = multiplicity_character(sigma, lam)
-        assert m.value == kronecker_coefficient(P("2,1"), P("2,1"), lam).value
-        assert m.route == "character-sum"
+    for lam, m in multiplicities(sigma).items():
+        assert m == kronecker_coefficient(P("2,1"), P("2,1"), lam).value
+    assert list(multiplicities(sigma)) == list(enumerate_partitions(3))
 
 
 def test_multiplicity_character_on_derived_reps():
     lam = P("2,1")
-    assert multiplicity_character(identity_times_irrep(2, lam), lam).value == 2
-    assert multiplicity_character(identity_times_irrep(2, lam), P("3")).value == 0
+    assert multiplicities(identity_times_irrep(2, lam))[lam] == 2
+    assert multiplicities(identity_times_irrep(2, lam))[P("3")] == 0
     # every irrep occurs in the regular representation d times
     for rep in regular_representations(4):
         for shape in enumerate_partitions(4):
-            assert multiplicity_character(rep, shape).value == irrep_dimension(shape)
+            assert multiplicities(rep)[shape] == irrep_dimension(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiplicities_of_every_kind_match_the_group_sum_projector(n, group_sum_projector):
+    # m_lam d_lam is the trace of (d_lam/|G|) sum_g chi^lam(g) rep(g), summed
+    # over the whole group through rep_stack: an oracle beside the columns.
+    shapes = enumerate_partitions(n)
+    reps = [*map(irrep, shapes), identity_times_irrep(2, shapes[len(shapes) // 2]),
+            *regular_representations(n), *(tensor_rep(mu, nu) for mu in shapes for nu in shapes)]
+    for rep in reps:
+        ms = multiplicities(rep)
+        for lam in shapes:
+            trace = np.trace(group_sum_projector(rep, lam))
+            assert abs(ms[lam] * irrep_dimension(lam) - trace) < 1e-9, (rep.kind, rep.labels, lam)
 
 
 def test_group_average_is_exact_and_checked():
@@ -173,7 +180,7 @@ def test_lightning_at_n15_matches_the_backward_route(backward_character):
     # The forward columns against sums of backward entries, for every lam.
     mu, nu = P("6,5,4"), P("5,5,3,2")
     classes = enumerate_partitions(15)
-    forward = kronecker_multiplicities(mu, nu)
+    forward = multiplicities(tensor_rep(mu, nu))
     assert list(forward) == list(classes)
     for lam in classes:
         total = sum(

@@ -1,0 +1,63 @@
+"""The module graph of the package: every relative import at the top of a
+module, no cycle, and an exact layer that imports no array code.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "snverify"
+# What the exact layer may import from the package, beside the stdlib.
+CHARACTERS_IMPORTS = {"errors", "symgroup"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports at its top level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_no_relative_import_inside_a_function():
+    found = [
+        f"{name}.{func.name}: {ast.unparse(node)}"
+        for name, tree in _trees().items()
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func) if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert found == []
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = {name: _package_imports(tree) - {name} for name, tree in _trees().items()}
+    graph.pop("__init__")
+    order = []
+    while graph:
+        ready = sorted(name for name, deps in graph.items() if deps <= set(order))
+        assert ready, f"cycle among {sorted(graph)}"
+        order += ready
+        for name in ready:
+            del graph[name]
+
+
+def test_characters_imports_only_the_stdlib_errors_and_symgroup():
+    tree = _trees()["characters"]
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [] if node.module in CHARACTERS_IMPORTS else [f".{node.module}"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        outside += [name for name in names if name.startswith(".")
+                    or name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -9,16 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from snverify import entangled, wfs
+from snverify import characters, entangled, wfs
+from snverify.characters import lightning_distribution, multiplicities
 from snverify.entangled import phi_plus, psi_lambda
 from snverify.verifier import haar_state
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
-from snverify.kronecker import Multiplicity, kronecker_coefficient, kronecker_multiplicities
 from snverify.symgroup import Partition, enumerate_partitions, enumerate_tableaux, irrep_dimension
 from snverify.wfs import (
     gpe_kraus,
     isotypic_block_basis,
-    lightning_distribution,
+    kronecker_coefficient,
     measure_wfs,
     wfs_povm,
     wfs_projector,
@@ -323,16 +323,10 @@ def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum
 
 
 def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
-    # The block builder checks its chain's trace against the exact m: a
-    # tensor rep reads its pair's column walk, any other kind single entries.
-    exact, exact_pair = wfs.multiplicity_character, wfs.kronecker_multiplicities
-
-    def off_by_one(rep, shape):
-        return Multiplicity(value=exact(rep, shape).value + 1, route="character-sum")
-
-    monkeypatch.setattr(wfs, "multiplicity_character", off_by_one)
-    monkeypatch.setattr(wfs, "kronecker_multiplicities",
-                        lambda mu, nu: {lam: m + 1 for lam, m in exact_pair(mu, nu).items()})
+    # The block builder checks its chain's trace against the exact m of
+    # every kind's column walk.
+    monkeypatch.setattr(wfs, "multiplicities",
+                        lambda rep: {lam: m + 1 for lam, m in multiplicities(rep).items()})
     for rep, shape in ((tensor_rep(P("3,1"), P("2,1,1")), P("2,1,1")),
                        (identity_times_irrep(2, P("2,1,1")), P("2,1,1"))):
         with pytest.raises(NumericalConsistencyError, match="chain has trace"):
@@ -341,13 +335,21 @@ def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
             wfs_povm(rep)
 
 
-def test_tensor_projectors_read_the_pairs_column_walk_not_single_entries(monkeypatch):
-    entries = []
-    monkeypatch.setattr(wfs, "multiplicity_character", lambda *args: entries.append(args))
-    sigma = tensor_rep(P("3,1"), P("2,1,1"))
-    wfs_povm(sigma)
-    wfs_projector(sigma, P("2,2"))
-    assert entries == []
+@pytest.mark.parametrize("kind", ["irrep", "tensor", "identity-times-irrep", "left-regular",
+                                  "right-regular"])
+def test_projectors_of_every_kind_walk_the_character_columns_once(kind, monkeypatch):
+    rep = {"irrep": lambda: irrep(P("2,2")),
+           "tensor": lambda: tensor_rep(P("3,1"), P("2,1,1")),
+           "identity-times-irrep": lambda: identity_times_irrep(2, P("2,1,1")),
+           "left-regular": lambda: regular_representations(4)[0],
+           "right-regular": lambda: regular_representations(4)[1]}[kind]()
+    walks, columns = [], characters.character_columns
+    monkeypatch.setattr(characters, "character_columns", lambda n: walks.append(n) or columns(n))
+    characters._multiplicities.cache_clear()
+    wfs_povm(rep)
+    for shape in enumerate_partitions(4):
+        wfs_projector(rep, shape)
+    assert walks == [4]
 
 
 @pytest.mark.parametrize(
@@ -362,7 +364,7 @@ def test_lattice_steps_hold_what_they_price(step, monkeypatch):
     sigma, dim = tensor_rep(mu, nu), 144
     first = enumerate_tableaux(lam)[0]
     psi = haar_state(dim * dim, np.random.default_rng(0))
-    chains = [5 * dim * dim] * sum(1 for m in kronecker_multiplicities(mu, nu).values() if m)
+    chains = [5 * dim * dim] * sum(1 for m in multiplicities(sigma).values() if m)
     calls = {
         "tableau": (lambda: wfs.tableau_projector(sigma, first), chains[:1]),
         "blocks": (lambda: isotypic_block_basis(sigma, lam), chains[:1]),

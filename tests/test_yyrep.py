@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snverify.characters import _shapes_inside, character_columns, irrep_character
 from snverify.errors import InvalidArgumentError, ResourceLimitError
 from snverify.symgroup import (
     Partition,
@@ -27,13 +28,9 @@ from snverify.symgroup import (
     irrep_dimension,
 )
 from snverify.yyrep import (
-    _shapes_inside,
-    character_columns,
-    class_character,
     fourier_transform_matrix,
     identity_times_irrep,
     irrep,
-    irrep_character,
     regular_representations,
     rep_evaluate,
     rep_stack,
@@ -365,18 +362,18 @@ def test_character_walk_holds_what_it_prices():
 # chi^(1)((1)) and the columns of S_1, in a fresh process as the CLI runs them.
 _TINY_WALKS = """
 import json, tracemalloc
-from snverify import yyrep
+from snverify import characters
 from snverify.symgroup import Partition
 
-prices, checked = [], yyrep.require_bytes
-yyrep.require_bytes = lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what)
+prices, checked = [], characters.require_bytes
+characters.require_bytes = lambda nbytes, what: prices.append(nbytes) or checked(nbytes, what)
 one = Partition((1,))
 
 def entry():
-    yyrep.irrep_character(one, one)
+    characters.irrep_character(one, one)
 
 def columns():
-    for _ in yyrep.character_columns(1):
+    for _ in characters.character_columns(1):
         pass
 
 peaks = []
@@ -418,7 +415,6 @@ def test_character_is_a_class_function():
         rep = irrep(shape)
         for g in enumerate_group(4):
             by_class = irrep_character(shape, conjugacy_class_of(g))
-            assert class_character(rep, conjugacy_class_of(g)) == by_class
             assert np.trace(rep_evaluate(rep, g)) == pytest.approx(by_class, abs=1e-10)
 
 
@@ -438,14 +434,9 @@ def test_character_orthogonality_rows():
 
 
 def test_derived_representation_characters():
-    mu, nu = P("2,1"), P("2,1")
-    sigma = tensor_rep(mu, nu)
+    mu = P("2,1")
     blocked = identity_times_irrep(2, mu)
     for g in enumerate_group(3):
-        ct = conjugacy_class_of(g)
-        chi_mu = irrep_character(mu, ct)
-        assert class_character(sigma, ct) == chi_mu * chi_mu
-        assert class_character(blocked, ct) == 2 * chi_mu
         np.testing.assert_allclose(
             rep_evaluate(blocked, g),
             np.kron(np.eye(2), rep_evaluate(irrep(mu), g)),
@@ -475,8 +466,6 @@ def test_regular_character_is_group_order_at_identity_only():
     for rep in regular_representations(4):
         for g in enumerate_group(4):
             expected = 24 if g == Permutation.identity(4) else 0
-            assert class_character(rep, conjugacy_class_of(g)) == expected
-            # the closed form agrees with the trace of the permutation matrix
             assert np.trace(rep_evaluate(rep, g)) == expected
 
 
