@@ -55,6 +55,8 @@ def _partition_key(shape: Partition) -> str:
 
 def _load_state(path: str) -> np.ndarray:
     try:
+        size = os.path.getsize(path)  # priced before json.load parses it
+        require_bytes(serialize.STATE_FILE_FACTOR * size, f"the state file {path!r} of {size} B")
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
@@ -375,7 +377,8 @@ def _round_floats(obj, digits: int):
     if isinstance(obj, float):
         if obj == 0 or not math.isfinite(obj):
             return obj
-        return float(f"{obj:.{digits}g}")
+        rounded = float(f"{obj:.{digits}g}")
+        return obj if rounded == obj else rounded  # an unchanged float stays one shared object
     if isinstance(obj, list):
         return [_round_floats(v, digits) for v in obj]
     if isinstance(obj, dict):

@@ -3,6 +3,8 @@ acceptance operator, and Monte-Carlo certification of the robustness
 bounds.  The operator is held as the irrep blocks of the lambda component
 alone: its three eigenvalue levels, completeness and soundness are read
 from their shape (m, D, d_lambda), and m^2 is its eigenvalue-1 count.
+Certification reads the internal test from the same blocks in closed
+form; only the cross-checks average over the group.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ from .yyrep import GroupRep, tensor_rep, turn
 BOUND_SLACK = 1e-8
 # Python memory per test report, measured through the CLI's JSON output.
 REPORT_BYTES = 1300
+# A certification trial's peak in real D x D arrays: the state, the residual
+# and its squares; the corollary's split adds SPLIT_COLUMNS D-long columns per
+# block column, Z, B Z's factors and the residual Z - K B^T.  By tracemalloc:
+# 7.0-7.1 (lemma, D = 105-180) and 8.0-12.2 D x D (corollary, D = 35-490).
+LEMMA_ARRAYS = 8
+COROLLARY_ARRAYS = 8
+SPLIT_COLUMNS = 5
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,10 @@ class AcceptanceOperator:
         """Soundness: the largest eigenvalue below 1."""
         return 0.5 if self.levels[1][1] else 0.0
 
-    def _split(self, x: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Gamma X = B Z, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X, K =
-        (T/d_lambda) x I, T_ab = tr(B_a^T X B_b): X - P X is the orthogonal sum
-        of X - Gamma X and B (Z - K B^T).  Each product goes through
+    def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Gamma X = B Z, t = T/d_lambda, ||Z - K B^T||^2 and ||X - P X||_F for
+        Z = B^T X, K = t x I, T_ab = tr(B_a^T X B_b): X - P X is the orthogonal
+        sum of X - Gamma X and B (Z - K B^T).  Each product goes through
         by_columns, whose bits do not depend on the BLAS thread count."""
         m, d, d_lam = self.blocks.shape
         rows = block_rows(self.blocks)
@@ -58,14 +67,16 @@ class AcceptanceOperator:
         flat = rows.reshape(m, d_lam * d)
         t = by_columns(flat, z.reshape(m, d_lam * d).T).T / d_lam
         k_bt = by_columns(np.ascontiguousarray(flat.T), t.T).T  # row a: sum_b T_ab vec(B_b^T)
-        gamma = by_columns(block_columns(self.blocks), z)
         inner = norm_sq(z - k_bt.reshape(z.shape))
-        return gamma, inner, math.sqrt(norm_sq(x - gamma) + inner)
+        del rows, flat, k_bt  # freed before the D x D products below
+        gamma = by_columns(block_columns(self.blocks), z)
+        del z
+        return gamma, t, inner, math.sqrt(norm_sq(x - gamma) + inner)
 
     def distance_to(self, psi: np.ndarray) -> float:
         """||X - P X||_F for psi = vec X, P onto the eigenvalue-1 space, summed from
         explicit residuals: never ||psi||^2 - ||P psi||^2, which cancels near it."""
-        return self._split(unvec(psi, self.blocks.shape[1]))[2]
+        return self._split(unvec(psi, self.blocks.shape[1]))[3]
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,9 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     dimension |G| and U = sum_g |g><g| tensor rep(g) tensor rep(g)*,
     giving 1/2 + 1/2 Re<tau|U|tau>, one control block per group element,
     each reached by a walk down the coset tree.  Neither builds rep's
-    stack.  Certification needs only the formula and `verify run` only
-    the circuit; this is for the cross-checks.
+    stack.  Certification reads neither: it takes <X, E(X)> in closed form
+    from the irrep blocks.  `verify run` reads only the circuit; both
+    routes are for the cross-checks and the self-test.
     """
     x = unvec(psi, rep.dim)
     circuit = _circuit_value(rep, x)  # its walk is priced first
@@ -208,6 +220,25 @@ def _trial_state(dim: int, center, perturbation: float | None, seed: int) -> np.
     return raw / norm
 
 
+def _require_trial(d: int, columns: int, perturbation: float | None) -> None:
+    """Price one certification trial before its state is drawn: its peak, by
+    tracemalloc, of columns D-long float columns, and 2 D more that hold a
+    perturbation's center."""
+    columns += 2 * d * (perturbation is not None)
+    require_bytes(columns * d * 8, f"a certification trial at D = {d}")
+
+
+def _identity_split(x: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
+    """t = T/d1 and ||X - t tensor I_d1||_F for T_ab = tr X_ab over X's d1 x d1
+    blocks, summed from that residual formed explicitly."""
+    m = len(x) // d1
+    residual = x.reshape(m, d1, m, d1).copy()  # residual[a, :, b] = X_ab
+    t = np.trace(residual, axis1=1, axis2=3) / d1
+    diagonals = np.einsum("aibi->abi", residual)  # a writable view: X_ab's diagonal at [a, b]
+    diagonals -= t[:, :, None]
+    return t, math.sqrt(norm_sq(residual))
+
+
 def certify_lemma_bound(
     rep: GroupRep,
     trials: int,
@@ -218,9 +249,11 @@ def certify_lemma_bound(
     irrep: for seeded random states, the distance to the product target
     subspace span vec(A tensor I_d1)/sqrt(d1) is at most 2 sqrt(2 eps).
 
-    By Schur's lemma that span is the commutant of sigma, so the distance
-    from psi = vec X is ||X - (T/d1) tensor I_d1||_F, T_ab = tr X_ab over X's
-    d1 x d1 blocks, summed from that residual formed explicitly.
+    By Schur's lemma that span is the commutant of sigma, onto which E
+    projects: E(X) = t tensor I_d1 for psi = vec X, with t = T/d1 and T_ab =
+    tr X_ab over X's d1 x d1 blocks.  So the distance is ||X - E(X)||_F,
+    from that residual formed explicitly, and the internal test accepts with
+    1/2 + 1/2 a^2, a = <X, E(X)> = d1 ||t||^2: no group average is taken.
 
     With perturbation set, trial states are normalized perturbations of the
     maximally entangled state at that scale instead of Haar-random states.
@@ -230,20 +263,17 @@ def certify_lemma_bound(
             "lemma certification needs an irrep or identity-times-irrep representation"
         )
     d1 = irrep_dimension(rep.labels[0])
-    m = rep.dim // d1
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
     d = rep.dim
-    _require_average(rep)  # priced before the first trial state
-    center = vec(np.eye(d)) / math.sqrt(d)
-    identity = np.eye(d1)[:, None, :]  # I_d1 in every block of a (m, d1, m, d1) view
+    _require_trial(d, LEMMA_ARRAYS * d, perturbation)
+    center = None if perturbation is None else vec(np.eye(d)) / math.sqrt(d)
     reports = []
     for t in range(trials):
-        psi = _trial_state(d * d, center, perturbation, seed + t)
-        x = unvec(psi, d)
-        acceptance = _formula_value(rep, x)
-        blocks = x.reshape(m, d1, m, d1)  # blocks[a, :, b] = X_ab
-        traces = np.trace(blocks, axis1=1, axis2=3) / d1
-        distance = math.sqrt(norm_sq(blocks - traces[:, None, :, None] * identity))
+        # No trial state outlives its split, so none is held beside the next draw.
+        state = _trial_state(d * d, center, perturbation, seed + t)
+        traces, distance = _identity_split(unvec(state, d), d1)
+        del state
+        acceptance = 0.5 + 0.5 * (d1 * norm_sq(traces)) ** 2
         eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
         reports.append(TestReport.build(acceptance, distance, 2.0 * math.sqrt(2.0 * eps)))
     return reports
@@ -263,40 +293,42 @@ def certify_corollary_bound(
     internal-test acceptance probabilities; the post-sampling state also
     satisfies the 2 sqrt(2 eps') internal-test bound.
 
-    Gamma psi = vec(B B^T X) and both distances come from one split of psi
-    by the operator's irrep blocks B.  Perturbed trials center on the state
-    vec(B B^T)/sqrt(m d_lambda), which only they build.
+    Each trial reads one split of psi = vec X by the operator's irrep blocks
+    B: Gamma psi = vec(B B^T X), p = ||Gamma psi||^2, both distances and t =
+    T/d_lambda.  The post-sampling state X' = B B^T X / sqrt(p) lies in the
+    lambda component, so by Schur's lemma E(X') = sum_ab t_ab B_a B_b^T /
+    sqrt(p), and the internal test accepts with 1/2 + 1/2 a^2, a = <X', E(X')>
+    = d_lambda ||t||^2 / p: no group average is taken.  Perturbed trials
+    center on the state vec(B B^T)/sqrt(m d_lambda), which only they build.
     """
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
-    sigma = tensor_rep(mu, nu)
-    d = sigma.dim
-    _require_average(sigma)  # priced before the acceptance operator
     op = verification_acceptance_operator(mu, nu, lam)
-    m = len(op.blocks)  # with m = 0 the builder walks no chain
+    m, d, d_lam = op.blocks.shape  # with m = 0 the builder walks no chain
     if m < 1:
         raise InvalidArgumentError(
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
+    _require_trial(d, COROLLARY_ARRAYS * d + SPLIT_COLUMNS * m * d_lam, perturbation)
     center = None
     if perturbation is not None:  # B B^T = Gamma I
-        center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * irrep_dimension(lam))
+        center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
     trials_out = []
     for t in range(trials):
-        psi = _trial_state(d * d, center, perturbation, seed + t)
-        projected, inner, distance = op._split(unvec(psi, d))  # Gamma = B B^T tensor I
+        state = _trial_state(d * d, center, perturbation, seed + t)
+        projected, t_lam, inner, distance = op._split(unvec(state, d))  # Gamma = B B^T tensor I
         p_sample = norm_sq(projected)
+        del state, projected  # neither is held beside the next draw and split
         if p_sample < 1e-14:
             corollary = TestReport.build(0.0, distance, 3.0 * math.sqrt(2.0))
             theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
             trials_out.append(CertificationTrial(corollary, theorem, degenerate=True))
             continue
-        post = projected / math.sqrt(p_sample)
-        p_internal = _formula_value(sigma, post)
+        p_internal = 0.5 + 0.5 * (d_lam * norm_sq(t_lam) / p_sample) ** 2
         total = p_sample * p_internal
         eps_total = max(1.0 - total, 0.0)
         corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * eps_total))
         eps_internal = max(1.0 - p_internal, 0.0)
-        # post is in Gamma's range, and its Z and K are psi's over sqrt(p_sample).
+        # The post-sampling state's Z and K are psi's over sqrt(p_sample).
         theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample),
                                    2.0 * math.sqrt(2.0 * eps_internal))
         trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))

@@ -8,9 +8,11 @@ of one element, also where S_n is too large to enumerate.  A tensor
 product holds only its labels.  turn(rep, t, Y) = Y^T rep(t), the one
 code that applies a transposition image, reads a tensor product's factor
 images and any other kind's own, as transposition_images caches them.
-It serves the verifier's coset-tower average channel_E and its coset-tree
-circuit, and wfs's irrep blocks, whose chain applies the Jucys-Murphy
-elements X_k = sum_{j<k} (j k); no isotypic quantity sums over the group.
+It serves the verifier's coset-tree circuit, its coset-tower average
+channel_E, which only the cross-checks read (certification takes the
+average in closed form from the irrep blocks), and wfs's irrep blocks,
+whose chain applies the Jucys-Murphy elements X_k = sum_{j<k} (j k); no
+isotypic quantity sums over the group.
 rep_stack evaluates a representation on the whole group, as a cached
 |G| x D x D array in the order of symgroup.enumerate_group, for the
 Fourier transform and the self-test's orthogonality suites, both on

@@ -3,6 +3,7 @@ determinism, and byte-identical self-test reports.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
 from snverify.yyrep import tensor_rep
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(argv, capsys):
@@ -179,26 +184,69 @@ def test_verify_spectrum_json_holds_less_than_its_price(triple, pretty, monkeypa
 
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
-    # sigma's own stack would take 119 MB and the circuit five of them; the
-    # formula holds 12 D x D arrays (2.0 MB) and the factors' images.
+    # sigma's own stack would take 119 MB and the circuit five of them; a
+    # trial holds 8 D + 5 m d_lambda columns of D floats (1.6 MB).
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     code, doc = invoke(["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys)
     assert code == 0
     assert doc["violations"] == 0
 
 
-def test_certify_prices_the_coset_tower_average_before_the_acceptance_operator(
-    capsys, monkeypatch
-):
-    # D = 30: 12 D x D arrays take 86,400 B.
-    built = []
-    monkeypatch.setattr(verifier, "verification_acceptance_operator",
-                        lambda *args: built.append(args))
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "86399")
-    code, doc = invoke(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], capsys)
+@pytest.mark.parametrize(
+    "argv, d, price",
+    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 72_000),
+     (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "1"], 10, 6_400)],
+    ids=["certify", "certify-lemma"],
+)
+def test_certify_prices_its_trials_before_the_first_state(argv, d, price, capsys, monkeypatch):
+    # D = 30 with m d_lambda = 12 blocks' columns: 8 D + 5 m d_lambda columns
+    # of D floats; the lemma at D = 10: 8 D x D arrays.  At the price itself
+    # the command runs.
+    drawn, draw = [], verifier._trial_state
+    monkeypatch.setattr(verifier, "_trial_state", lambda *args: drawn.append(args) or draw(*args))
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
+    code, doc = invoke(argv, capsys)
     assert code == 3
-    assert doc["error"].startswith("the coset-tower average of S_5 at D = 30: 86400 B")
-    assert built == []
+    assert doc["error"].startswith(f"a certification trial at D = {d}: {price} B")
+    assert drawn == []
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price))
+    code, doc = invoke(argv, capsys)
+    assert code == 0 and doc["violations"] == 0
+    assert len(drawn) == 1
+
+
+def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys, monkeypatch):
+    # I_30 x rho^(3,1,1), D = 180: certification priced the average at 12 +
+    # n(n-1)/2 = 22 D x D arrays with the images turn reads (5,702,400 B) and
+    # exited 3 under this budget; a trial now holds 8 (2,073,600 B).
+    budget = 4_000_000
+    assert (12 + 10) * 180**2 * 8 > budget > 8 * 180**2 * 8
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(budget))
+    code, doc = invoke(
+        ["certify-lemma", "3,1,1", "--multiplicity", "30", "--trials", "2", "--seed", "1"], capsys
+    )
+    assert code == 0, doc
+    assert doc["violations"] == 0 and len(doc["reports"]) == 2
+
+
+def test_certify_outputs_are_pinned(capsys):
+    # Frozen from the coset-tower formula's outputs, so that a later kernel
+    # cannot move them silently: the corollary's stdout by its digest, the
+    # lemma's reports at 1e-12.
+    assert main(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "20", "--seed", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7921b972a8869b548d56bb56b8f981d80b1c112a7e799d790ef76076a518045a"
+    code, doc = invoke(
+        ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "20", "--seed", "5"], capsys
+    )
+    assert code == 0
+    frozen = json.loads((DATA / "certify-lemma-3,2-m2-t20-s5.json").read_text())
+    assert len(doc["reports"]) == len(frozen) == 20
+    for report, pinned in zip(doc["reports"], frozen):
+        assert report.keys() == pinned.keys()
+        assert report["bound_satisfied"] is pinned["bound_satisfied"]
+        for key in ("acceptance_probability", "epsilon", "distance_to_target", "bound"):
+            assert abs(report[key] - pinned[key]) <= 1e-12, (key, report[key], pinned[key])
 
 
 @pytest.mark.parametrize(
@@ -679,10 +727,24 @@ def test_sym_dim_is_priced_before_the_hook_length_formula(capsys):
             ["verify", "run", "2,1", "2,1", "2,1", "--state", "{path}"],
             '{"registers": [4], "amplitudes": [[1.0, 0.0]' + ', [0.0, 0.0]' * 3 + ']}',
         ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [["1.0", "0"]' + ', ["0", "0"]' * 3 + ']}',
+        ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[1.0, null]' + ', [0.0, 0.0]' * 3 + ']}',
+        ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[1.0, 0.0, 0.0]' + ', [0.0, 0.0, 0.0]' * 3 + ']}',
+        ),
+        (["wfs", "measure", "2,1", "2,1", "--state", "{path}"], '{"registers": [4], "amplitudes": 1}'),
     ],
     ids=[
         "missing-file", "not-json", "malformed-amplitude", "nan-amplitude",
-        "measure-neither-d-nor-d2", "run-not-d2",
+        "measure-neither-d-nor-d2", "run-not-d2", "string-amplitude", "null-amplitude",
+        "triple-amplitude", "amplitudes-not-a-list",
     ],
 )
 def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
@@ -694,6 +756,42 @@ def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["status"] == "invalid-argument"
+
+
+def test_oversized_state_file_exits_3_before_it_is_parsed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "state.json"
+    path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(30))))
+    size = path.stat().st_size
+
+    def refuse(fh):
+        raise AssertionError("json.load ran before the state file was priced")
+
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(serialize.STATE_FILE_FACTOR * size - 1))
+    code, doc = invoke(["wfs", "measure", "3,2", "3,1,1", "--state", str(path)], capsys)
+    assert code == 3
+    assert doc["error"].startswith(f"the state file {str(path)!r} of {size} B")
+
+
+@pytest.mark.parametrize("pairs", ["haar", "zeros"])
+def test_state_file_load_holds_less_than_its_price(pairs, tmp_path):
+    # 44,100 pairs: a Haar state's full-precision texts, and [0,0], the
+    # shortest pair text, at 6 B a pair.
+    path = tmp_path / "state.json"
+    if pairs == "haar":
+        psi = verifier.haar_state(210 * 210, np.random.default_rng(0))
+        path.write_text(serialize.dumps(serialize.state_to_json(StateVector((210, 210), psi))))
+    else:
+        path.write_text('{"registers": [210, 210], "amplitudes": [[1,0]' + ",[0,0]" * 44099 + "]}")
+    tracemalloc.start()
+    try:
+        amplitudes = cli._load_state(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amplitudes.shape == (44100,)
+    price = serialize.STATE_FILE_FACTOR * path.stat().st_size
+    assert peak < price, (peak, price)
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -910,6 +1008,28 @@ def test_pretty_mode_rounds_but_plain_does_not(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["s"] == 0.5  # rounded to 6 significant digits
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(["verify", "spectrum", "5,1", "3,3", "4,2"],
+      "09dca4cf2e8644c7a0d7f32f696d0418365c7436bcb7d7c4163c0ec53302505f"),
+     (["rep", "ft", "4"], "96ae1ff75bfc9dc0599088c81229c9c8e5e4e2769f47df461fe7f9b658aacf55")],
+    ids=["spectrum", "ft4"],
+)
+def test_pretty_stdout_is_pinned(argv, digest, capsys):
+    # Digests of the writer that made a new float for every rounded entry.
+    assert main(argv + ["--pretty"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_rounding_keeps_a_float_it_leaves_unchanged():
+    half, third = 0.5, 1 / 3
+    rounded = _round_floats({"a": [half, third]}, 6)["a"]
+    assert rounded[0] is half
+    assert rounded[1] == 0.333333
+    spectrum = run(["verify", "spectrum", "5,1", "3,3", "4,2"], pretty=True).payload["spectrum"]
+    assert len({id(v) for v in spectrum}) == 3  # the three levels' shared floats
 
 
 def _list_form(payload) -> dict:

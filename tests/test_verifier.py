@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from snverify import verifier, wfs, yyrep
+from snverify.characters import multiplicities
 from snverify.entangled import phi_plus, unvec, vec
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
 from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
@@ -111,8 +112,8 @@ def test_certification_builds_the_blocks_once_and_no_xi(monkeypatch):
 
 
 def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
-    # Neither reads a stack: the formula averages through the coset tower,
-    # and the projector and irrep blocks come from the Young lattice.
+    # Neither reads a stack: the internal test is read from the irrep blocks
+    # or the block traces, and the blocks come from the Young lattice.
     def guarded(rep):
         raise AssertionError(f"certification built the stack of a {rep.kind} rep")
 
@@ -333,7 +334,7 @@ def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_
                 for psi in witnesses:
                     assert op.distance_to(psi) < 1e-14
                 for psi in states[:1] if m else []:
-                    projected, inner, _ = op._split(unvec(psi, d))
+                    projected, _, inner, _ = op._split(unvec(psi, d))
                     post = vec(projected) / math.sqrt(norm_sq(projected))
                     assert math.sqrt(inner / norm_sq(projected)) == pytest.approx(
                         span_distance(oracle, post), rel=1e-14, abs=1e-14)
@@ -475,6 +476,106 @@ def test_reports_are_seed_deterministic():
     b = certify_corollary_bound(P("2,1"), P("2,1"), P("2,1"), trials=5, seed=9)
     assert [t.corollary for t in a] == [t.corollary for t in b]
     assert [t.theorem for t in a] == [t.theorem for t in b]
+
+
+# ------------------------------------------------- closed-form internal test
+
+def _nonzero_triples(n_max: int):
+    for n in range(1, n_max + 1):
+        shapes = enumerate_partitions(n)
+        for mu in shapes:
+            for nu in shapes:
+                counts = multiplicities(tensor_rep(mu, nu))
+                yield from ((mu, nu, lam) for lam in shapes if counts[lam])
+
+
+@pytest.mark.parametrize(
+    "mu, nu, lam", [*_nonzero_triples(5), (P("4,3"), P("4,2,1"), P("4,2,1"))], ids=str)
+def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam):
+    # The theorem report's acceptance, read from the split's t, against
+    # 1/2 + 1/2 |<X', E(X')>|^2 with E through the coset tower, on the
+    # post-sampling state X' of each seeded Haar and perturbed trial.
+    sigma = tensor_rep(mu, nu)
+    d = sigma.dim
+    op = verification_acceptance_operator(mu, nu, lam)
+    m, _, d_lam = op.blocks.shape
+    center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
+    for perturbation in (None, 0.1):
+        trials = certify_corollary_bound(mu, nu, lam, trials=2, seed=3, perturbation=perturbation)
+        for t, trial in enumerate(trials):
+            psi = verifier._trial_state(d * d, center, perturbation, 3 + t)
+            projected = op._split(unvec(psi, d))[0]
+            p_sample = norm_sq(projected)
+            formula = verifier._formula_value(sigma, projected / math.sqrt(p_sample))
+            assert not trial.degenerate
+            assert abs(trial.theorem.acceptance_probability - formula) <= 1e-12
+            assert abs(trial.corollary.acceptance_probability - p_sample * formula) <= 1e-12
+
+
+@pytest.mark.parametrize("m, shape", [(2, "2,1"), (2, "3,2"), (30, "3,1,1"), (3, "4,2,1")])
+def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape):
+    # d1 ||T/d1||^2 from the block traces against the coset tower's <X, E(X)>.
+    rep = identity_times_irrep(m, P(shape))
+    d = rep.dim
+    center = vec(np.eye(d)) / math.sqrt(d)
+    for perturbation in (None, 0.1):
+        reports = certify_lemma_bound(rep, trials=3, seed=4, perturbation=perturbation)
+        for t, report in enumerate(reports):
+            psi = verifier._trial_state(d * d, center, perturbation, 4 + t)
+            formula = verifier._formula_value(rep, unvec(psi, d))
+            assert abs(report.acceptance_probability - formula) <= 1e-12
+
+
+def test_certification_takes_no_group_average(monkeypatch):
+    # Neither certify function reaches channel_E, its price or a turn of
+    # the coset tower: the internal test is read from the irrep blocks.
+    def no_average(*args):
+        raise AssertionError("certification averaged over the group")
+
+    for name in ("channel_E", "_require_average", "turn"):
+        monkeypatch.setattr(verifier, name, no_average)
+    for perturbation in (None, 0.1):
+        reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=3, seed=0,
+                                      perturbation=perturbation)
+        assert all(r.bound_satisfied for r in reports)
+        trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=3, seed=0,
+                                         perturbation=perturbation)
+        assert all(t.corollary.bound_satisfied and t.theorem.bound_satisfied for t in trials)
+
+
+TRIAL_CASES = {
+    "corollary-d490": lambda p: certify_corollary_bound(P("4,3"), P("4,2,1"), P("4,2,1"), 3, 0, p),
+    "corollary-d35-whole": lambda p: certify_corollary_bound(P("7"), P("4,2,1"), P("4,2,1"), 3, 0, p),
+    "lemma-d180": lambda p: certify_lemma_bound(identity_times_irrep(30, P("3,1,1")), 3, 0, p),
+    "lemma-d105": lambda p: certify_lemma_bound(identity_times_irrep(3, P("4,2,1")), 3, 0, p),
+}
+
+
+@pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
+@pytest.mark.parametrize("case", list(TRIAL_CASES))
+def test_certification_trials_hold_what_they_price(case, perturbation, monkeypatch):
+    # From the trial price on: the center and three trials, each a state, its
+    # split and its residual.  corollary-d35-whole has m d_lambda = D, the
+    # split's largest shape; the blocks are built before and held apart.
+    call = TRIAL_CASES[case]
+    call(perturbation)  # the factors' images, cached and priced apart
+    priced, checked = [], verifier.require_bytes
+
+    def spy(nbytes, what):
+        checked(nbytes, what)
+        if what.startswith("a certification trial"):
+            priced.append((nbytes, tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(verifier, "require_bytes", spy)
+    tracemalloc.start()
+    try:
+        call(perturbation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ((price, held),) = priced
+    assert peak - held <= price < 1.25 * (peak - held), (peak - held, price)
 
 
 # ------------------------------------------------------------- sampled runs
