@@ -40,7 +40,7 @@ from .verifier import (
     verification_acceptance_operator,
 )
 from .wfs import kronecker_coefficient, measure_wfs, wfs_povm, wfs_projector
-from .yyrep import fourier_transform_matrix, identity_times_irrep, irrep, rep_evaluate, tensor_rep
+from .yyrep import fourier_transform_matrix, irrep, rep_evaluate, tensor_rep
 
 
 @dataclass
@@ -220,11 +220,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_certify_lemma(args) -> dict:
-    shape = Partition.parse(args.shape)
-    rep = identity_times_irrep(args.multiplicity, shape)
-    reports = certify_lemma_bound(
-        rep, args.trials, args.seed, perturbation=args.perturbation
-    )
+    reports = certify_lemma_bound(Partition.parse(args.shape), args.multiplicity, args.trials,
+                                  args.seed, perturbation=args.perturbation)
     return {
         "trials": args.trials,
         "seed": args.seed,

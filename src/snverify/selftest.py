@@ -42,7 +42,7 @@ from .wfs import (
     wfs_povm,
     wfs_projector,
 )
-from .yyrep import identity_times_irrep, irrep, regular_representations, rep_stack, tensor_rep
+from .yyrep import irrep, regular_representations, rep_stack, tensor_rep
 
 
 @dataclass
@@ -334,8 +334,7 @@ def suite_verifier(n_max: int, trials: int, seed: int) -> SuiteResult:
     formula, circuit = internal_test_probability(sigma, witness)
     out.check_residual(abs(formula - 1.0), 1e-8, "witness formula")
     out.check_residual(abs(circuit - 1.0), 1e-8, "witness circuit")
-    lemma_rep = identity_times_irrep(2, two_one)
-    for report in certify_lemma_bound(lemma_rep, trials, seed):
+    for report in certify_lemma_bound(two_one, 2, trials, seed):
         out.check(report.bound_satisfied, what="lemma bound")
     for trial in certify_corollary_bound(two_one, two_one, two_one, trials, seed + 1):
         out.check(trial.corollary.bound_satisfied, what="corollary bound")

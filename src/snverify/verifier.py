@@ -3,8 +3,10 @@ acceptance operator, and Monte-Carlo certification of the robustness
 bounds.  The operator is held as the irrep blocks of the lambda component
 alone: its three eigenvalue levels, completeness and soundness are read
 from their shape (m, D, d_lambda), and m^2 is its eigenvalue-1 count.
-Certification reads the internal test from the same blocks in closed
-form; only the cross-checks average over the group.
+Every command reads the internal test from the same blocks in closed form,
+a = <X, E(X)> = d_lambda ||t||^2: `verify run` reports the circuit's 1/2 +
+1/2 a, certification the bounds' 1/2 + 1/2 a^2.  Only the self-test and
+the tests average over the group.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class CertificationTrial:
 
 def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
     """Group average (1/|G|) sum_g rep(g) X rep(g)^T; the orthogonal
-    projection onto the commutant of the representation.
+    projection onto the commutant of rep: a test oracle no command calls.
 
     S_k is the disjoint union of the cosets (j k) S_{k-1}, j <= k, so the
     average is Y <- (Y + sum_{j<k} t_jk Y t_jk) / k for k = 2..n from
@@ -131,15 +133,15 @@ def channel_E(rep: GroupRep, x: np.ndarray) -> np.ndarray:
 
 
 def _require_average(rep: GroupRep, arrays: int = 12, what: str = "the coset-tower average"):
-    # arrays real D x D arrays (by tracemalloc the average's 12: its complex input, Y,
-    # the sum, a conjugation's three products) and, but on a tensor, the n(n-1)/2 images turn reads.
+    # The oracles' price: arrays real D x D arrays (the average's 12 by tracemalloc: complex X,
+    # Y, the sum, a conjugation's 3 products) and, but on a tensor, the n(n-1)/2 images turn reads.
     images = 0 if rep.kind == "tensor" else rep.n * (rep.n - 1) // 2
     require_bytes((arrays + images) * rep.dim**2 * 8, f"{what} of S_{rep.n} at D = {rep.dim}")
 
 
 def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
     """1/2 + 1/2 |<X, E(X)>_F|^2: the internal test's acceptance
-    probability on vec X, with E through the coset tower."""
+    probability on vec X, with E through the coset tower: a test oracle."""
     overlap = complex(np.vdot(x, channel_E(rep, x)))
     return 0.5 + 0.5 * abs(overlap) ** 2
 
@@ -153,7 +155,8 @@ def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
     down that coset tree depth first: a child conjugates its parent's Y
     by turning it twice, as channel_E does, and each leaf adds
     ||X + Y||_F^2 in a fixed order.  The value stays a sum over elements,
-    independent of channel_E's average, and no stack is built."""
+    independent of channel_E's average, and no stack is built.  A test
+    oracle for the value that `verify run` reads from the irrep blocks."""
     n = rep.n
     # n + 2 pairs of D x D arrays (tracemalloc): X, a Y per lower level, the leaf and its square.
     _require_average(rep, 2 * n + 4, "the coset-tree walk")
@@ -180,9 +183,9 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     dimension |G| and U = sum_g |g><g| tensor rep(g) tensor rep(g)*,
     giving 1/2 + 1/2 Re<tau|U|tau>, one control block per group element,
     each reached by a walk down the coset tree.  Neither builds rep's
-    stack.  Certification reads neither: it takes <X, E(X)> in closed form
-    from the irrep blocks.  `verify run` reads only the circuit; both
-    routes are for the cross-checks and the self-test.
+    stack.  No command reads either: both take <X, E(X)> in closed form
+    from the irrep blocks, and these sums over the group are the
+    self-test's and the tests' independent routes.
     """
     x = unvec(psi, rep.dim)
     circuit = _circuit_value(rep, x)  # its walk is priced first
@@ -239,15 +242,12 @@ def _identity_split(x: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
     return t, math.sqrt(norm_sq(residual))
 
 
-def certify_lemma_bound(
-    rep: GroupRep,
-    trials: int,
-    seed: int,
-    perturbation: float | None = None,
-) -> list[TestReport]:
+def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: int,
+                        perturbation: float | None = None) -> list[TestReport]:
     """Certify the internal-test robustness bound for sigma = I_m tensor
-    irrep: for seeded random states, the distance to the product target
-    subspace span vec(A tensor I_d1)/sqrt(d1) is at most 2 sqrt(2 eps).
+    rho^shape, m the multiplicity, which is not built: for seeded random
+    states, the distance to the product target subspace span vec(A tensor
+    I_d1)/sqrt(d1) is at most 2 sqrt(2 eps).
 
     By Schur's lemma that span is the commutant of sigma, onto which E
     projects: E(X) = t tensor I_d1 for psi = vec X, with t = T/d1 and T_ab =
@@ -258,13 +258,11 @@ def certify_lemma_bound(
     With perturbation set, trial states are normalized perturbations of the
     maximally entangled state at that scale instead of Haar-random states.
     """
-    if rep.kind not in ("irrep", "identity-times-irrep"):
-        raise InvalidArgumentError(
-            "lemma certification needs an irrep or identity-times-irrep representation"
-        )
-    d1 = irrep_dimension(rep.labels[0])
+    if multiplicity < 1:
+        raise InvalidArgumentError(f"multiplicity must be positive, got {multiplicity}")
+    d1 = irrep_dimension(shape)
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
-    d = rep.dim
+    d = multiplicity * d1
     _require_trial(d, LEMMA_ARRAYS * d, perturbation)
     center = None if perturbation is None else vec(np.eye(d)) / math.sqrt(d)
     reports = []
@@ -339,19 +337,23 @@ def run_verifier_sampled(
     mu: Partition, nu: Partition, lam: Partition, psi: np.ndarray, seed: int
 ) -> dict:
     """End-to-end sampled run of the two-step verifier: weak Fourier
-    sampling on the left register, then a coin flip at the internal-test
-    circuit probability."""
+    sampling on the left register, then a coin flip at the internal test's
+    1/2 + 1/2 d_lambda ||t||^2, t from the post-state's split by the blocks."""
     sigma = tensor_rep(mu, nu)
     # unvec admits only a state of the register pair C^D x C^D.
     label, post = measure_wfs(sigma, unvec(psi, sigma.dim).reshape(-1), seed)
     if label != lam:
         return {"accepted": False, "measured": str(label), "stage": "weak-fourier-sampling"}
-    circuit_value = _circuit_value(sigma, unvec(post, sigma.dim))
+    op = verification_acceptance_operator(mu, nu, lam)
+    m, d, d_lam = op.blocks.shape
+    # A corollary trial's price, whose state is the post-state.
+    require_bytes((COROLLARY_ARRAYS * d + SPLIT_COLUMNS * m * d_lam) * d * 8,
+                  f"the internal test's split at D = {d}")
+    acceptance = 0.5 + 0.5 * d_lam * norm_sq(op._split(unvec(post, d))[1])
     coin = np.random.default_rng(seed + 1).random()
-    accepted = coin < circuit_value
     return {
-        "accepted": bool(accepted),
+        "accepted": bool(coin < acceptance),
         "measured": str(label),
         "stage": "internal-state-test",
-        "internal_acceptance_probability": circuit_value,
+        "internal_acceptance_probability": acceptance,
     }

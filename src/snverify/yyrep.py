@@ -6,13 +6,11 @@ A GroupRep holds generator images for the adjacent transpositions
 sigma_1..sigma_{n-1}; rep_evaluate multiplies them along a decomposition
 of one element, also where S_n is too large to enumerate.  A tensor
 product holds only its labels.  turn(rep, t, Y) = Y^T rep(t), the one
-code that applies a transposition image, reads a tensor product's factor
-images and any other kind's own, as transposition_images caches them.
-It serves the verifier's coset-tree circuit, its coset-tower average
-channel_E, which only the cross-checks read (certification takes the
-average in closed form from the irrep blocks), and wfs's irrep blocks,
-whose chain applies the Jucys-Murphy elements X_k = sum_{j<k} (j k); no
-isotypic quantity sums over the group.
+code that applies a transposition image, contracts Y with one image per
+factor: a tensor product's two factors' or any other kind's own, as
+transposition_images caches them.  It serves wfs's irrep blocks, whose
+chain applies the Jucys-Murphy elements X_k = sum_{j<k} (j k), and the
+verifier's group sums, which only the self-test and the tests read.
 rep_stack evaluates a representation on the whole group, as a cached
 |G| x D x D array in the order of symgroup.enumerate_group, for the
 Fourier transform and the self-test's orthogonality suites, both on
@@ -52,8 +50,8 @@ class GroupRep:
     kind is one of "irrep", "tensor", "left-regular", "right-regular",
     "identity-times-irrep"; labels carries the partition labels where
     applicable.  "identity-times-irrep" is I_m x irrep(labels[0]), with
-    m = dim // d of that irrep.  A "tensor" keeps its factors' image pairs
-    in _factor_pairs and has no transposition images."""
+    m = dim // d of that irrep.  A "tensor" has no transposition images of
+    its own; _factors holds the images turn applies, one array per factor."""
 
     n: int
     dim: int
@@ -62,7 +60,7 @@ class GroupRep:
     labels: tuple[Partition, ...] = ()
     _stack: "np.ndarray | None" = field(default=None, repr=False)
     _transpositions: "np.ndarray | None" = field(default=None, repr=False)
-    _factor_pairs: "tuple | None" = field(default=None, repr=False)
+    _factors: "tuple | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for img in self.generator_images:
@@ -229,22 +227,25 @@ def transposition_images(rep: GroupRep) -> np.ndarray:
 
 def turn(rep: GroupRep, t: tuple[int, int], y: np.ndarray) -> np.ndarray:
     """Y^T rep(t), (..., C, D), for t = (j k), j < k, and a (..., D, C) Y.
-    rep(t) is symmetric, so turning twice conjugates.  On rho^mu x rho^nu,
-    rep(t) = A x B, and two products contract the leading axis of Y's
-    (mu, nu, C) index, turning it into (nu, C, mu) and then (C, mu, nu):
-    the large dimension is the rows of the left operand and the other two
-    are d_mu or d_nu, a shape whose bits do not depend on the BLAS thread
-    count.  Any other kind is one product with its dense image."""
+    rep(t) is symmetric, so turning twice conjugates.  It is A x B on rho^mu
+    x rho^nu, and one product per factor image contracts the leading axis
+    of Y's index, turning (mu, nu, C) into (nu, C, mu) and then (C, mu, nu):
+    the large dimension is the rows of the left operand and the others are
+    the factors', a shape whose bits do not depend on the BLAS threads."""
     index = (t[1] - 1) * (t[1] - 2) // 2 + t[0] - 1
-    if rep.kind != "tensor":
-        return np.swapaxes(y, -1, -2) @ transposition_images(rep)[index]
-    if rep._factor_pairs is None:  # looked up once per rep
-        rep._factor_pairs = tuple(zip(*(transposition_images(irrep(s)) for s in rep.labels)))
-    a, b = rep._factor_pairs[index]
-    lead, da, db, cols = y.shape[:-2], len(a), len(b), y.shape[-1]
-    turned = np.swapaxes(y.reshape(lead + (da, db * cols)), -1, -2) @ a
-    turned = np.swapaxes(turned.reshape(lead + (db, cols * da)), -1, -2) @ b
-    return turned.reshape(lead + (cols, da * db))
+    lead, cols = y.shape[:-2], y.shape[-1]
+    for images in _factor_images(rep):
+        a = images[index]
+        y = np.swapaxes(y.reshape(lead + (len(a), -1)), -1, -2) @ a
+    return y.reshape(lead + (cols, rep.dim))
+
+
+def _factor_images(rep: GroupRep) -> tuple[np.ndarray, ...]:
+    """turn's images, once per rep: a tensor's two irreps', or rep's own."""
+    if rep._factors is None:
+        reps = map(irrep, rep.labels) if rep.kind == "tensor" else (rep,)
+        rep._factors = tuple(map(transposition_images, reps))
+    return rep._factors
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from snverify.verifier import (
     verification_acceptance_operator,
 )
 from snverify.wfs import gpe_kraus, kronecker_coefficient, wfs_povm, wfs_projector
-from snverify.yyrep import identity_times_irrep, irrep, rep_evaluate, tensor_rep
+from snverify.yyrep import irrep, rep_evaluate, tensor_rep
 
 P = Partition.parse
 
@@ -240,8 +240,8 @@ def test_criterion_7_robustness_bounds_1000_trials():
     start = time.perf_counter()
     violations = 0
     # internal-state-test bound, 2 sqrt(2 eps): n = 3 and n = 4 instances
-    for rep in (identity_times_irrep(2, P("2,1")), identity_times_irrep(2, P("3,1"))):
-        reports = certify_lemma_bound(rep, trials=1000, seed=0)
+    for shape in (P("2,1"), P("3,1")):
+        reports = certify_lemma_bound(shape, 2, trials=1000, seed=0)
         violations += sum(not r.bound_satisfied for r in reports)
     # full-verifier bound, 3 sqrt(2 eps), plus the post-sampling form
     for mu, nu, lam in ((P("2,1"),) * 3, (P("3,1"),) * 3):

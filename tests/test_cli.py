@@ -449,6 +449,48 @@ def test_certify_lemma_at_multiplicity_30_fits_the_default_budget(capsys, monkey
     assert doc["violations"] == 0 and len(doc["reports"]) == 2
 
 
+def test_certify_lemma_fits_the_trial_price_with_no_representation_built(capsys, monkeypatch):
+    # I_2 x rho^(5,4), D = 84: a trial is priced at 451,584 B.  The dense
+    # representation's 8 Kronecker images (508,032 B) were priced and built,
+    # though the lemma reads only the dimensions, and exited 3 under this
+    # budget.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "480000")
+    argv = ["certify-lemma", "5,4", "--multiplicity", "2", "--trials", "2"]
+    code, doc = invoke(argv, capsys)
+    assert code == 0, doc
+    assert doc["violations"] == 0 and len(doc["reports"]) == 2
+
+    def no_rep(*args, **kwargs):
+        raise AssertionError("certify-lemma built a representation")
+
+    monkeypatch.setattr(yyrep, "identity_times_irrep", no_rep)
+    monkeypatch.setattr(yyrep.GroupRep, "__post_init__", no_rep)
+    assert invoke(argv, capsys) == (code, doc)
+
+
+def test_verify_run_prices_the_split_before_it_runs(capsys, monkeypatch):
+    # 3,1,1 in 3,2 x 3,1,1, D = 30, m d_lambda = 12: 8 D + 5 m d_lambda
+    # columns of D floats, above the measurement's and the chain's prices.
+    # The state file's price is larger still, so the state is handed over.
+    xi = wfs_projector(tensor_rep(Partition.parse("3,2"), Partition.parse("3,1,1")),
+                       Partition.parse("3,1,1"))
+    witness = max_entangled_over_range(xi).amplitudes  # always samples 3,1,1
+    monkeypatch.setattr(cli, "_load_state", lambda path: witness)
+    split = []
+    monkeypatch.setattr(verifier.AcceptanceOperator, "_split", lambda self, x: split.append(x))
+    argv = ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "witness.json"]
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(72_000 - 1))
+    code, doc = invoke(argv, capsys)
+    assert code == 3
+    assert doc["error"].startswith("the internal test's split at D = 30: 72000 B")
+    assert split == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_load_state", lambda path: witness)
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(72_000))
+    code, doc = invoke(argv, capsys)
+    assert code == 0 and doc["accepted"], doc
+
+
 def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
     code, doc = invoke(
         ["verify", "certify", "2,1", "2,1", "2,1", "--trials", "5", "--seed", "0"], capsys

@@ -2,17 +2,25 @@
 verifier, and Monte-Carlo certification of the robustness bounds.
 """
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snverify import verifier, wfs, yyrep
 from snverify.characters import multiplicities
-from snverify.entangled import phi_plus, unvec, vec
+from snverify.entangled import max_entangled_over_range, phi_plus, unvec, vec
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
-from snverify.symgroup import Partition, Permutation, enumerate_group, enumerate_partitions
+from snverify.symgroup import (
+    Partition,
+    Permutation,
+    enumerate_group,
+    enumerate_partitions,
+    irrep_dimension,
+)
 from snverify.verifier import (
     certify_corollary_bound,
     certify_lemma_bound,
@@ -22,7 +30,7 @@ from snverify.verifier import (
     run_verifier_sampled,
     verification_acceptance_operator,
 )
-from snverify.wfs import norm_sq, wfs_projector
+from snverify.wfs import measure_wfs, norm_sq, wfs_projector
 from snverify.yyrep import (
     identity_times_irrep,
     irrep,
@@ -33,6 +41,7 @@ from snverify.yyrep import (
 )
 
 P = Partition.parse
+DATA = Path(__file__).parent / "data"
 
 
 # ------------------------------------------------------------ group average
@@ -119,7 +128,7 @@ def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
 
     monkeypatch.setattr(yyrep, "rep_stack", guarded)
     monkeypatch.setattr(verifier, "rep_stack", guarded, raising=False)
-    reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=5, seed=0)
+    reports = certify_lemma_bound(P("3,2"), 2, trials=5, seed=0)
     assert all(r.bound_satisfied for r in reports)
     trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=5, seed=0)
     assert all(t.corollary.bound_satisfied and t.theorem.bound_satisfied for t in trials)
@@ -178,9 +187,8 @@ def test_internal_test_formula_and_circuit_relation():
 
 
 def test_circuit_walk_is_priced_before_it_allocates(monkeypatch):
-    # D = 30: the walk is priced at 100,800 B, 14 D x D arrays.  verify run
-    # prices the sampling lattice, 165,600 B, first, so the walk is called
-    # here directly.
+    # D = 30: the walk is priced at 100,800 B, 14 D x D arrays.  No command
+    # walks the tree, so it is called here directly.
     sigma = tensor_rep(P("3,2"), P("3,1,1"))
     turns = []
     monkeypatch.setattr(verifier, "turn", lambda *args: turns.append(args))
@@ -209,7 +217,7 @@ def test_circuit_walk_holds_what_it_prices():
 
 @pytest.mark.parametrize("step", ["average", "walk"])
 def test_a_dense_rep_is_priced_with_its_transposition_images(step, monkeypatch):
-    # I_2 x rho^(4,2,1), D = 70, as certify-lemma builds it: turn reads its
+    # I_2 x rho^(4,2,1), D = 70, a dense kind: turn reads its
     # 21 dense images (823,200 B), made on the first turn and held with the
     # working arrays, 12 D x D for the average and 2n + 4 for the walk.
     rep = identity_times_irrep(2, P("4,2,1"))
@@ -386,10 +394,9 @@ def test_structured_verifier_stays_below_one_dense_operator_in_memory():
 # ---------------------------------------------------------------- Lemma bound
 
 def test_lemma_trivial_product_state_has_zero_epsilon():
-    rep = identity_times_irrep(2, P("2,1"))
     # perturbation 0 keeps the trial at the maximally entangled center,
     # which lies in the product target subspace
-    reports = certify_lemma_bound(rep, trials=3, seed=0, perturbation=0.0)
+    reports = certify_lemma_bound(P("2,1"), 2, trials=3, seed=0, perturbation=0.0)
     for r in reports:
         assert r.epsilon == pytest.approx(0.0, abs=1e-10)
         assert r.distance_to_target == pytest.approx(0.0, abs=1e-8)
@@ -397,22 +404,22 @@ def test_lemma_trivial_product_state_has_zero_epsilon():
 
 
 def test_lemma_bound_haar_trials():
-    for rep in (identity_times_irrep(1, P("2,1")), identity_times_irrep(2, P("2,1"))):
-        reports = certify_lemma_bound(rep, trials=100, seed=0)
+    for m in (1, 2):
+        reports = certify_lemma_bound(P("2,1"), m, trials=100, seed=0)
         assert all(r.bound_satisfied for r in reports)
 
 
 def test_lemma_bound_perturbed_trials():
-    rep = identity_times_irrep(2, P("2,1"))
-    reports = certify_lemma_bound(rep, trials=100, seed=1, perturbation=0.1)
+    reports = certify_lemma_bound(P("2,1"), 2, trials=100, seed=1, perturbation=0.1)
     assert all(r.bound_satisfied for r in reports)
     # perturbed states stay close: distances and epsilons are small
     assert max(r.epsilon for r in reports) < 0.5
 
 
-def test_lemma_rejects_other_representation_kinds():
-    with pytest.raises(InvalidArgumentError):
-        certify_lemma_bound(tensor_rep(P("2,1"), P("2,1")), trials=1, seed=0)
+def test_lemma_rejects_a_multiplicity_below_one():
+    for m in (0, -1):
+        with pytest.raises(InvalidArgumentError, match=f"multiplicity must be positive, got {m}"):
+            certify_lemma_bound(P("2,1"), m, trials=1, seed=0)
 
 
 def test_lemma_distance_matches_the_product_target_oracle(
@@ -421,12 +428,12 @@ def test_lemma_distance_matches_the_product_target_oracle(
     # Haar and perturbed trials, and a block state vec(A x I_d1)/sqrt(d1) of
     # the target itself, at distance 0.
     for m, shape in ((1, P("2,1")), (2, P("3,2")), (3, P("2,1"))):
-        rep = identity_times_irrep(m, shape)
-        d, d1 = rep.dim, rep.dim // m
+        d1 = irrep_dimension(shape)
+        d = m * d1
         oracle = product_target_oracle(m, d1)
         center = vec(np.eye(d)) / math.sqrt(d)
         for perturbation in (None, 0.1):
-            reports = certify_lemma_bound(rep, trials=4, seed=5, perturbation=perturbation)
+            reports = certify_lemma_bound(shape, m, trials=4, seed=5, perturbation=perturbation)
             for t, report in enumerate(reports):
                 psi = verifier._trial_state(d * d, center, perturbation, 5 + t)
                 assert report.distance_to_target == pytest.approx(
@@ -434,7 +441,7 @@ def test_lemma_distance_matches_the_product_target_oracle(
         a = np.arange(1.0, m * m + 1).reshape(m, m)
         block = vec(np.kron(a / np.linalg.norm(a), np.eye(d1) / math.sqrt(d1)))
         monkeypatch.setattr(verifier, "haar_state", lambda dim, rng: block)
-        (report,) = certify_lemma_bound(rep, trials=1, seed=0)
+        (report,) = certify_lemma_bound(shape, m, trials=1, seed=0)
         assert span_distance(oracle, block) < 1e-15
         assert report.distance_to_target < 1e-15
         monkeypatch.undo()
@@ -519,7 +526,7 @@ def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape):
     d = rep.dim
     center = vec(np.eye(d)) / math.sqrt(d)
     for perturbation in (None, 0.1):
-        reports = certify_lemma_bound(rep, trials=3, seed=4, perturbation=perturbation)
+        reports = certify_lemma_bound(P(shape), m, trials=3, seed=4, perturbation=perturbation)
         for t, report in enumerate(reports):
             psi = verifier._trial_state(d * d, center, perturbation, 4 + t)
             formula = verifier._formula_value(rep, unvec(psi, d))
@@ -535,8 +542,7 @@ def test_certification_takes_no_group_average(monkeypatch):
     for name in ("channel_E", "_require_average", "turn"):
         monkeypatch.setattr(verifier, name, no_average)
     for perturbation in (None, 0.1):
-        reports = certify_lemma_bound(identity_times_irrep(2, P("3,2")), trials=3, seed=0,
-                                      perturbation=perturbation)
+        reports = certify_lemma_bound(P("3,2"), 2, trials=3, seed=0, perturbation=perturbation)
         assert all(r.bound_satisfied for r in reports)
         trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=3, seed=0,
                                          perturbation=perturbation)
@@ -546,8 +552,8 @@ def test_certification_takes_no_group_average(monkeypatch):
 TRIAL_CASES = {
     "corollary-d490": lambda p: certify_corollary_bound(P("4,3"), P("4,2,1"), P("4,2,1"), 3, 0, p),
     "corollary-d35-whole": lambda p: certify_corollary_bound(P("7"), P("4,2,1"), P("4,2,1"), 3, 0, p),
-    "lemma-d180": lambda p: certify_lemma_bound(identity_times_irrep(30, P("3,1,1")), 3, 0, p),
-    "lemma-d105": lambda p: certify_lemma_bound(identity_times_irrep(3, P("4,2,1")), 3, 0, p),
+    "lemma-d180": lambda p: certify_lemma_bound(P("3,1,1"), 30, 3, 0, p),
+    "lemma-d105": lambda p: certify_lemma_bound(P("4,2,1"), 3, 3, 0, p),
 }
 
 
@@ -597,18 +603,107 @@ def test_sampled_run_accepts_witness_state():
     assert accepted > 0
 
 
-def test_sampled_run_reads_only_the_circuit(monkeypatch):
+def test_sampled_run_walks_no_group(monkeypatch):
+    # The internal test is read from the split of the lambda blocks: neither
+    # group sum nor their price is reached.
     sigma = tensor_rep(P("3,1"), P("2,1,1"))
     xi = wfs_projector(sigma, P("3,1"))
     witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)  # always samples 3,1
 
-    def no_formula(rep, x):
-        raise AssertionError("verify run averaged over the group for the formula")
+    def no_group_sum(*args):
+        raise AssertionError("verify run summed over the group")
 
-    monkeypatch.setattr(verifier, "channel_E", no_formula)
+    for name in ("_circuit_value", "channel_E", "_require_average"):
+        monkeypatch.setattr(verifier, name, no_group_sum)
     out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
     assert out["stage"] == "internal-state-test"
+    assert out["accepted"]
     assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _lambda_state(mu, nu, lam, seed):
+    """The post-sampling state of a seeded Haar state for lam, which always
+    samples lam."""
+    op = verification_acceptance_operator(mu, nu, lam)
+    d = op.blocks.shape[1]
+    projected = op._split(unvec(haar_state(d * d, np.random.default_rng(seed)), d))[0]
+    return vec(projected) / math.sqrt(norm_sq(projected))
+
+
+def _run_against_the_circuit(mu, nu, lam, psi):
+    """verify run's acceptance and the coset-tree circuit's on the same
+    post-sampling state: the run's measurement, drawn again with its seed."""
+    out = run_verifier_sampled(mu, nu, lam, psi, seed=0)
+    sigma = tensor_rep(mu, nu)
+    label, post = measure_wfs(sigma, psi, 0)
+    assert label == lam and out["stage"] == "internal-state-test"
+    return out["internal_acceptance_probability"], verifier._circuit_value(
+        sigma, unvec(post, sigma.dim))
+
+
+@pytest.mark.parametrize("mu, nu, lam", list(_nonzero_triples(5)), ids=str)
+def test_sampled_run_matches_the_circuit_oracle(mu, nu, lam):
+    # 1/2 + 1/2 d_lambda ||t||^2 from the split against the walk over all n!
+    # control blocks, on two seeded Haar post-sampling states.
+    for seed in (0, 1):
+        value, circuit = _run_against_the_circuit(mu, nu, lam, _lambda_state(mu, nu, lam, seed))
+        assert abs(value - circuit) <= 1e-12
+
+
+def test_sampled_run_matches_the_circuit_oracle_at_d210():
+    # The phi-pi state of 4,2,1 in 4,3 x 5,1,1: the walk has 5,040 leaves.
+    mu, nu, lam = P("4,3"), P("5,1,1"), P("4,2,1")
+    psi = max_entangled_over_range(wfs_projector(tensor_rep(mu, nu), lam)).amplitudes
+    value, circuit = _run_against_the_circuit(mu, nu, lam, psi)
+    assert abs(value - circuit) <= 1e-12
+    assert value == pytest.approx(1.0, abs=1e-9)
+
+
+SPLIT_CASES = [("3,2", "3,1,1", "3,1,1"), ("7", "4,2,1", "4,2,1"), ("4,2", "3,2,1", "3,2,1"),
+               ("4,3", "5,1,1", "4,2,1")]
+
+
+@pytest.mark.parametrize("mu, nu, lam", SPLIT_CASES, ids=str)
+def test_sampled_run_split_holds_what_it_prices(mu, nu, lam, monkeypatch):
+    # From the split's price on, beside the post-state held before it: the
+    # split of a corollary trial, whose price also counts its state.
+    mu, nu, lam = P(mu), P(nu), P(lam)
+    psi = _lambda_state(mu, nu, lam, 3)
+    run_verifier_sampled(mu, nu, lam, psi, seed=0)  # the factors' images, cached and priced apart
+    priced, checked = [], verifier.require_bytes
+
+    def spy(nbytes, what):
+        checked(nbytes, what)
+        if what.startswith("the internal test's split"):
+            priced.append((nbytes, tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(verifier, "require_bytes", spy)
+    tracemalloc.start()
+    try:
+        run_verifier_sampled(mu, nu, lam, psi, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ((price, held),) = priced
+    post = 2 * len(psi) * 8
+    assert peak - held <= price < 1.25 * (peak - held + post), (peak - held, price)
+
+
+def test_sampled_run_decisions_are_pinned():
+    # Frozen from the coset-tree circuit's runs on one seeded Haar state of
+    # the bench triple, so that a later kernel cannot move them silently.
+    psi = haar_state(900, np.random.default_rng(0))
+    frozen = json.loads((DATA / "verify-run-3,2x3,1,1-3,1,1-s0-39.json").read_text())
+    assert len(frozen) == 40
+    for seed, pinned in enumerate(frozen):
+        out = run_verifier_sampled(P("3,2"), P("3,1,1"), P("3,1,1"), psi, seed)
+        assert out.keys() == pinned.keys()
+        assert [out[k] for k in ("measured", "stage", "accepted")] == [
+            pinned[k] for k in ("measured", "stage", "accepted")]
+        if "internal_acceptance_probability" in pinned:
+            assert abs(out["internal_acceptance_probability"]
+                       - pinned["internal_acceptance_probability"]) <= 1e-12
 
 
 def test_sampled_run_builds_no_stack(monkeypatch):
