@@ -81,8 +81,10 @@ def _cmd_sym(args) -> dict:
 
 def _cmd_rep(args) -> dict:
     if args.action == "ft":
-        # The partitions validate n and bound it before n! is taken; the JSON
-        # of the |G|^2 entries outweighs the transform, so it is priced first.
+        # The partitions validate n and bound it before n! is taken.  The JSON
+        # price charges 16 B an entry for the array a holder is copied from:
+        # here the float transform and the irrep stacks it is read from, both
+        # cached, so one check before either is built covers the whole run.
         enumerate_partitions(args.n)
         size = math.factorial(args.n)
         serialize.require_json(size * size, f"the {size} x {size} Fourier transform of S_{args.n}")
@@ -399,7 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:  # --help
         return 0
     try:
-        print(json.dumps(result.payload, indent=2) if pretty else serialize.dumps(result.payload))
+        if pretty:
+            print(json.dumps(result.payload, indent=2))
+        else:
+            serialize.write(result.payload, sys.stdout)
+            sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout; the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -4,24 +4,33 @@ of the CLI's output.
 Complex entries serialize as [re, im] pairs at full double precision;
 matrices are row-major.  A document holds each complex array as a
 ComplexArray, one contiguous complex128 vector, never as one Python
-object per entry.  dumps(doc) returns exactly json.dumps of the document
-with every holder replaced by its tolist(), but writes each array from
-one text per distinct entry: entries are grouped by their 128-bit
-pattern (so -0.0, 0.0 and each NaN keep their own text), json.dumps
-encodes the distinct pairs once, and the pieces of that text are
-gathered by the inverse index and joined.  The Fourier transform of S_6,
-518,400 entries of 5,082 distinct values, is written in 0.2 s against
-1.4 s for json.dumps of its pairs; 518,400 all-distinct entries take
-1.3 times as long as json.dumps of theirs.
+object per entry.  pieces(doc) yields exactly the text of json.dumps of
+the document with every holder replaced by its tolist(): the document's
+own text around each array, and each array CHUNK entries at a time.
+write(doc, stream) writes those pieces as they are made, so no text
+longer than one chunk's exists, and dumps(doc) joins them.  A chunk is
+written from one text per distinct entry: its entries are grouped by
+their 128-bit pattern (so -0.0, 0.0 and each NaN keep their own text),
+json.dumps encodes the distinct pairs once, and the pieces of that text
+are gathered by the inverse index and joined.  In process, at one
+thread of a shared 2-core x86-64 host, writing the Fourier transform of
+S_6 (518,400 entries of 5,082 distinct values, 12.7 MB of text) to
+/dev/null takes 0.09-0.10 s, against 0.15 s while the whole text was
+built and 1.4 s for json.dumps of its pairs.  A second `rep ft 6`
+through cli.main, its transform cached, peaks at 11.1 MiB by
+tracemalloc, its 7.9 MiB holder included, against 36.5 MiB.
 
-The price is one constant per entry, ENTRY_BYTES, charged before the
-holder is built.  It covers the worst case, all-distinct entries with the
-longest float texts; on the transform of S_6 the peak is 74 B per entry.
+The price of an array's JSON, charged before the holder is built, is
+HOLDER_BYTES an entry for the holder and the array it is copied from,
+and ENTRY_BYTES for each entry of one chunk's working set.  ENTRY_BYTES
+covers the worst case, all-distinct entries with the longest float
+texts.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -30,10 +39,20 @@ from .errors import InvalidArgumentError, require_bytes
 from .symgroup import Partition
 from .wfs import Projector
 
-# Peak bytes per entry of a holder and its text(), measured with tracemalloc
-# on 518,400 all-distinct entries whose floats print 22.7 characters on
-# average: 239 B.  Floats of 24 characters, the longest, would add 5 B.
-ENTRY_BYTES = 256
+# Entries grouped and encoded at a time: no text longer than one chunk's
+# is built.
+CHUNK = 65_536
+
+# Peak bytes per entry of one chunk's working set beside its holder, by
+# tracemalloc on all-distinct entries whose floats print 22-24 characters:
+# 239-243 B on a whole chunk, and up to 391 B below 20,000 entries, where
+# json.dumps keeps every float's text until it joins its first 100,000
+# pieces.
+ENTRY_BYTES = 400
+
+# Bytes per entry alive while a document is written: the holder's complex
+# copy and the array it was copied from, at most complex as well.
+HOLDER_BYTES = 2 * 16
 
 # Peak bytes per byte of a state file while json.load parses it and
 # state_from_json makes its pairs one array, by tracemalloc on 44,100 to
@@ -50,7 +69,8 @@ _HOLE_TEXT = json.dumps(_HOLE)
 def require_json(entries: int, what: str) -> None:
     """Refuse the JSON of `what`, an array of `entries` complex entries,
     when it would exceed the byte budget."""
-    require_bytes(ENTRY_BYTES * entries, f"the JSON of {what}")
+    nbytes = HOLDER_BYTES * entries + ENTRY_BYTES * min(entries, CHUNK)
+    require_bytes(nbytes, f"the JSON of {what}")
 
 
 class ComplexArray:
@@ -64,37 +84,40 @@ class ComplexArray:
     def tolist(self) -> list[list[float]]:
         return self.values.view(np.float64).reshape(-1, 2).tolist()
 
-    def text(self) -> str:
-        """json.dumps(self.tolist()), from one text per distinct entry.
-        Each intermediate is dropped before the next is built."""
-        size = self.values.size
-        if size == 0:
-            return "[]"
-        words = self.values.view(np.uint64).reshape(size, 2)
-        order = np.lexsort((words[:, 1], words[:, 0]))
-        ranked = words[order]
-        starts = np.empty(size, dtype=bool)  # first of its run of equal bits
-        starts[0] = True
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-        del ranked
-        inverse = np.empty(size, dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
-        pairs = self.values[order[starts]].view(np.float64).reshape(-1, 2).tolist()
-        del order, starts
-        encoded = json.dumps(pairs)
-        del pairs
-        pieces = encoded.split("], [")
-        del encoded
-        pieces[0] = pieces[0][2:]  # drop "[[", and "]]" below: one piece may be both
-        pieces[-1] = pieces[-1][:-2]
-        gathered = np.array(pieces, dtype=object)[inverse].tolist()
-        del pieces, inverse
-        return "[[" + "], [".join(gathered) + "]]"
+
+def _chunk_text(values: np.ndarray) -> str:
+    """json.dumps of the entries' [re, im] pairs without the outer "[[" and
+    "]]", from one text per distinct entry.  Each intermediate is dropped
+    before the next is built."""
+    size = values.size
+    words = values.view(np.uint64).reshape(size, 2)
+    order = np.lexsort((words[:, 1], words[:, 0]))
+    ranked = words[order]
+    starts = np.empty(size, dtype=bool)  # first of its run of equal bits
+    starts[0] = True
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:])
+    starts[1:] |= ranked[1:, 1] != ranked[:-1, 1]
+    del ranked
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    pairs = values[order[starts]].view(np.float64).reshape(-1, 2).tolist()
+    del order, starts
+    encoded = json.dumps(pairs)
+    del pairs
+    texts = encoded.split("], [")
+    del encoded
+    texts[0] = texts[0][2:]  # drop "[[", and "]]" below: one text may be both
+    texts[-1] = texts[-1][:-2]
+    gathered = np.array(texts, dtype=object)[inverse].tolist()
+    del texts, inverse
+    return "], [".join(gathered)
 
 
-def dumps(payload) -> str:
-    """json.dumps(payload), byte for byte, with each ComplexArray written
-    as its list of [re, im] pairs by its text()."""
+def pieces(payload) -> Iterator[str]:
+    """The text of json.dumps(payload), in pieces: each ComplexArray is
+    written as its list of [re, im] pairs, CHUNK entries at a time.  The
+    whole document is encoded, and a TypeError raised for what JSON
+    refuses, before the first piece is yielded."""
     arrays = []
 
     def hole(obj):
@@ -104,10 +127,31 @@ def dumps(payload) -> str:
         return _HOLE
 
     head, *tails = json.dumps(payload, default=hole).split(_HOLE_TEXT)
-    pieces = [head]
+    yield head
     for array, tail in zip(arrays, tails):
-        pieces += (array.text(), tail)
-    return "".join(pieces)
+        values = array.values
+        if not values.size:
+            yield "[]"
+        else:
+            yield "[["
+            for start in range(0, values.size, CHUNK):
+                if start:
+                    yield "], ["
+                yield _chunk_text(values[start : start + CHUNK])
+            yield "]]"
+        yield tail
+
+
+def write(payload, stream: TextIO) -> None:
+    """Write json.dumps(payload) to stream piece by piece."""
+    for piece in pieces(payload):
+        stream.write(piece)
+
+
+def dumps(payload) -> str:
+    """json.dumps(payload), byte for byte, with each ComplexArray written
+    as its list of [re, im] pairs."""
+    return "".join(pieces(payload))
 
 
 def _complex_list(values: np.ndarray) -> ComplexArray:

@@ -388,16 +388,17 @@ def test_wfs_project_at_n9_fits_a_small_budget():
 
 def test_closed_stdout_exits_141_without_a_traceback():
     # rep ft 5 writes 0.6 MB, more than a pipe holds, so the write meets
-    # the closed pipe.
-    cmd = [sys.executable, "-m", "snverify.cli", "rep", "ft", "5"]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = proc.stdout.read(20)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 141
-    assert head == b'{"rows": 120, "cols"'
-    assert stderr == b""
+    # the closed pipe; rep ft 6 meets it between its eight chunks.
+    for n, rows in (("5", 120), ("6", 720)):
+        cmd = [sys.executable, "-m", "snverify.cli", "rep", "ft", n]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert head == b'{"rows": %d, "cols"' % rows
+        assert stderr == b""
 
 
 def test_state_phi_plus_round_trips(capsys):
@@ -712,22 +713,42 @@ def test_rep_ft_prices_its_json_before_building_the_transform(capsys, monkeypatc
     ids=["wfs-project", "phi-pi", "psi-lambda"],
 )
 def test_square_outputs_price_their_json_before_the_lattice(argv, capsys, monkeypatch):
-    # D = 1,568: the D^2 entries outweigh the blocks' arrays, which took
-    # seconds to build before the JSON was refused.
+    # D = 1,568: one byte under the JSON's price, the output is refused
+    # before the blocks' arrays, which take seconds, are built.
     def refuse(*args):
         raise AssertionError("the chain ran")
 
-    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    entries = 1568 * 1568
+    price = serialize.HOLDER_BYTES * entries + serialize.ENTRY_BYTES * serialize.CHUNK
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
     monkeypatch.setattr(wfs, "tableau_projector", refuse)
     code, doc = invoke(argv, capsys)
     assert code == 3
-    assert doc["error"].startswith("the JSON of 2458624 complex entries: 629407744 B")
+    assert doc["error"].startswith(f"the JSON of 2458624 complex entries: {price} B")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(["wfs", "project", "5,3", "4,2,2", "5,3"],
+      "b1eae9e334d3438d5ce42a37945b0325e704af432f9502ed4aec8f88dabe86ae"),
+     (["state", "phi-pi", "5,3", "4,2,2", "5,3"],
+      "9a5c8e53af6d4acbbeada6d76b85522eb5ee8e4eb5c33eb123aec3bf9189f16d")],
+    ids=["wfs-project", "phi-pi"],
+)
+def test_square_outputs_at_d1568_fit_the_default_budget(argv, digest):
+    # 2,458,624 entries, 62 MB of JSON: the digests are of the writer that
+    # built the whole text, run under a budget of 2 GB.
+    env = {k: v for k, v in os.environ.items() if k != "SNVERIFY_MAX_BYTES"}
+    cmd = [sys.executable, "-m", "snverify.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stdout[:300]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_pretty_output_is_priced_before_it_is_rounded(capsys, monkeypatch):
-    # rep ft 5 has 14,400 entries: 3.7 MB at the plain writer's price and
+    # rep ft 5 has 14,400 entries: 6.2 MB at the plain writer's price and
     # 6.7 MB at the pretty writer's.
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "5000000")
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", "6500000")
     code, _ = invoke(["rep", "ft", "5"], capsys)
     assert code == 0
     code, doc = invoke(["rep", "ft", "5", "--pretty"], capsys)
@@ -1087,6 +1108,8 @@ def _list_form(payload) -> dict:
         ["state", "psi-lambda", "3,2,1", "5,1", "3,2,1"],
         ["wfs", "measure", "2,1", "2,1", "--state", "{phi16}", "--seed", "3"],
         ["state", "phi-pi", "2,1", "2,1", "2,1", "--pretty"],
+        ["rep", "ft", "6"],
+        ["rep", "ft", "7"],
     ],
 )
 def test_stdout_is_json_dumps_of_the_list_form_payload(argv, tmp_path, capsys):
@@ -1094,12 +1117,13 @@ def test_stdout_is_json_dumps_of_the_list_form_payload(argv, tmp_path, capsys):
     state.write_text(json.dumps(_list_form(serialize.state_to_json(phi_plus(4)))))
     argv = [token.format(phi16=state) for token in argv]
     plain = [token for token in argv if token != "--pretty"]
-    payload = _list_form(run(plain).payload)
+    result = run(plain)  # rep ft 7 exits 3: its one document is the error
+    payload = _list_form(result.payload)
     if plain != argv:
         expected = json.dumps(_round_floats(payload, 6), indent=2)
     else:
         expected = json.dumps(payload)
-    assert main(argv) == 0
+    assert main(argv) == result.exit_code
     assert capsys.readouterr().out == expected + "\n"
 
 

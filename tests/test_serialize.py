@@ -1,5 +1,7 @@
-"""JSON round-trips for matrices, states, projectors, and subspaces."""
+"""JSON round-trips for matrices, states, projectors, and subspaces, and
+the chunked writer."""
 
+import io
 import json
 import tracemalloc
 
@@ -160,19 +162,95 @@ def test_writer_refuses_what_json_refuses():
         serialize.dumps({"x": object()})
 
 
-@pytest.mark.parametrize(
-    "values",
-    [lambda: fourier_transform_matrix(6), lambda: _longest_floats(1 << 16, 4)],
-    ids=["ft6", "all-distinct-longest"],
-)
-def test_writer_peak_stays_under_its_price(values):
-    # The price is charged per entry before the holder is built, so it must
-    # cover the holder's complex copy and the whole text() of the worst case.
-    values = values()
+# -------------------------------------------------------------- chunking
+
+CHUNK = serialize.CHUNK
+
+
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_writer_matches_json_around_chunk_boundaries(size):
+    values = _longest_floats(size, 5)
+    # One bit pattern on both sides of every boundary, so that a chunk's
+    # grouping cannot leak into its neighbour's.
+    repeated = values[7]
+    for boundary in range(CHUNK, size, CHUNK):
+        values[boundary - 2 : boundary + 2] = repeated
+    doc = {"data": serialize._complex_list(values)}
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_writer_keeps_special_values_apart_across_a_chunk_boundary():
+    special = _special_values()
+    values = np.concatenate([np.full(CHUNK - special.size // 2, 0.5 - 0.5j), special,
+                             special[::-1]])
+    doc = {"data": serialize._complex_list(values)}
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_writer_matches_json_on_two_arrays_longer_than_a_chunk():
+    rng = np.random.default_rng(6)
+    first = rng.standard_normal(CHUNK + 5) + 1j * rng.standard_normal(CHUNK + 5)
+    second = np.round(rng.standard_normal(2 * CHUNK + 1), 2)  # few distinct entries
+    doc = {"first": serialize._complex_list(first), "n": 2,
+           "second": serialize._complex_list(second)}
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_write_and_dumps_give_one_text():
+    doc = serialize.matrix_to_json(fourier_transform_matrix(5))
+    out = io.StringIO()
+    serialize.write(doc, out)
+    assert out.getvalue() == serialize.dumps(doc)
+
+
+# ---------------------------------------------------------------- memory
+
+class _Sink:
+    """A text stream that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text: str) -> None:
+        self.length += len(text)
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        serialize.dumps(serialize.matrix_to_json(values.reshape(values.shape[0], -1)))
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= serialize.ENTRY_BYTES * values.size
+    return peak
+
+
+@pytest.mark.parametrize(
+    "values",
+    [lambda: fourier_transform_matrix(6), lambda: _longest_floats(CHUNK, 4),
+     lambda: _longest_floats(10_000, 4)],
+    ids=["ft6", "all-distinct-longest", "all-distinct-longest-10000"],
+)
+def test_writer_peak_stays_under_its_price(values):
+    # The price covers the holder's complex copy, the source it is copied
+    # from (built before tracing here) and one chunk's working set.  Below
+    # 20,000 entries json.dumps keeps every float's text until it joins, up
+    # to 391 B an entry: a price of 256 B an entry was under it.
+    values = values()
+    sink = _Sink()
+    peak = _traced_peak(lambda: serialize.write(
+        serialize.matrix_to_json(values.reshape(values.shape[0], -1)), sink))
+    price = (serialize.HOLDER_BYTES * values.size
+             + serialize.ENTRY_BYTES * min(values.size, CHUNK))
+    assert sink.length > 0
+    assert peak <= price
+
+
+def test_writer_peak_beyond_the_holder_does_not_grow_with_size():
+    # Only one chunk's text exists at a time, so 8 chunks peak like 2.
+    peaks = []
+    for chunks in (2, 8):
+        doc = {"data": serialize._complex_list(_longest_floats(chunks * CHUNK, 9))}
+        peaks.append(_traced_peak(lambda: serialize.write(doc, _Sink())))
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+    assert peaks[1] <= serialize.ENTRY_BYTES * CHUNK
