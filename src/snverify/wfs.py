@@ -5,14 +5,14 @@ two routes.
 Every isotypic quantity comes from one checked builder, isotypic_block_basis:
 the m aligned irrep blocks B_a of the lambda component.  Their seeds span
 the projector onto the Gelfand-Tsetlin weight of lambda's first tableau,
-built by Jucys-Murphy branching along that tableau's chain of shapes: on
-the projector onto the kappa-isotypic part under S_{k-1}, X_k has as
+by Jucys-Murphy branching along that tableau's chain of shapes: on the
+projector onto the kappa-isotypic part under S_{k-1}, X_k has as
 eigenvalues the contents of kappa's addable cells (Okounkov-Vershik,
 Selecta Math. 1996), so one Lagrange factor per level picks the chain's
-cell.  Then Xi_lambda = sum_a B_a B_a^T, a label is measured with
-probability ||B^T X||^2 and projected as B (B^T X), and no sum runs over
-the group.  The chain is checked against the exact m of the character
-route, characters.multiplicities; a Kronecker coefficient counts blocks.
+cell.  The chain runs on m + 1 probe rows, checked to have rank the exact
+m of the character route, characters.multiplicities.  Then Xi_lambda =
+sum_a B_a B_a^T, a label is measured with probability ||B^T X||^2 and
+projected as B (B^T X); a Kronecker coefficient counts blocks.
 """
 
 from __future__ import annotations
@@ -24,21 +24,16 @@ import numpy as np
 
 from .characters import multiplicities
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .symgroup import (
-    Partition,
-    StandardTableau,
-    axial_distance,
-    enumerate_partitions,
-    enumerate_tableaux,
-    irrep_dimension,
-)
+from .symgroup import (Partition, StandardTableau, axial_distance, enumerate_partitions,
+                       enumerate_tableaux, irrep_dimension)
 from .yyrep import GroupRep, irrep, tensor_rep, turn
 
 RANK_TOL = 1e-6
 EIGEN_ONE_TOL = 1e-8
-# D x D arrays a chain of Lagrange factors holds at once: its projector, a
-# product with X_k and its terms, and one more (tracemalloc: 4.0 at D = 144 to 1,568).
-CHAIN_ARRAYS = 5
+# Copies of its rows a chain of Lagrange factors holds at once, and of the
+# m x D x d blocks their checks hold (tracemalloc: 4.0-4.4 and 4.0-4.1 at D = 144
+# to 1,568): Q, a product with X_k and its terms; the blocks and two turns' arrays.
+CHAIN_ARRAYS = BLOCK_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -68,23 +63,24 @@ class Multiplicity:
             raise NumericalConsistencyError(f"multiplicity {self.value} is negative")
 
 
-def tableau_projector(rep: GroupRep, tableau: StandardTableau) -> np.ndarray:
-    """Projector onto the Gelfand-Tsetlin weight of a standard tableau, of
-    rank the multiplicity of its shape: from Q = I, at each level k = 2..n,
-    Q <- (X_k - c') Q / (c - c') for c the content of k's cell and c' that
-    of every other cell addable to the shape of 1..k-1."""
+def tableau_projector(rep: GroupRep, tableau: StandardTableau, rows: np.ndarray) -> np.ndarray:
+    """rows e_11, for e_11 the projector onto the Gelfand-Tsetlin weight of a
+    standard tableau, of rank the multiplicity of its shape: from Q = rows,
+    at each level k = 2..n, Q <- Q (X_k - c') / (c - c') for c the content
+    of k's cell and c' that of every other cell addable to the shape of
+    1..k-1.  rows = I_D gives e_11 itself."""
     if tableau.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: tableau of {tableau.n}, rep of S_{rep.n}")
-    require_bytes(CHAIN_ARRAYS * rep.dim**2 * 8, f"the chain of {tableau.shape} at D = {rep.dim}")
-    q = np.eye(rep.dim)
+    require_bytes(CHAIN_ARRAYS * rows.size * 8, f"the chain of {tableau.shape} on {rows.shape}")
+    q = rows
     for k in range(2, rep.n + 1):
         row, col = tableau.position_of(k)
         parts = [p for p in (sum(e < k for e in r) for r in tableau.rows) if p] + [0]
         for r, length in enumerate(parts):
             other = length - r
             if (r == 0 or parts[r - 1] > length) and other != col - row:
-                # Q is symmetric and commutes with X_k = sum_{j<k} (j k): Q^T X_k = X_k Q.
-                q = (sum(turn(rep, (j, k), q) for j in range(1, k)) - other * q) / (
+                # X_k = sum_{j<k} (j k), and turning Q^T gives Q rep((j k)).
+                q = (sum(turn(rep, (j, k), q.T) for j in range(1, k)) - other * q) / (
                     col - row - other)
     return q
 
@@ -107,35 +103,41 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     read-only m x D x d array; stacked, they conjugate rep to I_m tensor
     rho^shape.
 
-    The seeds are the columns of L in the pivoted Cholesky e_11 = L L^T of
-    the 0/1 projector onto the Gelfand-Tsetlin weight of shape's first
-    tableau: orthonormal and, unlike eigh's, independent of the BLAS thread
-    count.  Each is carried along the Young-Yamanouchi basis by the
-    seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i)
-    - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.
-    Checked: e_11 has trace the exact m of the character route, from rep's
-    one cached column walk (with m = 0 no chain is walked), B^T B = I and
-    each B_a intertwines the generators with rho^shape's, so that B spans
-    the component."""
+    The seeds span the range of e_11, the projector onto the Gelfand-Tsetlin
+    weight of shape's first tableau, of rank m from rep's one cached column
+    walk.  Its chain runs on m + 1 fixed probe rows, not on I_D (range finding
+    with the rank known, Halko-Martinsson-Tropp, SIAM Rev. 2011).  A
+    Gram-Schmidt pass over the image rows, by gemv, checks that rank (m
+    residual norms above RANK_TOL, the last at or below it: with m = 0 the
+    one row must vanish) and leaves m orthonormal seeds, refined by one more
+    chain and pass.  Each is carried along the Young-Yamanouchi basis by the
+    seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i) -
+    1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.  Checked
+    too: B^T B = I and each B_a intertwines the generators with rho^shape's."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    m = multiplicities(rep)[shape]
-    if not m:  # no chain to walk
-        blocks = np.zeros((0, rep.dim, irrep_dimension(shape)))
+    m, d = multiplicities(rep)[shape], irrep_dimension(shape)
+    require_bytes(BLOCK_ARRAYS * m * rep.dim * d * 8, f"the {m} blocks of {shape} at D = {rep.dim}")
+    tableaux = enumerate_tableaux(shape)
+    # sin(k^2), k = 1, 2, ...: a fixed probe that needs no random generator.
+    seeds = np.sin(np.arange(1.0, (m + 1) * rep.dim + 1) ** 2).reshape(m + 1, rep.dim)
+    for _ in range(2 if m else 1):  # then on the m seeds, whose unit norms damp the rounding
+        image, seeds = tableau_projector(rep, tableaux[0], seeds), np.empty((m, rep.dim))
+        for k, v in enumerate(image):
+            for _ in range(2):  # twice, so that the seeds are orthonormal to rounding
+                v = v - (seeds[:k] @ v) @ seeds[:k]
+            norm = math.sqrt(norm_sq(v))
+            if not (norm > RANK_TOL if k < m else norm <= RANK_TOL):  # NaN fails too
+                raise NumericalConsistencyError(f"the {shape} chain's probe has residual {norm}"
+                                                f" at row {k + 1}, not rank m = {m}")
+            if k < m:
+                seeds[k] = v / norm
+    blocks = np.empty((m, rep.dim, d))
+    blocks[:, :, 0] = seeds
+    del image, seeds
+    if not m:  # nothing to carry
         blocks.setflags(write=False)
         return blocks
-    tableaux = enumerate_tableaux(shape)
-    e11 = tableau_projector(rep, tableaux[0])
-    if not abs(np.trace(e11) - m) <= RANK_TOL:
-        raise NumericalConsistencyError(f"the {shape} chain has trace {np.trace(e11)}, not m = {m}")
-    blocks = np.empty((m, rep.dim, len(tableaux)))
-    seeds, residual = blocks[:, :, 0].T, e11.diagonal().copy()
-    for k in range(m):
-        j = int(np.argmax(residual))
-        col = e11[:, j] - seeds[:, :k] @ seeds[j, :k]
-        seeds[:, k] = col / math.sqrt(col[j])
-        residual -= seeds[:, k] ** 2
-    del e11  # the checks hold at most 4 D x D arrays, within the chain's price
     index = {t.rows: k for k, t in enumerate(tableaux)}
     for k, t in enumerate(tableaux[1:], start=1):
         # The first i with i + 1 in a higher row: swapping them gives an
@@ -146,10 +148,8 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
         v = blocks[:, :, index[parent.rows]]
         blocks[:, :, k] = (turn(rep, (i, i + 1), v.T) - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
     rows = block_rows(blocks)
-    gap = rows @ rows.T
-    gap.flat[:: len(gap) + 1] -= 1.0  # B^T B - I
-    residual = float(np.abs(gap).max())
-    del rows, gap
+    residual = float(np.abs(rows @ rows.T - np.eye(len(rows))).max())  # B^T B - I
+    del rows
     for t in zip(range(1, rep.n), range(2, rep.n + 1)):
         gap = turn(rep, t, blocks)
         gap -= turn(irrep(shape), t, blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -160,9 +160,8 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     return blocks
 
 
-def kronecker_coefficient(
-    mu: Partition, nu: Partition, lam: Partition, route: str = "char"
-) -> Multiplicity:
+def kronecker_coefficient(mu: Partition, nu: Partition, lam: Partition,
+                          route: str = "char") -> Multiplicity:
     """Kronecker coefficient m_{mu nu lam}.
 
     route "char" uses the triple character sum; route "rank" counts the
@@ -192,7 +191,9 @@ def _projector(blocks: np.ndarray) -> Projector:
 def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
     """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g), summed over
     the checked irrep blocks of its range."""
-    return _projector(isotypic_block_basis(rep, shape))
+    blocks = isotypic_block_basis(rep, shape)  # then the projector beside them and their copy
+    require_bytes((rep.dim + 2 * blocks[:, 0].size) * rep.dim * 8, f"the projector onto {shape}")
+    return _projector(blocks)
 
 
 def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
@@ -243,15 +244,12 @@ def norm_sq(v: np.ndarray) -> float:
     return float(np.sum(v**2 if np.isrealobj(v) else v.real**2 + v.imag**2))
 
 
-def measure_wfs(
-    rep: GroupRep, psi: np.ndarray, seed: int
-) -> tuple[Partition, np.ndarray]:
+def sample_wfs(rep: GroupRep, psi: np.ndarray,
+               seed: int) -> tuple[Partition, np.ndarray, np.ndarray, float]:
     """Sample an irrep label by measuring rep on the first register of
-    psi = vec X, X of shape D x k (k = 1 is a state of rep's own space),
-    and return the normalized post-measurement state.  The label has
-    probability ||B^T X||_F^2 over its irrep blocks B, and the post-state
-    is vec(B B^T X) normalized, formed for the sampled label only; no
-    projector is built.  Deterministic given the seed."""
+    psi = vec X, X of shape D x k (k = 1 is a state of rep's own space):
+    the label, B^T of its irrep blocks B, Z = B^T X and its probability
+    p = ||Z||_F^2.  No projector is built.  Deterministic given the seed."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size % rep.dim:
         raise InvalidArgumentError(
@@ -275,9 +273,14 @@ def measure_wfs(
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(shapes), p=probs / total)
-    columns = np.ascontiguousarray(rows[choice].T)
-    del rows
-    post = by_columns(columns, parts[choice])
-    post /= math.sqrt(probs[choice])
-    return shapes[choice], post.reshape(-1)
+    return shapes[choice], rows[choice], parts[choice], float(probs[choice])
 
+
+def measure_wfs(rep: GroupRep, psi: np.ndarray, seed: int) -> tuple[Partition, np.ndarray]:
+    """sample_wfs's label and post-state vec(B B^T X) / sqrt(p), formed for that label only."""
+    label, rows, z, p = sample_wfs(rep, psi, seed)
+    columns = np.ascontiguousarray(rows.T)
+    del rows
+    post = by_columns(columns, z)
+    post /= math.sqrt(p)
+    return label, post.reshape(-1)

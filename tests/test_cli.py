@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from snverify import characters, cli, serialize, verifier, wfs, yyrep
 from snverify.cli import _round_floats, main, run
 from snverify.entangled import StateVector, max_entangled_over_range, phi_plus
-from snverify.errors import InvalidArgumentError
+from snverify.errors import InvalidArgumentError, require_bytes
 from snverify.symgroup import Partition, enumerate_partitions, irrep_dimension
 from snverify.wfs import wfs_projector
 from snverify.yyrep import tensor_rep
@@ -46,7 +46,7 @@ def test_kron_example(capsys):
 
 def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
     # route both returns the character route's m once the block builder's
-    # chain has that trace; an m one too large must fail that check.
+    # chain has that rank on its probe; an m one too large must fail that check.
     multiplicities = characters.multiplicities
 
     def off_by_one(rep):
@@ -57,7 +57,24 @@ def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
     code, doc = invoke(["kron", "2,1", "2,1", "2,1", "--route", "both"], capsys)
     assert code == 4
     assert doc["status"] == "numerical-consistency"
-    assert doc["error"].startswith("the 2,1 chain has trace 1.0")
+    assert doc["error"].startswith("the 2,1 chain's probe has residual")
+    assert doc["error"].endswith("at row 2, not rank m = 2")
+
+
+def test_kron_both_exits_4_on_a_character_route_zero(capsys, monkeypatch):
+    # With m = 0 the builder walks a one-row chain, which must vanish.
+    multiplicities = characters.multiplicities
+
+    def zero(rep):
+        return {lam: 0 if lam == Partition.parse("2,1") else m
+                for lam, m in multiplicities(rep).items()}
+
+    monkeypatch.setattr(wfs, "multiplicities", zero)
+    code, doc = invoke(["kron", "2,1", "2,1", "2,1", "--route", "both"], capsys)
+    assert code == 4
+    assert doc["status"] == "numerical-consistency"
+    assert doc["error"].startswith("the 2,1 chain's probe has residual")
+    assert doc["error"].endswith("at row 1, not rank m = 0")
 
 
 def test_sym_dim_example(capsys):
@@ -230,12 +247,12 @@ def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys
 
 
 def test_certify_outputs_are_pinned(capsys):
-    # Frozen from the coset-tower formula's outputs, so that a later kernel
-    # cannot move them silently: the corollary's stdout by its digest, the
-    # lemma's reports at 1e-12.
+    # Frozen so that a later kernel cannot move them silently: the
+    # corollary's stdout by its digest, the lemma's reports at 1e-12 from the
+    # coset-tower formula's outputs.
     assert main(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "20", "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "7921b972a8869b548d56bb56b8f981d80b1c112a7e799d790ef76076a518045a"
+    assert digest == "cb612a876178e30f769eba2e98ef783c906992570c30badf4386aab10074909f"
     code, doc = invoke(
         ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "20", "--seed", "5"], capsys
     )
@@ -299,6 +316,32 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
     code, doc = invoke(argv, capsys)
     assert code == 0
     assert expect.items() <= doc.items()
+
+
+def test_kron_both_at_n9_fits_the_default_budget(capsys, monkeypatch):
+    # D = 6,804: the chain walks 5 probe rows, and the 4 blocks of 4,3,2 hold
+    # m D d = 4.6 M floats, where e_11 alone would take 370 MB.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    code, doc = invoke(["kron", "5,4", "5,3,1", "4,3,2", "--route", "both"], capsys)
+    assert code == 0, doc
+    assert doc == {"m": 4, "routes_agree": True}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wfs", "project", "3,2,1", "5,1", "4,2"], ["wfs", "povm", "3,2,1", "5,1"],
+     ["verify", "spectrum", "5,1", "3,3", "4,2"], ["kron", "3,2,1", "4,1,1", "3,2,1", "--route", "both"]],
+    ids=["wfs-project", "wfs-povm", "verify-spectrum", "kron-both"],
+)
+def test_block_builder_imports_no_random_generator(argv):
+    # The builder's probe is arithmetic: numpy.random, which costs a command
+    # milliseconds to import, stays unloaded.
+    probe = ("import sys; from snverify.cli import main; code = main(sys.argv[1:]); "
+             "sys.stderr.write(str('numpy.random' in sys.modules)); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stderr == b"False"
 
 
 @pytest.mark.parametrize(
@@ -470,26 +513,32 @@ def test_certify_lemma_fits_the_trial_price_with_no_representation_built(capsys,
 
 
 def test_verify_run_prices_the_split_before_it_runs(capsys, monkeypatch):
-    # 3,1,1 in 3,2 x 3,1,1, D = 30, m d_lambda = 12: 8 D + 5 m d_lambda
-    # columns of D floats, above the measurement's and the chain's prices.
+    # 3,1,1 in 3,2 x 3,1,1, D = 30, m d_lambda = 12: t is read from Z, priced
+    # at 4 times Z's 12 x 30 complex entries, 11,520 B.  That is below the
+    # measurement's price, so the budget is set for the split's check alone.
     # The state file's price is larger still, so the state is handed over.
     xi = wfs_projector(tensor_rep(Partition.parse("3,2"), Partition.parse("3,1,1")),
                        Partition.parse("3,1,1"))
     witness = max_entangled_over_range(xi).amplitudes  # always samples 3,1,1
     monkeypatch.setattr(cli, "_load_state", lambda path: witness)
-    split = []
-    monkeypatch.setattr(verifier.AcceptanceOperator, "_split", lambda self, x: split.append(x))
+    traces, read = [], verifier.block_traces
+    monkeypatch.setattr(verifier, "block_traces", lambda *args: traces.append(args) or read(*args))
     argv = ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "witness.json"]
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(72_000 - 1))
-    code, doc = invoke(argv, capsys)
-    assert code == 3
-    assert doc["error"].startswith("the internal test's split at D = 30: 72000 B")
-    assert split == []
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "_load_state", lambda path: witness)
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(72_000))
-    code, doc = invoke(argv, capsys)
-    assert code == 0 and doc["accepted"], doc
+    codes = []
+    for budget in (11_520 - 1, 11_520):
+        def check(nbytes, what, budget=budget):
+            with monkeypatch.context() as scoped:
+                scoped.setenv("SNVERIFY_MAX_BYTES", str(budget))
+                require_bytes(nbytes, what)
+
+        monkeypatch.setattr(verifier, "require_bytes", check)
+        code, doc = invoke(argv, capsys)
+        codes.append(code)
+        if code == 3:
+            assert doc["error"].startswith("the internal test's split at D = 30: 11520 B")
+            assert traces == []
+    assert codes == [3, 0] and doc["accepted"], doc
+    assert len(traces) == 1
 
 
 def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
@@ -730,14 +779,14 @@ def test_square_outputs_price_their_json_before_the_lattice(argv, capsys, monkey
 @pytest.mark.parametrize(
     "argv, digest",
     [(["wfs", "project", "5,3", "4,2,2", "5,3"],
-      "b1eae9e334d3438d5ce42a37945b0325e704af432f9502ed4aec8f88dabe86ae"),
+      "a73e6ae0277a7309664b895f28938bbed46ed52f765de0925f577082b98d5fb8"),
      (["state", "phi-pi", "5,3", "4,2,2", "5,3"],
-      "9a5c8e53af6d4acbbeada6d76b85522eb5ee8e4eb5c33eb123aec3bf9189f16d")],
+      "e7fcf952e7c6236dc8b97609d74947856e8531e6b3600edad781d059fe0805b8")],
     ids=["wfs-project", "phi-pi"],
 )
 def test_square_outputs_at_d1568_fit_the_default_budget(argv, digest):
-    # 2,458,624 entries, 62 MB of JSON: the digests are of the writer that
-    # built the whole text, run under a budget of 2 GB.
+    # 2,458,624 entries, 62 MB of JSON: the digests are of json.dumps of the
+    # payload in list form, the writer's definition.
     env = {k: v for k, v in os.environ.items() if k != "SNVERIFY_MAX_BYTES"}
     cmd = [sys.executable, "-m", "snverify.cli", *argv]
     proc = subprocess.run(cmd, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"))

@@ -353,18 +353,22 @@ def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_
 
 @pytest.mark.parametrize("corrupt", ["drop-block", "foreign-block", "scaled-block"])
 def test_closed_form_operator_checks_its_blocks(corrupt, monkeypatch):
-    # m = 1: the block builder checks the blocks it seeds from its chain.
+    # m = 1: the block builder checks the blocks it seeds from its chain's
+    # image of the probe rows.
     chain = wfs.tableau_projector
 
-    def corrupted(rep, tableau):
-        e11 = chain(rep, tableau)
-        if corrupt == "drop-block":  # trace 0, not m
-            return 0 * e11
-        if corrupt == "scaled-block":  # trace 1 within 1e-6, but B^T B != I
-            return e11 * (1 + 1e-7)
+    def corrupted(rep, tableau, rows):
+        image = chain(rep, tableau, rows)
+        if corrupt == "drop-block":  # rank 0, not m
+            return 0 * image
+        if corrupt == "scaled-block":  # e_11 tilted by 1e-7: rank 1, but B^T B != I
+            e11 = chain(rep, tableau, np.eye(rep.dim))
+            k = np.random.default_rng(0).standard_normal((rep.dim, rep.dim))
+            tilt = np.eye(rep.dim) + 1e-7 * (k - k.T)
+            return rows @ tilt @ e11 @ tilt.T
         # a unit seed outside the isotypic component
-        v = np.random.default_rng(0).standard_normal(len(e11))
-        return np.outer(v, v) / (v @ v)
+        v = np.random.default_rng(0).standard_normal(rep.dim)
+        return rows @ np.outer(v, v) / (v @ v)
 
     monkeypatch.setattr(wfs, "tableau_projector", corrupted)
     with pytest.raises(NumericalConsistencyError):
@@ -665,8 +669,8 @@ SPLIT_CASES = [("3,2", "3,1,1", "3,1,1"), ("7", "4,2,1", "4,2,1"), ("4,2", "3,2,
 
 @pytest.mark.parametrize("mu, nu, lam", SPLIT_CASES, ids=str)
 def test_sampled_run_split_holds_what_it_prices(mu, nu, lam, monkeypatch):
-    # From the split's price on, beside the post-state held before it: the
-    # split of a corollary trial, whose price also counts its state.
+    # From the split's price on, beside the measurement's coordinates Z held
+    # before it: t read from Z, at most the size of a post-state.
     mu, nu, lam = P(mu), P(nu), P(lam)
     psi = _lambda_state(mu, nu, lam, 3)
     run_verifier_sampled(mu, nu, lam, psi, seed=0)  # the factors' images, cached and priced apart
@@ -688,6 +692,22 @@ def test_sampled_run_split_holds_what_it_prices(mu, nu, lam, monkeypatch):
     ((price, held),) = priced
     post = 2 * len(psi) * 8
     assert peak - held <= price < 1.25 * (peak - held + post), (peak - held, price)
+
+
+def test_sampled_run_builds_each_label_blocks_once(monkeypatch):
+    # The internal test reads t from the sampled label's blocks, which the
+    # measurement built: no second build of lambda's.
+    calls, build = [], wfs.isotypic_block_basis
+    for module in (wfs, verifier):
+        monkeypatch.setattr(module, "isotypic_block_basis",
+                            lambda rep, shape: calls.append(shape) or build(rep, shape))
+    sigma = tensor_rep(P("3,1"), P("2,1,1"))
+    xi = wfs_projector(sigma, P("3,1"))
+    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)  # always samples 3,1
+    calls.clear()
+    out = run_verifier_sampled(P("3,1"), P("2,1,1"), P("3,1"), witness, seed=2)
+    assert out["stage"] == "internal-state-test"
+    assert calls == list(enumerate_partitions(4))
 
 
 def test_sampled_run_decisions_are_pinned():
@@ -729,7 +749,8 @@ def test_sampled_run_is_seed_deterministic():
 
 def test_acceptance_operator_holds_what_it_prices(monkeypatch):
     # D = 490, m = 4, d_lam = 35: the operator is its blocks, m D d_lam floats,
-    # and the only price is the blocks' chain, 5 D x D arrays; it is the peak.
+    # and its prices are the builder's: 5 copies of the blocks, then 5 of
+    # the chain's m + 1 probe rows and 5 of its m seeds; the blocks' is the peak.
     mu, nu, lam = P("4,3"), P("4,2,1"), P("4,2,1")
     verification_acceptance_operator(mu, nu, lam)  # the factors' images, cached and priced apart
     prices = []
@@ -745,7 +766,7 @@ def test_acceptance_operator_holds_what_it_prices(monkeypatch):
         tracemalloc.stop()
     assert op.blocks.shape == (4, 490, 35)
     square = 490 * 490 * 8
-    assert prices == [5 * square]
+    assert prices == [5 * 4 * 490 * 35 * 8, 5 * 5 * 490 * 8, 5 * 4 * 490 * 8]
     assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"
 
 

@@ -79,10 +79,12 @@ def test_projector_ranks_on_regular_representation():
 
 
 def test_projector_rejects_non_integral_trace(monkeypatch):
-    # The chain's projector must have the exact m as its trace.
+    # The chain must be a projector of the exact rank m: (e_11 + I) / 2 has
+    # trace (D + m) / 2 = 2.5, and the probe finds its rank D above m = 1.
     chain = wfs.tableau_projector
-    monkeypatch.setattr(wfs, "tableau_projector", lambda rep, t: 0.5 * chain(rep, t))
-    with pytest.raises(NumericalConsistencyError, match="chain has trace 0.5"):
+    monkeypatch.setattr(wfs, "tableau_projector",
+                        lambda rep, t, rows: 0.5 * (chain(rep, t, rows) + rows))
+    with pytest.raises(NumericalConsistencyError, match="chain's probe has residual .* at row 2,"):
         wfs_projector(tensor_rep(P("2,1"), P("2,1")), P("2,1"))
 
 
@@ -243,6 +245,21 @@ def test_isotypic_sums_never_build_the_tensor_stack():
     assert len(isotypic_block_basis(sigma, lam)) == 4
 
 
+def test_block_builder_at_d1568_peaks_below_one_square_array():
+    # 5,3 x 4,2,2; 5,3: m = 2 blocks of d = 28 columns, 0.7 MB, where the
+    # chain on I_D held 5 D x D arrays of 19.7 MB each.
+    sigma, lam = tensor_rep(P("5,3"), P("4,2,2")), P("5,3")
+    isotypic_block_basis(sigma, lam)  # the factors' images, cached and priced apart
+    tracemalloc.start()
+    try:
+        blocks = isotypic_block_basis(sigma, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks.shape == (2, 1568, 28)
+    assert peak < 1568 * 1568 * 8, f"peak {peak} B"
+
+
 def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector, dense_rep):
     # The contraction against the stack of sigma's dense oracle is the oracle.
     sigma = tensor_rep(P("3,2,1"), P("5,1"))
@@ -323,15 +340,15 @@ def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum
 
 
 def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
-    # The block builder checks its chain's trace against the exact m of
-    # every kind's column walk.
+    # The block builder checks its chain's rank on the probe against the
+    # exact m of every kind's column walk.
     monkeypatch.setattr(wfs, "multiplicities",
                         lambda rep: {lam: m + 1 for lam, m in multiplicities(rep).items()})
     for rep, shape in ((tensor_rep(P("3,1"), P("2,1,1")), P("2,1,1")),
                        (identity_times_irrep(2, P("2,1,1")), P("2,1,1"))):
-        with pytest.raises(NumericalConsistencyError, match="chain has trace"):
+        with pytest.raises(NumericalConsistencyError, match="chain's probe has residual"):
             wfs_projector(rep, shape)
-        with pytest.raises(NumericalConsistencyError, match="chain has trace"):
+        with pytest.raises(NumericalConsistencyError, match="chain's probe has residual"):
             wfs_povm(rep)
 
 
@@ -355,25 +372,34 @@ def test_projectors_of_every_kind_walk_the_character_columns_once(kind, monkeypa
 @pytest.mark.parametrize(
     "step", ["tableau", "blocks", "projector", "povm", "measure", "psi-lambda"])
 def test_lattice_steps_hold_what_they_price(step, monkeypatch):
-    # D = 144, n = 6: a chain of Lagrange factors holds its projector and at
-    # most 4 D x D arrays beside it, and the irrep blocks hold no more.  The
-    # POVM holds its 11 projectors beside the blocks, measure and psi-lambda
-    # their products with a Haar state on C^D x C^D.  The factors' images
-    # are cached and priced apart, so they are built untraced.
+    # D = 144, n = 6: the block builder holds at most 5 copies of its m x D x
+    # d blocks, after its chain held at most 5 of its m + 1 probe rows, and
+    # then, with m > 0, 5 of its m seeds; a projector holds itself beside the
+    # blocks and their copy.  The POVM holds its 11 projectors beside the
+    # blocks, measure and psi-lambda their products with a Haar state on
+    # C^D x C^D.  The factors' images are cached and priced apart, so they
+    # are built untraced.
     mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
     sigma, dim = tensor_rep(mu, nu), 144
     first = enumerate_tableaux(lam)[0]
     psi = haar_state(dim * dim, np.random.default_rng(0))
-    chains = [5 * dim * dim] * sum(1 for m in multiplicities(sigma).values() if m)
+    probe = np.random.default_rng(1).standard_normal((4, dim))
+    m = multiplicities(sigma)
+
+    def builder(shape):  # the blocks' price, then their chains'
+        chains = [5 * (m[shape] + 1) * dim] + [5 * m[shape] * dim] * (m[shape] > 0)
+        return [5 * m[shape] * dim * irrep_dimension(shape)] + chains
+
+    labels = [k for shape in enumerate_partitions(6) for k in builder(shape)]
     calls = {
-        "tableau": (lambda: wfs.tableau_projector(sigma, first), chains[:1]),
-        "blocks": (lambda: isotypic_block_basis(sigma, lam), chains[:1]),
-        "projector": (lambda: wfs_projector(sigma, lam), chains[:1]),
-        "povm": (lambda: wfs_povm(sigma), [13 * dim * dim] + chains),
-        "measure": (lambda: measure_wfs(sigma, psi, 1), [7 * dim * dim] + chains),
+        "tableau": (lambda: wfs.tableau_projector(sigma, first, probe), [5 * 4 * dim]),
+        "blocks": (lambda: isotypic_block_basis(sigma, lam), builder(lam)),
         # m d_lam = 3 x 16 columns of blocks.
+        "projector": (lambda: wfs_projector(sigma, lam), builder(lam) + [(dim + 2 * 48) * dim]),
+        "povm": (lambda: wfs_povm(sigma), [13 * dim * dim] + labels),
+        "measure": (lambda: measure_wfs(sigma, psi, 1), [7 * dim * dim] + labels),
         "psi-lambda": (lambda: psi_lambda(sigma, lam, psi),
-                       chains[:1] + [(5 * dim + 4 * 48) * dim]),
+                       builder(lam) + [(5 * dim + 4 * 48) * dim]),
     }
     call, floats = calls[step]
     call()
