@@ -9,16 +9,20 @@ the document with every holder replaced by its tolist(): the document's
 own text around each array, and each array CHUNK entries at a time.
 write(doc, stream) writes those pieces as they are made, so no text
 longer than one chunk's exists, and dumps(doc) joins them.  A chunk is
-written from one text per distinct entry: its entries are grouped by
-their 128-bit pattern (so -0.0, 0.0 and each NaN keep their own text),
-json.dumps encodes the distinct pairs once, and the pieces of that text
-are gathered by the inverse index and joined.  In process, at one
-thread of a shared 2-core x86-64 host, writing the Fourier transform of
-S_6 (518,400 entries of 5,082 distinct values, 12.7 MB of text) to
-/dev/null takes 0.09-0.10 s, against 0.15 s while the whole text was
-built and 1.4 s for json.dumps of its pairs.  A second `rep ft 6`
-through cli.main, its transform cached, peaks at 11.1 MiB by
-tracemalloc, its 7.9 MiB holder included, against 36.5 MiB.
+written from one text per distinct entry: one np.sort of uint64 keys, a
+mix of each entry's two 64-bit words above its index in the chunk, puts
+equal entries side by side, and its runs split wherever the 128-bit
+patterns differ (so -0.0, 0.0 and each NaN keep their own text, and two
+entries whose mixes collide are never merged).  json.dumps encodes the
+first entry of each run, and the pieces of that text are gathered by the
+inverse index and joined.  In process, at one thread of a shared 2-core
+x86-64 host, grouping and encoding the eight chunks of the Fourier
+transform of S_6 (518,400 entries of 5,082 distinct values, 12.7 MB of
+text) takes 40-47 ms, against 50-53 ms with a lexsort of the two words;
+writing it to /dev/null took 0.09-0.10 s with the lexsort, against 0.15
+s while the whole text was built and 1.4 s for json.dumps of its pairs.
+A second `rep ft 6` through cli.main, its transform cached, peaks at
+11.1 MiB by tracemalloc, its 7.9 MiB holder included, against 36.5 MiB.
 
 The price of an array's JSON, charged before the holder is built, is
 HOLDER_BYTES an entry for the holder and the array it is copied from,
@@ -40,8 +44,14 @@ from .symgroup import Partition
 from .wfs import Projector
 
 # Entries grouped and encoded at a time: no text longer than one chunk's
-# is built.
+# is built.  An entry's index in its chunk fills the low bits of its sort
+# key, and the rest hold its mix.
 CHUNK = 65_536
+_INDEX_MASK = (1 << (CHUNK - 1).bit_length()) - 1
+_MIX_BITS = np.uint64(((1 << 64) - 1) ^ _INDEX_MASK)
+
+# Odd multipliers of _key_mix (the golden ratio's and splitmix64's).
+_MIX_A, _MIX_B = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9)
 
 # Peak bytes per entry of one chunk's working set beside its holder, by
 # tracemalloc on all-distinct entries whose floats print 22-24 characters:
@@ -85,23 +95,39 @@ class ComplexArray:
         return self.values.view(np.float64).reshape(-1, 2).tolist()
 
 
+def _key_mix(words: np.ndarray) -> np.ndarray:
+    """A uint64 mix of each row of a (size, 2) uint64 array, whose high bits
+    depend on every bit of both words."""
+    mixed = words[:, 0] * _MIX_A
+    mixed ^= words[:, 1]
+    mixed *= _MIX_B
+    return mixed
+
+
 def _chunk_text(values: np.ndarray) -> str:
     """json.dumps of the entries' [re, im] pairs without the outer "[[" and
     "]]", from one text per distinct entry.  Each intermediate is dropped
     before the next is built."""
     size = values.size
-    words = values.view(np.uint64).reshape(size, 2)
-    order = np.lexsort((words[:, 1], words[:, 0]))
-    ranked = words[order]
+    # Each key is the entry's mix above its index, so equal entries sort
+    # side by side; a run below splits wherever the bits differ.
+    keys = _key_mix(values.view(np.uint64).reshape(size, 2))
+    keys &= _MIX_BITS
+    keys |= np.arange(size, dtype=np.uint64)
+    keys.sort()
+    keys &= _INDEX_MASK
+    order = keys.view(np.int64)  # the indices in sorted order
+    ranked = values[order]
+    words = ranked.view(np.uint64).reshape(size, 2)
     starts = np.empty(size, dtype=bool)  # first of its run of equal bits
     starts[0] = True
-    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:])
-    starts[1:] |= ranked[1:, 1] != ranked[:-1, 1]
-    del ranked
+    np.not_equal(words[1:, 0], words[:-1, 0], out=starts[1:])
+    starts[1:] |= words[1:, 1] != words[:-1, 1]
+    del words
     inverse = np.empty(size, dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    pairs = values[order[starts]].view(np.float64).reshape(-1, 2).tolist()
-    del order, starts
+    pairs = ranked[starts].view(np.float64).reshape(-1, 2).tolist()
+    del ranked, order, keys, starts
     encoded = json.dumps(pairs)
     del pairs
     texts = encoded.split("], [")

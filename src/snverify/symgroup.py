@@ -97,17 +97,6 @@ class StandardTableau:
     def reading_word(self) -> tuple[int, ...]:
         return tuple(e for row in self.rows for e in row)
 
-    def swap(self, i: int) -> "StandardTableau | None":
-        """Tableau with entries i and i+1 exchanged, or None if the result
-        is not standard."""
-        rows = [list(row) for row in self.rows]
-        (r1, c1), (r2, c2) = self.position_of(i), self.position_of(i + 1)
-        rows[r1][c1], rows[r2][c2] = i + 1, i
-        try:
-            return StandardTableau(tuple(tuple(row) for row in rows))
-        except InvalidArgumentError:
-            return None
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -280,16 +269,6 @@ def irrep_dimension(shape: Partition) -> int:
     if rem != 0:
         raise InvalidArgumentError(f"hook-length formula failed for {shape}")
     return d
-
-
-def axial_distance(t: StandardTableau, i: int) -> int:
-    """Signed content difference content(i+1) - content(i), where
-    content(row r, col c) = c - r (0-indexed)."""
-    if not 1 <= i <= t.n - 1:
-        raise InvalidArgumentError(f"i must be in 1..{t.n - 1}, got {i}")
-    r1, c1 = t.position_of(i)
-    r2, c2 = t.position_of(i + 1)
-    return (c2 - r2) - (c1 - r1)
 
 
 def adjacent_transposition_decomposition(g: Permutation) -> list[int]:

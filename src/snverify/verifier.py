@@ -277,9 +277,10 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
         state = _trial_state(d * d, center, perturbation, seed + t)
         traces, distance = _identity_split(unvec(state, d), d1)
         del state
-        acceptance = 0.5 + 0.5 * (d1 * norm_sq(traces)) ** 2
-        eps = max(1.0 - acceptance, 0.0)  # rounding can put acceptance above 1
-        reports.append(TestReport.build(acceptance, distance, 2.0 * math.sqrt(2.0 * eps)))
+        # a <= ||X||^2 = 1 exactly, E being an orthogonal projection; rounding is clamped.
+        acceptance = 0.5 + 0.5 * min(d1 * norm_sq(traces), 1.0) ** 2
+        bound = 2.0 * math.sqrt(2.0 * (1.0 - acceptance))
+        reports.append(TestReport.build(acceptance, distance, bound))
     return reports
 
 
@@ -314,21 +315,20 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     for t in range(trials):
         state = _trial_state(d * d, center, perturbation, seed + t)
         projected, t_lam, inner, distance = op._split(unvec(state, d))  # Gamma = B B^T tensor I
-        p_sample = norm_sq(projected)
+        p_sample = min(norm_sq(projected), 1.0)  # Gamma projects a unit vector; rounding is clamped
         del state, projected  # neither is held beside the next draw and split
         if p_sample < 1e-14:
             corollary = TestReport.build(0.0, distance, 3.0 * math.sqrt(2.0))
             theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
             trials_out.append(CertificationTrial(corollary, theorem, degenerate=True))
             continue
-        p_internal = 0.5 + 0.5 * (d_lam * norm_sq(t_lam) / p_sample) ** 2
+        # a <= 1 as in the lemma, and so is p_sample * p_internal.
+        p_internal = 0.5 + 0.5 * min(d_lam * norm_sq(t_lam) / p_sample, 1.0) ** 2
         total = p_sample * p_internal
-        eps_total = max(1.0 - total, 0.0)
-        corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * eps_total))
-        eps_internal = max(1.0 - p_internal, 0.0)
+        corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * (1.0 - total)))
         # The post-sampling state's Z and K are psi's over sqrt(p_sample).
         theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample),
-                                   2.0 * math.sqrt(2.0 * eps_internal))
+                                   2.0 * math.sqrt(2.0 * (1.0 - p_internal)))
         trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))
     return trials_out
 
@@ -347,7 +347,8 @@ def run_verifier_sampled(mu: Partition, nu: Partition, lam: Partition, psi: np.n
     d_lam = irrep_dimension(lam)
     # by_columns' copy of Z's two parts and more (tracemalloc: 2.0-3.1 Z at D = 30-210).
     require_bytes(4 * z.size * 8, f"the internal test's split at D = {sigma.dim}")
-    acceptance = 0.5 + 0.5 * d_lam * norm_sq(block_traces(rows, z, d_lam)) / p
+    # <X', E(X')> <= 1 for the unit post-state X'; rounding is clamped.
+    acceptance = 0.5 + 0.5 * min(d_lam * norm_sq(block_traces(rows, z, d_lam)) / p, 1.0)
     coin = np.random.default_rng(seed + 1).random()
     return {"accepted": bool(coin < acceptance), "measured": str(label),
             "stage": "internal-state-test", "internal_acceptance_probability": acceptance}

@@ -24,9 +24,9 @@ import numpy as np
 
 from .characters import multiplicities
 from .errors import InvalidArgumentError, NumericalConsistencyError, require_bytes
-from .symgroup import (Partition, StandardTableau, axial_distance, enumerate_partitions,
-                       enumerate_tableaux, irrep_dimension)
-from .yyrep import GroupRep, irrep, tensor_rep, turn
+from .symgroup import (Partition, StandardTableau, enumerate_partitions, enumerate_tableaux,
+                       irrep_dimension)
+from .yyrep import GroupRep, irrep, swap_contents, tableau_contents, tensor_rep, turn
 
 RANK_TOL = 1e-6
 EIGEN_ONE_TOL = 1e-8
@@ -138,14 +138,14 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     if not m:  # nothing to carry
         blocks.setflags(write=False)
         return blocks
-    index = {t.rows: k for k, t in enumerate(tableaux)}
-    for k, t in enumerate(tableaux[1:], start=1):
-        # The first i with i + 1 in a higher row: swapping them gives an
-        # earlier tableau.
-        i = next(i for i in range(1, rep.n) if t.position_of(i + 1)[0] < t.position_of(i)[0])
-        parent = t.swap(i)
-        tau = axial_distance(parent, i)
-        v = blocks[:, :, index[parent.rows]]
+    contents, index = tableau_contents(shape)
+    for k, c in enumerate(map(tuple, contents[1:].tolist()), start=1):
+        # The first i with i + 1 in a higher row, where its axial distance
+        # exceeds 1: swapping them gives an earlier tableau, in which i has
+        # axial distance -tau.
+        i = next(i for i in range(1, rep.n) if c[i] - c[i - 1] > 1)
+        tau = c[i - 1] - c[i]
+        v = blocks[:, :, index[swap_contents(c, i)]]
         blocks[:, :, k] = (turn(rep, (i, i + 1), v.T) - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
     rows = block_rows(blocks)
     residual = float(np.abs(rows @ rows.T - np.eye(len(rows))).max())  # B^T B - I

@@ -14,7 +14,9 @@ verifier's group sums, which only the self-test and the tests read.
 rep_stack evaluates a representation on the whole group, as a cached
 |G| x D x D array in the order of symgroup.enumerate_group, for the
 Fourier transform and the self-test's orthogonality suites, both on
-irreps.
+irreps: one product per inversion count and generator, over a plan
+computed from the one-line words as arrays.  The Young-Yamanouchi images
+are read from each tableau's content vector, with no tableau built.
 
 Characters and multiplicities need no matrix: the characters module reads
 a GroupRep only through its n, kind, labels and dim.
@@ -22,6 +24,7 @@ a GroupRep only through its n, kind, labels and dim.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,7 +36,6 @@ from .symgroup import (
     Partition,
     Permutation,
     adjacent_transposition_decomposition,
-    axial_distance,
     compose,
     enumerate_group,
     enumerate_partitions,
@@ -42,6 +44,12 @@ from .symgroup import (
     inverse,
     irrep_dimension,
 )
+
+# Peak bytes of the stack plan of S_n while it is built, by tracemalloc at
+# n = 2..9: 56-66 B per element from n = 7 on, its int64 columns and the
+# batches they are split into, and at most 16 KB of fixed cost besides.
+PLAN_BYTES, PLAN_FIXED_BYTES = 72, 1 << 14
+
 
 @dataclass(eq=False)
 class GroupRep:
@@ -72,26 +80,51 @@ def stack_bytes(rep: GroupRep) -> int:
     return math.factorial(rep.n) * rep.dim**2 * 8
 
 
+@lru_cache(maxsize=None)
+def tableau_contents(shape: Partition) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
+    """The content vectors of shape's standard tableaux, in their canonical
+    order, as a read-only d x n int array: c[k, v - 1] = col - row
+    (0-indexed) of the entry v in tableau k.  A content vector determines
+    its tableau, so the dict maps each vector, as a tuple, to its k.  For
+    1 <= i < n, tau = c[i] - c[i - 1] is the axial distance of i; swapping
+    i and i + 1 gives a standard tableau iff |tau| > 1, and then its vector
+    is c with those two entries exchanged."""
+    vectors = []
+    for t in enumerate_tableaux(shape):  # priced there, at more than the table
+        c = [0] * shape.n
+        for r, row in enumerate(t.rows):
+            for col, v in enumerate(row):
+                c[v - 1] = col - r
+        vectors.append(tuple(c))
+    contents = np.array(vectors, dtype=np.intp)
+    contents.setflags(write=False)
+    return contents, {c: k for k, c in enumerate(vectors)}
+
+
+def swap_contents(c: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The content vector c with the entries of i and i + 1 exchanged."""
+    return c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]
+
+
 def yy_generator_matrix(shape: Partition, i: int) -> np.ndarray:
     """Orthogonal Young-Yamanouchi matrix for the adjacent transposition
     sigma_i in the irrep labeled by shape.
 
     In the canonical tableau order, the column for tableau k has 1/tau at k
     and sqrt(1 - 1/tau^2) at the tableau obtained by swapping i and i+1,
-    when that swap is standard; tau is the axial distance of i in k.
+    when that swap is standard; tau is the axial distance of i in k, read
+    from tableau_contents.
     """
-    tableaux = enumerate_tableaux(shape)
     if not 1 <= i <= shape.n - 1:
         raise InvalidArgumentError(f"generator index {i} out of range for S_{shape.n}")
-    index = {t.rows: k for k, t in enumerate(tableaux)}
-    d = len(tableaux)
-    mat = np.zeros((d, d))
-    for k, t in enumerate(tableaux):
-        tau = axial_distance(t, i)
-        mat[k, k] = 1.0 / tau
-        swapped = t.swap(i)
-        if swapped is not None:
-            mat[index[swapped.rows], k] = math.sqrt(1.0 - 1.0 / tau**2)
+    contents, index = tableau_contents(shape)
+    tau = contents[:, i] - contents[:, i - 1]
+    cols = np.arange(len(tau))
+    mat = np.zeros((len(tau), len(tau)))
+    mat[cols, cols] = 1.0 / tau
+    cols = cols[np.abs(tau) > 1]
+    rows = [index[swap_contents(tuple(c), i)] for c in contents[cols].tolist()]
+    mat[rows, cols] = np.sqrt(1.0 - 1.0 / tau[cols] ** 2)
     return mat
 
 
@@ -173,32 +206,58 @@ def _images(rep: GroupRep) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stack_plan(n: int) -> tuple[tuple[int, int], ...]:
-    """For each element g != e of enumerate_group(n), in order: the index
-    of g' = g o sigma_{j+1} and the generator index j, where j is the
-    first descent of g's one-line word.  Swapping that descent makes the
-    word lexicographically smaller, so g' precedes g."""
-    plan = []
-    for g in enumerate_group(n)[1:]:
-        word = list(g.images)
-        j = next(j for j in range(n - 1) if word[j] > word[j + 1])
-        word[j], word[j + 1] = word[j + 1], word[j]
-        plan.append((group_index(Permutation(tuple(word))), j))
-    return tuple(plan)
+def _stack_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+    """Read-only batches (rows, parents, j) that cover the elements g != e of
+    enumerate_group(n), one batch per inversion count of g and first descent
+    j of g's one-line word, in increasing inversion count.  rows holds the
+    batch's indices and parents those of g' = g o sigma_{j+1}: swapping the
+    descent removes one inversion, so every parent lies in an earlier batch
+    or is e.  The words come from itertools.permutations, in the group's
+    lexicographic order, and an index is a word's Lehmer code."""
+    size = math.factorial(n)
+    if size == 1:  # e alone
+        return ()
+    require_bytes(PLAN_BYTES * size + PLAN_FIXED_BYTES, f"the stack plan of S_{n}")
+    words = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8, count=size * n).reshape(size, n)
+
+    def lehmer(weights):  # each word's Lehmer code, its digits weighted
+        return sum((words[:, k + 1 :] < words[:, k, None]).sum(axis=1) * weight
+                   for k, weight in enumerate(weights))
+
+    j = np.argmax(words[:, :-1] > words[:, 1:], axis=1)  # 0 at e, which no batch holds
+    inversions = lehmer([1] * (n - 1))
+    every = np.arange(size)
+    words[every, j], words[every, j + 1] = words[every, j + 1], words[every, j]
+    parents = lehmer([math.factorial(n - 1 - k) for k in range(n - 1)])
+    del words, every
+    key = inversions * n + j
+    rows = np.argsort(key, kind="stable")[1:]  # e, alone with no inversion, first
+    parents = parents[rows]
+    rows.setflags(write=False)
+    parents.setflags(write=False)
+    cuts = np.flatnonzero(np.diff(key[rows])) + 1
+    gens = j[rows[np.r_[0, cuts]]].tolist()
+    return tuple(zip(np.split(rows, cuts), np.split(parents, cuts), gens))
 
 
 def rep_stack(rep: GroupRep) -> np.ndarray:
     """rep(g) for every g of enumerate_group(rep.n), as a read-only
-    |G| x D x D array built once per representation, one product per
-    element: rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1})."""
+    |G| x D x D array built once per representation, one product per batch
+    of _stack_plan: rep(g) = rep(g o sigma_{j+1}) rep(sigma_{j+1}) for all
+    the batch's g at once, their parents' images stacked as rows."""
     if rep._stack is None:
-        images = _images(rep)
-        require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {rep.dim}")
+        images, dim = _images(rep), rep.dim
+        require_bytes(stack_bytes(rep), f"the stack of S_{rep.n} at D = {dim}")
         plan = _stack_plan(rep.n)
-        stack = np.empty((len(plan) + 1, rep.dim, rep.dim))
-        stack[0] = np.eye(rep.dim)
-        for k, (parent, j) in enumerate(plan, start=1):
-            np.matmul(stack[parent], images[j], out=stack[k])
+        # And a batch's parents and product beside it.
+        largest = max((len(rows) for rows, _, _ in plan), default=0)
+        require_bytes(stack_bytes(rep) + 2 * largest * dim * dim * 8,
+                      f"the stack of S_{rep.n} at D = {dim}")
+        stack = np.empty((math.factorial(rep.n), dim, dim))
+        stack[0] = np.eye(dim)
+        for rows, parents, j in plan:
+            stack[rows] = (stack[parents].reshape(-1, dim) @ images[j]).reshape(-1, dim, dim)
         stack.setflags(write=False)
         rep._stack = stack
     return rep._stack

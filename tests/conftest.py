@@ -10,11 +10,16 @@ import pytest
 
 from snverify.characters import irrep_character
 from snverify.entangled import vec
+from snverify.errors import InvalidArgumentError
 from snverify.wfs import isotypic_block_basis
 from snverify.symgroup import (
+    Permutation,
+    StandardTableau,
     conjugacy_class_of,
     enumerate_group,
     enumerate_partitions,
+    enumerate_tableaux,
+    group_index,
     irrep_dimension,
 )
 from snverify.yyrep import GroupRep, irrep, rep_evaluate, rep_stack, tensor_rep
@@ -43,6 +48,74 @@ def _insertion_word(g) -> list[int]:
 @pytest.fixture(scope="session")
 def insertion_word():
     return _insertion_word
+
+
+def _tableau_swap(t, i):
+    """Tableau t with entries i and i+1 exchanged, or None if the result
+    is not standard."""
+    rows = [list(row) for row in t.rows]
+    (r1, c1), (r2, c2) = t.position_of(i), t.position_of(i + 1)
+    rows[r1][c1], rows[r2][c2] = i + 1, i
+    try:
+        return StandardTableau(tuple(tuple(row) for row in rows))
+    except InvalidArgumentError:
+        return None
+
+
+def _axial_distance(t, i) -> int:
+    """Signed content difference content(i+1) - content(i), where
+    content(row r, col c) = c - r (0-indexed), from the entries' positions."""
+    r1, c1 = t.position_of(i)
+    r2, c2 = t.position_of(i + 1)
+    return (c2 - r2) - (c1 - r1)
+
+
+@pytest.fixture(scope="session")
+def tableau_swap():
+    return _tableau_swap
+
+
+@pytest.fixture(scope="session")
+def axial_distance():
+    return _axial_distance
+
+
+def _yy_matrix(shape, i) -> np.ndarray:
+    """Young-Yamanouchi matrix of sigma_i built tableau by tableau: 1/tau
+    on the diagonal and sqrt(1 - 1/tau^2) at the swapped tableau, found by
+    validating the swap.  The oracle for yyrep's content-vector builder."""
+    tableaux = enumerate_tableaux(shape)
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    mat = np.zeros((len(tableaux), len(tableaux)))
+    for k, t in enumerate(tableaux):
+        tau = _axial_distance(t, i)
+        mat[k, k] = 1.0 / tau
+        swapped = _tableau_swap(t, i)
+        if swapped is not None:
+            mat[index[swapped.rows], k] = math.sqrt(1.0 - 1.0 / tau**2)
+    return mat
+
+
+@pytest.fixture(scope="session")
+def yy_oracle():
+    return _yy_matrix
+
+
+def _stack_by_element(rep) -> np.ndarray:
+    """rep(g) for every g of enumerate_group(rep.n), one product per element
+    in group order: rep(g) = rep(g') rep(sigma_{j+1}) for g' = g o sigma_{j+1},
+    j the first descent of g's one-line word, so that g' comes earlier.  The
+    oracle for rep_stack's batches, which form the same products."""
+    group = enumerate_group(rep.n)
+    stack = np.empty((len(group), rep.dim, rep.dim))
+    stack[0] = np.eye(rep.dim)
+    for k, g in enumerate(group[1:], start=1):
+        word = list(g.images)
+        j = next(j for j in range(rep.n - 1) if word[j] > word[j + 1])
+        word[j], word[j + 1] = word[j + 1], word[j]
+        parent = group_index(Permutation(tuple(word)))
+        np.matmul(stack[parent], rep.generator_images[j], out=stack[k])
+    return stack
 
 
 def _dense_rep(rep):

@@ -482,6 +482,25 @@ def test_certify_lemma_subcommand_at_n7(capsys):
     assert doc["violations"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "certify", "1", "1", "1", "--trials", "2"],
+     ["verify", "certify", "2,1", "2,1", "2,1", "--perturbation", "0"],
+     ["certify-lemma", "3,2", "--multiplicity", "2", "--perturbation", "0", "--trials", "2"]],
+    ids=["certify-trivial", "certify-witness", "certify-lemma-witness"],
+)
+def test_certified_acceptance_is_a_probability(argv, capsys):
+    # At the witness, rounding put acceptance up to 3 ulp above 1 and
+    # epsilon below 0.
+    code, doc = invoke(argv, capsys)
+    assert code == 0
+    reports = [report for key in ("reports", "corollary_reports", "theorem_reports")
+               for report in doc.get(key, [])]
+    assert reports
+    for report in reports:
+        assert report["acceptance_probability"] <= 1.0 and report["epsilon"] >= 0.0, report
+
+
 def test_certify_lemma_at_multiplicity_30_fits_the_default_budget(capsys, monkeypatch):
     # I_30 x rho^(3,1,1), D = 180: the 900 dense target columns were priced
     # at 933,120,000 B; the closed-form distance holds a few D x D arrays.
@@ -792,6 +811,18 @@ def test_square_outputs_at_d1568_fit_the_default_budget(argv, digest):
     proc = subprocess.run(cmd, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stdout[:300]
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rep_ft_6_output_is_pinned(threads):
+    # 12.7 MB of JSON, written in eight chunks that each group their
+    # entries by one sort of packed keys.
+    cmd = [sys.executable, "-m", "snverify.cli", "rep", "ft", "6"]
+    proc = subprocess.run(cmd, capture_output=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (hashlib.sha256(proc.stdout).hexdigest()
+            == "13953213873c5ea7792f131af9e2019370ce0d82103325fd601a23f47852fcea")
 
 
 def test_pretty_output_is_priced_before_it_is_rounded(capsys, monkeypatch):

@@ -196,6 +196,23 @@ def test_writer_matches_json_on_two_arrays_longer_than_a_chunk():
     assert serialize.dumps(doc) == _list_form(doc)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [lambda: fourier_transform_matrix(5).reshape(-1),
+     lambda: np.round(np.random.default_rng(8).standard_normal(CHUNK + 99), 1)
+     + 1j * np.random.default_rng(9).integers(-1, 2, CHUNK + 99),
+     _special_values],
+    ids=["ft5", "repeats-across-a-boundary", "special"],
+)
+def test_writer_keeps_values_apart_when_every_key_collides(values, monkeypatch):
+    # With every mix equal, the sort keys are the indices alone: runs of
+    # equal entries split wherever the bits differ, so a value may be
+    # encoded more than once but never shares another's text.
+    monkeypatch.setattr(serialize, "_key_mix", lambda words: np.zeros(len(words), np.uint64))
+    doc = {"data": serialize._complex_list(values())}
+    assert serialize.dumps(doc) == _list_form(doc)
+
+
 def test_write_and_dumps_give_one_text():
     doc = serialize.matrix_to_json(fourier_transform_matrix(5))
     out = io.StringIO()

@@ -16,7 +16,6 @@ from snverify.symgroup import (
     Permutation,
     StandardTableau,
     adjacent_transposition_decomposition,
-    axial_distance,
     class_size,
     compose,
     conjugacy_class_of,
@@ -27,6 +26,7 @@ from snverify.symgroup import (
     inverse,
     irrep_dimension,
 )
+from snverify.yyrep import swap_contents, tableau_contents
 
 
 # ---------------------------------------------------------------- oracles
@@ -149,21 +149,35 @@ def test_tableau_validation():
         StandardTableau(((1,), (2, 3)))
 
 
-def test_tableau_swap_is_involutive_when_standard():
+def test_tableau_swap_is_involutive_when_standard(tableau_swap, axial_distance):
+    # The content table's arithmetic against the validated swap: tau is the
+    # axial distance, the swap is standard iff |tau| > 1, and the swapped
+    # content vector indexes the swapped tableau.
     for shape in enumerate_partitions(5):
-        for t in enumerate_tableaux(shape):
+        tableaux = enumerate_tableaux(shape)
+        contents, index = tableau_contents(shape)
+        assert sorted(index.values()) == list(range(len(tableaux)))
+        for k, t in enumerate(tableaux):
+            c = tuple(contents[k].tolist())
             for i in range(1, 5):
-                s = t.swap(i)
+                s = tableau_swap(t, i)
+                tau = c[i] - c[i - 1]
+                assert tau == axial_distance(t, i)
+                assert (s is not None) == (abs(tau) > 1)
                 if s is not None:
-                    assert s.swap(i) == t
+                    assert tableau_swap(s, i) == t
                     assert axial_distance(s, i) == -axial_distance(t, i)
+                    assert tableaux[index[swap_contents(c, i)]] == s
 
 
-def test_axial_distance_same_row_and_column():
+def test_axial_distance_same_row_and_column(axial_distance):
     t = StandardTableau(((1, 2), (3,)))
     assert axial_distance(t, 1) == 1  # same row, adjacent
     t2 = StandardTableau(((1, 3), (2,)))
     assert axial_distance(t2, 1) == -1  # same column, adjacent
+    contents, index = tableau_contents(Partition((2, 1)))
+    assert contents.tolist() == [[0, 1, -1], [0, -1, 1]]  # t, then t2
+    assert index == {(0, 1, -1): 0, (0, -1, 1): 1}
 
 
 # ------------------------------------------------------------- permutations

@@ -607,6 +607,18 @@ def test_sampled_run_accepts_witness_state():
     assert accepted > 0
 
 
+@pytest.mark.parametrize("triple", [("2,1", "2,1", "2,1"), ("3,1", "3,1", "2,2")])
+def test_sampled_run_acceptance_is_a_probability_at_the_witness(triple):
+    # Rounding put <X', E(X')> one ulp above 1 on both witnesses.
+    mu, nu, lam = map(P, triple)
+    xi = wfs_projector(tensor_rep(mu, nu), lam)
+    witness = vec(np.asarray(xi.matrix)) / math.sqrt(xi.rank)
+    for seed in range(5):
+        out = run_verifier_sampled(mu, nu, lam, witness, seed)
+        if out["measured"] == str(lam):
+            assert 1.0 - 1e-9 <= out["internal_acceptance_probability"] <= 1.0
+
+
 def test_sampled_run_walks_no_group(monkeypatch):
     # The internal test is read from the split of the lambda blocks: neither
     # group sum nor their price is reached.

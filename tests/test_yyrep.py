@@ -5,6 +5,7 @@ defining intertwining identities.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from snverify.symgroup import (
     inverse,
     irrep_dimension,
 )
+from snverify import yyrep
 from snverify.yyrep import (
     fourier_transform_matrix,
     identity_times_irrep,
@@ -145,6 +147,92 @@ def test_representation_data_is_float64_and_priced_as_held():
         stack = rep_stack(rep)
         assert stack.dtype == np.float64, rep.kind
         assert stack_bytes(rep) == stack.nbytes, rep.kind
+
+
+def test_yy_matrices_match_the_tableau_swap_oracle(yy_oracle):
+    # Bit for bit, every generator of every shape up to n = 9.
+    for n in range(2, 10):
+        for shape in enumerate_partitions(n):
+            for i in range(1, n):
+                got, want = yy_generator_matrix(shape, i), yy_oracle(shape, i)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, i)
+
+
+# Prints whether each stack equals the per-element oracle's bits, and a
+# digest of all of them, under the BLAS threads the environment sets.
+_STACK_CHECK = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from conftest import _stack_by_element
+from snverify.symgroup import enumerate_partitions
+from snverify.yyrep import irrep, regular_representations, rep_stack
+reps = [irrep(shape) for n in range(1, 7) for shape in enumerate_partitions(n)]
+reps += [rep for n in range(1, 5) for rep in regular_representations(n)]
+digest, equal = hashlib.sha256(), []
+for rep in reps:
+    stack = rep_stack(rep).view(np.uint64)
+    equal.append(bool(np.array_equal(stack, _stack_by_element(rep).view(np.uint64))))
+    digest.update(stack.tobytes())
+print(len(reps), all(equal), digest.hexdigest())
+"""
+
+
+def test_stacks_match_the_per_element_oracle_under_one_and_two_threads():
+    # One product per batch forms the same dot products as one per element.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _STACK_CHECK, tests], capture_output=True,
+                              text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.add(proc.stdout)
+    (output,) = outputs  # and the same bits under both
+    count, equal, _ = output.split()
+    assert (int(count), equal) == (11 + 7 + 5 + 3 + 2 + 1 + 2 * 4, "True")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stack_plan_batches_partition_the_group_parents_first(n):
+    group = enumerate_group(n)
+    done = np.zeros(len(group), dtype=bool)
+    done[0] = True  # e, which no batch holds
+    for rows, parents, j in yyrep._stack_plan(n):
+        assert not rows.flags.writeable and not parents.flags.writeable
+        assert np.unique(rows).size == rows.size
+        assert done[parents].all() and not done[rows].any()
+        done[rows] = True
+        sigma = Permutation.transposition(n, j + 1)
+        for g, parent in zip(rows.tolist(), parents.tolist()):
+            assert group[g] == compose(group[parent], sigma)
+    assert done.all()
+
+
+def test_stack_plan_is_priced_before_it_allocates(monkeypatch):
+    # The trivial irrep of S_10 has a 29 MB stack, within a 64 MiB budget;
+    # the plan of S_10 (3,628,800 words) is refused by its own price.
+    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(1 << 26))
+    rep = irrep(P("10"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="the stack plan of S_10"):
+            rep_stack(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_stack_plan_holds_what_it_prices(n):
+    yyrep._stack_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        yyrep._stack_plan(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= yyrep.PLAN_BYTES * math.factorial(n) + yyrep.PLAN_FIXED_BYTES
 
 
 def test_inverse_evaluates_to_transpose():
