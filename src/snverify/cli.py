@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import serialize
 from .characters import irrep_character, lightning_distribution
 from .entangled import StateVector, max_entangled_over_range, phi_plus, psi_lambda
@@ -39,7 +37,7 @@ from .verifier import (
     run_verifier_sampled,
     verification_acceptance_operator,
 )
-from .wfs import kronecker_coefficient, measure_wfs, wfs_povm, wfs_projector
+from .wfs import kronecker_coefficient, measure_wfs, povm_ranks, wfs_projector
 from .yyrep import fourier_transform_matrix, irrep, rep_evaluate, tensor_rep
 
 
@@ -53,7 +51,7 @@ def _partition_key(shape: Partition) -> str:
     return "(" + ",".join(str(p) for p in shape.parts) + ")"
 
 
-def _load_state(path: str) -> np.ndarray:
+def _load_state(path: str):
     try:
         size = os.path.getsize(path)  # priced before json.load parses it
         require_bytes(serialize.STATE_FILE_FACTOR * size, f"the state file {path!r} of {size} B")
@@ -110,13 +108,12 @@ def _cmd_wfs(args) -> dict:
         _require_square_json(sigma.dim)
         return serialize.projector_to_json(wfs_projector(sigma, lam), lam)
     if args.action == "povm":
-        povm = wfs_povm(sigma)
-        total = sum(p.matrix for _, p in povm)
+        ranks, residual = povm_ranks(sigma)
         return {
             "sigma": f"{mu} x {nu}",
             "dim": sigma.dim,
-            "ranks": {_partition_key(lam): p.rank for lam, p in povm},
-            "completeness_residual": float(np.abs(total - np.eye(sigma.dim)).max()),
+            "ranks": {_partition_key(lam): rank for lam, rank in ranks.items()},
+            "completeness_residual": residual,
         }
     # measure, on C^D or on the first register of C^D x C^D
     psi = _load_state(args.state) if args.state else phi_plus(sigma.dim).amplitudes

@@ -4,9 +4,9 @@ bounds.  The operator is held as the irrep blocks of the lambda component
 alone: its three eigenvalue levels, completeness and soundness are read
 from their shape (m, D, d_lambda), and m^2 is its eigenvalue-1 count.
 Every command reads the internal test from the same blocks in closed form,
-a = <X, E(X)> = d_lambda ||t||^2: `verify run` reports the circuit's 1/2 +
-1/2 a, certification the bounds' 1/2 + 1/2 a^2.  Only the self-test and
-the tests average over the group.
+a = <X, E(X)> = d_lambda ||t||^2, and reports the circuit's 1/2 + 1/2 a:
+`verify run` and certification alike.  Only the self-test and the tests
+average over the group.
 """
 
 from __future__ import annotations
@@ -146,10 +146,9 @@ def _require_average(rep: GroupRep, arrays: int = 12, what: str = "the coset-tow
 
 
 def _formula_value(rep: GroupRep, x: np.ndarray) -> float:
-    """1/2 + 1/2 |<X, E(X)>_F|^2: the internal test's acceptance
-    probability on vec X, with E through the coset tower: a test oracle."""
-    overlap = complex(np.vdot(x, channel_E(rep, x)))
-    return 0.5 + 0.5 * abs(overlap) ** 2
+    """1/2 + 1/2 Re<X, E(X)>_F: the internal test's acceptance probability
+    on vec X, with E through the coset tower: a test oracle."""
+    return 0.5 + 0.5 * complex(np.vdot(x, channel_E(rep, x))).real
 
 
 def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
@@ -180,19 +179,13 @@ def _circuit_value(rep: GroupRep, x: np.ndarray) -> float:
 
 
 def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, float]:
-    """Acceptance probability of the internal-state test, by two
-    independent routes.
-
-    formula_value is 1/2 + 1/2 |<X, E(X)>_F|^2 with psi = vec X, where
-    channel_E averages over the coset tower; circuit_value is an exact
-    simulation of the 1-bit phase-estimation circuit with control
-    dimension |G| and U = sum_g |g><g| tensor rep(g) tensor rep(g)*,
-    giving 1/2 + 1/2 Re<tau|U|tau>, one control block per group element,
-    each reached by a walk down the coset tree.  Neither builds rep's
-    stack.  No command reads either: both take <X, E(X)> in closed form
-    from the irrep blocks, and these sums over the group are the
-    self-test's and the tests' independent routes.
-    """
+    """Acceptance probability 1/2 + 1/2 Re<X, E(X)>_F of the internal-state
+    test on psi = vec X, by two independent routes: formula_value through
+    channel_E's coset tower, circuit_value by simulating the 1-bit
+    phase-estimation circuit with U = sum_g |g><g| tensor rep(g) tensor
+    rep(g)*, one control block per group element down the coset tree.
+    Neither builds rep's stack, and no command reads either: commands take
+    <X, E(X)> in closed form from the irrep blocks."""
     x = unvec(psi, rep.dim)
     circuit = _circuit_value(rep, x)  # its walk is priced first
     return _formula_value(rep, x), circuit
@@ -259,7 +252,8 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
     projects: E(X) = t tensor I_d1 for psi = vec X, with t = T/d1 and T_ab =
     tr X_ab over X's d1 x d1 blocks.  So the distance is ||X - E(X)||_F,
     from that residual formed explicitly, and the internal test accepts with
-    1/2 + 1/2 a^2, a = <X, E(X)> = d1 ||t||^2: no group average is taken.
+    1/2 + 1/2 a, a = <X, E(X)> = d1 ||t||^2 = 1 - distance^2 = 1 - 2 eps:
+    no group average is taken.
 
     With perturbation set, trial states are normalized perturbations of the
     maximally entangled state at that scale instead of Haar-random states.
@@ -278,7 +272,7 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
         traces, distance = _identity_split(unvec(state, d), d1)
         del state
         # a <= ||X||^2 = 1 exactly, E being an orthogonal projection; rounding is clamped.
-        acceptance = 0.5 + 0.5 * min(d1 * norm_sq(traces), 1.0) ** 2
+        acceptance = 0.5 + 0.5 * min(d1 * norm_sq(traces), 1.0)
         bound = 2.0 * math.sqrt(2.0 * (1.0 - acceptance))
         reports.append(TestReport.build(acceptance, distance, bound))
     return reports
@@ -296,9 +290,10 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     B: Gamma psi = vec(B B^T X), p = ||Gamma psi||^2, both distances and t =
     T/d_lambda.  The post-sampling state X' = B B^T X / sqrt(p) lies in the
     lambda component, so by Schur's lemma E(X') = sum_ab t_ab B_a B_b^T /
-    sqrt(p), and the internal test accepts with 1/2 + 1/2 a^2, a = <X', E(X')>
-    = d_lambda ||t||^2 / p: no group average is taken.  Perturbed trials
-    center on the state vec(B B^T)/sqrt(m d_lambda), which only they build.
+    sqrt(p), and the internal test accepts with 1/2 + 1/2 a, a = <X', E(X')>
+    = d_lambda ||t||^2 / p: no group average is taken.  The total p (1 + a)/2
+    is <psi|A|psi>, so 2 eps = distance^2 + psi's weight on A's kernel.
+    Perturbed trials center on vec(B B^T)/sqrt(m d_lambda), which only they build.
     """
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     op = verification_acceptance_operator(mu, nu, lam)
@@ -323,7 +318,7 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
             trials_out.append(CertificationTrial(corollary, theorem, degenerate=True))
             continue
         # a <= 1 as in the lemma, and so is p_sample * p_internal.
-        p_internal = 0.5 + 0.5 * min(d_lam * norm_sq(t_lam) / p_sample, 1.0) ** 2
+        p_internal = 0.5 + 0.5 * min(d_lam * norm_sq(t_lam) / p_sample, 1.0)
         total = p_sample * p_internal
         corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * (1.0 - total)))
         # The post-sampling state's Z and K are psi's over sqrt(p_sample).

@@ -3,16 +3,17 @@ characterization, seeded measurement, and Kronecker coefficients by their
 two routes.
 
 Every isotypic quantity comes from one checked builder, isotypic_block_basis:
-the m aligned irrep blocks B_a of the lambda component.  Their seeds span
-the projector onto the Gelfand-Tsetlin weight of lambda's first tableau,
-by Jucys-Murphy branching along that tableau's chain of shapes: on the
-projector onto the kappa-isotypic part under S_{k-1}, X_k has as
-eigenvalues the contents of kappa's addable cells (Okounkov-Vershik,
-Selecta Math. 1996), so one Lagrange factor per level picks the chain's
-cell.  The chain runs on m + 1 probe rows, checked to have rank the exact
-m of the character route, characters.multiplicities.  Then Xi_lambda =
-sum_a B_a B_a^T, a label is measured with probability ||B^T X||^2 and
-projected as B (B^T X); a Kronecker coefficient counts blocks.
+the m aligned irrep blocks B_a of the lambda component.  Their seeds,
+block_seeds, span the projector onto the Gelfand-Tsetlin weight of
+lambda's first tableau, by Jucys-Murphy branching along that tableau's
+chain of shapes: on the projector onto the kappa-isotypic part under
+S_{k-1}, X_k has as eigenvalues the contents of kappa's addable cells
+(Okounkov-Vershik, Selecta Math. 1996), so one Lagrange factor per level
+picks the chain's cell.  The chain runs on m + 1 probe rows, checked to
+have rank the exact m of the character route, characters.multiplicities:
+a Kronecker coefficient by rank counts those seeds.  Then Xi_lambda = sum_a
+B_a B_a^T, a label is measured with probability ||B^T X||^2 and projected
+as B (B^T X), and the POVM's completeness is R^T R, R all labels' B^T.
 """
 
 from __future__ import annotations
@@ -97,32 +98,19 @@ def block_columns(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(1, 0, 2).reshape(dim, m * d)
 
 
-def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
-    """Orthonormal bases B_a of the irrep blocks inside the shape isotypic
-    component of rep, aligned so that rep(g) B_a = B_a rho^shape(g), as a
-    read-only m x D x d array; stacked, they conjugate rep to I_m tensor
-    rho^shape.
-
-    The seeds span the range of e_11, the projector onto the Gelfand-Tsetlin
-    weight of shape's first tableau, of rank m from rep's one cached column
-    walk.  Its chain runs on m + 1 fixed probe rows, not on I_D (range finding
-    with the rank known, Halko-Martinsson-Tropp, SIAM Rev. 2011).  A
-    Gram-Schmidt pass over the image rows, by gemv, checks that rank (m
-    residual norms above RANK_TOL, the last at or below it: with m = 0 the
-    one row must vanish) and leaves m orthonormal seeds, refined by one more
-    chain and pass.  Each is carried along the Young-Yamanouchi basis by the
-    seminormal rule: if T = sigma_i P with P before T, v_T = (rep(sigma_i) -
-    1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance of i in P.  Checked
-    too: B^T B = I and each B_a intertwines the generators with rho^shape's."""
-    if shape.n != rep.n:
-        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
-    m, d = multiplicities(rep)[shape], irrep_dimension(shape)
-    require_bytes(BLOCK_ARRAYS * m * rep.dim * d * 8, f"the {m} blocks of {shape} at D = {rep.dim}")
-    tableaux = enumerate_tableaux(shape)
+def block_seeds(rep: GroupRep, shape: Partition) -> np.ndarray:
+    """m orthonormal rows spanning the range of e_11, the projector onto the
+    Gelfand-Tsetlin weight of shape's first tableau, of rank m from rep's one
+    cached column walk, by its chain on m + 1 fixed probe rows (range finding
+    with the rank known, Halko-Martinsson-Tropp, SIAM Rev. 2011).  A Gram-Schmidt
+    pass over the image rows, by gemv, checks that rank (m residual norms above
+    RANK_TOL, the last at or below it); one more chain and pass refine the seeds."""
+    m = multiplicities(rep)[shape]
+    first = enumerate_tableaux(shape)[0]
     # sin(k^2), k = 1, 2, ...: a fixed probe that needs no random generator.
     seeds = np.sin(np.arange(1.0, (m + 1) * rep.dim + 1) ** 2).reshape(m + 1, rep.dim)
     for _ in range(2 if m else 1):  # then on the m seeds, whose unit norms damp the rounding
-        image, seeds = tableau_projector(rep, tableaux[0], seeds), np.empty((m, rep.dim))
+        image, seeds = tableau_projector(rep, first, seeds), np.empty((m, rep.dim))
         for k, v in enumerate(image):
             for _ in range(2):  # twice, so that the seeds are orthonormal to rounding
                 v = v - (seeds[:k] @ v) @ seeds[:k]
@@ -132,9 +120,26 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
                                                 f" at row {k + 1}, not rank m = {m}")
             if k < m:
                 seeds[k] = v / norm
+    return seeds
+
+
+def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
+    """Orthonormal bases B_a of the irrep blocks inside the shape isotypic
+    component of rep, aligned so that rep(g) B_a = B_a rho^shape(g), as a
+    read-only m x D x d array; stacked, they conjugate rep to I_m tensor
+    rho^shape.  The block_seeds are carried along the Young-Yamanouchi basis
+    by the seminormal rule: if T = sigma_i P with P before T, v_T =
+    (rep(sigma_i) - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance
+    of i in P.  Checked too: B^T B = I and each B_a intertwines the
+    generators with rho^shape's."""
+    if shape.n != rep.n:
+        raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
+    m, d = multiplicities(rep)[shape], irrep_dimension(shape)
+    require_bytes(BLOCK_ARRAYS * m * rep.dim * d * 8, f"the {m} blocks of {shape} at D = {rep.dim}")
+    seeds = block_seeds(rep, shape)
     blocks = np.empty((m, rep.dim, d))
     blocks[:, :, 0] = seeds
-    del image, seeds
+    del seeds
     if not m:  # nothing to carry
         blocks.setflags(write=False)
         return blocks
@@ -165,16 +170,16 @@ def kronecker_coefficient(mu: Partition, nu: Partition, lam: Partition,
     """Kronecker coefficient m_{mu nu lam}.
 
     route "char" uses the triple character sum; route "rank" counts the
-    irrep blocks of the lam component, which the block builder checks
-    against the character route's m; route "both" does both.
+    block_seeds of the lam component, checked against the character route's
+    m; route "both" does both.
     """
     if not mu.n == nu.n == lam.n:
         raise InvalidArgumentError(f"partitions must share n: {mu}, {nu}, {lam}")
     if route not in ("char", "rank", "both"):
         raise InvalidArgumentError(f"unknown route {route!r}")
     sigma = tensor_rep(mu, nu)
-    if route != "char":  # the builder raises unless it finds the character route's m blocks
-        rank = len(isotypic_block_basis(sigma, lam))
+    if route != "char":  # block_seeds raises unless it finds the character route's m seeds
+        rank = len(block_seeds(sigma, lam))
         if route == "rank":
             return Multiplicity(value=rank, route="projector-rank")
     return Multiplicity(value=multiplicities(sigma)[lam], route="character-sum")
@@ -204,6 +209,30 @@ def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
     require_bytes((len(shapes) + 2) * rep.dim**2 * 8, f"the POVM of S_{rep.n} at D = {rep.dim}")
     blocks = [isotypic_block_basis(rep, shape) for shape in shapes]
     return [(shape, _projector(b)) for shape, b in zip(shapes, blocks)]
+
+
+def stacked_rows(rep: GroupRep) -> tuple[list[Partition], list[np.ndarray], np.ndarray]:
+    """The partitions of n, the B^T of each one's irrep blocks, and R, those rows stacked."""
+    shapes = enumerate_partitions(rep.n)
+    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
+    return shapes, rows, np.concatenate(rows)
+
+
+def povm_ranks(rep: GroupRep) -> tuple[dict[Partition, int], float]:
+    """Each label's rank m d_lambda and the POVM's completeness residual
+    max|R^T R - I|, with no projector built: R^T R = sum_lambda Xi_lambda, one
+    gemv per row as in _projector, so its bits do not depend on the BLAS threads."""
+    # R beside the rows it stacks, then R^T and R^T R (tracemalloc: 2.0 D^2 at D = 144 to 1,225).
+    require_bytes(2 * rep.dim**2 * 8, f"the POVM's completeness at D = {rep.dim}")
+    shapes, rows, stacked = stacked_rows(rep)
+    ranks = {shape: len(r) for shape, r in zip(shapes, rows)}
+    del rows
+    columns = np.ascontiguousarray(stacked.T)
+    del stacked
+    gram = (columns @ columns[:, :, None])[..., 0]
+    del columns
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return ranks, float(np.abs(gram, out=gram).max())
 
 
 def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
@@ -262,10 +291,8 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
     # by_columns' 4 D k floats; or one label's B (at most D^2), Z and 4 D k more.
     require_bytes((dim + max(dim, 2 * k) + 4 * k) * dim * 8,
                   f"the measurement of S_{rep.n} at D = {dim}")
-    shapes = enumerate_partitions(rep.n)
-    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
-    # B^T X for every label at once: their rows stack to a D x D matrix.
-    z = by_columns(np.concatenate(rows), x)
+    shapes, rows, stacked = stacked_rows(rep)
+    z = by_columns(stacked, x)  # B^T X for every label at once
     parts = np.split(z, np.cumsum([len(r) for r in rows])[:-1])
     probs = np.array([norm_sq(y) for y in parts])
     total = probs.sum()

@@ -45,8 +45,8 @@ def test_kron_example(capsys):
 
 
 def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
-    # route both returns the character route's m once the block builder's
-    # chain has that rank on its probe; an m one too large must fail that check.
+    # route both returns the character route's m once block_seeds' chain has
+    # that rank on its probe; an m one too large must fail that check.
     multiplicities = characters.multiplicities
 
     def off_by_one(rep):
@@ -62,7 +62,7 @@ def test_kron_both_exits_4_on_a_character_route_off_by_one(capsys, monkeypatch):
 
 
 def test_kron_both_exits_4_on_a_character_route_zero(capsys, monkeypatch):
-    # With m = 0 the builder walks a one-row chain, which must vanish.
+    # With m = 0 block_seeds walks a one-row chain, which must vanish.
     multiplicities = characters.multiplicities
 
     def zero(rep):
@@ -248,11 +248,13 @@ def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys
 
 def test_certify_outputs_are_pinned(capsys):
     # Frozen so that a later kernel cannot move them silently: the
-    # corollary's stdout by its digest, the lemma's reports at 1e-12 from the
-    # coset-tower formula's outputs.
+    # corollary's stdout by its digest, its acceptances within 1e-16 of
+    # <psi|A|psi> from the dense operator Gamma (I + W) Gamma / 2; the lemma's
+    # reports at 1e-12 from the coset-tower formula 1/2 + 1/2 Re<X, E(X)> and
+    # the dense distance to the product target.
     assert main(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "20", "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "cb612a876178e30f769eba2e98ef783c906992570c30badf4386aab10074909f"
+    assert digest == "79517ec1ce8dfa1f8634d307207a17ef26de5c5d5fd0ded700ae1373d67748a9"
     code, doc = invoke(
         ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "20", "--seed", "5"], capsys
     )
@@ -318,13 +320,32 @@ def test_isotypic_commands_at_d256_fit_the_default_budget(argv, expect, capsys, 
     assert expect.items() <= doc.items()
 
 
-def test_kron_both_at_n9_fits_the_default_budget(capsys, monkeypatch):
-    # D = 6,804: the chain walks 5 probe rows, and the 4 blocks of 4,3,2 hold
-    # m D d = 4.6 M floats, where e_11 alone would take 370 MB.
+@pytest.mark.parametrize(
+    "argv, m",
+    [(["5,4", "5,3,1", "4,3,2"], 4), (["6,4", "5,3,2", "4,3,2,1"], 9)],
+    ids=["n9-d6804", "n10-d40500"],
+)
+def test_kron_both_fits_the_default_budget(argv, m, capsys, monkeypatch):
+    # The chain walks m + 1 probe rows and no block is built: at D = 6,804
+    # e_11 alone would take 370 MB, and at D = 40,500 the 9 blocks of
+    # 4,3,2,1, priced at 11.2 GB, refused the command with exit 3.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
-    code, doc = invoke(["kron", "5,4", "5,3,1", "4,3,2", "--route", "both"], capsys)
+    code, doc = invoke(["kron", *argv, "--route", "both"], capsys)
     assert code == 0, doc
-    assert doc == {"m": 4, "routes_agree": True}
+    assert doc == {"m": m, "routes_agree": True}
+
+
+@pytest.mark.parametrize("route", ["rank", "both"])
+def test_kron_rank_route_counts_the_seeds_and_builds_no_block(route, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the count route built irrep blocks")
+
+    monkeypatch.setattr(wfs, "isotypic_block_basis", refuse)
+    for triple in (["3,2", "3,1,1", "3,1,1"], ["4,2", "3,2,1", "3,2,1"], ["3", "2,1", "3"]):
+        expected = run(["kron", *triple, "--route", "char"]).payload["m"]
+        code, doc = invoke(["kron", *triple, "--route", route], capsys)
+        assert code == 0, doc
+        assert doc["m"] == expected
 
 
 @pytest.mark.parametrize(
@@ -370,6 +391,7 @@ def test_block_builder_imports_no_random_generator(argv):
         ["verify", "run", "4,3", "5,1,1", "4,2,1", "--state", "{phipi210}", "--seed", "1"],
         ["wfs", "measure", "4,3", "4,2,1", "--state", "{haar490}"],
         ["state", "psi-lambda", "4,3", "4,2,1", "4,2,1", "--state", "{haar490}"],
+        ["wfs", "povm", "4,3", "4,2,1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
@@ -399,13 +421,13 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
 
 
 def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
-    # Only wfs project, wfs povm and state phi-pi read Xi_lambda; the state
-    # paths and the rank route read the irrep blocks.
+    # Only wfs project and state phi-pi read Xi_lambda; wfs povm and the state
+    # paths read the irrep blocks, and the rank route their seeds.
     def refuse(*args):
         raise AssertionError("a dense projector was built")
 
     for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (wfs, "wfs_povm"),
-                         (cli, "wfs_projector"), (cli, "wfs_povm")):
+                         (cli, "wfs_projector")):
         monkeypatch.setattr(module, name, refuse)
     path = tmp_path / "haar.json"
     state = StateVector((30, 30), verifier.haar_state(30 * 30, np.random.default_rng(1)))
@@ -415,7 +437,8 @@ def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
                  ["state", "psi-lambda", "3,2", "3,1,1", "3,1,1", "--state", str(path)],
                  ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", str(path), "--seed", "2"],
                  ["kron", "3,2", "3,1,1", "3,1,1", "--route", "rank"],
-                 ["kron", "3,2", "3,1,1", "3,1,1", "--route", "both"]):
+                 ["kron", "3,2", "3,1,1", "3,1,1", "--route", "both"],
+                 ["wfs", "povm", "3,2,1", "5,1"]):
         code, doc = invoke(argv, capsys)
         assert code == 0, (argv, doc)
 

@@ -61,3 +61,12 @@ def test_characters_imports_only_the_stdlib_errors_and_symgroup():
         outside += [name for name in names if name.startswith(".")
                     or name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_imports_no_numpy_at_module_level():
+    # The front door does no array math: its handlers call the modules that do.
+    tree = _trees()["cli"]
+    names = [alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in tree.body
+              if isinstance(node, ast.ImportFrom) and not node.level]
+    assert [name for name in names if name.split(".")[0] == "numpy"] == []

@@ -171,18 +171,14 @@ def test_internal_test_half_on_traceless_orthogonal_state():
 
 
 def test_internal_test_formula_and_circuit_relation():
-    # circuit = 1/2 + Re<X,E(X)>/2; formula squares the magnitude.  The
-    # two agree at probability 1 and satisfy the exact algebraic relation
-    # on random states, though the formula sums over the coset tower and
-    # the circuit over the whole stack.
+    # Both are 1/2 + Re<X,E(X)>/2 on random states, though the formula sums
+    # over the coset tower and the circuit walks the coset tree element by
+    # element.
     sigma = tensor_rep(P("2,1"), P("2,1"))
     for seed in range(10):
         psi = haar_state(16, np.random.default_rng(seed))
-        x = unvec(psi, 4)
-        overlap = complex(np.vdot(x, channel_E(sigma, x)))
         formula, circuit = internal_test_probability(sigma, psi)
-        assert formula == pytest.approx(0.5 + 0.5 * abs(overlap) ** 2, abs=1e-10)
-        assert circuit == pytest.approx(0.5 + 0.5 * overlap.real, abs=1e-10)
+        assert abs(formula - circuit) <= 1e-12
         assert circuit >= 0.5 - 1e-12
 
 
@@ -504,7 +500,7 @@ def _nonzero_triples(n_max: int):
     "mu, nu, lam", [*_nonzero_triples(5), (P("4,3"), P("4,2,1"), P("4,2,1"))], ids=str)
 def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam):
     # The theorem report's acceptance, read from the split's t, against
-    # 1/2 + 1/2 |<X', E(X')>|^2 with E through the coset tower, on the
+    # 1/2 + 1/2 Re<X', E(X')> with E through the coset tower, on the
     # post-sampling state X' of each seeded Haar and perturbed trial.
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
@@ -535,6 +531,56 @@ def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape):
             psi = verifier._trial_state(d * d, center, perturbation, 4 + t)
             formula = verifier._formula_value(rep, unvec(psi, d))
             assert abs(report.acceptance_probability - formula) <= 1e-12
+
+
+def _dense_acceptance(rep, xi: np.ndarray) -> np.ndarray:
+    """Gamma (I + W) Gamma / 2 on C^D x C^D, Gamma = Xi x I and W the channel
+    E as a matrix, one column vec E(e_ij) per matrix unit: for small D only."""
+    d = rep.dim
+    w = np.column_stack([vec(channel_E(rep, unit)) for unit in np.eye(d * d).reshape(-1, d, d)])
+    gamma = np.kron(xi, np.eye(d))
+    return gamma @ (np.eye(d * d) + w) @ gamma / 2
+
+
+@pytest.mark.parametrize("case", ["lemma-d4", "lemma-d6", "corollary-d4", "corollary-d6",
+                                  "corollary-d30"])
+def test_certified_acceptance_is_the_verifiers_own(case):
+    # Each report's acceptance against the verifier it certifies: <psi|A|psi>
+    # for the dense acceptance operator at D <= 6, p times the circuit's walk
+    # on the post-sampling state at D = 30.  Then distance^2 <= 2 eps, within
+    # both bounds: equal for the lemma and the theorem, with the weight on
+    # A's eigenvalue 0 between them for the corollary.
+    kind, d = case.split("-d")
+    if kind == "lemma":
+        m, shape = {"4": (2, P("2,1")), "6": (3, P("2,1"))}[d]
+        rep = identity_times_irrep(m, shape)
+        center = vec(np.eye(rep.dim)) / math.sqrt(rep.dim)
+        dense = _dense_acceptance(rep, np.eye(rep.dim))
+    else:
+        mu, nu, lam = (P(t) for t in {"4": ("2,1", "2,1", "2,1"), "6": ("3,1", "2,2", "3,1"),
+                                      "30": ("3,2", "3,1,1", "3,1,1")}[d])
+        rep, op = tensor_rep(mu, nu), verification_acceptance_operator(mu, nu, lam)
+        m, _, d_lam = op.blocks.shape
+        center = vec(op._split(np.eye(rep.dim))[0]) / math.sqrt(m * d_lam)
+        dense = None if d == "30" else _dense_acceptance(rep, wfs_projector(rep, lam).matrix)
+    for perturbation in (None, 0.3, 0.03):
+        if kind == "lemma":
+            reports = equal = certify_lemma_bound(shape, m, 3, 2, perturbation)
+        else:
+            trials = certify_corollary_bound(mu, nu, lam, 3, 2, perturbation)
+            reports, equal = [t.corollary for t in trials], [t.theorem for t in trials]
+        for t, report in enumerate(reports):
+            psi = verifier._trial_state(rep.dim**2, center, perturbation, 2 + t)
+            if dense is not None:
+                expected = float(np.vdot(psi, dense @ psi).real)
+            else:
+                projected = op._split(unvec(psi, rep.dim))[0]
+                p_sample = norm_sq(projected)
+                expected = p_sample * verifier._circuit_value(rep, projected / math.sqrt(p_sample))
+            assert abs(report.acceptance_probability - expected) <= 1e-12
+            assert report.distance_to_target**2 <= 2 * report.epsilon + 1e-12
+        for report in equal:
+            assert report.distance_to_target**2 == pytest.approx(2 * report.epsilon, abs=1e-12)
 
 
 def test_certification_takes_no_group_average(monkeypatch):

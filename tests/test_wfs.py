@@ -20,6 +20,7 @@ from snverify.wfs import (
     isotypic_block_basis,
     kronecker_coefficient,
     measure_wfs,
+    povm_ranks,
     wfs_povm,
     wfs_projector,
 )
@@ -309,6 +310,20 @@ def test_lattice_povm_matches_the_group_sum_projectors(mu, nu, group_sum_project
 @pytest.mark.parametrize(
     "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
 )
+def test_povm_ranks_match_the_projector_oracle(mu, nu):
+    # The ranks and completeness that wfs povm prints, read from the stacked
+    # block rows, against the dense POVM's.
+    sigma = tensor_rep(mu, nu)
+    ranks, residual = povm_ranks(sigma)
+    povm = wfs_povm(sigma)
+    assert ranks == {lam: proj.rank for lam, proj in povm}
+    total = sum(proj.matrix for _, proj in povm)
+    assert abs(residual - float(np.abs(total - np.eye(sigma.dim)).max())) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
+)
 def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units, dense_rep):
     # e_i1 = sum_a B_a[:, i] B_a[:, 0]^T, and each block intertwines the
     # generators with the irrep's.
@@ -370,13 +385,14 @@ def test_projectors_of_every_kind_walk_the_character_columns_once(kind, monkeypa
 
 
 @pytest.mark.parametrize(
-    "step", ["tableau", "blocks", "projector", "povm", "measure", "psi-lambda"])
+    "step", ["tableau", "blocks", "projector", "povm", "povm-ranks", "measure", "psi-lambda"])
 def test_lattice_steps_hold_what_they_price(step, monkeypatch):
     # D = 144, n = 6: the block builder holds at most 5 copies of its m x D x
     # d blocks, after its chain held at most 5 of its m + 1 probe rows, and
     # then, with m > 0, 5 of its m seeds; a projector holds itself beside the
     # blocks and their copy.  The POVM holds its 11 projectors beside the
-    # blocks, measure and psi-lambda their products with a Haar state on
+    # blocks, its ranks the stacked rows R beside R^T or R^T R beside R^T,
+    # measure and psi-lambda their products with a Haar state on
     # C^D x C^D.  The factors' images are cached and priced apart, so they
     # are built untraced.
     mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
@@ -397,6 +413,7 @@ def test_lattice_steps_hold_what_they_price(step, monkeypatch):
         # m d_lam = 3 x 16 columns of blocks.
         "projector": (lambda: wfs_projector(sigma, lam), builder(lam) + [(dim + 2 * 48) * dim]),
         "povm": (lambda: wfs_povm(sigma), [13 * dim * dim] + labels),
+        "povm-ranks": (lambda: povm_ranks(sigma), [2 * dim * dim] + labels),
         "measure": (lambda: measure_wfs(sigma, psi, 1), [7 * dim * dim] + labels),
         "psi-lambda": (lambda: psi_lambda(sigma, lam, psi),
                        builder(lam) + [(5 * dim + 4 * 48) * dim]),
