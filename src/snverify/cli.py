@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import serialize
 from .characters import irrep_character, lightning_distribution
@@ -160,16 +160,6 @@ def _cmd_state(args) -> dict:
     }
 
 
-def _report_json(report) -> dict:
-    return {
-        "acceptance_probability": report.acceptance_probability,
-        "epsilon": report.epsilon,
-        "distance_to_target": report.distance_to_target,
-        "bound": report.bound,
-        "bound_satisfied": report.bound_satisfied,
-    }
-
-
 def _min_slack(reports) -> float | None:
     """Worst bound - distance over the reports; None when there are none."""
     return min((r.bound - r.distance_to_target for r in reports), default=None)
@@ -197,8 +187,8 @@ def _cmd_verify(args) -> dict:
         trials = certify_corollary_bound(
             mu, nu, lam, args.trials, args.seed, perturbation=args.perturbation
         )
-        corollary = [_report_json(t.corollary) for t in trials]
-        theorem = [_report_json(t.theorem) for t in trials]
+        corollary = [asdict(t.corollary) for t in trials]
+        theorem = [asdict(t.theorem) for t in trials]
         return {
             "trials": args.trials,
             "seed": args.seed,
@@ -225,7 +215,7 @@ def _cmd_certify_lemma(args) -> dict:
         "trials": args.trials,
         "seed": args.seed,
         "violations": sum(not r.bound_satisfied for r in reports),
-        "reports": [_report_json(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
         "min_slack": _min_slack(reports),
     }
 
@@ -251,41 +241,42 @@ _TRIALS = ("--trials", {"type": int, "default": 100})
 _PERTURBATION = ("--perturbation", {"type": float})
 _TRIPLE = ["mu", "nu", "shape"]
 
-# command -> (help, arguments), or (help, {action: arguments}) for a command
-# with actions; an argument is a name or a (name, add_argument keywords) pair.
+# command -> (handler, help, arguments), or (handler, help, {action:
+# arguments}) for a command with actions; an argument is a name or a (name,
+# add_argument keywords) pair.
 _COMMANDS = {
-    "sym": ("partitions, dimensions, tableaux", {
+    "sym": (_cmd_sym, "partitions, dimensions, tableaux", {
         "partitions": [("n", {"type": int})],
         "dim": ["shape"],
         "tableaux": ["shape"],
     }),
-    "rep": ("irrep matrices, characters, Fourier transform", {
+    "rep": (_cmd_rep, "irrep matrices, characters, Fourier transform", {
         "matrix": ["shape", "perm"],
         "char": ["shape", "perm"],
         "ft": [("n", {"type": int})],
     }),
-    "wfs": ("weak Fourier sampling", {
+    "wfs": (_cmd_wfs, "weak Fourier sampling", {
         "project": _TRIPLE,
         "povm": ["mu", "nu"],
         "measure": ["mu", "nu", ("--state", {
             "help": "state JSON file; defaults to the maximally entangled state"}), _SEED],
     }),
-    "kron": ("Kronecker coefficients", [
+    "kron": (_cmd_kron, "Kronecker coefficients", [
         *_TRIPLE, ("--route", {"choices": ["char", "rank", "both"], "default": "both"})]),
-    "lightning": ("irrep sampling distribution", ["mu", "nu"]),
-    "state": ("entangled state constructions", {
+    "lightning": (_cmd_lightning, "irrep sampling distribution", ["mu", "nu"]),
+    "state": (_cmd_state, "entangled state constructions", {
         "phi-plus": [("d", {"type": int})],
         "phi-pi": _TRIPLE,
         "psi-lambda": [*_TRIPLE, ("--state", {"help": "input state JSON file"})],
     }),
-    "verify": ("verification algorithm", {
+    "verify": (_cmd_verify, "verification algorithm", {
         "spectrum": _TRIPLE,
         "certify": [*_TRIPLE, _TRIALS, _SEED, _PERTURBATION],
         "run": [*_TRIPLE, ("--state", {"required": True}), _SEED],
     }),
-    "certify-lemma": ("internal-test bound for identity-times-irrep", [
+    "certify-lemma": (_cmd_certify_lemma, "internal-test bound for identity-times-irrep", [
         "shape", ("--multiplicity", {"type": int, "default": 1}), _TRIALS, _SEED, _PERTURBATION]),
-    "selftest": ("run every invariant suite", [
+    "selftest": (_cmd_selftest, "run every invariant suite", [
         ("--n-max", {"type": int, "default": 5}), _TRIALS, _SEED]),
 }
 
@@ -306,7 +297,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     table = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
-    for name, (help_text, arguments) in table.items():
+    for name, (_, help_text, arguments) in table.items():
         p = sub.add_parser(name, help=help_text)
         if isinstance(arguments, dict):
             actions = p.add_subparsers(dest="action", required=True)
@@ -317,32 +308,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "sym": _cmd_sym,
-    "rep": _cmd_rep,
-    "wfs": _cmd_wfs,
-    "kron": _cmd_kron,
-    "lightning": _cmd_lightning,
-    "state": _cmd_state,
-    "verify": _cmd_verify,
-    "certify-lemma": _cmd_certify_lemma,
-    "selftest": _cmd_selftest,
-}
-
 _STATUS_BY_CODE = {2: "invalid-argument", 3: "resource-limit", 4: "numerical-consistency"}
 CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-# Peak bytes per complex entry of the --pretty writer, _round_floats and
-# json.dumps(indent=2), by tracemalloc: 433 B beside the 16 B holder on
-# all-distinct entries with the longest rounded texts, 404 B on rep ft 6.
-# Every CLI document holds at most one complex array.
-PRETTY_ENTRY_BYTES = 464
-
-
 def run(argv: list[str], pretty: bool = False) -> CommandResult:
     """Execute one CLI invocation; returns the result without printing.
-    With pretty, the payload is the list form rounded for --pretty."""
+    With pretty, the payload's floats are rounded for --pretty but for its
+    complex arrays' entries, which the writer rounds."""
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
@@ -356,8 +329,8 @@ def run(argv: list[str], pretty: bool = False) -> CommandResult:
             raise InvalidArgumentError(f"--n-max must be at least 2, got {args.n_max}")
         if not math.isfinite(getattr(args, "perturbation", None) or 0.0):
             raise InvalidArgumentError(f"--perturbation must be finite, got {args.perturbation}")
-        payload = _HANDLERS[args.command](args)
-        return CommandResult(exit_code=0, payload=_round_floats(payload, 6) if pretty else payload)
+        payload = _COMMANDS[args.command][0](args)
+        return CommandResult(exit_code=0, payload=_round_floats(payload) if pretty else payload)
     except (SnverifyError, MemoryError) as exc:
         # Running out of memory below the budget is a resource limit too.
         code = getattr(exc, "exit_code", 3)
@@ -365,20 +338,13 @@ def run(argv: list[str], pretty: bool = False) -> CommandResult:
         return CommandResult(exit_code=code, payload=doc)
 
 
-def _round_floats(obj, digits: int):
-    if isinstance(obj, serialize.ComplexArray):
-        entries = obj.values.size
-        require_bytes(PRETTY_ENTRY_BYTES * entries, f"the pretty JSON of {entries} entries")
-        obj = obj.tolist()
+def _round_floats(obj):
     if isinstance(obj, float):
-        if obj == 0 or not math.isfinite(obj):
-            return obj
-        rounded = float(f"{obj:.{digits}g}")
-        return obj if rounded == obj else rounded  # an unchanged float stays one shared object
+        return serialize.round_float(obj)
     if isinstance(obj, list):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     return obj
 
 
@@ -398,11 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:  # --help
         return 0
     try:
-        if pretty:
-            print(json.dumps(result.payload, indent=2))
-        else:
-            serialize.write(result.payload, sys.stdout)
-            sys.stdout.write("\n")
+        serialize.write(result.payload, sys.stdout, pretty)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout; the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

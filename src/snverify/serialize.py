@@ -1,5 +1,5 @@
 """JSON schemas for matrices, states and projectors, and the one writer
-of the CLI's output.
+of the CLI's output, plain or pretty.
 
 Complex entries serialize as [re, im] pairs at full double precision;
 matrices are row-major.  A document holds each complex array as a
@@ -7,8 +7,11 @@ ComplexArray, one contiguous complex128 vector, never as one Python
 object per entry.  pieces(doc) yields exactly the text of json.dumps of
 the document with every holder replaced by its tolist(): the document's
 own text around each array, and each array CHUNK entries at a time.
-write(doc, stream) writes those pieces as they are made, so no text
-longer than one chunk's exists, and dumps(doc) joins them.  A chunk is
+With pretty, that of json.dumps(indent=2), with each chunk's distinct
+entries rounded by round_float and their texts broken as indent=2 breaks
+them at the indentation of their array's line.  write(doc, stream,
+pretty) writes the pieces as they are made, so no text longer than one
+chunk's exists, and dumps(doc) joins the plain ones.  A chunk is
 written from one text per distinct entry: one np.sort of uint64 keys, a
 mix of each entry's two 64-bit words above its index in the chunk, puts
 equal entries side by side, and its runs split wherever the 128-bit
@@ -26,14 +29,15 @@ A second `rep ft 6` through cli.main, its transform cached, peaks at
 
 The price of an array's JSON, charged before the holder is built, is
 HOLDER_BYTES an entry for the holder and the array it is copied from,
-and ENTRY_BYTES for each entry of one chunk's working set.  ENTRY_BYTES
-covers the worst case, all-distinct entries with the longest float
-texts.
+and ENTRY_BYTES for each entry of one chunk's working set, plain or
+pretty.  ENTRY_BYTES covers the worst case, all-distinct entries with the
+longest float texts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -95,6 +99,15 @@ class ComplexArray:
         return self.values.view(np.float64).reshape(-1, 2).tolist()
 
 
+def round_float(value: float) -> float:
+    """value at the 6 significant digits of pretty output; zeros,
+    infinities and NaN as they are."""
+    if value == 0 or not math.isfinite(value):
+        return value
+    rounded = float(f"{value:.6g}")
+    return value if rounded == value else rounded  # an unchanged float stays one shared object
+
+
 def _key_mix(words: np.ndarray) -> np.ndarray:
     """A uint64 mix of each row of a (size, 2) uint64 array, whose high bits
     depend on every bit of both words."""
@@ -104,10 +117,22 @@ def _key_mix(words: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _chunk_text(values: np.ndarray) -> str:
-    """json.dumps of the entries' [re, im] pairs without the outer "[[" and
-    "]]", from one text per distinct entry.  Each intermediate is dropped
-    before the next is built."""
+def _pair_layout(pretty: bool, before: str) -> tuple[str, str, str, str]:
+    """The texts that open a list of [re, im] pairs, part two pairs, part re
+    from im and close the list, as json.dumps writes them, or with pretty
+    as json.dumps(indent=2) does after the document's text before."""
+    if not pretty:
+        return "[[", "], [", ", ", "]]"
+    line = before.rpartition("\n")[2]
+    pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    return f"[{pad}  [{pad}    ", f"{pad}  ],{pad}  [{pad}    ", f",{pad}    ", f"{pad}  ]{pad}]"
+
+
+def _chunk_text(values: np.ndarray, between: str, inner: str, pretty: bool) -> str:
+    """The entries' [re, im] pairs without the list's opening and closing
+    texts, parted as _pair_layout says, from one text per distinct entry,
+    its parts rounded if pretty.  Each intermediate is dropped before the
+    next is built."""
     size = values.size
     # Each key is the entry's mix above its index, so equal entries sort
     # side by side; a run below splits wherever the bits differ.
@@ -128,21 +153,24 @@ def _chunk_text(values: np.ndarray) -> str:
     inverse[order] = np.cumsum(starts) - 1
     pairs = ranked[starts].view(np.float64).reshape(-1, 2).tolist()
     del ranked, order, keys, starts
-    encoded = json.dumps(pairs)
+    if pretty:
+        pairs = [[round_float(re), round_float(im)] for re, im in pairs]
+    encoded = json.dumps(pairs, separators=(inner, ": "))
     del pairs
-    texts = encoded.split("], [")
+    texts = encoded.split(f"]{inner}[")
     del encoded
     texts[0] = texts[0][2:]  # drop "[[", and "]]" below: one text may be both
     texts[-1] = texts[-1][:-2]
     gathered = np.array(texts, dtype=object)[inverse].tolist()
     del texts, inverse
-    return "], [".join(gathered)
+    return between.join(gathered)
 
 
-def pieces(payload) -> Iterator[str]:
-    """The text of json.dumps(payload), in pieces: each ComplexArray is
-    written as its list of [re, im] pairs, CHUNK entries at a time.  The
-    whole document is encoded, and a TypeError raised for what JSON
+def pieces(payload, pretty: bool = False) -> Iterator[str]:
+    """The text of json.dumps(payload), or with pretty of json.dumps(payload,
+    indent=2) with complex entries rounded by round_float, in pieces: each
+    ComplexArray as its list of [re, im] pairs, CHUNK entries at a time.
+    The whole document is encoded, and a TypeError raised for what JSON
     refuses, before the first piece is yielded."""
     arrays = []
 
@@ -152,25 +180,27 @@ def pieces(payload) -> Iterator[str]:
         arrays.append(obj)
         return _HOLE
 
-    head, *tails = json.dumps(payload, default=hole).split(_HOLE_TEXT)
+    head, *tails = json.dumps(payload, default=hole,
+                              indent=2 if pretty else None).split(_HOLE_TEXT)
     yield head
-    for array, tail in zip(arrays, tails):
+    for before, array, tail in zip([head, *tails], arrays, tails):
         values = array.values
         if not values.size:
             yield "[]"
         else:
-            yield "[["
+            opening, between, inner, closing = _pair_layout(pretty, before)
+            yield opening
             for start in range(0, values.size, CHUNK):
                 if start:
-                    yield "], ["
-                yield _chunk_text(values[start : start + CHUNK])
-            yield "]]"
+                    yield between
+                yield _chunk_text(values[start : start + CHUNK], between, inner, pretty)
+            yield closing
         yield tail
 
 
-def write(payload, stream: TextIO) -> None:
-    """Write json.dumps(payload) to stream piece by piece."""
-    for piece in pieces(payload):
+def write(payload, stream: TextIO, pretty: bool = False) -> None:
+    """Write the text of pieces(payload, pretty) to stream piece by piece."""
+    for piece in pieces(payload, pretty):
         stream.write(piece)
 
 

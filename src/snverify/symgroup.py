@@ -274,19 +274,13 @@ def irrep_dimension(shape: Partition) -> int:
 def adjacent_transposition_decomposition(g: Permutation) -> list[int]:
     """Indices i_1..i_k with g = sigma_{i_1} o sigma_{i_2} o ... o sigma_{i_k}
     (composition left-to-right as listed, rightmost applied first), at most
-    n(n-1)/2 of them: the swaps of a bubble sort of g's one-line word.
-    """
-    word = list(g.images)
-    n = len(word)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(n - 1):
-            if word[j] > word[j + 1]:
-                word[j], word[j + 1] = word[j + 1], word[j]
-                swaps.append(j + 1)
-                changed = True
+    n(n-1)/2 of them: swaps of the first descent of g's one-line word until
+    it is sorted, the parent chain of yyrep's group stack."""
+    word, swaps = list(g.images), []
+    while descents := [j for j in range(len(word) - 1) if word[j] > word[j + 1]]:
+        j = descents[0]
+        word[j], word[j + 1] = word[j + 1], word[j]
+        swaps.append(j + 1)
     # word * s_{j1} * ... * s_{jm} = e  =>  g = s_{jm} o ... o s_{j1}
     return swaps[::-1]
 

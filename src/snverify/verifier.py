@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InvalidArgumentError, require_bytes
 from .entangled import unvec, vec
 from .symgroup import Partition, irrep_dimension
-from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq, sample_wfs
+from .wfs import (_projector, block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq,
+                  sample_wfs)
 from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
@@ -96,7 +97,9 @@ class TestReport:
     bound_satisfied: bool
 
     @staticmethod
-    def build(acceptance: float, distance: float, bound: float) -> "TestReport":
+    def build(acceptance: float, distance: float, factor: float) -> "TestReport":
+        """The report of a robustness bound factor sqrt(2 eps), eps = 1 - acceptance."""
+        bound = factor * math.sqrt(2.0 * (1.0 - acceptance))
         return TestReport(
             acceptance_probability=acceptance,
             epsilon=1.0 - acceptance,
@@ -191,6 +194,13 @@ def internal_test_probability(rep: GroupRep, psi: np.ndarray) -> tuple[float, fl
     return _formula_value(rep, x), circuit
 
 
+def internal_acceptance(traces: np.ndarray, d: int, p: float = 1.0) -> float:
+    """The internal test's 1/2 + 1/2 a, a = d ||t||^2 / p for t = T/d of a state
+    of weight p: a <= 1 exactly, E being an orthogonal projection and the
+    post-state a unit vector, so rounding is clamped."""
+    return 0.5 + 0.5 * min(d * norm_sq(traces) / p, 1.0)
+
+
 def verification_acceptance_operator(
     mu: Partition, nu: Partition, lam: Partition
 ) -> AcceptanceOperator:
@@ -271,10 +281,7 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
         state = _trial_state(d * d, center, perturbation, seed + t)
         traces, distance = _identity_split(unvec(state, d), d1)
         del state
-        # a <= ||X||^2 = 1 exactly, E being an orthogonal projection; rounding is clamped.
-        acceptance = 0.5 + 0.5 * min(d1 * norm_sq(traces), 1.0)
-        bound = 2.0 * math.sqrt(2.0 * (1.0 - acceptance))
-        reports.append(TestReport.build(acceptance, distance, bound))
+        reports.append(TestReport.build(internal_acceptance(traces, d1), distance, 2.0))
     return reports
 
 
@@ -303,9 +310,9 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
     _require_trial(d, COROLLARY_ARRAYS * d + SPLIT_COLUMNS * m * d_lam, perturbation)
-    center = None
-    if perturbation is not None:  # B B^T = Gamma I
-        center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
+    center = None  # B B^T / sqrt(m d_lambda), state phi-pi's vector
+    if perturbation is not None:
+        center = vec(_projector(op.blocks).matrix) / math.sqrt(m * d_lam)
     trials_out = []
     for t in range(trials):
         state = _trial_state(d * d, center, perturbation, seed + t)
@@ -313,17 +320,13 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
         p_sample = min(norm_sq(projected), 1.0)  # Gamma projects a unit vector; rounding is clamped
         del state, projected  # neither is held beside the next draw and split
         if p_sample < 1e-14:
-            corollary = TestReport.build(0.0, distance, 3.0 * math.sqrt(2.0))
-            theorem = TestReport.build(0.0, 0.0, 2.0 * math.sqrt(2.0))
-            trials_out.append(CertificationTrial(corollary, theorem, degenerate=True))
+            trials_out.append(CertificationTrial(TestReport.build(0.0, distance, 3.0),
+                                                 TestReport.build(0.0, 0.0, 2.0), degenerate=True))
             continue
-        # a <= 1 as in the lemma, and so is p_sample * p_internal.
-        p_internal = 0.5 + 0.5 * min(d_lam * norm_sq(t_lam) / p_sample, 1.0)
-        total = p_sample * p_internal
-        corollary = TestReport.build(total, distance, 3.0 * math.sqrt(2.0 * (1.0 - total)))
+        p_internal = internal_acceptance(t_lam, d_lam, p_sample)
+        corollary = TestReport.build(p_sample * p_internal, distance, 3.0)
         # The post-sampling state's Z and K are psi's over sqrt(p_sample).
-        theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample),
-                                   2.0 * math.sqrt(2.0 * (1.0 - p_internal)))
+        theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample), 2.0)
         trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))
     return trials_out
 
@@ -342,8 +345,7 @@ def run_verifier_sampled(mu: Partition, nu: Partition, lam: Partition, psi: np.n
     d_lam = irrep_dimension(lam)
     # by_columns' copy of Z's two parts and more (tracemalloc: 2.0-3.1 Z at D = 30-210).
     require_bytes(4 * z.size * 8, f"the internal test's split at D = {sigma.dim}")
-    # <X', E(X')> <= 1 for the unit post-state X'; rounding is clamped.
-    acceptance = 0.5 + 0.5 * min(d_lam * norm_sq(block_traces(rows, z, d_lam)) / p, 1.0)
+    acceptance = internal_acceptance(block_traces(rows, z, d_lam), d_lam, p)
     coin = np.random.default_rng(seed + 1).random()
     return {"accepted": bool(coin < acceptance), "measured": str(label),
             "stage": "internal-state-test", "internal_acceptance_probability": acceptance}

@@ -32,9 +32,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 def _insertion_word(g) -> list[int]:
     """Indices i_1..i_k with g = sigma_{i_1} o ... o sigma_{i_k}, placing
-    n, n-1, ... in turn: a second word beside symgroup's bubble sort, which
-    it generally differs from, so that tests can check that evaluation does
-    not depend on the word."""
+    n, n-1, ... in turn: a second word beside symgroup's first-descent
+    sort, which it generally differs from, so that tests can check that
+    evaluation does not depend on the word."""
     word = list(g.images)
     swaps = []
     for target in range(len(word), 1, -1):

@@ -70,3 +70,11 @@ def test_cli_imports_no_numpy_at_module_level():
     names += [node.module for node in tree.body
               if isinstance(node, ast.ImportFrom) and not node.level]
     assert [name for name in names if name.split(".")[0] == "numpy"] == []
+
+
+def test_cli_writes_no_json_itself():
+    # serialize.write is the one writer of the CLI's output, plain or pretty.
+    tree = _trees()["cli"]
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"dump", "dumps"}]
+    assert calls == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snverify import serialize
+from snverify.cli import _round_floats
 from snverify.entangled import phi_plus
 from snverify.errors import InvalidArgumentError
 from snverify.symgroup import Partition
@@ -213,6 +214,31 @@ def test_writer_keeps_values_apart_when_every_key_collides(values, monkeypatch):
     assert serialize.dumps(doc) == _list_form(doc)
 
 
+_PARTS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1 / 3]),
+)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+@given(pool=st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=12),
+       real=st.booleans(), two=st.booleans(), wraps=st.lists(st.booleans(), max_size=3))
+@settings(max_examples=6, deadline=None)
+def test_pretty_writer_matches_json_dumps_indent_2(size, pool, real, two, wraps):
+    # Each array repeats a pool of values, and a second array sits one level
+    # below the first; each wrap nests the document one level deeper, in a
+    # dict or a list, beside floats that are rounded too.
+    parts = np.array(pool)
+    values = np.resize(parts[:, 0] if real else parts.view(complex).reshape(-1), size)
+    doc = serialize.ComplexArray(values)
+    if two:
+        doc = [doc, {"second": serialize.ComplexArray(values[::-1][: size // 2 + 1])}]
+    for in_dict in wraps:
+        doc = {"tag": "x", "inner": doc, "third": 1 / 3} if in_dict else [doc, -2.5]
+    text = "".join(serialize.pieces(_round_floats(doc), True))
+    assert text == json.dumps(_round_floats(json.loads(_list_form(doc))), indent=2)
+
+
 def test_write_and_dumps_give_one_text():
     doc = serialize.matrix_to_json(fourier_transform_matrix(5))
     out = io.StringIO()
@@ -250,24 +276,27 @@ def _traced_peak(run) -> int:
 )
 def test_writer_peak_stays_under_its_price(values):
     # The price covers the holder's complex copy, the source it is copied
-    # from (built before tracing here) and one chunk's working set.  Below
-    # 20,000 entries json.dumps keeps every float's text until it joins, up
-    # to 391 B an entry: a price of 256 B an entry was under it.
+    # from (built before tracing here) and one chunk's working set, plain or
+    # pretty.  Below 20,000 entries json.dumps keeps every float's text
+    # until it joins, up to 391 B an entry: a price of 256 B an entry was
+    # under it.
     values = values()
-    sink = _Sink()
-    peak = _traced_peak(lambda: serialize.write(
-        serialize.matrix_to_json(values.reshape(values.shape[0], -1)), sink))
     price = (serialize.HOLDER_BYTES * values.size
              + serialize.ENTRY_BYTES * min(values.size, CHUNK))
-    assert sink.length > 0
-    assert peak <= price
+    for pretty in (False, True):
+        sink = _Sink()
+        peak = _traced_peak(lambda: serialize.write(
+            serialize.matrix_to_json(values.reshape(values.shape[0], -1)), sink, pretty))
+        assert sink.length > 0
+        assert peak <= price, pretty
 
 
 def test_writer_peak_beyond_the_holder_does_not_grow_with_size():
-    # Only one chunk's text exists at a time, so 8 chunks peak like 2.
-    peaks = []
-    for chunks in (2, 8):
-        doc = {"data": serialize._complex_list(_longest_floats(chunks * CHUNK, 9))}
-        peaks.append(_traced_peak(lambda: serialize.write(doc, _Sink())))
-    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
-    assert peaks[1] <= serialize.ENTRY_BYTES * CHUNK
+    # Only one chunk's text exists at a time, so 8 chunks peak like 2, plain
+    # or pretty.
+    docs = [{"data": serialize._complex_list(_longest_floats(chunks * CHUNK, 9))}
+            for chunks in (2, 8)]
+    for pretty in (False, True):
+        peaks = [_traced_peak(lambda: serialize.write(doc, _Sink(), pretty)) for doc in docs]
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], pretty
+        assert peaks[1] <= serialize.ENTRY_BYTES * CHUNK, pretty

@@ -110,7 +110,7 @@ def test_evaluation_is_a_homomorphism(data):
 
 def test_evaluation_is_decomposition_independent(insertion_word, dense_rep):
     # Multiplying generator images along the alternate decomposition, and
-    # the whole-group stack, must reproduce the bubble-sort evaluation.
+    # the whole-group stack, must reproduce the first-descent evaluation.
     reps = [irrep(shape) for n in range(1, 6) for shape in enumerate_partitions(n)]
     reps += [
         dense_rep(tensor_rep(P("2,1"), P("2,1"))),
@@ -132,6 +132,18 @@ def test_evaluation_is_decomposition_independent(insertion_word, dense_rep):
             for i in insertion_word(g):
                 alt = alt @ rep.generator_images[i - 1]
             np.testing.assert_allclose(alt, chain, rtol=0, atol=1e-12)
+
+
+def test_evaluation_is_the_stack_bit_for_bit():
+    # rep_evaluate multiplies along the stack's parent chain, the first
+    # descent swapped each time, so each image is the same product.
+    for n in range(1, 7):
+        group = enumerate_group(n)
+        for shape in enumerate_partitions(n):
+            rep = irrep(shape)
+            stack = rep_stack(rep).view(np.uint64)
+            for k, g in enumerate(group):
+                assert np.array_equal(rep_evaluate(rep, g).view(np.uint64), stack[k]), (shape, g)
 
 
 def test_representation_data_is_float64_and_priced_as_held():
