@@ -47,7 +47,6 @@ from .wfs import (
     isotypic_block_basis,
     kronecker_coefficient,
     measure_wfs,
-    wfs_povm,
     wfs_projector,
 )
 from .entangled import (

@@ -47,10 +47,6 @@ class CommandResult:
     payload: dict
 
 
-def _partition_key(shape: Partition) -> str:
-    return "(" + ",".join(str(p) for p in shape.parts) + ")"
-
-
 def _load_state(path: str):
     try:
         size = os.path.getsize(path)  # priced before json.load parses it
@@ -94,25 +90,19 @@ def _cmd_rep(args) -> dict:
     return {"chi": [irrep_character(shape, conjugacy_class_of(g)), 0.0]}
 
 
-def _require_square_json(d: int) -> None:
-    """Price the JSON of a D x D projector or a state on C^D x C^D before
-    the irrep blocks are built."""
-    serialize.require_json(d * d, f"{d * d} complex entries")
-
-
 def _cmd_wfs(args) -> dict:
     mu, nu = Partition.parse(args.mu), Partition.parse(args.nu)
     sigma = tensor_rep(mu, nu)
     if args.action == "project":
         lam = Partition.parse(args.shape)
-        _require_square_json(sigma.dim)
+        serialize.require_json(sigma.dim**2, f"{sigma.dim**2} complex entries")
         return serialize.projector_to_json(wfs_projector(sigma, lam), lam)
     if args.action == "povm":
         ranks, residual = povm_ranks(sigma)
         return {
             "sigma": f"{mu} x {nu}",
             "dim": sigma.dim,
-            "ranks": {_partition_key(lam): rank for lam, rank in ranks.items()},
+            "ranks": {f"({lam})": rank for lam, rank in ranks.items()},
             "completeness_residual": residual,
         }
     # measure, on C^D or on the first register of C^D x C^D
@@ -140,7 +130,7 @@ def _cmd_kron(args) -> dict:
 def _cmd_lightning(args) -> dict:
     mu, nu = Partition.parse(args.mu), Partition.parse(args.nu)
     dist = lightning_distribution(mu, nu)
-    return {_partition_key(lam): prob for lam, prob in dist.items()}
+    return {f"({lam})": prob for lam, prob in dist.items()}
 
 
 def _cmd_state(args) -> dict:
@@ -148,7 +138,7 @@ def _cmd_state(args) -> dict:
         return serialize.state_to_json(phi_plus(args.d))
     mu, nu, lam = (Partition.parse(t) for t in (args.mu, args.nu, args.shape))
     sigma = tensor_rep(mu, nu)
-    _require_square_json(sigma.dim)
+    serialize.require_json(sigma.dim**2, f"{sigma.dim**2} complex entries")
     if args.action == "phi-pi":
         return serialize.state_to_json(max_entangled_over_range(wfs_projector(sigma, lam)))
     # psi-lambda
@@ -160,9 +150,18 @@ def _cmd_state(args) -> dict:
     }
 
 
-def _min_slack(reports) -> float | None:
-    """Worst bound - distance over the reports; None when there are none."""
-    return min((r.bound - r.distance_to_target for r in reports), default=None)
+def _reports_doc(args, **named_reports) -> dict:
+    """A certification document: the trials, the seed, the violated bounds,
+    each named list of reports, and the worst bound - distance over them
+    all (None when there are none)."""
+    reports = [r for group in named_reports.values() for r in group]
+    return {
+        "trials": args.trials,
+        "seed": args.seed,
+        "violations": sum(not r.bound_satisfied for r in reports),
+        **{name: [asdict(r) for r in group] for name, group in named_reports.items()},
+        "min_slack": min((r.bound - r.distance_to_target for r in reports), default=None),
+    }
 
 
 def _cmd_verify(args) -> dict:
@@ -187,20 +186,9 @@ def _cmd_verify(args) -> dict:
         trials = certify_corollary_bound(
             mu, nu, lam, args.trials, args.seed, perturbation=args.perturbation
         )
-        corollary = [asdict(t.corollary) for t in trials]
-        theorem = [asdict(t.theorem) for t in trials]
         return {
-            "trials": args.trials,
-            "seed": args.seed,
-            "violations": sum(
-                (not t.corollary.bound_satisfied) + (not t.theorem.bound_satisfied)
-                for t in trials
-            ),
-            "corollary_reports": corollary,
-            "theorem_reports": theorem,
-            "min_slack": _min_slack(
-                [t.corollary for t in trials] + [t.theorem for t in trials]
-            ),
+            **_reports_doc(args, corollary_reports=[t.corollary for t in trials],
+                           theorem_reports=[t.theorem for t in trials]),
             "degenerate_trials": sum(t.degenerate for t in trials),
         }
     # run
@@ -211,13 +199,7 @@ def _cmd_verify(args) -> dict:
 def _cmd_certify_lemma(args) -> dict:
     reports = certify_lemma_bound(Partition.parse(args.shape), args.multiplicity, args.trials,
                                   args.seed, perturbation=args.perturbation)
-    return {
-        "trials": args.trials,
-        "seed": args.seed,
-        "violations": sum(not r.bound_satisfied for r in reports),
-        "reports": [asdict(r) for r in reports],
-        "min_slack": _min_slack(reports),
-    }
+    return _reports_doc(args, reports=reports)
 
 
 def _cmd_selftest(args) -> dict:

@@ -24,6 +24,12 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        registers = self.registers
+        if not (isinstance(registers, tuple) and registers and all(
+                isinstance(r, (int, np.integer)) and not isinstance(r, bool) and r >= 1
+                for r in registers)):
+            raise InvalidArgumentError(
+                f"registers must be a nonempty tuple of positive integers, got {registers!r}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.dim,):
             raise InvalidArgumentError(

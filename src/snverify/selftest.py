@@ -39,7 +39,6 @@ from .wfs import (
     isotypic_block_basis,
     kronecker_coefficient,
     norm_sq,
-    wfs_povm,
     wfs_projector,
 )
 from .yyrep import irrep, regular_representations, rep_stack, tensor_rep
@@ -145,7 +144,7 @@ def suite_wfs(n_max: int) -> SuiteResult:
         for mu in shapes:
             for nu in shapes:
                 sigma = tensor_rep(mu, nu)
-                povm = wfs_povm(sigma)
+                povm = [(lam, wfs_projector(sigma, lam)) for lam in shapes]
                 total = np.zeros((sigma.dim, sigma.dim), dtype=complex)
                 for lam, proj in povm:
                     mat = proj.matrix

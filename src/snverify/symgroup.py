@@ -27,6 +27,15 @@ PARTITION_BYTES = 240
 TABLEAU_BYTES = 570
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The integers of comma-separated ASCII digit tokens; int() alone would
+    also read '3_0' as 30, '+3' and non-ASCII digits."""
+    tokens = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise InvalidArgumentError(f"cannot parse {what} {text!r}")
+    return tuple(map(int, tokens))
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A partition of n: weakly decreasing positive parts summing to n."""
@@ -50,11 +59,7 @@ class Partition:
 
     @staticmethod
     def parse(text: str) -> "Partition":
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise InvalidArgumentError(f"cannot parse partition {text!r}") from None
-        return Partition(parts)
+        return Partition(_parse_ints(text, "partition"))
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,7 @@ class Permutation:
 
     @staticmethod
     def parse(text: str) -> "Permutation":
-        try:
-            images = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise InvalidArgumentError(f"cannot parse permutation {text!r}") from None
-        return Permutation(images)
+        return Permutation(_parse_ints(text, "permutation"))
 
     @staticmethod
     def identity(n: int) -> "Permutation":

@@ -13,7 +13,8 @@ picks the chain's cell.  The chain runs on m + 1 probe rows, checked to
 have rank the exact m of the character route, characters.multiplicities:
 a Kronecker coefficient by rank counts those seeds.  Then Xi_lambda = sum_a
 B_a B_a^T, a label is measured with probability ||B^T X||^2 and projected
-as B (B^T X), and the POVM's completeness is R^T R, R all labels' B^T.
+as B (B^T X), and the POVM's completeness sums every label's Xi_lambda
+a panel of rows at a time, with no label's projector held whole.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ EIGEN_ONE_TOL = 1e-8
 # m x D x d blocks their checks hold (tracemalloc: 4.0-4.4 and 4.0-4.1 at D = 144
 # to 1,568): Q, a product with X_k and its terms; the blocks and two turns' arrays.
 CHAIN_ARRAYS = BLOCK_ARRAYS = 5
+# Rows of one label's Gram that povm_ranks forms at a time.
+PANEL = 256
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,17 @@ def kronecker_coefficient(mu: Partition, nu: Partition, lam: Partition,
             return Multiplicity(value=rank, route="projector-rank")
     return Multiplicity(value=multiplicities(sigma)[lam], route="character-sum")
 
+
+def _gram(columns: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The rows of C C^T, for C = columns, one gemv per row, as by_columns
+    forms its products, so that its bits do not depend on the BLAS thread count."""
+    return (columns @ columns[rows, :, None])[..., 0]
+
+
 def _projector(blocks: np.ndarray) -> Projector:
-    """sum_a B_a B_a^T, one gemv per row, as by_columns forms its products,
-    so that its bits do not depend on the BLAS thread count."""
+    """sum_a B_a B_a^T, the Gram of the blocks side by side."""
     b = block_columns(blocks)
-    matrix = (b @ b[:, :, None])[..., 0]
+    matrix = _gram(b)
     matrix.setflags(write=False)
     return Projector(matrix=matrix, rank=b.shape[1])
 
@@ -201,38 +210,27 @@ def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
     return _projector(blocks)
 
 
-def wfs_povm(rep: GroupRep) -> list[tuple[Partition, Projector]]:
-    """One projector per partition of n, in canonical partition order.
-    The blocks of all labels come first: together they hold D^2 floats."""
-    shapes = enumerate_partitions(rep.n)
-    # The projectors beside the blocks and one label's side-by-side copy.
-    require_bytes((len(shapes) + 2) * rep.dim**2 * 8, f"the POVM of S_{rep.n} at D = {rep.dim}")
-    blocks = [isotypic_block_basis(rep, shape) for shape in shapes]
-    return [(shape, _projector(b)) for shape, b in zip(shapes, blocks)]
-
-
-def stacked_rows(rep: GroupRep) -> tuple[list[Partition], list[np.ndarray], np.ndarray]:
-    """The partitions of n, the B^T of each one's irrep blocks, and R, those rows stacked."""
-    shapes = enumerate_partitions(rep.n)
-    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
-    return shapes, rows, np.concatenate(rows)
-
-
 def povm_ranks(rep: GroupRep) -> tuple[dict[Partition, int], float]:
     """Each label's rank m d_lambda and the POVM's completeness residual
-    max|R^T R - I|, with no projector built: R^T R = sum_lambda Xi_lambda, one
-    gemv per row as in _projector, so its bits do not depend on the BLAS threads."""
-    # R beside the rows it stacks, then R^T and R^T R (tracemalloc: 2.0 D^2 at D = 144 to 1,225).
-    require_bytes(2 * rep.dim**2 * 8, f"the POVM's completeness at D = {rep.dim}")
-    shapes, rows, stacked = stacked_rows(rep)
-    ranks = {shape: len(r) for shape, r in zip(shapes, rows)}
-    del rows
-    columns = np.ascontiguousarray(stacked.T)
-    del stacked
-    gram = (columns @ columns[:, :, None])[..., 0]
-    del columns
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return ranks, float(np.abs(gram, out=gram).max())
+    max|sum_lambda Xi_lambda - I|, labels in partition order, with no
+    projector held: each label's Gram is added into the sum PANEL rows at
+    a time, by _gram as _projector forms it, so the sum's bits are those of
+    wfs_projector's matrices summed and do not depend on the BLAS threads."""
+    widest = max(m * irrep_dimension(shape) for shape, m in multiplicities(rep).items())
+    # The sum beside the widest label's blocks as the builder checks them, or
+    # beside its blocks, their side-by-side copy and a panel of rows.
+    require_bytes((rep.dim + max(BLOCK_ARRAYS * widest, 2 * widest + PANEL)) * rep.dim * 8,
+                  f"the POVM's completeness at D = {rep.dim}")
+    ranks, total = {}, np.zeros((rep.dim, rep.dim))
+    for shape in enumerate_partitions(rep.n):
+        b = block_columns(isotypic_block_basis(rep, shape))
+        ranks[shape] = b.shape[1]
+        for start in range(0, rep.dim, PANEL):
+            panel = slice(start, start + PANEL)
+            total[panel] += _gram(b, panel)
+        del b
+    total[np.diag_indices_from(total)] -= 1.0
+    return ranks, float(np.abs(total, out=total).max())
 
 
 def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
@@ -291,8 +289,9 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
     # by_columns' 4 D k floats; or one label's B (at most D^2), Z and 4 D k more.
     require_bytes((dim + max(dim, 2 * k) + 4 * k) * dim * 8,
                   f"the measurement of S_{rep.n} at D = {dim}")
-    shapes, rows, stacked = stacked_rows(rep)
-    z = by_columns(stacked, x)  # B^T X for every label at once
+    shapes = enumerate_partitions(rep.n)
+    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
+    z = by_columns(np.concatenate(rows), x)  # B^T X for every label at once
     parts = np.split(z, np.cumsum([len(r) for r in rows])[:-1])
     probs = np.array([norm_sq(y) for y in parts])
     total = probs.sum()

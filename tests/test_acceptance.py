@@ -29,7 +29,7 @@ from snverify.verifier import (
     certify_lemma_bound,
     verification_acceptance_operator,
 )
-from snverify.wfs import gpe_kraus, kronecker_coefficient, wfs_povm, wfs_projector
+from snverify.wfs import gpe_kraus, kronecker_coefficient, wfs_projector
 from snverify.yyrep import irrep, rep_evaluate, tensor_rep
 
 P = Partition.parse
@@ -112,7 +112,7 @@ def test_criterion_2_isotypic_projector_facts_up_to_n5():
         shapes = enumerate_partitions(n)
         for mu, nu in itertools.product(shapes, repeat=2):
             sigma = tensor_rep(mu, nu)
-            povm = wfs_povm(sigma)
+            povm = [(lam, wfs_projector(sigma, lam)) for lam in shapes]
             total = np.zeros((sigma.dim, sigma.dim), dtype=complex)
             mats = [p.matrix for _, p in povm]
             for a, pa in enumerate(mats):

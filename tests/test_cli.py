@@ -392,6 +392,8 @@ def test_block_builder_imports_no_random_generator(argv):
         ["wfs", "measure", "4,3", "4,2,1", "--state", "{haar490}"],
         ["state", "psi-lambda", "4,3", "4,2,1", "4,2,1", "--state", "{haar490}"],
         ["wfs", "povm", "4,3", "4,2,1"],
+        ["wfs", "povm", "4,2,1", "4,2,1"],
+        ["wfs", "povm", "4,2,1", "4,1,1,1"],
     ],
 )
 def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
@@ -426,8 +428,7 @@ def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("a dense projector was built")
 
-    for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (wfs, "wfs_povm"),
-                         (cli, "wfs_projector")):
+    for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (cli, "wfs_projector")):
         monkeypatch.setattr(module, name, refuse)
     path = tmp_path / "haar.json"
     state = StateVector((30, 30), verifier.haar_state(30 * 30, np.random.default_rng(1)))
@@ -922,6 +923,23 @@ def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["status"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("registers", ["[-4, -4]", "[true, 16]", "[16.0]", "[4, -2, -2]", "[]",
+                                       '"44"'])
+@pytest.mark.parametrize("argv", [["wfs", "measure", "2,1", "2,1"],
+                                  ["state", "psi-lambda", "2,1", "2,1", "2,1"],
+                                  ["verify", "run", "2,1", "2,1", "2,1"]], ids=" ".join)
+def test_state_file_registers_must_be_positive_integers(argv, registers, tmp_path, capsys):
+    # phi-plus on C^4 x C^4 under registers whose product is 16, or none.
+    amplitudes = json.dumps([[0.5 * (i % 5 == 0), 0.0] for i in range(16)])
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"registers": {registers}, "amplitudes": {amplitudes}}}')
+    code = main([*argv, "--state", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["status"] == "invalid-argument"
+    assert "registers" in doc["error"], doc
 
 
 def test_oversized_state_file_exits_3_before_it_is_parsed(tmp_path, capsys, monkeypatch):

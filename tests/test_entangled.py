@@ -70,6 +70,12 @@ def test_state_vector_validation():
         StateVector(registers=(2, 2), amplitudes=np.ones(4))
     with pytest.raises(InvalidArgumentError):
         StateVector(registers=(2,), amplitudes=np.ones(4) / 2.0)
+    # Registers whose product is the amplitude count, or () for one amplitude.
+    for registers in [(-2, -2), (True, 4), (4.0,), (), (4, 1.0), [4], (0, 4)]:
+        size = int(math.prod(registers))
+        with pytest.raises(InvalidArgumentError, match="registers must be"):
+            StateVector(registers=registers, amplitudes=np.ones(size) / math.sqrt(size))
+    assert StateVector(registers=(np.int64(4),), amplitudes=np.ones(4) / 2.0).dim == 4
 
 
 # -------------------------------------------- maximally entangled over ranges

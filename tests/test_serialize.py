@@ -291,12 +291,32 @@ def test_writer_peak_stays_under_its_price(values):
         assert peak <= price, pretty
 
 
+class _PeakSink(_Sink):
+    """A _Sink that keeps, for each piece written, its length and the traced
+    peak since the previous piece."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text: str) -> None:
+        super().write(text)
+        self.pieces.append((len(text), tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+
+
 def test_writer_peak_beyond_the_holder_does_not_grow_with_size():
-    # Only one chunk's text exists at a time, so 8 chunks peak like 2, plain
-    # or pretty.
-    docs = [{"data": serialize._complex_list(_longest_floats(chunks * CHUNK, 9))}
-            for chunks in (2, 8)]
+    # Only one chunk's text exists at a time, so each of 7 chunks peaks like
+    # the first, plain or pretty.
+    doc = {"data": serialize._complex_list(_longest_floats(7 * CHUNK, 9))}
     for pretty in (False, True):
-        peaks = [_traced_peak(lambda: serialize.write(doc, _Sink(), pretty)) for doc in docs]
-        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], pretty
-        assert peaks[1] <= serialize.ENTRY_BYTES * CHUNK, pretty
+        sink = _PeakSink()
+        tracemalloc.start()
+        try:
+            serialize.write(doc, sink, pretty)
+        finally:
+            tracemalloc.stop()
+        peaks = [peak for length, peak in sink.pieces if length > CHUNK]  # the chunks' texts
+        assert len(peaks) == 7, pretty
+        assert all(abs(peak - peaks[0]) < 0.1 * peaks[0] for peak in peaks), (pretty, peaks)
+        assert max(peaks) <= serialize.ENTRY_BYTES * CHUNK, (pretty, peaks)

@@ -100,6 +100,17 @@ def test_partition_str_round_trip():
             assert Partition.parse(str(p)) == p
 
 
+@pytest.mark.parametrize("text", ["3_0", "+3", "\u0663", " 3", "3 ", "3,,1", "2,1_0", "2,+1", "-1"])
+def test_parse_reads_ascii_digit_tokens_only(text):
+    # int() alone reads '3_0' as 30 and accepts a sign, spaces and non-ASCII
+    # digits such as ARABIC-INDIC DIGIT THREE.
+    for parse in (Partition.parse, Permutation.parse):
+        with pytest.raises(InvalidArgumentError, match="cannot parse"):
+            parse(text)
+    assert Partition.parse("30") == Partition((30,))
+    assert Permutation.parse("2,10,1,3,4,5,6,7,8,9").images[1] == 10
+
+
 # ----------------------------------------------------------------- tableaux
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from snverify.wfs import (
     kronecker_coefficient,
     measure_wfs,
     povm_ranks,
-    wfs_povm,
     wfs_projector,
 )
 from snverify.yyrep import (
@@ -41,15 +40,19 @@ def all_tensor_pairs(n):
     return [(mu, nu) for mu in shapes for nu in shapes]
 
 
+def povm(rep):
+    """Every label's projector, in partition order."""
+    return [(lam, wfs_projector(rep, lam)) for lam in enumerate_partitions(rep.n)]
+
+
 # ---------------------------------------------------------------- projectors
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_povm_elements_are_orthogonal_projectors_summing_to_identity(n):
     for mu, nu in all_tensor_pairs(n):
         sigma = tensor_rep(mu, nu)
-        povm = wfs_povm(sigma)
         total = np.zeros((sigma.dim, sigma.dim), dtype=complex)
-        mats = [p.matrix for _, p in povm]
+        mats = [p.matrix for _, p in povm(sigma)]
         for a, pa in enumerate(mats):
             np.testing.assert_allclose(pa, pa.conj().T, atol=1e-10)
             np.testing.assert_allclose(pa @ pa, pa, atol=1e-10)
@@ -236,7 +239,7 @@ def test_isotypic_sums_never_build_the_tensor_stack():
     sigma = tensor_rep(mu, nu)  # D = 160
     tracemalloc.start()
     try:
-        wfs_povm(sigma)
+        povm(sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -297,10 +300,9 @@ def tensor_pairs_up_to_n5_and_bench():
 def test_lattice_povm_matches_the_group_sum_projectors(mu, nu, group_sum_projector):
     sigma = tensor_rep(mu, nu)
     total = np.zeros((sigma.dim, sigma.dim))
-    for lam, proj in wfs_povm(sigma):
+    for lam, proj in povm(sigma):
         oracle = group_sum_projector(sigma, lam)
         np.testing.assert_allclose(proj.matrix, oracle, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(wfs_projector(sigma, lam).matrix, oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(proj.matrix @ proj.matrix, proj.matrix, rtol=0, atol=1e-12)
         assert proj.rank == kronecker_coefficient(mu, nu, lam).value * irrep_dimension(lam)
         total += proj.matrix
@@ -311,14 +313,14 @@ def test_lattice_povm_matches_the_group_sum_projectors(mu, nu, group_sum_project
     "mu,nu", tensor_pairs_up_to_n5_and_bench(), ids=lambda shape: str(shape)
 )
 def test_povm_ranks_match_the_projector_oracle(mu, nu):
-    # The ranks and completeness that wfs povm prints, read from the stacked
-    # block rows, against the dense POVM's.
+    # The ranks and completeness that wfs povm prints, summed a panel at a
+    # time, are those of the labels' projectors, bit for bit.
     sigma = tensor_rep(mu, nu)
     ranks, residual = povm_ranks(sigma)
-    povm = wfs_povm(sigma)
-    assert ranks == {lam: proj.rank for lam, proj in povm}
-    total = sum(proj.matrix for _, proj in povm)
-    assert abs(residual - float(np.abs(total - np.eye(sigma.dim)).max())) <= 1e-14
+    projectors = povm(sigma)
+    assert ranks == {lam: proj.rank for lam, proj in projectors}
+    total = sum(proj.matrix for _, proj in projectors)
+    assert residual == float(np.abs(total - np.eye(sigma.dim)).max())
 
 
 @pytest.mark.parametrize(
@@ -348,10 +350,8 @@ DERIVED_REPS = {
 @pytest.mark.parametrize("name", list(DERIVED_REPS))
 def test_lattice_on_other_kinds_matches_the_group_sum_projectors(name, group_sum_projector):
     rep = DERIVED_REPS[name]()
-    for lam, proj in wfs_povm(rep):
-        oracle = group_sum_projector(rep, lam)
-        np.testing.assert_allclose(proj.matrix, oracle, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(wfs_projector(rep, lam).matrix, oracle, rtol=0, atol=1e-12)
+    for lam, proj in povm(rep):
+        np.testing.assert_allclose(proj.matrix, group_sum_projector(rep, lam), rtol=0, atol=1e-12)
 
 
 def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
@@ -364,7 +364,7 @@ def test_projector_trace_is_checked_against_the_exact_multiplicity(monkeypatch):
         with pytest.raises(NumericalConsistencyError, match="chain's probe has residual"):
             wfs_projector(rep, shape)
         with pytest.raises(NumericalConsistencyError, match="chain's probe has residual"):
-            wfs_povm(rep)
+            povm_ranks(rep)
 
 
 @pytest.mark.parametrize("kind", ["irrep", "tensor", "identity-times-irrep", "left-regular",
@@ -378,20 +378,20 @@ def test_projectors_of_every_kind_walk_the_character_columns_once(kind, monkeypa
     walks, columns = [], characters.character_columns
     monkeypatch.setattr(characters, "character_columns", lambda n: walks.append(n) or columns(n))
     characters._multiplicities.cache_clear()
-    wfs_povm(rep)
+    povm_ranks(rep)
     for shape in enumerate_partitions(4):
         wfs_projector(rep, shape)
     assert walks == [4]
 
 
 @pytest.mark.parametrize(
-    "step", ["tableau", "blocks", "projector", "povm", "povm-ranks", "measure", "psi-lambda"])
+    "step", ["tableau", "blocks", "projector", "povm-ranks", "measure", "psi-lambda"])
 def test_lattice_steps_hold_what_they_price(step, monkeypatch):
     # D = 144, n = 6: the block builder holds at most 5 copies of its m x D x
     # d blocks, after its chain held at most 5 of its m + 1 probe rows, and
     # then, with m > 0, 5 of its m seeds; a projector holds itself beside the
-    # blocks and their copy.  The POVM holds its 11 projectors beside the
-    # blocks, its ranks the stacked rows R beside R^T or R^T R beside R^T,
+    # blocks and their copy.  The POVM's ranks hold the sum of the projectors
+    # beside the widest label's blocks, their copy and a panel of rows,
     # measure and psi-lambda their products with a Haar state on
     # C^D x C^D.  The factors' images are cached and priced apart, so they
     # are built untraced.
@@ -412,8 +412,9 @@ def test_lattice_steps_hold_what_they_price(step, monkeypatch):
         "blocks": (lambda: isotypic_block_basis(sigma, lam), builder(lam)),
         # m d_lam = 3 x 16 columns of blocks.
         "projector": (lambda: wfs_projector(sigma, lam), builder(lam) + [(dim + 2 * 48) * dim]),
-        "povm": (lambda: wfs_povm(sigma), [13 * dim * dim] + labels),
-        "povm-ranks": (lambda: povm_ranks(sigma), [2 * dim * dim] + labels),
+        # 3,2,1 is the widest label.
+        "povm-ranks": (lambda: povm_ranks(sigma),
+                       [(dim + max(5 * 48, 2 * 48 + wfs.PANEL)) * dim] + labels),
         "measure": (lambda: measure_wfs(sigma, psi, 1), [7 * dim * dim] + labels),
         "psi-lambda": (lambda: psi_lambda(sigma, lam, psi),
                        builder(lam) + [(5 * dim + 4 * 48) * dim]),
