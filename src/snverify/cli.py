@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import serialize
 from .characters import irrep_character, lightning_distribution
@@ -152,14 +152,15 @@ def _cmd_state(args) -> dict:
 
 def _reports_doc(args, **named_reports) -> dict:
     """A certification document: the trials, the seed, the violated bounds,
-    each named list of reports, and the worst bound - distance over them
-    all (None when there are none)."""
+    each named list of reports as dicts of their fields, in field order and
+    not deep-copied, and the worst bound - distance over them all (None when
+    there are none)."""
     reports = [r for group in named_reports.values() for r in group]
     return {
         "trials": args.trials,
         "seed": args.seed,
         "violations": sum(not r.bound_satisfied for r in reports),
-        **{name: [asdict(r) for r in group] for name, group in named_reports.items()},
+        **{name: [dict(vars(r)) for r in group] for name, group in named_reports.items()},
         "min_slack": min((r.bound - r.distance_to_target for r in reports), default=None),
     }
 

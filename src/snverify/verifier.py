@@ -7,6 +7,19 @@ Every command reads the internal test from the same blocks in closed form,
 a = <X, E(X)> = d_lambda ||t||^2, and reports the circuit's 1/2 + 1/2 a:
 `verify run` and certification alike.  Only the self-test and the tests
 average over the group.
+
+A certification trial forms no state.  It reads only a state's
+coordinates on orthonormal vectors of the target's side, Z = B^T X over
+the blocks for the corollary and the m^2 block traces T_ab/sqrt(d1) for
+the lemma, and its weight off them, so it draws exactly these.  For a
+Haar state X = G/||G||, G with iid N + iN entries, the coordinates of G
+on any orthonormal set are again iid N + iN, and its squared norm off
+them is an independent chi-square with 2 (D^2 - k) degrees of freedom
+for k coordinates: drawing both and normalizing by their total is exact
+in distribution.  A perturbation's center lies on the target's side, so
+it shifts only the coordinates.  Each trial takes one generator,
+default_rng(seed + trial), and draws in one fixed order: the real parts
+of the coordinates, their imaginary parts, then the chi-square.
 """
 
 from __future__ import annotations
@@ -17,22 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, require_bytes
-from .entangled import unvec, vec
+from .entangled import unvec
 from .symgroup import Partition, irrep_dimension
-from .wfs import (_projector, block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq,
-                  sample_wfs)
+from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq, sample_wfs
 from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
 # Python memory per test report, measured through the CLI's JSON output.
 REPORT_BYTES = 1300
-# A certification trial's peak in real D x D arrays: the state, the residual
-# and its squares; the corollary's split adds SPLIT_COLUMNS D-long columns per
-# block column, Z, B Z's factors and the residual Z - K B^T.  By tracemalloc:
-# 7.0-7.1 (lemma, D = 105-180) and 8.0-12.2 D x D (corollary, D = 35-490).
-LEMMA_ARRAYS = 8
-COROLLARY_ARRAYS = 8
-SPLIT_COLUMNS = 5
+# A certification trial's peak, by tracemalloc, in real arrays the size of
+# its coordinates: the lemma's z, its traces and the squares of their norm;
+# the corollary's z, B^T, coordinate_split's K B^T, its copy and the squares
+# of Z - K B^T (10.0-10.04, and 9.0 at D = 490, where NumPy elides a
+# temporary).  Beside them TRIAL_BYTES of Python objects: the generator,
+# the error-state context and the reports (2.2-2.9 kB).
+LEMMA_ARRAYS = 7
+COROLLARY_ARRAYS = 10
+TRIAL_BYTES = 3200
 
 
 def block_traces(rows: np.ndarray, z: np.ndarray, d_lam: int) -> np.ndarray:
@@ -40,6 +54,17 @@ def block_traces(rows: np.ndarray, z: np.ndarray, d_lam: int) -> np.ndarray:
     T_ab = tr(B_a^T X B_b) = <vec Z_a, vec B_b^T>, Z_a the rows of block a."""
     m, width = len(rows) // d_lam, d_lam * rows.shape[1]
     return by_columns(rows.reshape(m, width), z.reshape(m, width).T).T / d_lam
+
+
+def coordinate_split(rows: np.ndarray, z: np.ndarray, d_lam: int) -> tuple[np.ndarray, float]:
+    """t = T/d_lambda and ||Z - K B^T||_F^2, K = t x I, for rows = B^T of the
+    d_lambda-wide blocks and a state's coordinates Z = B^T X: the part of
+    B Z off the eigenvalue-1 space, formed explicitly, whatever X is off B's
+    range.  Row a of K B^T is sum_b T_ab vec(B_b^T), by by_columns."""
+    t = block_traces(rows, z, d_lam)
+    flat = rows.reshape(len(rows) // d_lam, d_lam * rows.shape[1])
+    k_bt = by_columns(np.ascontiguousarray(flat.T), t.T).T
+    return t, norm_sq(z - k_bt.reshape(z.shape))
 
 
 @dataclass(frozen=True)
@@ -66,18 +91,14 @@ class AcceptanceOperator:
         return 0.5 if self.levels[1][1] else 0.0
 
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Gamma X = B Z, t = T/d_lambda, ||Z - K B^T||^2 and ||X - P X||_F for
-        Z = B^T X, K = t x I, T_ab = tr(B_a^T X B_b): X - P X is the orthogonal
-        sum of X - Gamma X and B (Z - K B^T).  Each product goes through
-        by_columns, whose bits do not depend on the BLAS thread count."""
-        m, d, d_lam = self.blocks.shape
+        """Gamma X = B Z, t, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X: X -
+        P X is the orthogonal sum of X - Gamma X and B (Z - K B^T), and t and
+        the inner residual come from coordinate_split.  Each product goes
+        through by_columns, whose bits do not depend on the BLAS thread count."""
         rows = block_rows(self.blocks)
         z = by_columns(rows, x)
-        t = block_traces(rows, z, d_lam)
-        flat = rows.reshape(m, d_lam * d)
-        k_bt = by_columns(np.ascontiguousarray(flat.T), t.T).T  # row a: sum_b T_ab vec(B_b^T)
-        inner = norm_sq(z - k_bt.reshape(z.shape))
-        del rows, flat, k_bt  # freed before the D x D products below
+        t, inner = coordinate_split(rows, z, self.blocks.shape[2])
+        del rows  # freed before the D x D products below
         gamma = by_columns(block_columns(self.blocks), z)
         del z
         return gamma, t, inner, math.sqrt(norm_sq(x - gamma) + inner)
@@ -213,42 +234,39 @@ def verification_acceptance_operator(
     return AcceptanceOperator(isotypic_block_basis(tensor_rep(mu, nu), lam))
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / math.sqrt(norm_sq(v))
-
-
-def _trial_state(dim: int, center, perturbation: float | None, seed: int) -> np.ndarray:
-    """A Haar-random state on C^dim, or with perturbation set the normalized
-    perturbation of center at that scale; determined by the seed."""
+def _trial_coordinates(shape: tuple[int, int], df: int, center, perturbation: float | None,
+                       seed: int) -> tuple[np.ndarray, float]:
+    """One trial state's coordinates z on orthonormal vectors of the target's
+    side and its squared weight off them, ||z||^2 + weight = 1, drawn from
+    default_rng(seed) in this order: z's real parts, its imaginary parts,
+    then the chi-square.  A Haar state is G/||G|| for G iid N + iN, whose
+    coordinates are iid N + iN and whose weight off them is independent
+    chi-square with df degrees of freedom; with perturbation set the state
+    is center + perturbation G normalized, for a center of real coordinates
+    and no weight off them."""
     rng = np.random.default_rng(seed)
-    if perturbation is None:
-        return haar_state(dim, rng)
+    parts = rng.standard_normal((2, *shape))
+    off = rng.chisquare(df) if df else 0.0
     with np.errstate(over="ignore"):  # an overflowing perturbation is rejected below
-        raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        norm = math.sqrt(norm_sq(raw))
-    if not math.isfinite(norm):
+        if perturbation is not None:
+            parts *= perturbation
+            parts[0] += center
+            off *= perturbation * perturbation
+        total = norm_sq(parts) + off
+    if not math.isfinite(total):
         raise InvalidArgumentError(f"perturbation {perturbation} overflows the trial state")
-    return raw / norm
+    parts /= math.sqrt(total)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z, off / total
 
 
-def _require_trial(d: int, columns: int, perturbation: float | None) -> None:
-    """Price one certification trial before its state is drawn: its peak, by
-    tracemalloc, of columns D-long float columns, and 2 D more that hold a
-    perturbation's center."""
-    columns += 2 * d * (perturbation is not None)
-    require_bytes(columns * d * 8, f"a certification trial at D = {d}")
-
-
-def _identity_split(x: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
-    """t = T/d1 and ||X - t tensor I_d1||_F for T_ab = tr X_ab over X's d1 x d1
-    blocks, summed from that residual formed explicitly."""
-    m = len(x) // d1
-    residual = x.reshape(m, d1, m, d1).copy()  # residual[a, :, b] = X_ab
-    t = np.trace(residual, axis1=1, axis2=3) / d1
-    diagonals = np.einsum("aibi->abi", residual)  # a writable view: X_ab's diagonal at [a, b]
-    diagonals -= t[:, :, None]
-    return t, math.sqrt(norm_sq(residual))
+def _require_trial(d: int, arrays: int, size: int, perturbation: float | None) -> None:
+    """Price one certification trial before its coordinates are drawn:
+    arrays real arrays of its size coordinates, one more that holds a
+    perturbation's center, and TRIAL_BYTES."""
+    arrays += perturbation is not None
+    require_bytes(arrays * size * 8 + TRIAL_BYTES, f"a certification trial at D = {d}")
 
 
 def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: int,
@@ -260,28 +278,33 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
 
     By Schur's lemma that span is the commutant of sigma, onto which E
     projects: E(X) = t tensor I_d1 for psi = vec X, with t = T/d1 and T_ab =
-    tr X_ab over X's d1 x d1 blocks.  So the distance is ||X - E(X)||_F,
-    from that residual formed explicitly, and the internal test accepts with
-    1/2 + 1/2 a, a = <X, E(X)> = d1 ||t||^2 = 1 - distance^2 = 1 - 2 eps:
-    no group average is taken.
+    tr X_ab over X's d1 x d1 blocks.  So the distance is ||X - E(X)||_F, and
+    the internal test accepts with 1/2 + 1/2 a, a = <X, E(X)> = d1 ||t||^2 =
+    1 - distance^2 = 1 - 2 eps: no group average is taken.
 
-    With perturbation set, trial states are normalized perturbations of the
-    maximally entangled state at that scale instead of Haar-random states.
+    A trial reads only X's m^2 coordinates T_ab/sqrt(d1) on the span's
+    orthonormal vectors and the weight off it, ||X - E(X)||^2, drawn by
+    _trial_coordinates with 2 m^2 (d1^2 - 1) degrees of freedom: no state is
+    formed.  With perturbation set, trial states are normalized
+    perturbations of the maximally entangled state I/sqrt(d) at that scale
+    instead of Haar-random states; its coordinates are delta_ab/sqrt(m).
     """
     if multiplicity < 1:
         raise InvalidArgumentError(f"multiplicity must be positive, got {multiplicity}")
     d1 = irrep_dimension(shape)
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
-    d = multiplicity * d1
-    _require_trial(d, LEMMA_ARRAYS * d, perturbation)
-    center = None if perturbation is None else vec(np.eye(d)) / math.sqrt(d)
+    m = multiplicity
+    _require_trial(m * d1, LEMMA_ARRAYS, m * m, perturbation)
+    center = None
+    if perturbation is not None:  # I_m / sqrt(m); np.eye's fill holds 5.5 kB beside 8 m^2 B
+        center = np.zeros((m, m))
+        center.reshape(-1)[:: m + 1] = 1 / math.sqrt(m)
+    df = 2 * m * m * (d1 * d1 - 1)
     reports = []
     for t in range(trials):
-        # No trial state outlives its split, so none is held beside the next draw.
-        state = _trial_state(d * d, center, perturbation, seed + t)
-        traces, distance = _identity_split(unvec(state, d), d1)
-        del state
-        reports.append(TestReport.build(internal_acceptance(traces, d1), distance, 2.0))
+        z, off = _trial_coordinates((m, m), df, center, perturbation, seed + t)
+        acceptance = internal_acceptance(z / math.sqrt(d1), d1)
+        reports.append(TestReport.build(acceptance, math.sqrt(off), 2.0))
     return reports
 
 
@@ -293,14 +316,18 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     internal-test acceptance probabilities; the post-sampling state also
     satisfies the 2 sqrt(2 eps') internal-test bound.
 
-    Each trial reads one split of psi = vec X by the operator's irrep blocks
-    B: Gamma psi = vec(B B^T X), p = ||Gamma psi||^2, both distances and t =
-    T/d_lambda.  The post-sampling state X' = B B^T X / sqrt(p) lies in the
-    lambda component, so by Schur's lemma E(X') = sum_ab t_ab B_a B_b^T /
-    sqrt(p), and the internal test accepts with 1/2 + 1/2 a, a = <X', E(X')>
-    = d_lambda ||t||^2 / p: no group average is taken.  The total p (1 + a)/2
-    is <psi|A|psi>, so 2 eps = distance^2 + psi's weight on A's kernel.
-    Perturbed trials center on vec(B B^T)/sqrt(m d_lambda), which only they build.
+    A trial reads only Z = B^T X over the operator's irrep blocks B and the
+    weight ||X - Gamma X||^2 off their range, drawn by _trial_coordinates
+    with 2 D (D - m d_lambda) degrees of freedom: Gamma psi = vec(B Z), p =
+    ||Z||^2, and coordinate_split gives t = T/d_lambda and ||Z - K B^T||^2,
+    so the distance^2 is their explicit sum weight + ||Z - K B^T||^2.  The
+    post-sampling state X' = B Z / sqrt(p) lies in the lambda component, so
+    by Schur's lemma E(X') = sum_ab t_ab B_a B_b^T / sqrt(p), and the
+    internal test accepts with 1/2 + 1/2 a, a = <X', E(X')> = d_lambda
+    ||t||^2 / p: no group average is taken.  The total p (1 + a)/2 is
+    <psi|A|psi>, so 2 eps = distance^2 + psi's weight on A's kernel.
+    Perturbed trials center on vec(B B^T)/sqrt(m d_lambda), whose Z is B^T
+    over that root.
     """
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     op = verification_acceptance_operator(mu, nu, lam)
@@ -309,16 +336,18 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
         raise InvalidArgumentError(
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
-    _require_trial(d, COROLLARY_ARRAYS * d + SPLIT_COLUMNS * m * d_lam, perturbation)
-    center = None  # B B^T / sqrt(m d_lambda), state phi-pi's vector
-    if perturbation is not None:
-        center = vec(_projector(op.blocks).matrix) / math.sqrt(m * d_lam)
+    width = m * d_lam
+    _require_trial(d, COROLLARY_ARRAYS, width * d, perturbation)
+    rows = block_rows(op.blocks)
+    center = None if perturbation is None else rows / math.sqrt(width)
+    df = 2 * d * (d - width)
     trials_out = []
     for t in range(trials):
-        state = _trial_state(d * d, center, perturbation, seed + t)
-        projected, t_lam, inner, distance = op._split(unvec(state, d))  # Gamma = B B^T tensor I
-        p_sample = min(norm_sq(projected), 1.0)  # Gamma projects a unit vector; rounding is clamped
-        del state, projected  # neither is held beside the next draw and split
+        z, off = _trial_coordinates(rows.shape, df, center, perturbation, seed + t)
+        t_lam, inner = coordinate_split(rows, z, d_lam)
+        p_sample = min(norm_sq(z), 1.0)  # Z's share of a unit vector; rounding is clamped
+        del z  # not held beside the next draw
+        distance = math.sqrt(off + inner)
         if p_sample < 1e-14:
             trials_out.append(CertificationTrial(TestReport.build(0.0, distance, 3.0),
                                                  TestReport.build(0.0, 0.0, 2.0), degenerate=True))

@@ -285,9 +285,11 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
         raise InvalidArgumentError("state must be a unit vector")
     x = psi.reshape(rep.dim, -1)
     dim, k = x.shape
-    # The stacked rows of every label's blocks, twice while they stack, beside
-    # by_columns' 4 D k floats; or one label's B (at most D^2), Z and 4 D k more.
-    require_bytes((dim + max(dim, 2 * k) + 4 * k) * dim * 8,
+    # The stacked rows of every label's blocks (at most D^2) beside the next
+    # label's builder, as povm_ranks prices it; or twice while they stack,
+    # beside by_columns' 4 D k floats; or one label's B, Z and 4 D k more.
+    widest = max(m * irrep_dimension(shape) for shape, m in multiplicities(rep).items())
+    require_bytes((dim + max(BLOCK_ARRAYS * widest, max(dim, 2 * k) + 4 * k)) * dim * 8,
                   f"the measurement of S_{rep.n} at D = {dim}")
     shapes = enumerate_partitions(rep.n)
     rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]

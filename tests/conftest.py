@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snverify import verifier
 from snverify.characters import irrep_character
 from snverify.entangled import vec
 from snverify.errors import InvalidArgumentError
-from snverify.wfs import isotypic_block_basis
+from snverify.wfs import block_columns, isotypic_block_basis, norm_sq
 from snverify.symgroup import (
     Permutation,
     StandardTableau,
@@ -187,6 +188,122 @@ def _product_target_columns(m: int, d1: int) -> np.ndarray:
 @pytest.fixture
 def product_target_oracle():
     return _product_target_columns
+
+
+def _haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / math.sqrt(norm_sq(v))
+
+
+@pytest.fixture(scope="session")
+def haar_state():
+    return _haar_state
+
+
+def _trial_state(dim: int, center, perturbation, seed: int) -> np.ndarray:
+    """A Haar-random state on C^dim, or with perturbation set the normalized
+    perturbation of center at that scale, determined by the seed: the dense
+    trial state certification drew before it drew a trial's coordinates,
+    kept as the oracle for their distribution."""
+    rng = np.random.default_rng(seed)
+    if perturbation is None:
+        return _haar_state(dim, rng)
+    raw = center + perturbation * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return raw / math.sqrt(norm_sq(raw))
+
+
+def _identity_split(x: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
+    """t = T/d1 and ||X - t tensor I_d1||_F for T_ab = tr X_ab over X's d1 x d1
+    blocks, summed from that residual formed explicitly."""
+    m = len(x) // d1
+    residual = x.reshape(m, d1, m, d1).copy()  # residual[a, :, b] = X_ab
+    t = np.trace(residual, axis1=1, axis2=3) / d1
+    diagonals = np.einsum("aibi->abi", residual)  # a writable view: X_ab's diagonal at [a, b]
+    diagonals -= t[:, :, None]
+    return t, math.sqrt(norm_sq(residual))
+
+
+def _dense_trials(kind: str, dense, perturbation, seeds) -> np.ndarray:
+    """Per seeded dense trial state, the statistics the certification reports
+    read, by the route that formed the state: for a corollary (dense = its
+    acceptance operator) the corollary's acceptance and distance and the
+    theorem's, from the operator's split; for a lemma (dense = (m, d1)) the
+    acceptance and distance, from the identity split.  The oracle against
+    which the coordinates' draw is tested in distribution."""
+    rows = []
+    if kind == "corollary":
+        m, d, d_lam = dense.blocks.shape
+        center = vec(dense._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
+        for seed in seeds:
+            x = _trial_state(d * d, center, perturbation, seed).reshape(d, d)
+            projected, t, inner, distance = dense._split(x)
+            p = min(norm_sq(projected), 1.0)
+            a = verifier.internal_acceptance(t, d_lam, p)
+            rows.append((p * a, distance, a, math.sqrt(inner / p)))
+    else:
+        m, d1 = dense
+        d = m * d1
+        center = vec(np.eye(d)) / math.sqrt(d)
+        for seed in seeds:
+            x = _trial_state(d * d, center, perturbation, seed).reshape(d, d)
+            t, distance = _identity_split(x, d1)
+            rows.append((verifier.internal_acceptance(t, d1), distance))
+    return np.array(rows)
+
+
+@pytest.fixture(scope="session")
+def dense_trials():
+    return _dense_trials
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (coordinates, weight off them) pairs certification trials draw,
+    recorded in trial order."""
+    record, draw = [], verifier._trial_coordinates
+    monkeypatch.setattr(verifier, "_trial_coordinates",
+                        lambda *args: record.append(draw(*args)) or record[-1])
+    return record
+
+
+def _gaussian_matrix(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _rescaled(r: np.ndarray, weight: float) -> np.ndarray:
+    return r * math.sqrt(weight / norm_sq(r)) if weight else 0 * r
+
+
+def _corollary_state(blocks: np.ndarray, z: np.ndarray, weight: float, seed: int) -> np.ndarray:
+    """vec(B Z + R): a state whose coordinates B^T X are a corollary trial's
+    Z, for B the blocks side by side, and whose weight off B's range is the
+    trial's, R a seeded Gaussian projected off that range and rescaled."""
+    b = block_columns(blocks)
+    g = _gaussian_matrix(len(b), seed)
+    return vec(b @ z + _rescaled(g - b @ (b.T @ g), weight))
+
+
+def _lemma_state(d1: int, z: np.ndarray, weight: float, seed: int) -> np.ndarray:
+    """vec(z tensor I_d1 / sqrt(d1) + R): a state whose coordinates T_ab /
+    sqrt(d1) on the product target are a lemma trial's z and whose weight
+    off it is the trial's, R a seeded Gaussian with each d1 x d1 block made
+    traceless and rescaled."""
+    m = len(z)
+    g = _gaussian_matrix(m * d1, seed).reshape(m, d1, m, d1)
+    t = np.trace(g, axis1=1, axis2=3) / d1
+    r = (g - t[:, None, :, None] * np.eye(d1)[None, :, None, :]).reshape(m * d1, m * d1)
+    return vec(np.kron(z, np.eye(d1)) / math.sqrt(d1) + _rescaled(r, weight))
+
+
+@pytest.fixture(scope="session")
+def corollary_state():
+    return _corollary_state
+
+
+@pytest.fixture(scope="session")
+def lemma_state():
+    return _lemma_state
 
 
 def _stack_average(rep, x) -> np.ndarray:

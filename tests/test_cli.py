@@ -2,6 +2,7 @@
 determinism, and byte-identical self-test reports.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +204,7 @@ def test_verify_spectrum_json_holds_less_than_its_price(triple, pretty, monkeypa
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; a
-    # trial holds 8 D + 5 m d_lambda columns of D floats (1.6 MB).
+    # trial holds 10 arrays of its m d_lambda x D coordinates (0.55 MB).
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     code, doc = invoke(["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys)
     assert code == 0
@@ -211,22 +213,29 @@ def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, mo
 
 @pytest.mark.parametrize(
     "argv, d, price",
-    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 72_000),
-     (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "1"], 10, 6_400)],
-    ids=["certify", "certify-lemma"],
+    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 32_000),
+     (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "1"], 10, 3_424),
+     (["verify", "certify", "5,4", "5,3,1", "4,3,2", "--trials", "1"], 6804, 365_786_240)],
+    ids=["certify", "certify-lemma", "certify-n9"],
 )
 def test_certify_prices_its_trials_before_the_first_state(argv, d, price, capsys, monkeypatch):
-    # D = 30 with m d_lambda = 12 blocks' columns: 8 D + 5 m d_lambda columns
-    # of D floats; the lemma at D = 10: 8 D x D arrays.  At the price itself
-    # the command runs.
-    drawn, draw = [], verifier._trial_state
-    monkeypatch.setattr(verifier, "_trial_state", lambda *args: drawn.append(args) or draw(*args))
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
-    code, doc = invoke(argv, capsys)
+    # D = 30 with m d_lambda = 12: 10 arrays of the 12 x 30 coordinates and
+    # 3,200 B of Python objects; the lemma at D = 10, m = 2: 7 arrays of the
+    # 2 x 2 coordinates and the same 3,200 B.  At n = 9, D = 6,804 and m
+    # d_lambda = 672, the price is within the default budget, where the dense
+    # trial's 3.15 GB exited 3.  At the price itself the command runs.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    drawn, draw = [], verifier._trial_coordinates
+    monkeypatch.setattr(verifier, "_trial_coordinates",
+                        lambda *args: drawn.append(args) or draw(*args))
+    with monkeypatch.context() as scoped:
+        scoped.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
+        code, doc = invoke(argv, capsys)
     assert code == 3
     assert doc["error"].startswith(f"a certification trial at D = {d}: {price} B")
     assert drawn == []
-    monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price))
+    if d < 1000:  # the n = 9 run is made under the default budget
+        monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price))
     code, doc = invoke(argv, capsys)
     assert code == 0 and doc["violations"] == 0
     assert len(drawn) == 1
@@ -235,7 +244,8 @@ def test_certify_prices_its_trials_before_the_first_state(argv, d, price, capsys
 def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys, monkeypatch):
     # I_30 x rho^(3,1,1), D = 180: certification priced the average at 12 +
     # n(n-1)/2 = 22 D x D arrays with the images turn reads (5,702,400 B) and
-    # exited 3 under this budget; a trial now holds 8 (2,073,600 B).
+    # exited 3 under this budget; the dense trial state held 8 (2,073,600 B),
+    # and a trial now holds 7 arrays of its 30 x 30 coordinates.
     budget = 4_000_000
     assert (12 + 10) * 180**2 * 8 > budget > 8 * 180**2 * 8
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(budget))
@@ -249,12 +259,13 @@ def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys
 def test_certify_outputs_are_pinned(capsys):
     # Frozen so that a later kernel cannot move them silently: the
     # corollary's stdout by its digest, its acceptances within 1e-16 of
-    # <psi|A|psi> from the dense operator Gamma (I + W) Gamma / 2; the lemma's
-    # reports at 1e-12 from the coset-tower formula 1/2 + 1/2 Re<X, E(X)> and
-    # the dense distance to the product target.
+    # <psi|A|psi> from the dense operator Gamma (I + W) Gamma / 2 on the
+    # states built from the drawn coordinates; the lemma's reports at 1e-12
+    # from the coset-tower formula 1/2 + 1/2 Re<X, E(X)> and the dense
+    # distance to the product target on the states built from them.
     assert main(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "20", "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "79517ec1ce8dfa1f8634d307207a17ef26de5c5d5fd0ded700ae1373d67748a9"
+    assert digest == "76549c227589dda5f7b6934c5380e35c86330e6d1247b759209f0c216db0cf89"
     code, doc = invoke(
         ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "20", "--seed", "5"], capsys
     )
@@ -396,15 +407,15 @@ def test_block_builder_imports_no_random_generator(argv):
         ["wfs", "povm", "4,2,1", "4,1,1,1"],
     ],
 )
-def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
+def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path, haar_state):
     # States on C^D x C^D: Haar at D = 210 and 490, and vec(Xi)/sqrt(rank) of
     # 4,2,1 in 4,3 x 5,1,1.
     states = {
         "phi144": lambda: phi_plus(144),
         "haar210": lambda: StateVector(
-            (210, 210), verifier.haar_state(210 * 210, np.random.default_rng(0))),
+            (210, 210), haar_state(210 * 210, np.random.default_rng(0))),
         "haar490": lambda: StateVector(
-            (490, 490), verifier.haar_state(490 * 490, np.random.default_rng(0))),
+            (490, 490), haar_state(490 * 490, np.random.default_rng(0))),
         "phipi210": lambda: max_entangled_over_range(
             wfs_projector(tensor_rep(Partition((4, 3)), Partition((5, 1, 1))),
                           Partition((4, 2, 1)))),
@@ -422,7 +433,7 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
+def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path, haar_state):
     # Only wfs project and state phi-pi read Xi_lambda; wfs povm and the state
     # paths read the irrep blocks, and the rank route their seeds.
     def refuse(*args):
@@ -431,7 +442,7 @@ def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path):
     for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (cli, "wfs_projector")):
         monkeypatch.setattr(module, name, refuse)
     path = tmp_path / "haar.json"
-    state = StateVector((30, 30), verifier.haar_state(30 * 30, np.random.default_rng(1)))
+    state = StateVector((30, 30), haar_state(30 * 30, np.random.default_rng(1)))
     path.write_text(serialize.dumps(serialize.state_to_json(state)))
     for argv in (["wfs", "measure", "3,2", "3,1,1", "--state", str(path), "--seed", "2"],
                  ["wfs", "measure", "3,2", "3,1,1", "--seed", "2"],
@@ -537,10 +548,10 @@ def test_certify_lemma_at_multiplicity_30_fits_the_default_budget(capsys, monkey
 
 
 def test_certify_lemma_fits_the_trial_price_with_no_representation_built(capsys, monkeypatch):
-    # I_2 x rho^(5,4), D = 84: a trial is priced at 451,584 B.  The dense
-    # representation's 8 Kronecker images (508,032 B) were priced and built,
-    # though the lemma reads only the dimensions, and exited 3 under this
-    # budget.
+    # I_2 x rho^(5,4), D = 84: the dense trial state was priced at 451,584 B.
+    # The dense representation's 8 Kronecker images (508,032 B) were priced
+    # and built, though the lemma reads only the dimensions, and exited 3
+    # under this budget.
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", "480000")
     argv = ["certify-lemma", "5,4", "--multiplicity", "2", "--trials", "2"]
     code, doc = invoke(argv, capsys)
@@ -602,17 +613,15 @@ def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
     assert doc["min_slack"] == min(r["bound"] - r["distance_to_target"] for r in doc["reports"])
     assert "degenerate_trials" not in doc
 
-    # Trial states orthogonal to the sampled isotypic component are counted.
-    two_one = Partition((2, 1))
-    xi = wfs_projector(tensor_rep(two_one, two_one), Partition((3,))).matrix
-    gamma = np.kron(xi, np.eye(4))
+    # Trial states orthogonal to the sampled isotypic component are counted:
+    # each drawn coordinate is 0 and the whole weight lies off the blocks.
+    draw = verifier._trial_coordinates
 
-    def outside_component(dim, rng):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v = v - gamma @ v
-        return v / np.linalg.norm(v)
+    def outside_component(*args):
+        z, _ = draw(*args)
+        return 0 * z, 1.0
 
-    monkeypatch.setattr(verifier, "haar_state", outside_component)
+    monkeypatch.setattr(verifier, "_trial_coordinates", outside_component)
     code, doc = invoke(
         ["verify", "certify", "2,1", "2,1", "3", "--trials", "4", "--seed", "0"], capsys
     )
@@ -958,12 +967,12 @@ def test_oversized_state_file_exits_3_before_it_is_parsed(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("pairs", ["haar", "zeros"])
-def test_state_file_load_holds_less_than_its_price(pairs, tmp_path):
+def test_state_file_load_holds_less_than_its_price(pairs, tmp_path, haar_state):
     # 44,100 pairs: a Haar state's full-precision texts, and [0,0], the
     # shortest pair text, at 6 B a pair.
     path = tmp_path / "state.json"
     if pairs == "haar":
-        psi = verifier.haar_state(210 * 210, np.random.default_rng(0))
+        psi = haar_state(210 * 210, np.random.default_rng(0))
         path.write_text(serialize.dumps(serialize.state_to_json(StateVector((210, 210), psi))))
     else:
         path.write_text('{"registers": [210, 210], "amplitudes": [[1,0]' + ",[0,0]" * 44099 + "]}")
@@ -1127,6 +1136,17 @@ def test_wfs_measure_is_seed_deterministic(capsys):
     _, a = invoke(["wfs", "measure", "2,1", "2,1", "--seed", "11"], capsys)
     _, b = invoke(["wfs", "measure", "2,1", "2,1", "--seed", "11"], capsys)
     assert a == b
+
+
+def test_report_dicts_are_the_reports_fields_in_order():
+    # The certification document copies each report's fields, not
+    # dataclasses.asdict's deep copy: the same keys, order and floats.
+    trials = verifier.certify_corollary_bound(Partition((2, 1)), Partition((2, 1)),
+                                              Partition((2, 1)), 3, 4, 0.2)
+    reports = [t.corollary for t in trials] + [t.theorem for t in trials]
+    args = argparse.Namespace(trials=3, seed=4)
+    doc = cli._reports_doc(args, reports=reports)
+    assert [list(d.items()) for d in doc["reports"]] == [list(asdict(r).items()) for r in reports]
 
 
 def test_certify_is_seed_deterministic(capsys):

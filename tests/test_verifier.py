@@ -25,7 +25,6 @@ from snverify.verifier import (
     certify_corollary_bound,
     certify_lemma_bound,
     channel_E,
-    haar_state,
     internal_test_probability,
     run_verifier_sampled,
     verification_acceptance_operator,
@@ -170,7 +169,7 @@ def test_internal_test_half_on_traceless_orthogonal_state():
     assert circuit == pytest.approx(0.5, abs=1e-10)
 
 
-def test_internal_test_formula_and_circuit_relation():
+def test_internal_test_formula_and_circuit_relation(haar_state):
     # Both are 1/2 + Re<X,E(X)>/2 on random states, though the formula sums
     # over the coset tower and the circuit walks the coset tree element by
     # element.
@@ -314,7 +313,8 @@ def test_closed_form_operator_matches_dense_oracle(n, commutant_oracle, acceptin
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_distance):
+def test_closed_form_distance_matches_the_dense_basis(n, accepting_oracle, span_distance,
+                                                     haar_state):
     # Seeded states and, where m > 0, the witness vec(Xi)/sqrt(m d_lam).
     # With m = 0 there is no accepting state and the distance is ||psi||.
     # Certification reads a post-sampling state's distance off psi's split.
@@ -423,28 +423,29 @@ def test_lemma_rejects_a_multiplicity_below_one():
 
 
 def test_lemma_distance_matches_the_product_target_oracle(
-    product_target_oracle, span_distance, monkeypatch
+    product_target_oracle, span_distance, lemma_state, drawn, monkeypatch
 ):
-    # Haar and perturbed trials, and a block state vec(A x I_d1)/sqrt(d1) of
-    # the target itself, at distance 0.
+    # Haar and perturbed trials, each against the state built from its drawn
+    # coordinates, and a block state vec(A x I_d1)/sqrt(d1) of the target
+    # itself, at distance 0.
     for m, shape in ((1, P("2,1")), (2, P("3,2")), (3, P("2,1"))):
         d1 = irrep_dimension(shape)
-        d = m * d1
         oracle = product_target_oracle(m, d1)
-        center = vec(np.eye(d)) / math.sqrt(d)
         for perturbation in (None, 0.1):
+            drawn.clear()
             reports = certify_lemma_bound(shape, m, trials=4, seed=5, perturbation=perturbation)
-            for t, report in enumerate(reports):
-                psi = verifier._trial_state(d * d, center, perturbation, 5 + t)
+            for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
+                psi = lemma_state(d1, z, weight, 5 + t)
                 assert report.distance_to_target == pytest.approx(
                     span_distance(oracle, psi), rel=1e-14, abs=1e-15)
         a = np.arange(1.0, m * m + 1).reshape(m, m)
         block = vec(np.kron(a / np.linalg.norm(a), np.eye(d1) / math.sqrt(d1)))
-        monkeypatch.setattr(verifier, "haar_state", lambda dim, rng: block)
-        (report,) = certify_lemma_bound(shape, m, trials=1, seed=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_trial_coordinates",
+                            lambda *args: (a / np.linalg.norm(a) + 0j, 0.0))
+            (report,) = certify_lemma_bound(shape, m, trials=1, seed=0)
         assert span_distance(oracle, block) < 1e-15
         assert report.distance_to_target < 1e-15
-        monkeypatch.undo()
 
 
 # ------------------------------------------------------------ Corollary bound
@@ -498,19 +499,20 @@ def _nonzero_triples(n_max: int):
 
 @pytest.mark.parametrize(
     "mu, nu, lam", [*_nonzero_triples(5), (P("4,3"), P("4,2,1"), P("4,2,1"))], ids=str)
-def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam):
+def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam, corollary_state,
+                                                                drawn):
     # The theorem report's acceptance, read from the split's t, against
     # 1/2 + 1/2 Re<X', E(X')> with E through the coset tower, on the
-    # post-sampling state X' of each seeded Haar and perturbed trial.
+    # post-sampling state X' of the state built from each seeded Haar and
+    # perturbed trial's coordinates.
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     op = verification_acceptance_operator(mu, nu, lam)
-    m, _, d_lam = op.blocks.shape
-    center = vec(op._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
     for perturbation in (None, 0.1):
+        drawn.clear()
         trials = certify_corollary_bound(mu, nu, lam, trials=2, seed=3, perturbation=perturbation)
-        for t, trial in enumerate(trials):
-            psi = verifier._trial_state(d * d, center, perturbation, 3 + t)
+        for t, (trial, (z, weight)) in enumerate(zip(trials, drawn, strict=True)):
+            psi = corollary_state(op.blocks, z, weight, 3 + t)
             projected = op._split(unvec(psi, d))[0]
             p_sample = norm_sq(projected)
             formula = verifier._formula_value(sigma, projected / math.sqrt(p_sample))
@@ -520,16 +522,16 @@ def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam):
 
 
 @pytest.mark.parametrize("m, shape", [(2, "2,1"), (2, "3,2"), (30, "3,1,1"), (3, "4,2,1")])
-def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape):
-    # d1 ||T/d1||^2 from the block traces against the coset tower's <X, E(X)>.
+def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape, lemma_state, drawn):
+    # d1 ||T/d1||^2 from the drawn coordinates against the coset tower's
+    # <X, E(X)> on the state built from them.
     rep = identity_times_irrep(m, P(shape))
-    d = rep.dim
-    center = vec(np.eye(d)) / math.sqrt(d)
+    d, d1 = rep.dim, irrep_dimension(P(shape))
     for perturbation in (None, 0.1):
+        drawn.clear()
         reports = certify_lemma_bound(P(shape), m, trials=3, seed=4, perturbation=perturbation)
-        for t, report in enumerate(reports):
-            psi = verifier._trial_state(d * d, center, perturbation, 4 + t)
-            formula = verifier._formula_value(rep, unvec(psi, d))
+        for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
+            formula = verifier._formula_value(rep, unvec(lemma_state(d1, z, weight, 4 + t), d))
             assert abs(report.acceptance_probability - formula) <= 1e-12
 
 
@@ -544,33 +546,34 @@ def _dense_acceptance(rep, xi: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("case", ["lemma-d4", "lemma-d6", "corollary-d4", "corollary-d6",
                                   "corollary-d30"])
-def test_certified_acceptance_is_the_verifiers_own(case):
-    # Each report's acceptance against the verifier it certifies: <psi|A|psi>
-    # for the dense acceptance operator at D <= 6, p times the circuit's walk
-    # on the post-sampling state at D = 30.  Then distance^2 <= 2 eps, within
-    # both bounds: equal for the lemma and the theorem, with the weight on
-    # A's eigenvalue 0 between them for the corollary.
+def test_certified_acceptance_is_the_verifiers_own(case, corollary_state, lemma_state, drawn):
+    # Each report's acceptance against the verifier it certifies, on the state
+    # built from the trial's drawn coordinates: <psi|A|psi> for the dense
+    # acceptance operator at D <= 6, p times the circuit's walk on the
+    # post-sampling state at D = 30.  Then distance^2 <= 2 eps, within both
+    # bounds: equal for the lemma and the theorem, with the weight on A's
+    # eigenvalue 0 between them for the corollary.
     kind, d = case.split("-d")
     if kind == "lemma":
         m, shape = {"4": (2, P("2,1")), "6": (3, P("2,1"))}[d]
         rep = identity_times_irrep(m, shape)
-        center = vec(np.eye(rep.dim)) / math.sqrt(rep.dim)
         dense = _dense_acceptance(rep, np.eye(rep.dim))
+        build = lambda z, weight, seed: lemma_state(irrep_dimension(shape), z, weight, seed)
     else:
         mu, nu, lam = (P(t) for t in {"4": ("2,1", "2,1", "2,1"), "6": ("3,1", "2,2", "3,1"),
                                       "30": ("3,2", "3,1,1", "3,1,1")}[d])
         rep, op = tensor_rep(mu, nu), verification_acceptance_operator(mu, nu, lam)
-        m, _, d_lam = op.blocks.shape
-        center = vec(op._split(np.eye(rep.dim))[0]) / math.sqrt(m * d_lam)
         dense = None if d == "30" else _dense_acceptance(rep, wfs_projector(rep, lam).matrix)
+        build = lambda z, weight, seed: corollary_state(op.blocks, z, weight, seed)
     for perturbation in (None, 0.3, 0.03):
+        drawn.clear()
         if kind == "lemma":
             reports = equal = certify_lemma_bound(shape, m, 3, 2, perturbation)
         else:
             trials = certify_corollary_bound(mu, nu, lam, 3, 2, perturbation)
             reports, equal = [t.corollary for t in trials], [t.theorem for t in trials]
-        for t, report in enumerate(reports):
-            psi = verifier._trial_state(rep.dim**2, center, perturbation, 2 + t)
+        for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
+            psi = build(z, weight, 2 + t)
             if dense is not None:
                 expected = float(np.vdot(psi, dense @ psi).real)
             else:
@@ -610,9 +613,10 @@ TRIAL_CASES = {
 @pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
 @pytest.mark.parametrize("case", list(TRIAL_CASES))
 def test_certification_trials_hold_what_they_price(case, perturbation, monkeypatch):
-    # From the trial price on: the center and three trials, each a state, its
-    # split and its residual.  corollary-d35-whole has m d_lambda = D, the
-    # split's largest shape; the blocks are built before and held apart.
+    # From the trial price on: B^T, the center and three trials, each its
+    # coordinates, their split and the reports.  corollary-d35-whole has m
+    # d_lambda = D, the coordinates' largest shape and no weight off B's
+    # range; the blocks are built before and held apart.
     call = TRIAL_CASES[case]
     call(perturbation)  # the factors' images, cached and priced apart
     priced, checked = [], verifier.require_bytes
@@ -632,6 +636,74 @@ def test_certification_trials_hold_what_they_price(case, perturbation, monkeypat
         tracemalloc.stop()
     ((price, held),) = priced
     assert peak - held <= price < 1.25 * (peak - held), (peak - held, price)
+
+
+@pytest.mark.parametrize("case", ["corollary-d30", "lemma-d10"])
+def test_sampled_weight_has_its_beta_mean(case, drawn):
+    # A Haar trial's weight on the target's side, ||z||^2 (p for the
+    # corollary, a for the lemma), is Beta(k, K - k) for k of the K complex
+    # coordinates of the state: mean k/K.  Over 2,000 seeds the sample mean
+    # lies within 4 sigma of it.
+    if case == "corollary-d30":
+        certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2000, seed=0)
+        k, total = 12 * 30, 30 * 30
+    else:
+        certify_lemma_bound(P("3,2"), 2, trials=2000, seed=0)
+        k, total = 2 * 2, 10 * 10
+    weights = np.array([norm_sq(z) for z, _ in drawn])
+    assert len(weights) == 2000
+    sigma = math.sqrt(k * (total - k) / (total**2 * (total + 1)) / len(weights))
+    assert abs(weights.mean() - k / total) <= 4 * sigma, (weights.mean(), k / total, sigma)
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = np.searchsorted(a, both, side="right") / len(a) - np.searchsorted(
+        b, both, side="right") / len(b)
+    return float(np.abs(gap).max())
+
+
+@pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
+def test_drawn_coordinates_match_the_dense_trial_states_in_distribution(perturbation, dense_trials):
+    # 3,000 trials a side, on disjoint seeds: the reports' statistics from the
+    # drawn coordinates against those of the dense trial states, the
+    # corollary at D = 30 (both acceptances and distances) and the lemma at
+    # d = 10 (its acceptance and distance).  Six statistics and two runs make
+    # twelve comparisons, each held to the two-sample critical value at the
+    # family's 5 % level (Bonferroni, 0.05/12): c = sqrt(-ln(0.05/24) / 2)
+    # times sqrt(2/3,000), 0.0454.
+    trials, critical = 3000, math.sqrt(-math.log(0.05 / 24) / 2) * math.sqrt(2 / 3000)
+    mu, nu, lam = P("3,2"), P("3,1,1"), P("3,1,1")
+    corollary = certify_corollary_bound(mu, nu, lam, trials, 10**6, perturbation)
+    new = [np.array([(t.corollary.acceptance_probability, t.corollary.distance_to_target,
+                      t.theorem.acceptance_probability, t.theorem.distance_to_target)
+                     for t in corollary])]
+    new.append(np.array([(r.acceptance_probability, r.distance_to_target)
+                         for r in certify_lemma_bound(P("3,2"), 2, trials, 10**6, perturbation)]))
+    old = [dense_trials("corollary", verification_acceptance_operator(mu, nu, lam), perturbation,
+                        range(trials)),
+           dense_trials("lemma", (2, 5), perturbation, range(trials))]
+    statistics = [_ks_statistic(a[:, k], b[:, k]) for a, b in zip(new, old) for k in range(a.shape[1])]
+    assert len(statistics) == 6
+    assert max(statistics) < critical, statistics
+
+
+@pytest.mark.parametrize("perturbation", [None, 0.3, 0.01, 0.0])
+def test_reports_keep_the_bound_identities(perturbation):
+    # distance^2 <= 2 eps for the corollary, the weight on A's eigenvalue 0
+    # between them; distance^2 = 2 eps for the lemma and the theorem, to
+    # rounding.
+    for mu, nu, lam in ((P("2,1"),) * 3, (P("3,2"), P("3,1,1"), P("3,1,1")),
+                        (P("7"), P("4,2,1"), P("4,2,1"))):
+        for trial in certify_corollary_bound(mu, nu, lam, 200, 7, perturbation):
+            assert trial.corollary.distance_to_target**2 <= 2 * trial.corollary.epsilon + 1e-12
+            assert trial.theorem.distance_to_target**2 == pytest.approx(
+                2 * trial.theorem.epsilon, abs=1e-12)
+    for shape, m in ((P("3,2"), 2), (P("2,1"), 3), (P("1"), 4)):
+        for report in certify_lemma_bound(shape, m, 200, 7, perturbation):
+            assert report.distance_to_target**2 == pytest.approx(2 * report.epsilon, abs=1e-12)
 
 
 # ------------------------------------------------------------- sampled runs
@@ -683,7 +755,7 @@ def test_sampled_run_walks_no_group(monkeypatch):
     assert out["internal_acceptance_probability"] == pytest.approx(1.0, abs=1e-9)
 
 
-def _lambda_state(mu, nu, lam, seed):
+def _lambda_state(mu, nu, lam, seed, haar_state):
     """The post-sampling state of a seeded Haar state for lam, which always
     samples lam."""
     op = verification_acceptance_operator(mu, nu, lam)
@@ -704,11 +776,12 @@ def _run_against_the_circuit(mu, nu, lam, psi):
 
 
 @pytest.mark.parametrize("mu, nu, lam", list(_nonzero_triples(5)), ids=str)
-def test_sampled_run_matches_the_circuit_oracle(mu, nu, lam):
+def test_sampled_run_matches_the_circuit_oracle(mu, nu, lam, haar_state):
     # 1/2 + 1/2 d_lambda ||t||^2 from the split against the walk over all n!
     # control blocks, on two seeded Haar post-sampling states.
     for seed in (0, 1):
-        value, circuit = _run_against_the_circuit(mu, nu, lam, _lambda_state(mu, nu, lam, seed))
+        psi = _lambda_state(mu, nu, lam, seed, haar_state)
+        value, circuit = _run_against_the_circuit(mu, nu, lam, psi)
         assert abs(value - circuit) <= 1e-12
 
 
@@ -726,11 +799,11 @@ SPLIT_CASES = [("3,2", "3,1,1", "3,1,1"), ("7", "4,2,1", "4,2,1"), ("4,2", "3,2,
 
 
 @pytest.mark.parametrize("mu, nu, lam", SPLIT_CASES, ids=str)
-def test_sampled_run_split_holds_what_it_prices(mu, nu, lam, monkeypatch):
+def test_sampled_run_split_holds_what_it_prices(mu, nu, lam, monkeypatch, haar_state):
     # From the split's price on, beside the measurement's coordinates Z held
     # before it: t read from Z, at most the size of a post-state.
     mu, nu, lam = P(mu), P(nu), P(lam)
-    psi = _lambda_state(mu, nu, lam, 3)
+    psi = _lambda_state(mu, nu, lam, 3, haar_state)
     run_verifier_sampled(mu, nu, lam, psi, seed=0)  # the factors' images, cached and priced apart
     priced, checked = [], verifier.require_bytes
 
@@ -768,7 +841,7 @@ def test_sampled_run_builds_each_label_blocks_once(monkeypatch):
     assert calls == list(enumerate_partitions(4))
 
 
-def test_sampled_run_decisions_are_pinned():
+def test_sampled_run_decisions_are_pinned(haar_state):
     # Frozen from the coset-tree circuit's runs on one seeded Haar state of
     # the bench triple, so that a later kernel cannot move them silently.
     psi = haar_state(900, np.random.default_rng(0))

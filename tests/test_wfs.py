@@ -12,7 +12,6 @@ import pytest
 from snverify import characters, entangled, wfs
 from snverify.characters import lightning_distribution, multiplicities
 from snverify.entangled import phi_plus, psi_lambda
-from snverify.verifier import haar_state
 from snverify.errors import InvalidArgumentError, NumericalConsistencyError
 from snverify.symgroup import Partition, enumerate_partitions, enumerate_tableaux, irrep_dimension
 from snverify.wfs import (
@@ -386,7 +385,7 @@ def test_projectors_of_every_kind_walk_the_character_columns_once(kind, monkeypa
 
 @pytest.mark.parametrize(
     "step", ["tableau", "blocks", "projector", "povm-ranks", "measure", "psi-lambda"])
-def test_lattice_steps_hold_what_they_price(step, monkeypatch):
+def test_lattice_steps_hold_what_they_price(step, monkeypatch, haar_state):
     # D = 144, n = 6: the block builder holds at most 5 copies of its m x D x
     # d blocks, after its chain held at most 5 of its m + 1 probe rows, and
     # then, with m > 0, 5 of its m seeds; a projector holds itself beside the
@@ -436,3 +435,34 @@ def test_lattice_steps_hold_what_they_price(step, monkeypatch):
     assert prices == [8 * k for k in floats]
     # Python's own objects add a few kB beside the arrays.
     assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("mu, nu, widest", [("4,3", "4,2,1", 140), ("4,2,1", "4,2,1", 315)],
+                         ids=["d490", "d1225"])
+def test_measurement_of_a_state_on_c_d_holds_what_it_prices(mu, nu, widest, monkeypatch,
+                                                            haar_state):
+    # A state on C^D (k = 1): the stacked rows of every label, at most D^2
+    # floats, beside the next label's builder, 5 m d D floats for the widest
+    # label, outprice the stacking's 2 D^2 + 4 D; the stacking holds the
+    # peak, the rows twice and a few kB of each label's Python objects
+    # (2.016 and 2.004 D^2 by tracemalloc).
+    sigma = tensor_rep(P(mu), P(nu))
+    dim = sigma.dim
+    psi = haar_state(dim, np.random.default_rng(0))
+    wfs.sample_wfs(sigma, psi, 1)  # the factors' images, cached and priced apart
+    prices, checked = [], wfs.require_bytes
+
+    def spy(nbytes, what):
+        checked(nbytes, what)
+        if what.startswith("the measurement"):
+            prices.append(nbytes)
+
+    monkeypatch.setattr(wfs, "require_bytes", spy)
+    tracemalloc.start()
+    try:
+        wfs.sample_wfs(sigma, psi, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prices == [(dim + 5 * widest) * dim * 8]
+    assert peak <= prices[0] < 1.25 * peak, (peak, prices)
