@@ -433,6 +433,28 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path, haa
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(["state", "psi-lambda", "4,3", "4,2,1", "4,2,1"],
+      "8888a2fbfb4d836d9fb27409aac8135b2df44e35ad418eb87b7f09fb0070849f"),
+     (["wfs", "measure", "4,3", "4,2,1", "--seed", "5"],
+      "90f8a068fafd74623eb3c91cd2a8635758606751989ecc7aaf344178eba28339"),
+     (["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "{haar30}", "--seed", "1"],
+      "04d8f1acf75d7a16047d96b8782aa392a1496df3de4d52400b6b916a0c30a8c6")],
+    ids=["psi-lambda", "measure", "run"],
+)
+def test_block_consumer_stdout_is_pinned(argv, digest, tmp_path, haar_state):
+    # One BLAS thread; the run's state is Haar at D = 30, and seed 1 reaches
+    # the internal test, whose acceptance reads the sampled label's blocks.
+    path = tmp_path / "haar30.json"
+    state = StateVector((30, 30), haar_state(30 * 30, np.random.default_rng(3)))
+    path.write_text(serialize.dumps(serialize.state_to_json(state)))
+    cmd = [sys.executable, "-m", "snverify.cli", *(a.format(haar30=path) for a in argv)]
+    proc = subprocess.run(cmd, capture_output=True, check=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path, haar_state):
     # Only wfs project and state phi-pi read Xi_lambda; wfs povm and the state
     # paths read the irrep blocks, and the rank route their seeds.
