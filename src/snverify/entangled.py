@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, require_bytes
 from .symgroup import Partition, irrep_dimension
-from .wfs import Projector, block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq
+from .wfs import Projector, block_columns, by_columns, isotypic_block_basis, norm_sq
 from .yyrep import GroupRep
 
 
@@ -35,8 +35,9 @@ class StateVector:
             raise InvalidArgumentError(
                 f"amplitude vector of length {amps.shape} does not match registers {self.registers}"
             )
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:  # also rejects NaN
-            raise InvalidArgumentError("state vector must have unit norm")
+        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails
+            if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:  # also rejects NaN
+                raise InvalidArgumentError("state vector must have unit norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -93,11 +94,11 @@ def psi_lambda(
     if not np.isfinite(phi).all():
         raise InvalidArgumentError("phi must have finite amplitudes")
     blocks = isotypic_block_basis(rep, shape)
-    m, _, d_lam = blocks.shape
+    m, d_lam, _ = blocks.shape
     # The blocks, B and Z = B^T X beside by_columns' 4 D^2 floats, or the
     # image beside norm_sq's three D^2 (tracemalloc).
     require_bytes((5 * d + 4 * m * d_lam) * d * 8, f"psi-lambda of {shape} at D = {d}")
-    image = by_columns(block_columns(blocks), by_columns(block_rows(blocks), unvec(phi, d)))
+    image = by_columns(block_columns(blocks), by_columns(blocks.reshape(-1, d), unvec(phi, d)))
     image *= math.factorial(rep.n) / irrep_dimension(shape)
     raw = vec(image)
     weight = norm_sq(raw)

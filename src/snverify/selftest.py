@@ -312,7 +312,8 @@ def _block_states_and_fixed_points(rep, shape: Partition) -> tuple[int, float, f
     units = np.eye(d * d).reshape(d * d, d, d)
     rank = sum(float(np.vdot(unit, xi @ channel_E(rep, unit)).real) for unit in units)
     blocks = isotypic_block_basis(rep, shape)
-    states = [b @ b.T / math.sqrt(irrep_dimension(shape)) for b in blocks]
+    states = [b @ b.T / math.sqrt(irrep_dimension(shape))
+              for b in map(np.ascontiguousarray, blocks.transpose(0, 2, 1))]
     off = max((math.sqrt(norm_sq(xi @ channel_E(rep, x) - x)) for x in states), default=0.0)
     return len(blocks), rank, off
 

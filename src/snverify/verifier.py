@@ -2,7 +2,7 @@
 acceptance operator, and Monte-Carlo certification of the robustness
 bounds.  The operator is held as the irrep blocks of the lambda component
 alone: its three eigenvalue levels, completeness and soundness are read
-from their shape (m, D, d_lambda), and m^2 is its eigenvalue-1 count.
+from their shape (m, d_lambda, D), and m^2 is its eigenvalue-1 count.
 Every command reads the internal test from the same blocks in closed form,
 a = <X, E(X)> = d_lambda ||t||^2, and reports the circuit's 1/2 + 1/2 a:
 `verify run` and certification alike.  Only the self-test and the tests
@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import multiplicities
 from .errors import InvalidArgumentError, require_bytes
 from .entangled import unvec
 from .symgroup import Partition, irrep_dimension
-from .wfs import block_columns, block_rows, by_columns, isotypic_block_basis, norm_sq, sample_wfs
+from .wfs import block_columns, by_columns, isotypic_block_basis, norm_sq, sample_wfs
 from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
@@ -40,39 +41,41 @@ BOUND_SLACK = 1e-8
 REPORT_BYTES = 1300
 # A certification trial's peak, by tracemalloc, in real arrays the size of
 # its coordinates: the lemma's z, its traces and the squares of their norm;
-# the corollary's z, B^T, coordinate_split's K B^T, its copy and the squares
-# of Z - K B^T (10.0-10.04, and 9.0 at D = 490, where NumPy elides a
+# the corollary's z, coordinate_split's K B^T, its copy and the squares of
+# Z - K B^T (9.0 at D = 35, and 8.0 at D = 490, where NumPy elides a
 # temporary).  Beside them TRIAL_BYTES of Python objects: the generator,
 # the error-state context and the reports (2.2-2.9 kB).
 LEMMA_ARRAYS = 7
-COROLLARY_ARRAYS = 10
+COROLLARY_ARRAYS = 9
 TRIAL_BYTES = 3200
 
 
-def block_traces(rows: np.ndarray, z: np.ndarray, d_lam: int) -> np.ndarray:
-    """t = T/d_lambda for rows = B^T of the d_lambda-wide blocks and Z = B^T X:
+def block_traces(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """t = T/d_lambda for the m x d_lambda x D blocks B^T and Z = B^T X:
     T_ab = tr(B_a^T X B_b) = <vec Z_a, vec B_b^T>, Z_a the rows of block a."""
-    m, width = len(rows) // d_lam, d_lam * rows.shape[1]
-    return by_columns(rows.reshape(m, width), z.reshape(m, width).T).T / d_lam
+    m, d_lam, dim = blocks.shape
+    flat = blocks.reshape(m, d_lam * dim)
+    return by_columns(flat, z.reshape(flat.shape).T).T / d_lam
 
 
-def coordinate_split(rows: np.ndarray, z: np.ndarray, d_lam: int) -> tuple[np.ndarray, float]:
-    """t = T/d_lambda and ||Z - K B^T||_F^2, K = t x I, for rows = B^T of the
-    d_lambda-wide blocks and a state's coordinates Z = B^T X: the part of
-    B Z off the eigenvalue-1 space, formed explicitly, whatever X is off B's
-    range.  Row a of K B^T is sum_b T_ab vec(B_b^T), by by_columns."""
-    t = block_traces(rows, z, d_lam)
-    flat = rows.reshape(len(rows) // d_lam, d_lam * rows.shape[1])
-    k_bt = by_columns(np.ascontiguousarray(flat.T), t.T).T
+def coordinate_split(blocks: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """t = T/d_lambda and ||Z - K B^T||_F^2, K = t x I, for the m x d_lambda
+    x D blocks B^T and a state's coordinates Z = B^T X: the part of B Z off
+    the eigenvalue-1 space, formed explicitly, whatever X is off B's range.
+    Row a of K B^T is sum_b T_ab vec(B_b^T), by by_columns, which takes
+    the vec(B_b^T) as the columns of a C-ordered copy."""
+    t = block_traces(blocks, z)
+    m, d_lam, dim = blocks.shape
+    k_bt = by_columns(np.ascontiguousarray(blocks.reshape(m, d_lam * dim).T), t.T).T
     return t, norm_sq(z - k_bt.reshape(z.shape))
 
 
 @dataclass(frozen=True)
 class AcceptanceOperator:
     """Acceptance operator Gamma (I + W)/2 Gamma of the two-step verifier in
-    closed form, held as the m aligned irrep blocks B_a (read-only, m x D x
-    d_lambda) of the lambda component; vec(B_a B_b^T)/sqrt(d_lambda) span its
-    eigenvalue 1."""
+    closed form, held as the m aligned irrep blocks B_a of the lambda
+    component, as the builder returns them (B^T, read-only, m x d_lambda x
+    D); vec(B_a B_b^T)/sqrt(d_lambda) span its eigenvalue 1."""
 
     blocks: np.ndarray
     c = 1.0  # completeness: the witness is accepted with certainty
@@ -81,7 +84,7 @@ class AcceptanceOperator:
     def levels(self) -> tuple[tuple[float, int], ...]:
         """The spectrum as descending (eigenvalue, count) pairs: 1 (m^2
         times), 1/2 (m d_lambda D - m^2 times) and 0 otherwise."""
-        m, d, d_lam = self.blocks.shape
+        m, d_lam, d = self.blocks.shape
         half = m * d_lam * d - m * m
         return (1.0, m * m), (0.5, half), (0.0, d * d - m * m - half)
 
@@ -95,10 +98,9 @@ class AcceptanceOperator:
         P X is the orthogonal sum of X - Gamma X and B (Z - K B^T), and t and
         the inner residual come from coordinate_split.  Each product goes
         through by_columns, whose bits do not depend on the BLAS thread count."""
-        rows = block_rows(self.blocks)
-        z = by_columns(rows, x)
-        t, inner = coordinate_split(rows, z, self.blocks.shape[2])
-        del rows  # freed before the D x D products below
+        m, d_lam, d = self.blocks.shape
+        z = by_columns(self.blocks.reshape(m * d_lam, d), x)
+        t, inner = coordinate_split(self.blocks, z)
         gamma = by_columns(block_columns(self.blocks), z)
         del z
         return gamma, t, inner, math.sqrt(norm_sq(x - gamma) + inner)
@@ -106,7 +108,7 @@ class AcceptanceOperator:
     def distance_to(self, psi: np.ndarray) -> float:
         """||X - P X||_F for psi = vec X, P onto the eigenvalue-1 space, summed from
         explicit residuals: never ||psi||^2 - ||P psi||^2, which cancels near it."""
-        return self._split(unvec(psi, self.blocks.shape[1]))[3]
+        return self._split(unvec(psi, self.blocks.shape[2]))[3]
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     internal-test acceptance probabilities; the post-sampling state also
     satisfies the 2 sqrt(2 eps') internal-test bound.
 
-    A trial reads only Z = B^T X over the operator's irrep blocks B and the
+    A trial reads only Z = B^T X over lambda's irrep blocks B and the
     weight ||X - Gamma X||^2 off their range, drawn by _trial_coordinates
     with 2 D (D - m d_lambda) degrees of freedom: Gamma psi = vec(B Z), p =
     ||Z||^2, and coordinate_split gives t = T/d_lambda and ||Z - K B^T||^2,
@@ -330,21 +332,24 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     over that root.
     """
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
-    op = verification_acceptance_operator(mu, nu, lam)
-    m, d, d_lam = op.blocks.shape
+    sigma = tensor_rep(mu, nu)
+    # Priced from the characters' m, d_lambda and D before any block is built;
+    # a lam of another degree has m = 0 too.
+    m, d_lam, d = multiplicities(sigma).get(lam, 0), irrep_dimension(lam), sigma.dim
     if m < 1:
         raise InvalidArgumentError(
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
     width = m * d_lam
     _require_trial(d, COROLLARY_ARRAYS, width * d, perturbation)
-    rows = block_rows(op.blocks)
+    blocks = isotypic_block_basis(sigma, lam)
+    rows = blocks.reshape(width, d)  # B^T
     center = None if perturbation is None else rows / math.sqrt(width)
     df = 2 * d * (d - width)
     trials_out = []
     for t in range(trials):
         z, off = _trial_coordinates(rows.shape, df, center, perturbation, seed + t)
-        t_lam, inner = coordinate_split(rows, z, d_lam)
+        t_lam, inner = coordinate_split(blocks, z)
         p_sample = min(norm_sq(z), 1.0)  # Z's share of a unit vector; rounding is clamped
         del z  # not held beside the next draw
         distance = math.sqrt(off + inner)
@@ -368,13 +373,12 @@ def run_verifier_sampled(mu: Partition, nu: Partition, lam: Partition, psi: np.n
     post-state's coordinates Z / sqrt(p), with no post-state formed."""
     sigma = tensor_rep(mu, nu)
     # unvec admits only a state of the register pair C^D x C^D.
-    label, rows, z, p = sample_wfs(sigma, unvec(psi, sigma.dim).reshape(-1), seed)
+    label, blocks, z, p = sample_wfs(sigma, unvec(psi, sigma.dim).reshape(-1), seed)
     if label != lam:
         return {"accepted": False, "measured": str(label), "stage": "weak-fourier-sampling"}
-    d_lam = irrep_dimension(lam)
     # by_columns' copy of Z's two parts and more (tracemalloc: 2.0-3.1 Z at D = 30-210).
     require_bytes(4 * z.size * 8, f"the internal test's split at D = {sigma.dim}")
-    acceptance = internal_acceptance(block_traces(rows, z, d_lam), d_lam, p)
+    acceptance = internal_acceptance(block_traces(blocks, z), blocks.shape[1], p)
     coin = np.random.default_rng(seed + 1).random()
     return {"accepted": bool(coin < acceptance), "measured": str(label),
             "stage": "internal-state-test", "internal_acceptance_probability": acceptance}

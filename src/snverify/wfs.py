@@ -3,7 +3,7 @@ characterization, seeded measurement, and Kronecker coefficients by their
 two routes.
 
 Every isotypic quantity comes from one checked builder, isotypic_block_basis:
-the m aligned irrep blocks B_a of the lambda component.  Their seeds,
+the m aligned irrep blocks B_a of the lambda component, as B^T.  Their seeds,
 block_seeds, span the projector onto the Gelfand-Tsetlin weight of
 lambda's first tableau, by Jucys-Murphy branching along that tableau's
 chain of shapes: on the projector onto the kappa-isotypic part under
@@ -13,8 +13,8 @@ picks the chain's cell.  The chain runs on m + 1 probe rows, checked to
 have rank the exact m of the character route, characters.multiplicities:
 a Kronecker coefficient by rank counts those seeds.  Then Xi_lambda = sum_a
 B_a B_a^T, a label is measured with probability ||B^T X||^2 and projected
-as B (B^T X), and the POVM's completeness sums every label's Xi_lambda
-a panel of rows at a time, with no label's projector held whole.
+as B (B^T X), B from block_columns, and the POVM's completeness sums every
+label's Xi_lambda a panel of rows at a time, with no projector held whole.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .yyrep import GroupRep, irrep, swap_contents, tableau_contents, tensor_rep,
 RANK_TOL = 1e-6
 EIGEN_ONE_TOL = 1e-8
 # Copies of its rows a chain of Lagrange factors holds at once, and of the
-# m x D x d blocks their checks hold (tracemalloc: 4.0-4.4 and 4.0-4.1 at D = 144
+# m x d x D blocks their checks hold (tracemalloc: 4.0-4.4 and 4.0-4.1 at D = 144
 # to 1,568): Q, a product with X_k and its terms; the blocks and two turns' arrays.
 CHAIN_ARRAYS = BLOCK_ARRAYS = 5
 # Rows of one label's Gram that povm_ranks forms at a time.
@@ -89,16 +89,11 @@ def tableau_projector(rep: GroupRep, tableau: StandardTableau, rows: np.ndarray)
     return q
 
 
-def block_rows(blocks: np.ndarray) -> np.ndarray:
-    """B^T, the m d x D matrix of the blocks' columns as rows, C-ordered."""
-    m, dim, d = blocks.shape
-    return blocks.transpose(0, 2, 1).reshape(m * d, dim)
-
-
 def block_columns(blocks: np.ndarray) -> np.ndarray:
-    """B, the D x m d matrix of the blocks side by side, C-ordered."""
-    m, dim, d = blocks.shape
-    return blocks.transpose(1, 0, 2).reshape(dim, m * d)
+    """B, the D x m d matrix of the blocks side by side, C-ordered: the one
+    transposed copy of the m x d x D blocks, whose reshape to m d x D is B^T."""
+    m, d, dim = blocks.shape
+    return np.ascontiguousarray(blocks.reshape(m * d, dim).T)
 
 
 def block_seeds(rep: GroupRep, shape: Partition) -> np.ndarray:
@@ -128,20 +123,20 @@ def block_seeds(rep: GroupRep, shape: Partition) -> np.ndarray:
 
 def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
     """Orthonormal bases B_a of the irrep blocks inside the shape isotypic
-    component of rep, aligned so that rep(g) B_a = B_a rho^shape(g), as a
-    read-only m x D x d array; stacked, they conjugate rep to I_m tensor
-    rho^shape.  The block_seeds are carried along the Young-Yamanouchi basis
-    by the seminormal rule: if T = sigma_i P with P before T, v_T =
-    (rep(sigma_i) - 1/tau) v_P / sqrt(1 - 1/tau^2), tau the axial distance
-    of i in P.  Checked too: B^T B = I and each B_a intertwines the
-    generators with rho^shape's."""
+    component of rep, aligned so that rep(g) B_a = B_a rho^shape(g), as the
+    read-only, C-ordered m x d x D array of the B_a^T, a free reshape of B^T;
+    side by side, they conjugate rep to I_m tensor rho^shape.  The seeds are
+    carried along the Young-Yamanouchi basis by the seminormal rule: if T =
+    sigma_i P with P before T, v_T = (rep(sigma_i) - 1/tau) v_P / sqrt(1 -
+    1/tau^2), tau the axial distance of i in P.  Checked too: B^T B = I and
+    each B_a intertwines the generators with rho^shape's."""
     if shape.n != rep.n:
         raise InvalidArgumentError(f"degree mismatch: partition of {shape.n}, rep of S_{rep.n}")
     m, d = multiplicities(rep)[shape], irrep_dimension(shape)
     require_bytes(BLOCK_ARRAYS * m * rep.dim * d * 8, f"the {m} blocks of {shape} at D = {rep.dim}")
     seeds = block_seeds(rep, shape)
-    blocks = np.empty((m, rep.dim, d))
-    blocks[:, :, 0] = seeds
+    blocks = np.empty((m, d, rep.dim))
+    blocks[:, 0] = seeds
     del seeds
     if not m:  # nothing to carry
         blocks.setflags(write=False)
@@ -153,14 +148,13 @@ def isotypic_block_basis(rep: GroupRep, shape: Partition) -> np.ndarray:
         # axial distance -tau.
         i = next(i for i in range(1, rep.n) if c[i] - c[i - 1] > 1)
         tau = c[i - 1] - c[i]
-        v = blocks[:, :, index[swap_contents(c, i)]]
-        blocks[:, :, k] = (turn(rep, (i, i + 1), v.T) - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
-    rows = block_rows(blocks)
+        v = blocks[:, index[swap_contents(c, i)]]
+        blocks[:, k] = (turn(rep, (i, i + 1), v.T) - v / tau) / math.sqrt(1.0 - 1.0 / tau**2)
+    rows = blocks.reshape(m * d, rep.dim)
     residual = float(np.abs(rows @ rows.T - np.eye(len(rows))).max())  # B^T B - I
-    del rows
     for t in zip(range(1, rep.n), range(2, rep.n + 1)):
-        gap = turn(rep, t, blocks)
-        gap -= turn(irrep(shape), t, blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
+        gap = turn(rep, t, blocks.transpose(0, 2, 1))
+        gap -= turn(irrep(shape), t, blocks).transpose(0, 2, 1)
         residual = max(residual, float(np.abs(gap).max()))
     if not residual <= EIGEN_ONE_TOL:  # NaN fails too
         raise NumericalConsistencyError(f"irrep blocks {residual} off orthonormal intertwiners")
@@ -194,28 +188,23 @@ def _gram(columns: np.ndarray, rows=slice(None)) -> np.ndarray:
     return (columns @ columns[rows, :, None])[..., 0]
 
 
-def _projector(blocks: np.ndarray) -> Projector:
-    """sum_a B_a B_a^T, the Gram of the blocks side by side."""
+def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
+    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g): sum_a B_a B_a^T,
+    the Gram of the checked irrep blocks of its range side by side."""
+    blocks = isotypic_block_basis(rep, shape)  # then the projector beside them and their copy
+    require_bytes(rep.dim**2 * 8 + 2 * blocks.nbytes, f"the projector onto {shape}")
     b = block_columns(blocks)
     matrix = _gram(b)
     matrix.setflags(write=False)
     return Projector(matrix=matrix, rank=b.shape[1])
 
 
-def wfs_projector(rep: GroupRep, shape: Partition) -> Projector:
-    """Isotypic projector (d/|G|) sum_g chi^shape(g)* rep(g), summed over
-    the checked irrep blocks of its range."""
-    blocks = isotypic_block_basis(rep, shape)  # then the projector beside them and their copy
-    require_bytes((rep.dim + 2 * blocks[:, 0].size) * rep.dim * 8, f"the projector onto {shape}")
-    return _projector(blocks)
-
-
 def povm_ranks(rep: GroupRep) -> tuple[dict[Partition, int], float]:
     """Each label's rank m d_lambda and the POVM's completeness residual
     max|sum_lambda Xi_lambda - I|, labels in partition order, with no
     projector held: each label's Gram is added into the sum PANEL rows at
-    a time, by _gram as _projector forms it, so the sum's bits are those of
-    wfs_projector's matrices summed and do not depend on the BLAS threads."""
+    a time by _gram, so the sum's bits are those of wfs_projector's matrices
+    summed and do not depend on the BLAS threads."""
     widest = max(m * irrep_dimension(shape) for shape, m in multiplicities(rep).items())
     # The sum beside the widest label's blocks as the builder checks them, or
     # beside its blocks, their side-by-side copy and a panel of rows.
@@ -248,7 +237,7 @@ def gpe_kraus(rep: GroupRep, shape: Partition) -> KrausElement:
     shapes = enumerate_partitions(rep.n)
     offset = sum(irrep_dimension(p) ** 2 for p in shapes[: shapes.index(shape)])
     out = np.zeros((size, rep.dim, rep.dim))
-    units = np.einsum("axi,ayj->ijxy", blocks, blocks) / math.sqrt(d)
+    units = np.einsum("aix,ajy->ijxy", blocks, blocks) / math.sqrt(d)
     out[offset : offset + d * d] = units.reshape(d * d, rep.dim, rep.dim)
     return KrausElement(matrix=out.reshape(size * rep.dim, rep.dim), shape_label=shape)
 
@@ -275,14 +264,15 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
                seed: int) -> tuple[Partition, np.ndarray, np.ndarray, float]:
     """Sample an irrep label by measuring rep on the first register of
     psi = vec X, X of shape D x k (k = 1 is a state of rep's own space):
-    the label, B^T of its irrep blocks B, Z = B^T X and its probability
-    p = ||Z||_F^2.  No projector is built.  Deterministic given the seed."""
+    the label, its blocks, Z = B^T X and its probability p = ||Z||_F^2.
+    No projector is built.  Deterministic given the seed."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size % rep.dim:
         raise InvalidArgumentError(
             f"state has dimension {psi.shape}, not a multiple of rep's {rep.dim}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # NaN fails too
-        raise InvalidArgumentError("state must be a unit vector")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # NaN fails too
+            raise InvalidArgumentError("state must be a unit vector")
     x = psi.reshape(rep.dim, -1)
     dim, k = x.shape
     # The stacked rows of every label's blocks (at most D^2) beside the next
@@ -292,23 +282,23 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
     require_bytes((dim + max(BLOCK_ARRAYS * widest, max(dim, 2 * k) + 4 * k)) * dim * 8,
                   f"the measurement of S_{rep.n} at D = {dim}")
     shapes = enumerate_partitions(rep.n)
-    rows = [block_rows(isotypic_block_basis(rep, shape)) for shape in shapes]
-    z = by_columns(np.concatenate(rows), x)  # B^T X for every label at once
-    parts = np.split(z, np.cumsum([len(r) for r in rows])[:-1])
+    blocks = [isotypic_block_basis(rep, shape) for shape in shapes]
+    z = by_columns(np.concatenate([b.reshape(-1, dim) for b in blocks]), x)  # every label's B^T X
+    parts = np.split(z, np.cumsum([len(b) * b.shape[1] for b in blocks])[:-1])
     probs = np.array([norm_sq(y) for y in parts])
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(shapes), p=probs / total)
-    return shapes[choice], rows[choice], parts[choice], float(probs[choice])
+    return shapes[choice], blocks[choice], parts[choice], float(probs[choice])
 
 
 def measure_wfs(rep: GroupRep, psi: np.ndarray, seed: int) -> tuple[Partition, np.ndarray]:
     """sample_wfs's label and post-state vec(B B^T X) / sqrt(p), formed for that label only."""
-    label, rows, z, p = sample_wfs(rep, psi, seed)
-    columns = np.ascontiguousarray(rows.T)
-    del rows
+    label, blocks, z, p = sample_wfs(rep, psi, seed)
+    columns = block_columns(blocks)
+    del blocks
     post = by_columns(columns, z)
     post /= math.sqrt(p)
     return label, post.reshape(-1)

@@ -168,7 +168,7 @@ def _accepting_columns(mu, nu, lam) -> np.ndarray:
     the closed form that AcceptanceOperator holds."""
     sigma = tensor_rep(mu, nu)
     blocks = isotypic_block_basis(sigma, lam)
-    cols = [vec(a @ b.T) / math.sqrt(irrep_dimension(lam)) for a in blocks for b in blocks]
+    cols = [vec(a.T @ b) / math.sqrt(irrep_dimension(lam)) for a in blocks for b in blocks]
     return np.column_stack(cols) if cols else np.zeros((sigma.dim**2, 0))
 
 
@@ -232,7 +232,7 @@ def _dense_trials(kind: str, dense, perturbation, seeds) -> np.ndarray:
     which the coordinates' draw is tested in distribution."""
     rows = []
     if kind == "corollary":
-        m, d, d_lam = dense.blocks.shape
+        m, d_lam, d = dense.blocks.shape
         center = vec(dense._split(np.eye(d))[0]) / math.sqrt(m * d_lam)
         for seed in seeds:
             x = _trial_state(d * d, center, perturbation, seed).reshape(d, d)

@@ -204,7 +204,7 @@ def test_verify_spectrum_json_holds_less_than_its_price(triple, pretty, monkeypa
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; a
-    # trial holds 10 arrays of its m d_lambda x D coordinates (0.55 MB).
+    # trial holds 9 arrays of its m d_lambda x D coordinates (0.50 MB).
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     code, doc = invoke(["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys)
     assert code == 0
@@ -213,27 +213,31 @@ def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, mo
 
 @pytest.mark.parametrize(
     "argv, d, price",
-    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 32_000),
+    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 29_120),
      (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "1"], 10, 3_424),
-     (["verify", "certify", "5,4", "5,3,1", "4,3,2", "--trials", "1"], 6804, 365_786_240)],
+     (["verify", "certify", "5,4", "5,3,1", "4,3,2", "--trials", "1"], 6804, 329_207_936)],
     ids=["certify", "certify-lemma", "certify-n9"],
 )
 def test_certify_prices_its_trials_before_the_first_state(argv, d, price, capsys, monkeypatch):
-    # D = 30 with m d_lambda = 12: 10 arrays of the 12 x 30 coordinates and
+    # D = 30 with m d_lambda = 12: 9 arrays of the 12 x 30 coordinates and
     # 3,200 B of Python objects; the lemma at D = 10, m = 2: 7 arrays of the
     # 2 x 2 coordinates and the same 3,200 B.  At n = 9, D = 6,804 and m
     # d_lambda = 672, the price is within the default budget, where the dense
-    # trial's 3.15 GB exited 3.  At the price itself the command runs.
+    # trial's 3.15 GB exited 3.  Below it no block is built; at the price
+    # itself the command runs.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     drawn, draw = [], verifier._trial_coordinates
     monkeypatch.setattr(verifier, "_trial_coordinates",
                         lambda *args: drawn.append(args) or draw(*args))
+    built, build = [], verifier.isotypic_block_basis
+    monkeypatch.setattr(verifier, "isotypic_block_basis",
+                        lambda *args: built.append(args) or build(*args))
     with monkeypatch.context() as scoped:
         scoped.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
         code, doc = invoke(argv, capsys)
     assert code == 3
     assert doc["error"].startswith(f"a certification trial at D = {d}: {price} B")
-    assert drawn == []
+    assert drawn == [] and built == []
     if d < 1000:  # the n = 9 run is made under the default budget
         monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price))
     code, doc = invoke(argv, capsys)
@@ -461,7 +465,7 @@ def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path, 
     def refuse(*args):
         raise AssertionError("a dense projector was built")
 
-    for module, name in ((wfs, "_projector"), (wfs, "wfs_projector"), (cli, "wfs_projector")):
+    for module, name in ((wfs, "wfs_projector"), (cli, "wfs_projector")):
         monkeypatch.setattr(module, name, refuse)
     path = tmp_path / "haar.json"
     state = StateVector((30, 30), haar_state(30 * 30, np.random.default_rng(1)))
@@ -956,6 +960,21 @@ def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):
     assert json.loads(out)["status"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("argv", [["wfs", "measure", "2,1", "2,1"],
+                                  ["state", "psi-lambda", "2,1", "2,1", "2,1"],
+                                  ["verify", "run", "2,1", "2,1", "2,1"]], ids=" ".join)
+def test_overflowing_state_file_exits_2_with_nothing_on_stderr(argv, tmp_path):
+    # Finite amplitudes whose norm overflows: stderr is kept for timing and
+    # progress, so the unit-norm check prints no NumPy warning.
+    path = tmp_path / "state.json"
+    path.write_text('{"registers": [4, 4], "amplitudes": [[1e308, 1e308]' + ', [0, 0]' * 15 + ']}')
+    cmd = [sys.executable, "-m", "snverify.cli", *argv, "--state", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["status"] == "invalid-argument"
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("registers", ["[-4, -4]", "[true, 16]", "[16.0]", "[4, -2, -2]", "[]",
                                        '"44"'])
 @pytest.mark.parametrize("argv", [["wfs", "measure", "2,1", "2,1"],
@@ -1209,7 +1228,7 @@ def test_selftest_block_states_must_be_fixed_points(monkeypatch):
 
     def rotated(rep, shape):
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((rep.dim, rep.dim)))[0]
-        return q @ blocks(rep, shape)
+        return blocks(rep, shape) @ q.T
 
     monkeypatch.setattr(selftest, "isotypic_block_basis", rotated)
     doc = selftest.suite_entangled(3, 7).to_json()

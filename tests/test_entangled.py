@@ -167,7 +167,7 @@ def test_isotypic_blocks_of_regular_representation():
         blocks = isotypic_block_basis(left, lam)
         assert len(blocks) == d  # multiplicity of each irrep in the regular rep
         lam_rep = irrep(lam)
-        for b in blocks:
+        for b in blocks.transpose(0, 2, 1):
             np.testing.assert_allclose(b.conj().T @ b, np.eye(d), atol=1e-9)
             for g in enumerate_group(3):
                 np.testing.assert_allclose(
@@ -178,7 +178,7 @@ def test_isotypic_blocks_of_regular_representation():
 def test_isotypic_blocks_are_mutually_orthogonal():
     left, _ = regular_representations(3)
     blocks = isotypic_block_basis(left, P("2,1"))
-    stacked = np.column_stack(blocks)
+    stacked = np.column_stack(blocks.transpose(0, 2, 1))
     np.testing.assert_allclose(
         stacked.conj().T @ stacked, np.eye(stacked.shape[1]), atol=1e-9
     )
@@ -187,7 +187,7 @@ def test_isotypic_blocks_are_mutually_orthogonal():
 def test_block_basis_empty_for_absent_label():
     rep = identity_times_irrep(2, P("2,1"))
     blocks = isotypic_block_basis(rep, P("3"))
-    assert blocks.shape == (0, rep.dim, 1) and not blocks.flags.writeable
+    assert blocks.shape == (0, 1, rep.dim) and not blocks.flags.writeable
 
 
 # ----------------------------------------------------- entangled-span spaces
@@ -206,7 +206,7 @@ def block_states(rep, lam) -> np.ndarray:
     """The columns vec(B_a B_a^T)/sqrt(d) over the irrep blocks B_a of the lam
     component: one block-wise maximally entangled state per block."""
     d = irrep_dimension(lam)
-    cols = [vec(b @ b.T) / math.sqrt(d) for b in isotypic_block_basis(rep, lam)]
+    cols = [vec(b @ b.T) / math.sqrt(d) for b in isotypic_block_basis(rep, lam).transpose(0, 2, 1)]
     return np.column_stack(cols) if cols else np.zeros((rep.dim**2, 0))
 
 

@@ -80,7 +80,7 @@ def test_block_units_match_per_element_sum(rep, dense_rep):
     for shape in enumerate_partitions(rep.n):
         lam = irrep(shape)
         blocks = isotypic_block_basis(rep, shape)
-        units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
+        units = np.einsum("aix,ay->ixy", blocks, blocks[:, 0])
         assert units.shape == (lam.dim, rep.dim, rep.dim)
         for i in range(lam.dim):
             brute = sum(

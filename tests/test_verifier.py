@@ -119,6 +119,19 @@ def test_certification_builds_the_blocks_once_and_no_xi(monkeypatch):
     assert xis == []
 
 
+@pytest.mark.parametrize("lam", ["2,1", "2,2"], ids=["m0", "other-degree"])
+def test_certification_rejects_an_absent_label_before_any_block(lam, monkeypatch):
+    # (3) x (3) holds only (3): m = 0 is read from the characters, so neither
+    # the blocks nor a probe chain is built.
+    def refuse(*args):
+        raise AssertionError("a block or a chain was built")
+
+    monkeypatch.setattr(verifier, "isotypic_block_basis", refuse)
+    monkeypatch.setattr(wfs, "tableau_projector", refuse)
+    with pytest.raises(InvalidArgumentError, match="Kronecker coefficient 0"):
+        certify_corollary_bound(P("3"), P("3"), P(lam), trials=1, seed=0)
+
+
 def test_certification_builds_no_stack_but_the_summed_irreps(monkeypatch):
     # Neither reads a stack: the internal test is read from the irrep blocks
     # or the block traces, and the blocks come from the Young lattice.
@@ -268,7 +281,7 @@ def test_acceptance_operator_for_zero_multiplicity_label(accepting_oracle):
     op = verification_acceptance_operator(P("3"), P("3"), P("2,1"))
     assert np.abs(spectrum_of(op)).max() < 1e-9
     assert op.s == 0.0
-    assert op.blocks.shape == (0, 1, 2)
+    assert op.blocks.shape == (0, 2, 1)
     assert accepting_oracle(P("3"), P("3"), P("2,1")).shape == (1, 0)
 
 
@@ -613,29 +626,40 @@ TRIAL_CASES = {
 @pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
 @pytest.mark.parametrize("case", list(TRIAL_CASES))
 def test_certification_trials_hold_what_they_price(case, perturbation, monkeypatch):
-    # From the trial price on: B^T, the center and three trials, each its
+    # From the trial price on, and for the corollary from when its blocks are
+    # built after that price: the center and three trials, each its
     # coordinates, their split and the reports.  corollary-d35-whole has m
     # d_lambda = D, the coordinates' largest shape and no weight off B's
-    # range; the blocks are built before and held apart.
+    # range; the blocks are held apart.
     call = TRIAL_CASES[case]
     call(perturbation)  # the factors' images, cached and priced apart
-    priced, checked = [], verifier.require_bytes
+    priced, held, checked, build = [], [], verifier.require_bytes, verifier.isotypic_block_basis
+
+    def window():  # opens at the trial price, or after it once the blocks are built
+        held[:] = [tracemalloc.get_traced_memory()[0]]
+        tracemalloc.reset_peak()
 
     def spy(nbytes, what):
         checked(nbytes, what)
         if what.startswith("a certification trial"):
-            priced.append((nbytes, tracemalloc.get_traced_memory()[0]))
-            tracemalloc.reset_peak()
+            priced.append(nbytes)
+            window()
+
+    def built(rep, shape):
+        blocks = build(rep, shape)
+        window()
+        return blocks
 
     monkeypatch.setattr(verifier, "require_bytes", spy)
+    monkeypatch.setattr(verifier, "isotypic_block_basis", built)
     tracemalloc.start()
     try:
         call(perturbation)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ((price, held),) = priced
-    assert peak - held <= price < 1.25 * (peak - held), (peak - held, price)
+    ((price,), (start,)) = priced, held
+    assert peak - start <= price < 1.25 * (peak - start), (peak - start, price)
 
 
 @pytest.mark.parametrize("case", ["corollary-d30", "lemma-d10"])
@@ -759,7 +783,7 @@ def _lambda_state(mu, nu, lam, seed, haar_state):
     """The post-sampling state of a seeded Haar state for lam, which always
     samples lam."""
     op = verification_acceptance_operator(mu, nu, lam)
-    d = op.blocks.shape[1]
+    d = op.blocks.shape[2]
     projected = op._split(unvec(haar_state(d * d, np.random.default_rng(seed)), d))[0]
     return vec(projected) / math.sqrt(norm_sq(projected))
 
@@ -895,7 +919,7 @@ def test_acceptance_operator_holds_what_it_prices(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.blocks.shape == (4, 490, 35)
+    assert op.blocks.shape == (4, 35, 490)
     square = 490 * 490 * 8
     assert prices == [5 * 4 * 490 * 35 * 8, 5 * 5 * 490 * 8, 5 * 4 * 490 * 8]
     assert max(prices) - 2 * square < peak < max(prices) + 8192, f"peak {peak} B"

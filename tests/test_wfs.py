@@ -185,9 +185,10 @@ def test_measure_rejects_non_unit_state():
         measure_wfs(sigma, np.ones(4), seed=0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_measure_rejects_a_non_finite_state(bad):
-    # A NaN norm fails the unit check too, before any product or sampling.
+    # A NaN norm fails the unit check too, before any product or sampling,
+    # and so does a norm that overflows, with no warning.
     sigma = tensor_rep(P("2,1"), P("2,1"))
     psi = phi_plus(sigma.dim).amplitudes.copy()
     psi[1] = bad
@@ -259,8 +260,28 @@ def test_block_builder_at_d1568_peaks_below_one_square_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert blocks.shape == (2, 1568, 28)
+    assert blocks.shape == (2, 28, 1568)
     assert peak < 1568 * 1568 * 8, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("mu, nu, lam", [("3,2", "3,1,1", "3,1,1"), ("3", "3", "2,1")],
+                         ids=["m2", "m0"])
+def test_blocks_leave_the_builder_as_read_only_c_ordered_rows(mu, nu, lam):
+    # One layout, B^T: m x d_lambda x D, whose reshape to m d_lambda x D is a view.
+    sigma, lam = tensor_rep(P(mu), P(nu)), P(lam)
+    blocks = isotypic_block_basis(sigma, lam)
+    assert blocks.shape == (multiplicities(sigma)[lam], irrep_dimension(lam), sigma.dim)
+    assert blocks.flags.c_contiguous and not blocks.flags.writeable
+
+
+def test_sampled_blocks_are_the_builders_array(monkeypatch, haar_state):
+    # No consumer of the sampled label's blocks copies them into rows.
+    built, build = [], wfs.isotypic_block_basis
+    monkeypatch.setattr(wfs, "isotypic_block_basis",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    sigma = tensor_rep(P("3,2"), P("3,1,1"))
+    label, blocks, _, _ = wfs.sample_wfs(sigma, haar_state(30 * 30, np.random.default_rng(0)), 1)
+    assert np.shares_memory(blocks, built[enumerate_partitions(5).index(label)])
 
 
 def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector, dense_rep):
@@ -274,7 +295,7 @@ def test_factored_sums_match_the_tensor_stack_contraction_at_n6(character_vector
     lam = rep_stack(irrep(P("4,2")))
     oracle = np.einsum("kg,gij->kij", lam.shape[1] / len(lam) * lam[:, :, 0].T, stack)
     blocks = isotypic_block_basis(sigma, P("4,2"))
-    units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
+    units = np.einsum("aix,ay->ixy", blocks, blocks[:, 0])
     np.testing.assert_allclose(units, oracle, rtol=0, atol=1e-12)
 
 
@@ -333,10 +354,11 @@ def test_lattice_blocks_match_the_matrix_unit_oracle(mu, nu, matrix_units, dense
     for lam in [P(t) for t in labels] if labels else enumerate_partitions(sigma.n):
         blocks = isotypic_block_basis(sigma, lam)
         assert len(blocks) == kronecker_coefficient(mu, nu, lam).value
-        units = np.einsum("axi,ay->ixy", blocks, blocks[:, :, 0])
+        units = np.einsum("aix,ay->ixy", blocks, blocks[:, 0])
         np.testing.assert_allclose(units, matrix_units(sigma, lam), rtol=0, atol=1e-12)
         for g, h in zip(dense_rep(sigma).generator_images, irrep(lam).generator_images):
-            np.testing.assert_allclose(g @ blocks, blocks @ h, rtol=0, atol=1e-12)
+            b = blocks.transpose(0, 2, 1)
+            np.testing.assert_allclose(g @ b, b @ h, rtol=0, atol=1e-12)
 
 
 DERIVED_REPS = {
