@@ -1,25 +1,20 @@
 """The internal-state test, the full two-step verification algorithm, its
 acceptance operator, and Monte-Carlo certification of the robustness
-bounds.  The operator is held as the irrep blocks of the lambda component
-alone: its three eigenvalue levels, completeness and soundness are read
-from their shape (m, d_lambda, D), and m^2 is its eigenvalue-1 count.
-Every command reads the internal test from the same blocks in closed form,
-a = <X, E(X)> = d_lambda ||t||^2, and reports the circuit's 1/2 + 1/2 a:
-`verify run` and certification alike.  Only the self-test and the tests
-average over the group.
+bounds.  The operator A = Gamma (I + W) Gamma / 2 is held as the irrep
+blocks of the lambda component alone.  Its three levels 1, 1/2 and 0 have
+counts that only the Kronecker coefficient m, d_lambda and D fix
+(acceptance_levels), and completeness and soundness follow from them.
+Every command reads the internal test from the blocks in closed form,
+a = <X, E(X)> = d_lambda ||t||^2, and reports the circuit's 1/2 + 1/2 a.
+Only the self-test and the tests average over the group.
 
-A certification trial forms no state.  It reads only a state's
-coordinates on orthonormal vectors of the target's side, Z = B^T X over
-the blocks for the corollary and the m^2 block traces T_ab/sqrt(d1) for
-the lemma, and its weight off them, so it draws exactly these.  For a
-Haar state X = G/||G||, G with iid N + iN entries, the coordinates of G
-on any orthonormal set are again iid N + iN, and its squared norm off
-them is an independent chi-square with 2 (D^2 - k) degrees of freedom
-for k coordinates: drawing both and normalizing by their total is exact
-in distribution.  A perturbation's center lies on the target's side, so
-it shifts only the coordinates.  Each trial takes one generator,
-default_rng(seed + trial), and draws in one fixed order: the real parts
-of the coordinates, their imaginary parts, then the chi-square.
+Certification builds no block and forms no state.  Every report is a
+function of a trial state's weights w1, w_half and w0 on A's three levels,
+so a trial draws those three numbers (_trial_weights).  For a Haar state
+G/||G||, G has iid N + iN coordinates in an eigenbasis of A, so the
+weights are independent chi-squares with twice each level's count as
+degrees of freedom, over their total: exact in distribution.  A
+perturbation's center is a unit vector of level 1 and shifts only w1.
 """
 
 from __future__ import annotations
@@ -39,15 +34,16 @@ from .yyrep import GroupRep, tensor_rep, turn
 BOUND_SLACK = 1e-8
 # Python memory per test report, measured through the CLI's JSON output.
 REPORT_BYTES = 1300
-# A certification trial's peak, by tracemalloc, in real arrays the size of
-# its coordinates: the lemma's z, its traces and the squares of their norm;
-# the corollary's z, coordinate_split's K B^T, its copy and the squares of
-# Z - K B^T (9.0 at D = 35, and 8.0 at D = 490, where NumPy elides a
-# temporary).  Beside them TRIAL_BYTES of Python objects: the generator,
-# the error-state context and the reports (2.2-2.9 kB).
-LEMMA_ARRAYS = 7
-COROLLARY_ARRAYS = 9
-TRIAL_BYTES = 3200
+# A trial's chi-squares take their degrees of freedom as floats, and their total
+# stays near twice the level counts': a quarter of the float range keeps both finite.
+MAX_LEVEL_COUNT = float(np.finfo(float).max) / 4
+
+
+def acceptance_levels(m: int, d_lam: int, d: int) -> tuple[tuple[float, int], ...]:
+    """A's spectrum as descending (eigenvalue, count) pairs for a label of
+    multiplicity m and dimension d_lambda in sigma of dimension D: 1 (m^2
+    times), 1/2 (m d_lambda D - m^2 times) and 0 (D^2 - m d_lambda D times)."""
+    return (1.0, m * m), (0.5, m * d_lam * d - m * m), (0.0, d * (d - m * d_lam))
 
 
 def block_traces(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -56,18 +52,6 @@ def block_traces(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     m, d_lam, dim = blocks.shape
     flat = blocks.reshape(m, d_lam * dim)
     return by_columns(flat, z.reshape(flat.shape).T).T / d_lam
-
-
-def coordinate_split(blocks: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """t = T/d_lambda and ||Z - K B^T||_F^2, K = t x I, for the m x d_lambda
-    x D blocks B^T and a state's coordinates Z = B^T X: the part of B Z off
-    the eigenvalue-1 space, formed explicitly, whatever X is off B's range.
-    Row a of K B^T is sum_b T_ab vec(B_b^T), by by_columns, which takes
-    the vec(B_b^T) as the columns of a C-ordered copy."""
-    t = block_traces(blocks, z)
-    m, d_lam, dim = blocks.shape
-    k_bt = by_columns(np.ascontiguousarray(blocks.reshape(m, d_lam * dim).T), t.T).T
-    return t, norm_sq(z - k_bt.reshape(z.shape))
 
 
 @dataclass(frozen=True)
@@ -82,11 +66,8 @@ class AcceptanceOperator:
 
     @property
     def levels(self) -> tuple[tuple[float, int], ...]:
-        """The spectrum as descending (eigenvalue, count) pairs: 1 (m^2
-        times), 1/2 (m d_lambda D - m^2 times) and 0 otherwise."""
-        m, d_lam, d = self.blocks.shape
-        half = m * d_lam * d - m * m
-        return (1.0, m * m), (0.5, half), (0.0, d * d - m * m - half)
+        """The spectrum as descending (eigenvalue, count) pairs."""
+        return acceptance_levels(*self.blocks.shape)
 
     @property
     def s(self) -> float:
@@ -94,15 +75,19 @@ class AcceptanceOperator:
         return 0.5 if self.levels[1][1] else 0.0
 
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Gamma X = B Z, t, ||Z - K B^T||^2 and ||X - P X||_F for Z = B^T X: X -
-        P X is the orthogonal sum of X - Gamma X and B (Z - K B^T), and t and
-        the inner residual come from coordinate_split.  Each product goes
-        through by_columns, whose bits do not depend on the BLAS thread count."""
+        """Gamma X = B Z, t = T/d_lambda, ||Z - K B^T||^2 and ||X - P X||_F for
+        Z = B^T X and K = t x I: X - P X is the orthogonal sum of X - Gamma X
+        and B (Z - K B^T), each formed explicitly.  Row a of K B^T is sum_b
+        T_ab vec(B_b^T), the vec(B_b^T) taken as the columns of a C-ordered
+        copy.  Each product goes through by_columns, whose bits do not
+        depend on the BLAS thread count."""
         m, d_lam, d = self.blocks.shape
         z = by_columns(self.blocks.reshape(m * d_lam, d), x)
-        t, inner = coordinate_split(self.blocks, z)
+        t = block_traces(self.blocks, z)
+        k_bt = by_columns(np.ascontiguousarray(self.blocks.reshape(m, d_lam * d).T), t.T).T
+        inner = norm_sq(z - k_bt.reshape(z.shape))
         gamma = by_columns(block_columns(self.blocks), z)
-        del z
+        del z, k_bt
         return gamma, t, inner, math.sqrt(norm_sq(x - gamma) + inner)
 
     def distance_to(self, psi: np.ndarray) -> float:
@@ -236,39 +221,33 @@ def verification_acceptance_operator(
     return AcceptanceOperator(isotypic_block_basis(tensor_rep(mu, nu), lam))
 
 
-def _trial_coordinates(shape: tuple[int, int], df: int, center, perturbation: float | None,
-                       seed: int) -> tuple[np.ndarray, float]:
-    """One trial state's coordinates z on orthonormal vectors of the target's
-    side and its squared weight off them, ||z||^2 + weight = 1, drawn from
-    default_rng(seed) in this order: z's real parts, its imaginary parts,
-    then the chi-square.  A Haar state is G/||G|| for G iid N + iN, whose
-    coordinates are iid N + iN and whose weight off them is independent
-    chi-square with df degrees of freedom; with perturbation set the state
-    is center + perturbation G normalized, for a center of real coordinates
-    and no weight off them."""
+def _trial_weights(counts: tuple[int, int, int], perturbation: float | None,
+                   seed: int) -> tuple[float, float, float]:
+    """One trial state's weights (w1, w_half, w0) on levels of these counts,
+    summing to 1, drawn from default_rng(seed) in this order: for a
+    perturbed trial the real and then the imaginary part of g, then one
+    chi-square per level of nonzero degrees of freedom, level 1 first.  A
+    Haar state's weights are chi-squares with 2 k degrees of freedom for a
+    level of count k, over their total.  A perturbed state is the center
+    plus perturbation times G, normalized, for a unit center of level 1:
+    its w1 is |1 + perturbation g|^2 plus perturbation^2 times a chi-square
+    with 2 (k1 - 1) degrees of freedom, g one N + iN coordinate, and the
+    other weights are Haar's times perturbation^2."""
+    if sum(counts) > MAX_LEVEL_COUNT:
+        raise InvalidArgumentError("a trial state's level counts exceed the float range")
     rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((2, *shape))
-    off = rng.chisquare(df) if df else 0.0
-    with np.errstate(over="ignore"):  # an overflowing perturbation is rejected below
-        if perturbation is not None:
-            parts *= perturbation
-            parts[0] += center
-            off *= perturbation * perturbation
-        total = norm_sq(parts) + off
+    perturbed = perturbation is not None
+    g = (rng.standard_normal(), rng.standard_normal()) if perturbed else None
+    # A perturbed trial's center direction holds g in place of two degrees of freedom.
+    weights = [rng.chisquare(2 * k) if k else 0.0 for k in (counts[0] - perturbed, *counts[1:])]
+    if perturbed:  # products, not **: a float overflows to inf, which is rejected below
+        re, im = 1.0 + perturbation * g[0], perturbation * g[1]
+        weights = [perturbation * perturbation * w for w in weights]
+        weights[0] += re * re + im * im
+    total = sum(weights)
     if not math.isfinite(total):
         raise InvalidArgumentError(f"perturbation {perturbation} overflows the trial state")
-    parts /= math.sqrt(total)
-    z = np.empty(shape, dtype=complex)
-    z.real, z.imag = parts
-    return z, off / total
-
-
-def _require_trial(d: int, arrays: int, size: int, perturbation: float | None) -> None:
-    """Price one certification trial before its coordinates are drawn:
-    arrays real arrays of its size coordinates, one more that holds a
-    perturbation's center, and TRIAL_BYTES."""
-    arrays += perturbation is not None
-    require_bytes(arrays * size * 8 + TRIAL_BYTES, f"a certification trial at D = {d}")
+    return weights[0] / total, weights[1] / total, weights[2] / total
 
 
 def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: int,
@@ -279,34 +258,25 @@ def certify_lemma_bound(shape: Partition, multiplicity: int, trials: int, seed: 
     I_d1)/sqrt(d1) is at most 2 sqrt(2 eps).
 
     By Schur's lemma that span is the commutant of sigma, onto which E
-    projects: E(X) = t tensor I_d1 for psi = vec X, with t = T/d1 and T_ab =
-    tr X_ab over X's d1 x d1 blocks.  So the distance is ||X - E(X)||_F, and
-    the internal test accepts with 1/2 + 1/2 a, a = <X, E(X)> = d1 ||t||^2 =
-    1 - distance^2 = 1 - 2 eps: no group average is taken.
-
-    A trial reads only X's m^2 coordinates T_ab/sqrt(d1) on the span's
-    orthonormal vectors and the weight off it, ||X - E(X)||^2, drawn by
-    _trial_coordinates with 2 m^2 (d1^2 - 1) degrees of freedom: no state is
-    formed.  With perturbation set, trial states are normalized
-    perturbations of the maximally entangled state I/sqrt(d) at that scale
-    instead of Haar-random states; its coordinates are delta_ab/sqrt(m).
+    projects, and the internal test accepts with 1/2 + 1/2 <X, E(X)>: its
+    operator (I + W)/2 has level 1 on the span's m^2 dimensions, 1/2 on the
+    other m^2 (d1^2 - 1) and no level 0.  So a trial reads only its weights
+    w1 and w_half: acceptance 1/2 + 1/2 w1, and distance^2 the weight off
+    the span, w_half = 1 - w1 = 2 eps.  With perturbation set, trial states
+    are normalized perturbations of the maximally entangled state
+    I/sqrt(m d1), a unit vector of the span, at that scale instead of
+    Haar-random states.
     """
     if multiplicity < 1:
         raise InvalidArgumentError(f"multiplicity must be positive, got {multiplicity}")
     d1 = irrep_dimension(shape)
     require_bytes(trials * REPORT_BYTES, f"the reports of {trials} trials")
     m = multiplicity
-    _require_trial(m * d1, LEMMA_ARRAYS, m * m, perturbation)
-    center = None
-    if perturbation is not None:  # I_m / sqrt(m); np.eye's fill holds 5.5 kB beside 8 m^2 B
-        center = np.zeros((m, m))
-        center.reshape(-1)[:: m + 1] = 1 / math.sqrt(m)
-    df = 2 * m * m * (d1 * d1 - 1)
+    counts = (m * m, m * m * (d1 * d1 - 1), 0)
     reports = []
     for t in range(trials):
-        z, off = _trial_coordinates((m, m), df, center, perturbation, seed + t)
-        acceptance = internal_acceptance(z / math.sqrt(d1), d1)
-        reports.append(TestReport.build(acceptance, math.sqrt(off), 2.0))
+        w1, half, _ = _trial_weights(counts, perturbation, seed + t)
+        reports.append(TestReport.build(0.5 + 0.5 * w1, math.sqrt(half), 2.0))
     return reports
 
 
@@ -318,49 +288,36 @@ def certify_corollary_bound(mu: Partition, nu: Partition, lam: Partition, trials
     internal-test acceptance probabilities; the post-sampling state also
     satisfies the 2 sqrt(2 eps') internal-test bound.
 
-    A trial reads only Z = B^T X over lambda's irrep blocks B and the
-    weight ||X - Gamma X||^2 off their range, drawn by _trial_coordinates
-    with 2 D (D - m d_lambda) degrees of freedom: Gamma psi = vec(B Z), p =
-    ||Z||^2, and coordinate_split gives t = T/d_lambda and ||Z - K B^T||^2,
-    so the distance^2 is their explicit sum weight + ||Z - K B^T||^2.  The
-    post-sampling state X' = B Z / sqrt(p) lies in the lambda component, so
-    by Schur's lemma E(X') = sum_ab t_ab B_a B_b^T / sqrt(p), and the
-    internal test accepts with 1/2 + 1/2 a, a = <X', E(X')> = d_lambda
-    ||t||^2 / p: no group average is taken.  The total p (1 + a)/2 is
-    <psi|A|psi>, so 2 eps = distance^2 + psi's weight on A's kernel.
-    Perturbed trials center on vec(B B^T)/sqrt(m d_lambda), whose Z is B^T
-    over that root.
+    A trial reads only its weights w1, w_half and w0 on A's levels 1, 1/2
+    and 0, whose counts come from the characters' m, d_lambda and D: no
+    block is built.  Sampling lambda projects onto levels 1 and 1/2, so p =
+    w1 + w_half, and the post-sampling state's internal test accepts with
+    1/2 + 1/2 w1/p, its weight on the commutant.  So the corollary's
+    acceptance is <psi|A|psi> = (p + w1)/2, its distance^2 the explicit sum
+    w_half + w0, never 1 - w1, and the theorem's distance^2 w_half/p.
+    Perturbed trials center on vec(B B^T)/sqrt(m d_lambda), a unit vector
+    of level 1.
     """
     require_bytes(2 * trials * REPORT_BYTES, f"the reports of {trials} trials")
     sigma = tensor_rep(mu, nu)
-    # Priced from the characters' m, d_lambda and D before any block is built;
-    # a lam of another degree has m = 0 too.
-    m, d_lam, d = multiplicities(sigma).get(lam, 0), irrep_dimension(lam), sigma.dim
+    m = multiplicities(sigma).get(lam, 0)  # a lam of another degree has m = 0 too
     if m < 1:
         raise InvalidArgumentError(
             f"({mu};{nu};{lam}) has Kronecker coefficient 0; nothing to certify"
         )
-    width = m * d_lam
-    _require_trial(d, COROLLARY_ARRAYS, width * d, perturbation)
-    blocks = isotypic_block_basis(sigma, lam)
-    rows = blocks.reshape(width, d)  # B^T
-    center = None if perturbation is None else rows / math.sqrt(width)
-    df = 2 * d * (d - width)
+    counts = tuple(count for _, count in acceptance_levels(m, irrep_dimension(lam), sigma.dim))
     trials_out = []
     for t in range(trials):
-        z, off = _trial_coordinates(rows.shape, df, center, perturbation, seed + t)
-        t_lam, inner = coordinate_split(blocks, z)
-        p_sample = min(norm_sq(z), 1.0)  # Z's share of a unit vector; rounding is clamped
-        del z  # not held beside the next draw
-        distance = math.sqrt(off + inner)
+        w1, half, zero = _trial_weights(counts, perturbation, seed + t)
+        p_sample = min(w1 + half, 1.0)  # rounding is clamped
+        distance = math.sqrt(half + zero)
         if p_sample < 1e-14:
             trials_out.append(CertificationTrial(TestReport.build(0.0, distance, 3.0),
                                                  TestReport.build(0.0, 0.0, 2.0), degenerate=True))
             continue
-        p_internal = internal_acceptance(t_lam, d_lam, p_sample)
-        corollary = TestReport.build(p_sample * p_internal, distance, 3.0)
-        # The post-sampling state's Z and K are psi's over sqrt(p_sample).
-        theorem = TestReport.build(p_internal, math.sqrt(inner / p_sample), 2.0)
+        corollary = TestReport.build((p_sample + w1) / 2, distance, 3.0)
+        theorem = TestReport.build(0.5 + 0.5 * min(w1 / p_sample, 1.0),
+                                   math.sqrt(half / p_sample), 2.0)
         trials_out.append(CertificationTrial(corollary=corollary, theorem=theorem))
     return trials_out
 

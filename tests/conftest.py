@@ -203,8 +203,8 @@ def haar_state():
 def _trial_state(dim: int, center, perturbation, seed: int) -> np.ndarray:
     """A Haar-random state on C^dim, or with perturbation set the normalized
     perturbation of center at that scale, determined by the seed: the dense
-    trial state certification drew before it drew a trial's coordinates,
-    kept as the oracle for their distribution."""
+    trial state certification drew before it drew block coordinates and then
+    level weights, kept as the oracle for their distribution."""
     rng = np.random.default_rng(seed)
     if perturbation is None:
         return _haar_state(dim, rng)
@@ -229,7 +229,7 @@ def _dense_trials(kind: str, dense, perturbation, seeds) -> np.ndarray:
     acceptance operator) the corollary's acceptance and distance and the
     theorem's, from the operator's split; for a lemma (dense = (m, d1)) the
     acceptance and distance, from the identity split.  The oracle against
-    which the coordinates' draw is tested in distribution."""
+    which the level weights' draw is tested in distribution."""
     rows = []
     if kind == "corollary":
         m, d_lam, d = dense.blocks.shape
@@ -256,54 +256,102 @@ def dense_trials():
     return _dense_trials
 
 
+def _coordinate_trials(blocks: np.ndarray, perturbation, seeds) -> np.ndarray:
+    """Per seed, the corollary's four statistics, as _dense_trials orders
+    them, from the draw that certification made before it drew level
+    weights: the m d_lambda x D coordinates Z = B^T X, iid N + iN, and the
+    weight off B's range, a chi-square with 2 D (D - m d_lambda) degrees of
+    freedom, over their total; a perturbation scales both and shifts Z by
+    B^T/sqrt(m d_lambda).  Z is split by K B^T formed explicitly.  The
+    second oracle for the weights' distribution, with no D^2 state."""
+    m, d_lam, d = blocks.shape
+    center = blocks.reshape(m * d_lam, d) / math.sqrt(m * d_lam)
+    df = 2 * d * (d - m * d_lam)
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, m * d_lam, d))
+        off = rng.chisquare(df) if df else 0.0
+        if perturbation is not None:
+            parts *= perturbation
+            parts[0] += center
+            off *= perturbation * perturbation
+        total = norm_sq(parts) + off
+        z = (parts[0] + 1j * parts[1]).reshape(blocks.shape) / math.sqrt(total)
+        t = verifier.block_traces(blocks, z)
+        inner = norm_sq(z - np.einsum("ab,biy->aiy", t, blocks))
+        p = min(norm_sq(z), 1.0)
+        a = verifier.internal_acceptance(t, d_lam, p)
+        rows.append((p * a, math.sqrt(off / total + inner), a, math.sqrt(inner / p)))
+    return np.array(rows)
+
+
+@pytest.fixture(scope="session")
+def coordinate_trials():
+    return _coordinate_trials
+
+
 @pytest.fixture
 def drawn(monkeypatch):
-    """The (coordinates, weight off them) pairs certification trials draw,
+    """The level weights (w1, w_half, w0) certification trials draw,
     recorded in trial order."""
-    record, draw = [], verifier._trial_coordinates
-    monkeypatch.setattr(verifier, "_trial_coordinates",
+    record, draw = [], verifier._trial_weights
+    monkeypatch.setattr(verifier, "_trial_weights",
                         lambda *args: record.append(draw(*args)) or record[-1])
     return record
 
 
-def _gaussian_matrix(d: int, seed: int) -> np.ndarray:
+def _gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _lemma_blocks(m: int, d1: int) -> np.ndarray:
+    """The m irrep blocks of I_m x rho, B_a = e_a x I_d1, as the builder lays
+    them out (m x d1 x m d1): the lemma's product target is their level 1."""
+    blocks = np.zeros((m, d1, m * d1))
+    for a in range(m):
+        blocks[a, :, a * d1:(a + 1) * d1] = np.eye(d1)
+    return blocks
+
+
+def _level_state(operator: np.ndarray, weights, seed: int) -> np.ndarray:
+    """A unit state psi = vec X whose weights on the acceptance levels 1, 1/2
+    and 0 are the given three, each part a seeded Gaussian direction of its
+    level.  operator is either a dense acceptance matrix, for D <= 6, whose
+    eigenspaces give the levels, or the m x d_lambda x D irrep blocks, up
+    to D = 490: level 1 is sum_ab C_ab B_a B_b^T, level 1/2 is B Z' with
+    Z''s part K B^T removed, K = (T/d_lambda) x I, and level 0 a Gaussian
+    projected off B's range."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def _rescaled(r: np.ndarray, weight: float) -> np.ndarray:
-    return r * math.sqrt(weight / norm_sq(r)) if weight else 0 * r
-
-
-def _corollary_state(blocks: np.ndarray, z: np.ndarray, weight: float, seed: int) -> np.ndarray:
-    """vec(B Z + R): a state whose coordinates B^T X are a corollary trial's
-    Z, for B the blocks side by side, and whose weight off B's range is the
-    trial's, R a seeded Gaussian projected off that range and rescaled."""
-    b = block_columns(blocks)
-    g = _gaussian_matrix(len(b), seed)
-    return vec(b @ z + _rescaled(g - b @ (b.T @ g), weight))
-
-
-def _lemma_state(d1: int, z: np.ndarray, weight: float, seed: int) -> np.ndarray:
-    """vec(z tensor I_d1 / sqrt(d1) + R): a state whose coordinates T_ab /
-    sqrt(d1) on the product target are a lemma trial's z and whose weight
-    off it is the trial's, R a seeded Gaussian with each d1 x d1 block made
-    traceless and rescaled."""
-    m = len(z)
-    g = _gaussian_matrix(m * d1, seed).reshape(m, d1, m, d1)
-    t = np.trace(g, axis1=1, axis2=3) / d1
-    r = (g - t[:, None, :, None] * np.eye(d1)[None, :, None, :]).reshape(m * d1, m * d1)
-    return vec(np.kron(z, np.eye(d1)) / math.sqrt(d1) + _rescaled(r, weight))
+    if operator.ndim == 2:
+        values, vectors = np.linalg.eigh(operator)
+        parts = []
+        for level in (1.0, 0.5, 0.0):
+            space = vectors[:, np.abs(values - level) < 1e-8]
+            parts.append(space @ _gaussian(space.shape[1], rng))
+    else:
+        blocks = operator
+        m, d_lam, d = blocks.shape
+        z = _gaussian(blocks.shape, rng)
+        z -= np.einsum("ab,biy->aiy", verifier.block_traces(blocks, z), blocks)
+        g, b = _gaussian((d, d), rng), block_columns(blocks)
+        parts = [vec(np.einsum("ab,aix,biy->xy", _gaussian((m, m), rng), blocks, blocks)),
+                 vec(b @ z.reshape(m * d_lam, d)), vec(g - b @ (b.T @ g))]
+    state = 0
+    for part, weight in zip(parts, weights, strict=True):
+        if weight:
+            state = state + part * math.sqrt(weight / norm_sq(part))
+    return state
 
 
 @pytest.fixture(scope="session")
-def corollary_state():
-    return _corollary_state
+def level_state():
+    return _level_state
 
 
 @pytest.fixture(scope="session")
-def lemma_state():
-    return _lemma_state
+def lemma_blocks():
+    return _lemma_blocks
 
 
 def _stack_average(rep, x) -> np.ndarray:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -204,7 +205,7 @@ def test_verify_spectrum_json_holds_less_than_its_price(triple, pretty, monkeypa
 
 def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, monkeypatch):
     # sigma's own stack would take 119 MB and the circuit five of them; a
-    # trial holds 9 arrays of its m d_lambda x D coordinates (0.50 MB).
+    # trial draws three level weights and holds no array.
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
     code, doc = invoke(["verify", "certify", "4,2", "3,2,1", "3,2,1", "--trials", "1"], capsys)
     assert code == 0
@@ -212,44 +213,43 @@ def test_certify_at_d144_fits_the_default_budget_without_sigmas_stack(capsys, mo
 
 
 @pytest.mark.parametrize(
-    "argv, d, price",
-    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "1"], 30, 29_120),
-     (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "1"], 10, 3_424),
-     (["verify", "certify", "5,4", "5,3,1", "4,3,2", "--trials", "1"], 6804, 329_207_936)],
+    "argv, price",
+    [(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "2"], 5_200),
+     (["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "2"], 2_600),
+     (["verify", "certify", "5,4", "5,3,1", "4,3,2", "--trials", "2"], 5_200)],
     ids=["certify", "certify-lemma", "certify-n9"],
 )
-def test_certify_prices_its_trials_before_the_first_state(argv, d, price, capsys, monkeypatch):
-    # D = 30 with m d_lambda = 12: 9 arrays of the 12 x 30 coordinates and
-    # 3,200 B of Python objects; the lemma at D = 10, m = 2: 7 arrays of the
-    # 2 x 2 coordinates and the same 3,200 B.  At n = 9, D = 6,804 and m
-    # d_lambda = 672, the price is within the default budget, where the dense
-    # trial's 3.15 GB exited 3.  Below it no block is built; at the price
-    # itself the command runs.
-    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
-    drawn, draw = [], verifier._trial_coordinates
-    monkeypatch.setattr(verifier, "_trial_coordinates",
-                        lambda *args: drawn.append(args) or draw(*args))
-    built, build = [], verifier.isotypic_block_basis
-    monkeypatch.setattr(verifier, "isotypic_block_basis",
-                        lambda *args: built.append(args) or build(*args))
-    with monkeypatch.context() as scoped:
-        scoped.setenv("SNVERIFY_MAX_BYTES", str(price - 1))
+def test_certify_prices_its_trials_before_the_first_state(argv, price, capsys, monkeypatch):
+    # Two trials' reports, at 1,300 B a report: the corollary writes two a
+    # trial and the lemma one.  No trial holds an array, so that is the
+    # verifier's whole price, at D = 30 as at n = 9 (D = 6,804).  One byte
+    # under it the command exits 3 before any draw; at the price itself it
+    # runs.  The budget is set for the verifier's check alone: the character
+    # walk that gives m is priced apart, after it.
+    drawn, draw = [], verifier._trial_weights
+    monkeypatch.setattr(verifier, "_trial_weights", lambda *args: drawn.append(args) or draw(*args))
+    codes = []
+    for budget in (price - 1, price):
+        def check(nbytes, what, budget=budget):
+            with monkeypatch.context() as scoped:
+                scoped.setenv("SNVERIFY_MAX_BYTES", str(budget))
+                require_bytes(nbytes, what)
+
+        monkeypatch.setattr(verifier, "require_bytes", check)
         code, doc = invoke(argv, capsys)
-    assert code == 3
-    assert doc["error"].startswith(f"a certification trial at D = {d}: {price} B")
-    assert drawn == [] and built == []
-    if d < 1000:  # the n = 9 run is made under the default budget
-        monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(price))
-    code, doc = invoke(argv, capsys)
-    assert code == 0 and doc["violations"] == 0
-    assert len(drawn) == 1
+        codes.append(code)
+        if code == 3:
+            assert doc["error"].startswith(f"the reports of 2 trials: {price} B")
+            assert drawn == []
+    assert codes == [3, 0] and doc["violations"] == 0
+    assert len(drawn) == 2
 
 
 def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys, monkeypatch):
     # I_30 x rho^(3,1,1), D = 180: certification priced the average at 12 +
     # n(n-1)/2 = 22 D x D arrays with the images turn reads (5,702,400 B) and
     # exited 3 under this budget; the dense trial state held 8 (2,073,600 B),
-    # and a trial now holds 7 arrays of its 30 x 30 coordinates.
+    # and a trial now draws three level weights.
     budget = 4_000_000
     assert (12 + 10) * 180**2 * 8 > budget > 8 * 180**2 * 8
     monkeypatch.setenv("SNVERIFY_MAX_BYTES", str(budget))
@@ -262,14 +262,15 @@ def test_certify_lemma_fits_a_budget_that_refused_the_coset_tower_average(capsys
 
 def test_certify_outputs_are_pinned(capsys):
     # Frozen so that a later kernel cannot move them silently: the
-    # corollary's stdout by its digest, its acceptances within 1e-16 of
-    # <psi|A|psi> from the dense operator Gamma (I + W) Gamma / 2 on the
-    # states built from the drawn coordinates; the lemma's reports at 1e-12
-    # from the coset-tower formula 1/2 + 1/2 Re<X, E(X)> and the dense
-    # distance to the product target on the states built from them.
+    # corollary's stdout by its digest, its acceptances and distances within
+    # 1e-12 of <psi|A|psi> from the dense operator Gamma (I + W) Gamma / 2 and
+    # of the dense distance to its eigenvalue-1 space on the states built from
+    # the drawn level weights; the lemma's reports at 1e-12 from the
+    # coset-tower formula 1/2 + 1/2 Re<X, E(X)> and the dense distance to the
+    # product target on the states built from them.
     assert main(["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "20", "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "76549c227589dda5f7b6934c5380e35c86330e6d1247b759209f0c216db0cf89"
+    assert digest == "4861318309c22cee8308a3935880108d654471dcb492e82e9244cfcfb373ed5d"
     code, doc = invoke(
         ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "20", "--seed", "5"], capsys
     )
@@ -301,7 +302,8 @@ def test_verifier_reads_no_transposition_image_of_sigma(argv, tmp_path, capsys, 
                         lambda rep: kinds.append(rep.kind) or images(rep))
     code, doc = invoke([token.format(witness=path) for token in argv], capsys)
     assert code == 0, doc
-    assert "irrep" in kinds and "tensor" not in kinds
+    # verify run turns by the factors' irreps; certification turns by none.
+    assert kinds == [] if argv[1] == "certify" else "irrep" in kinds and "tensor" not in kinds
 
 
 def test_verify_spectrum_at_n8_enumerates_no_group_and_builds_no_stack(capsys, monkeypatch):
@@ -640,14 +642,8 @@ def test_certify_reports_min_slack_and_degenerate_trials(capsys, monkeypatch):
     assert "degenerate_trials" not in doc
 
     # Trial states orthogonal to the sampled isotypic component are counted:
-    # each drawn coordinate is 0 and the whole weight lies off the blocks.
-    draw = verifier._trial_coordinates
-
-    def outside_component(*args):
-        z, _ = draw(*args)
-        return 0 * z, 1.0
-
-    monkeypatch.setattr(verifier, "_trial_coordinates", outside_component)
+    # the whole weight lies on A's level 0.
+    monkeypatch.setattr(verifier, "_trial_weights", lambda *args: (0.0, 0.0, 1.0))
     code, doc = invoke(
         ["verify", "certify", "2,1", "2,1", "3", "--trials", "4", "--seed", "0"], capsys
     )
@@ -784,7 +780,7 @@ def test_rep_char_prices_the_walk_before_any_strip(capsys, monkeypatch):
 
 
 def test_verify_certify_walks_the_character_table_once(capsys, monkeypatch):
-    # certify_corollary_bound and the acceptance operator both read m.
+    # certify_corollary_bound reads m, d_lambda and D from the characters alone.
     walks = []
     columns = characters.character_columns
     monkeypatch.setattr(characters, "character_columns", lambda n: walks.append(n) or columns(n))
@@ -1112,6 +1108,8 @@ def test_cli_process_prints_the_run_payload_and_main_freezes_the_heap_once():
         ["verify", "certify", "2,1", "2,1", "2,1", "--perturbation", "nan"],
         ["certify-lemma", "2,1", "--perturbation", "inf"],
         ["certify-lemma", "2,1", "--trials", "1", "--perturbation", "1e308"],
+        ["certify-lemma", "2,1", "--trials", "1", "--perturbation", "1e200"],
+        ["certify-lemma", "2,1", "--multiplicity", "1" + "0" * 200],
         ["wfs", "measure", "2,1", "2,1", "--seed", "-1"],
         ["selftest", "--n-max", "0"],
         ["selftest", "--n-max", "-3"],
@@ -1124,6 +1122,8 @@ def test_cli_process_prints_the_run_payload_and_main_freezes_the_heap_once():
         "nan-perturbation",
         "inf-perturbation",
         "overflowing-perturbation",
+        "overflowing-perturbation-square",
+        "multiplicity-beyond-floats",
         "negative-seed",
         "selftest-n-max-0",
         "selftest-n-max-negative",
@@ -1131,9 +1131,15 @@ def test_cli_process_prints_the_run_payload_and_main_freezes_the_heap_once():
     ],
 )
 def test_out_of_domain_input_exits_2(argv, capsys):
-    code, doc = invoke(argv, capsys)
+    # One JSON document on stdout and nothing on stderr: no traceback, and no
+    # warning, which is raised here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
     assert code == 2
-    assert doc["status"] == "invalid-argument"
+    assert json.loads(out)["status"] == "invalid-argument"
+    assert err == ""
 
 
 def test_exact_center_state_certifies(capsys):
@@ -1150,10 +1156,10 @@ def test_exact_center_state_certifies(capsys):
         ["rep", "matrix", "5,4,3,2,1", ",".join(str(k) for k in range(15, 0, -1))],
         ["state", "phi-plus", "100000"],
         ["sym", "partitions", "200"],
-        ["certify-lemma", "2,1", "--multiplicity", "100000"],
+        ["certify-lemma", "2,1", "--trials", "1000000"],
         ["verify", "spectrum", "4,3,1", "4,3,1", "4,3,1"],
     ],
-    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-multiplicity", "blocks-d4900"],
+    ids=["irrep-d292864", "phi-plus", "partitions-200", "lemma-reports", "blocks-d4900"],
 )
 def test_oversized_input_exits_3_before_allocating(argv, capsys, monkeypatch):
     monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
@@ -1162,6 +1168,21 @@ def test_oversized_input_exits_3_before_allocating(argv, capsys, monkeypatch):
     assert time.perf_counter() - start < 2.0
     assert code == 3
     assert "byte budget" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "certify", "6,4", "5,3,2", "4,3,2,1", "--trials", "100"],
+     ["certify-lemma", "2,1", "--multiplicity", "100000"]],
+    ids=["certify-n10", "lemma-multiplicity-100000"],
+)
+def test_certification_reaches_n10_and_large_multiplicities(argv, capsys, monkeypatch):
+    # D = 40,500 with m d_lambda D = 1.2 10^8, and the lemma at D = 200,000:
+    # a trial draws three level weights, so only the reports are priced.
+    monkeypatch.delenv("SNVERIFY_MAX_BYTES", raising=False)
+    code, doc = invoke(argv, capsys)
+    assert code == 0, doc
+    assert doc["violations"] == 0
 
 
 def test_malformed_byte_budget_exits_2(capsys, monkeypatch):

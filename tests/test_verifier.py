@@ -105,18 +105,22 @@ def test_coset_tower_at_d144_is_a_projection_onto_the_commutant(dense_rep):
         np.testing.assert_allclose(g @ ex, ex @ g, rtol=0, atol=1e-12)
 
 
-def test_certification_builds_the_blocks_once_and_no_xi(monkeypatch):
-    # Gamma psi, the distances and the center all read the irrep blocks.
-    calls, xis = [], []
-    build = verifier.isotypic_block_basis
-    monkeypatch.setattr(verifier, "isotypic_block_basis",
-                        lambda rep, shape: calls.append(shape) or build(rep, shape))
-    monkeypatch.setattr(wfs, "wfs_projector", lambda rep, shape: xis.append(shape))
+def test_certification_builds_no_block_and_no_chain(monkeypatch):
+    # A trial draws its three level weights, Haar or perturbed: neither the
+    # irrep blocks, nor a probe chain, nor Xi is built.
+    def refuse(*args):
+        raise AssertionError("certification built a block, a chain or Xi")
+
+    for module in (verifier, wfs):
+        monkeypatch.setattr(module, "isotypic_block_basis", refuse)
+    for name in ("tableau_projector", "wfs_projector"):
+        monkeypatch.setattr(wfs, name, refuse)
     for perturbation in (None, 0.1):
-        certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2, seed=0,
-                                perturbation=perturbation)
-    assert calls == [P("3,1,1")] * 2
-    assert xis == []
+        trials = certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2, seed=0,
+                                         perturbation=perturbation)
+        assert all(t.corollary.bound_satisfied and t.theorem.bound_satisfied for t in trials)
+        reports = certify_lemma_bound(P("3,2"), 2, trials=2, seed=0, perturbation=perturbation)
+        assert all(r.bound_satisfied for r in reports)
 
 
 @pytest.mark.parametrize("lam", ["2,1", "2,2"], ids=["m0", "other-degree"])
@@ -436,10 +440,10 @@ def test_lemma_rejects_a_multiplicity_below_one():
 
 
 def test_lemma_distance_matches_the_product_target_oracle(
-    product_target_oracle, span_distance, lemma_state, drawn, monkeypatch
+    product_target_oracle, span_distance, level_state, lemma_blocks, drawn, monkeypatch
 ):
     # Haar and perturbed trials, each against the state built from its drawn
-    # coordinates, and a block state vec(A x I_d1)/sqrt(d1) of the target
+    # weights, and a block state vec(A x I_d1)/sqrt(d1) of the target
     # itself, at distance 0.
     for m, shape in ((1, P("2,1")), (2, P("3,2")), (3, P("2,1"))):
         d1 = irrep_dimension(shape)
@@ -447,15 +451,14 @@ def test_lemma_distance_matches_the_product_target_oracle(
         for perturbation in (None, 0.1):
             drawn.clear()
             reports = certify_lemma_bound(shape, m, trials=4, seed=5, perturbation=perturbation)
-            for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
-                psi = lemma_state(d1, z, weight, 5 + t)
+            for t, (report, weights) in enumerate(zip(reports, drawn, strict=True)):
+                psi = level_state(lemma_blocks(m, d1), weights, 5 + t)
                 assert report.distance_to_target == pytest.approx(
                     span_distance(oracle, psi), rel=1e-14, abs=1e-15)
         a = np.arange(1.0, m * m + 1).reshape(m, m)
         block = vec(np.kron(a / np.linalg.norm(a), np.eye(d1) / math.sqrt(d1)))
         with monkeypatch.context() as patched:
-            patched.setattr(verifier, "_trial_coordinates",
-                            lambda *args: (a / np.linalg.norm(a) + 0j, 0.0))
+            patched.setattr(verifier, "_trial_weights", lambda *args: (1.0, 0.0, 0.0))
             (report,) = certify_lemma_bound(shape, m, trials=1, seed=0)
         assert span_distance(oracle, block) < 1e-15
         assert report.distance_to_target < 1e-15
@@ -512,20 +515,20 @@ def _nonzero_triples(n_max: int):
 
 @pytest.mark.parametrize(
     "mu, nu, lam", [*_nonzero_triples(5), (P("4,3"), P("4,2,1"), P("4,2,1"))], ids=str)
-def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam, corollary_state,
+def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam, level_state,
                                                                 drawn):
-    # The theorem report's acceptance, read from the split's t, against
+    # The theorem report's acceptance, read from the level weights, against
     # 1/2 + 1/2 Re<X', E(X')> with E through the coset tower, on the
     # post-sampling state X' of the state built from each seeded Haar and
-    # perturbed trial's coordinates.
+    # perturbed trial's weights.
     sigma = tensor_rep(mu, nu)
     d = sigma.dim
     op = verification_acceptance_operator(mu, nu, lam)
     for perturbation in (None, 0.1):
         drawn.clear()
         trials = certify_corollary_bound(mu, nu, lam, trials=2, seed=3, perturbation=perturbation)
-        for t, (trial, (z, weight)) in enumerate(zip(trials, drawn, strict=True)):
-            psi = corollary_state(op.blocks, z, weight, 3 + t)
+        for t, (trial, weights) in enumerate(zip(trials, drawn, strict=True)):
+            psi = level_state(op.blocks, weights, 3 + t)
             projected = op._split(unvec(psi, d))[0]
             p_sample = norm_sq(projected)
             formula = verifier._formula_value(sigma, projected / math.sqrt(p_sample))
@@ -535,16 +538,18 @@ def test_corollary_internal_test_matches_the_coset_tower_formula(mu, nu, lam, co
 
 
 @pytest.mark.parametrize("m, shape", [(2, "2,1"), (2, "3,2"), (30, "3,1,1"), (3, "4,2,1")])
-def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape, lemma_state, drawn):
-    # d1 ||T/d1||^2 from the drawn coordinates against the coset tower's
-    # <X, E(X)> on the state built from them.
+def test_lemma_internal_test_matches_the_coset_tower_formula(m, shape, level_state, lemma_blocks,
+                                                            drawn):
+    # 1/2 + 1/2 w1 from the drawn weights against the coset tower's
+    # 1/2 + 1/2 <X, E(X)> on the state built from them.
     rep = identity_times_irrep(m, P(shape))
     d, d1 = rep.dim, irrep_dimension(P(shape))
     for perturbation in (None, 0.1):
         drawn.clear()
         reports = certify_lemma_bound(P(shape), m, trials=3, seed=4, perturbation=perturbation)
-        for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
-            formula = verifier._formula_value(rep, unvec(lemma_state(d1, z, weight, 4 + t), d))
+        for t, (report, weights) in enumerate(zip(reports, drawn, strict=True)):
+            psi = level_state(lemma_blocks(m, d1), weights, 4 + t)
+            formula = verifier._formula_value(rep, unvec(psi, d))
             assert abs(report.acceptance_probability - formula) <= 1e-12
 
 
@@ -559,11 +564,11 @@ def _dense_acceptance(rep, xi: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("case", ["lemma-d4", "lemma-d6", "corollary-d4", "corollary-d6",
                                   "corollary-d30"])
-def test_certified_acceptance_is_the_verifiers_own(case, corollary_state, lemma_state, drawn):
+def test_certified_acceptance_is_the_verifiers_own(case, level_state, drawn):
     # Each report's acceptance against the verifier it certifies, on the state
-    # built from the trial's drawn coordinates: <psi|A|psi> for the dense
-    # acceptance operator at D <= 6, p times the circuit's walk on the
-    # post-sampling state at D = 30.  Then distance^2 <= 2 eps, within both
+    # built from the trial's drawn weights: <psi|A|psi> for the dense
+    # acceptance operator at D <= 6, on its eigenspaces, and p times the
+    # circuit's walk on the post-sampling state at D = 30, on the blocks'.  Then distance^2 <= 2 eps, within both
     # bounds: equal for the lemma and the theorem, with the weight on A's
     # eigenvalue 0 between them for the corollary.
     kind, d = case.split("-d")
@@ -571,13 +576,11 @@ def test_certified_acceptance_is_the_verifiers_own(case, corollary_state, lemma_
         m, shape = {"4": (2, P("2,1")), "6": (3, P("2,1"))}[d]
         rep = identity_times_irrep(m, shape)
         dense = _dense_acceptance(rep, np.eye(rep.dim))
-        build = lambda z, weight, seed: lemma_state(irrep_dimension(shape), z, weight, seed)
     else:
         mu, nu, lam = (P(t) for t in {"4": ("2,1", "2,1", "2,1"), "6": ("3,1", "2,2", "3,1"),
                                       "30": ("3,2", "3,1,1", "3,1,1")}[d])
         rep, op = tensor_rep(mu, nu), verification_acceptance_operator(mu, nu, lam)
         dense = None if d == "30" else _dense_acceptance(rep, wfs_projector(rep, lam).matrix)
-        build = lambda z, weight, seed: corollary_state(op.blocks, z, weight, seed)
     for perturbation in (None, 0.3, 0.03):
         drawn.clear()
         if kind == "lemma":
@@ -585,8 +588,8 @@ def test_certified_acceptance_is_the_verifiers_own(case, corollary_state, lemma_
         else:
             trials = certify_corollary_bound(mu, nu, lam, 3, 2, perturbation)
             reports, equal = [t.corollary for t in trials], [t.theorem for t in trials]
-        for t, (report, (z, weight)) in enumerate(zip(reports, drawn, strict=True)):
-            psi = build(z, weight, 2 + t)
+        for t, (report, weights) in enumerate(zip(reports, drawn, strict=True)):
+            psi = level_state(op.blocks if dense is None else dense, weights, 2 + t)
             if dense is not None:
                 expected = float(np.vdot(psi, dense @ psi).real)
             else:
@@ -616,57 +619,52 @@ def test_certification_takes_no_group_average(monkeypatch):
 
 
 TRIAL_CASES = {
+    "corollary-d30": lambda p: certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), 3, 0, p),
+    "corollary-d40500": lambda p: certify_corollary_bound(P("6,4"), P("5,3,2"), P("4,3,2,1"), 3, 0,
+                                                          p),
     "corollary-d490": lambda p: certify_corollary_bound(P("4,3"), P("4,2,1"), P("4,2,1"), 3, 0, p),
     "corollary-d35-whole": lambda p: certify_corollary_bound(P("7"), P("4,2,1"), P("4,2,1"), 3, 0, p),
     "lemma-d180": lambda p: certify_lemma_bound(P("3,1,1"), 30, 3, 0, p),
     "lemma-d105": lambda p: certify_lemma_bound(P("4,2,1"), 3, 3, 0, p),
 }
+# Beside the reports, a trial holds its generator and a few floats; the
+# generator's objects take about 2 kB (tracemalloc), at any D.
+TRIAL_FIXED_BYTES = 8192
 
 
 @pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
 @pytest.mark.parametrize("case", list(TRIAL_CASES))
 def test_certification_trials_hold_what_they_price(case, perturbation, monkeypatch):
-    # From the trial price on, and for the corollary from when its blocks are
-    # built after that price: the center and three trials, each its
-    # coordinates, their split and the reports.  corollary-d35-whole has m
-    # d_lambda = D, the coordinates' largest shape and no weight off B's
-    # range; the blocks are held apart.
+    # From the reports' price on, with the characters cached: three trials
+    # hold their reports and one fixed bound beside them, the same from D =
+    # 30 to 40,500 (n = 10, m d_lambda D = 1.2 10^8).  corollary-d35-whole
+    # has m d_lambda = D, so no level 0.
     call = TRIAL_CASES[case]
-    call(perturbation)  # the factors' images, cached and priced apart
-    priced, held, checked, build = [], [], verifier.require_bytes, verifier.isotypic_block_basis
-
-    def window():  # opens at the trial price, or after it once the blocks are built
-        held[:] = [tracemalloc.get_traced_memory()[0]]
-        tracemalloc.reset_peak()
+    call(perturbation)  # the characters' multiplicities, cached and priced apart
+    priced, checked = [], verifier.require_bytes
 
     def spy(nbytes, what):
         checked(nbytes, what)
-        if what.startswith("a certification trial"):
-            priced.append(nbytes)
-            window()
-
-    def built(rep, shape):
-        blocks = build(rep, shape)
-        window()
-        return blocks
+        priced.append((nbytes, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
 
     monkeypatch.setattr(verifier, "require_bytes", spy)
-    monkeypatch.setattr(verifier, "isotypic_block_basis", built)
     tracemalloc.start()
     try:
         call(perturbation)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ((price,), (start,)) = priced, held
-    assert peak - start <= price < 1.25 * (peak - start), (peak - start, price)
+    ((price, held),) = priced
+    assert price == (2 if case.startswith("corollary") else 1) * 3 * verifier.REPORT_BYTES
+    assert peak - held <= price + TRIAL_FIXED_BYTES, (peak - held, price)
 
 
 @pytest.mark.parametrize("case", ["corollary-d30", "lemma-d10"])
 def test_sampled_weight_has_its_beta_mean(case, drawn):
-    # A Haar trial's weight on the target's side, ||z||^2 (p for the
-    # corollary, a for the lemma), is Beta(k, K - k) for k of the K complex
-    # coordinates of the state: mean k/K.  Over 2,000 seeds the sample mean
+    # A Haar trial's weight on the target's side (p = w1 + w_half for the
+    # corollary, a = w1 for the lemma) is Beta(k, K - k) for k of the K
+    # complex coordinates of the state: mean k/K.  Over 2,000 seeds the sample mean
     # lies within 4 sigma of it.
     if case == "corollary-d30":
         certify_corollary_bound(P("3,2"), P("3,1,1"), P("3,1,1"), trials=2000, seed=0)
@@ -674,7 +672,8 @@ def test_sampled_weight_has_its_beta_mean(case, drawn):
     else:
         certify_lemma_bound(P("3,2"), 2, trials=2000, seed=0)
         k, total = 2 * 2, 10 * 10
-    weights = np.array([norm_sq(z) for z, _ in drawn])
+    side = 2 if case == "corollary-d30" else 1  # p = w1 + w_half, a = w1
+    weights = np.array([sum(w[:side]) for w in drawn])
     assert len(weights) == 2000
     sigma = math.sqrt(k * (total - k) / (total**2 * (total + 1)) / len(weights))
     assert abs(weights.mean() - k / total) <= 4 * sigma, (weights.mean(), k / total, sigma)
@@ -692,7 +691,7 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 @pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
 def test_drawn_coordinates_match_the_dense_trial_states_in_distribution(perturbation, dense_trials):
     # 3,000 trials a side, on disjoint seeds: the reports' statistics from the
-    # drawn coordinates against those of the dense trial states, the
+    # drawn level weights against those of the dense trial states, the
     # corollary at D = 30 (both acceptances and distances) and the lemma at
     # d = 10 (its acceptance and distance).  Six statistics and two runs make
     # twelve comparisons, each held to the two-sample critical value at the
@@ -711,6 +710,26 @@ def test_drawn_coordinates_match_the_dense_trial_states_in_distribution(perturba
            dense_trials("lemma", (2, 5), perturbation, range(trials))]
     statistics = [_ks_statistic(a[:, k], b[:, k]) for a, b in zip(new, old) for k in range(a.shape[1])]
     assert len(statistics) == 6
+    assert max(statistics) < critical, statistics
+
+
+@pytest.mark.parametrize("perturbation", [None, 0.1], ids=["haar", "perturbed"])
+def test_drawn_weights_match_the_coordinate_draw_in_distribution(perturbation, coordinate_trials):
+    # 3,000 trials a side, on disjoint seeds: the corollary's four statistics
+    # from the drawn level weights against those of the draw of a trial's
+    # m d_lambda x D coordinates on the blocks and its weight off them, at D
+    # = 144 (3,2,1 in 4,2 x 3,2,1).  Four statistics and two runs make eight
+    # comparisons, each held to the two-sample critical value at the
+    # family's 5 % level (Bonferroni, 0.05/8): c = sqrt(-ln(0.05/16) / 2)
+    # times sqrt(2/3,000), 0.0439.
+    trials, critical = 3000, math.sqrt(-math.log(0.05 / 16) / 2) * math.sqrt(2 / 3000)
+    mu, nu, lam = P("4,2"), P("3,2,1"), P("3,2,1")
+    new = np.array([(t.corollary.acceptance_probability, t.corollary.distance_to_target,
+                     t.theorem.acceptance_probability, t.theorem.distance_to_target)
+                    for t in certify_corollary_bound(mu, nu, lam, trials, 10**6, perturbation)])
+    old = coordinate_trials(verification_acceptance_operator(mu, nu, lam).blocks, perturbation,
+                            range(trials))
+    statistics = [_ks_statistic(new[:, k], old[:, k]) for k in range(4)]
     assert max(statistics) < critical, statistics
 
 
