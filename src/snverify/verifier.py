@@ -20,6 +20,7 @@ perturbation's center is a unit vector of level 1 and shifts only w1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,16 @@ from .characters import multiplicities
 from .errors import InvalidArgumentError, require_bytes
 from .entangled import unvec
 from .symgroup import Partition, irrep_dimension
-from .wfs import block_columns, by_columns, isotypic_block_basis, norm_sq, sample_wfs
+from .wfs import block_columns, by_columns, isotypic_block_basis, norm_sq, sample_wfs, seeded
 from .yyrep import GroupRep, tensor_rep, turn
 
 BOUND_SLACK = 1e-8
 # Python memory per test report, measured through the CLI's JSON output.
 REPORT_BYTES = 1300
-# A trial's chi-squares take their degrees of freedom as floats, and their total
-# stays near twice the level counts': a quarter of the float range keeps both finite.
-MAX_LEVEL_COUNT = float(np.finfo(float).max) / 4
+# A trial's gamma draw for a level of count k forms 2 k - 1 and returns about 2 k,
+# and the draws' total stays near twice the counts': a quarter of the float range
+# keeps all of them finite.
+MAX_LEVEL_COUNT = sys.float_info.max / 4
 
 
 def acceptance_levels(m: int, d_lam: int, d: int) -> tuple[tuple[float, int], ...]:
@@ -224,10 +226,11 @@ def verification_acceptance_operator(
 def _trial_weights(counts: tuple[int, int, int], perturbation: float | None,
                    seed: int) -> tuple[float, float, float]:
     """One trial state's weights (w1, w_half, w0) on levels of these counts,
-    summing to 1, drawn from default_rng(seed) in this order: for a
-    perturbed trial the real and then the imaginary part of g, then one
-    chi-square per level of nonzero degrees of freedom, level 1 first.  A
-    Haar state's weights are chi-squares with 2 k degrees of freedom for a
+    summing to 1, drawn from the standard library's Random(seed) in this
+    order: for a perturbed trial the real and then the imaginary part of g
+    (gauss), then one chi-square per level of nonzero degrees of freedom,
+    level 1 first, as gammavariate(k, 2), the chi-square with 2 k degrees
+    of freedom.  A Haar state's weights are those chi-squares, one per
     level of count k, over their total.  A perturbed state is the center
     plus perturbation times G, normalized, for a unit center of level 1:
     its w1 is |1 + perturbation g|^2 plus perturbation^2 times a chi-square
@@ -235,11 +238,11 @@ def _trial_weights(counts: tuple[int, int, int], perturbation: float | None,
     other weights are Haar's times perturbation^2."""
     if sum(counts) > MAX_LEVEL_COUNT:
         raise InvalidArgumentError("a trial state's level counts exceed the float range")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     perturbed = perturbation is not None
-    g = (rng.standard_normal(), rng.standard_normal()) if perturbed else None
+    g = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) if perturbed else None
     # A perturbed trial's center direction holds g in place of two degrees of freedom.
-    weights = [rng.chisquare(2 * k) if k else 0.0 for k in (counts[0] - perturbed, *counts[1:])]
+    weights = [rng.gammavariate(k, 2.0) if k else 0.0 for k in (counts[0] - perturbed, *counts[1:])]
     if perturbed:  # products, not **: a float overflows to inf, which is rejected below
         re, im = 1.0 + perturbation * g[0], perturbation * g[1]
         weights = [perturbation * perturbation * w for w in weights]
@@ -336,6 +339,6 @@ def run_verifier_sampled(mu: Partition, nu: Partition, lam: Partition, psi: np.n
     # by_columns' copy of Z's two parts and more (tracemalloc: 2.0-3.1 Z at D = 30-210).
     require_bytes(4 * z.size * 8, f"the internal test's split at D = {sigma.dim}")
     acceptance = internal_acceptance(block_traces(blocks, z), blocks.shape[1], p)
-    coin = np.random.default_rng(seed + 1).random()
+    coin = seeded(seed + 1).random()  # seed itself was checked by sample_wfs
     return {"accepted": bool(coin < acceptance), "measured": str(label),
             "stage": "internal-state-test", "internal_acceptance_probability": acceptance}

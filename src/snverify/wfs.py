@@ -20,6 +20,7 @@ label's Xi_lambda a panel of rows at a time, with no projector held whole.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,12 +261,24 @@ def norm_sq(v: np.ndarray) -> float:
     return float(np.sum(v**2 if np.isrealobj(v) else v.real**2 + v.imag**2))
 
 
+def seeded(seed: int) -> random.Random:
+    """The standard library's generator for a nonnegative seed: Random(-s)
+    would repeat Random(s)'s stream.  Every seeded command draws from it, so
+    none of them imports numpy.random."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
+    return random.Random(seed)
+
+
 def sample_wfs(rep: GroupRep, psi: np.ndarray,
                seed: int) -> tuple[Partition, np.ndarray, np.ndarray, float]:
     """Sample an irrep label by measuring rep on the first register of
     psi = vec X, X of shape D x k (k = 1 is a state of rep's own space):
     the label, its blocks, Z = B^T X and its probability p = ||Z||_F^2.
-    No projector is built.  Deterministic given the seed."""
+    No projector is built.  Deterministic given the seed: the label is
+    Random(seed).choices over the probabilities, which bisects their running
+    sum to the right, so a label of probability 0 is never drawn."""
+    rng = seeded(seed)
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size % rep.dim:
         raise InvalidArgumentError(
@@ -289,8 +302,7 @@ def sample_wfs(rep: GroupRep, psi: np.ndarray,
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise NumericalConsistencyError(f"measurement probabilities sum to {total}")
-    rng = np.random.default_rng(seed)
-    choice = rng.choice(len(shapes), p=probs / total)
+    choice = rng.choices(range(len(shapes)), weights=probs.tolist())[0]
     return shapes[choice], blocks[choice], parts[choice], float(probs[choice])
 
 

@@ -78,3 +78,23 @@ def test_cli_writes_no_json_itself():
     calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"dump", "dumps"}]
     assert calls == []
+
+
+def test_only_selftest_names_numpy_random():
+    # Every seeded command draws from the standard library's random; only the
+    # self-test keeps NumPy's generator, whose Haar matrices set the residuals
+    # its stdout prints.
+    users = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.startswith(("np.random", "numpy.random")) for n in names):
+                users.add(name)
+    assert users == {"selftest"}

@@ -2,6 +2,7 @@
 verifier, and Monte-Carlo certification of the robustness bounds.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from snverify.symgroup import (
     irrep_dimension,
 )
 from snverify.verifier import (
+    acceptance_levels,
     certify_corollary_bound,
     certify_lemma_bound,
     channel_E,
@@ -628,7 +630,7 @@ TRIAL_CASES = {
     "lemma-d105": lambda p: certify_lemma_bound(P("4,2,1"), 3, 3, 0, p),
 }
 # Beside the reports, a trial holds its generator and a few floats; the
-# generator's objects take about 2 kB (tracemalloc), at any D.
+# generator, a random.Random, takes about 3.2 kB (tracemalloc), at any D.
 TRIAL_FIXED_BYTES = 8192
 
 
@@ -919,6 +921,67 @@ def test_sampled_run_is_seed_deterministic():
     a = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     b = run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, 7)
     assert a == b
+
+
+def _binomial_region(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The two-sided region [lo, hi] of a binomial(n, p) count at level alpha:
+    each tail beyond it holds at most alpha / 2."""
+    pmf = [math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p)) for k in range(n + 1)]
+    below = list(itertools.accumulate(pmf))  # P(X <= k)
+    above = list(itertools.accumulate(reversed(pmf)))[::-1]  # P(X >= k)
+    lo = next(k for k in range(n + 1) if below[k] > alpha / 2)
+    hi = next(k for k in range(n, -1, -1) if above[k] > alpha / 2)
+    return lo, hi
+
+
+def test_sampled_run_accepts_at_its_internal_acceptance_probability(haar_state):
+    # A state of the lambda component alone reaches the internal test at
+    # every seed; over 2,000 seeds its accept count lies in the two-sided 5 %
+    # binomial region of the probability the run reports.  Half the witness
+    # Xi plus a Haar part keeps that probability away from 1/2 and 1.
+    sigma = tensor_rep(P("2,1"), P("2,1"))
+    haar = unvec(haar_state(16, np.random.default_rng(0)), 4)
+    x = wfs_projector(sigma, P("2,1")).matrix @ (0.5 * np.eye(4) + haar)
+    psi = vec(x) / math.sqrt(norm_sq(x))
+    outs = [run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, seed) for seed in range(2000)]
+    assert {out["stage"] for out in outs} == {"internal-state-test"}
+    (p,) = {out["internal_acceptance_probability"] for out in outs}
+    assert 0.6 < p < 0.9
+    lo, hi = _binomial_region(len(outs), p, 0.05)
+    assert lo <= sum(out["accepted"] for out in outs) <= hi, (lo, hi)
+
+
+def test_a_negative_seed_is_rejected():
+    # Random(-s) seeds the stream of Random(s), so a negative seed would
+    # repeat another seed's trials or draws.
+    psi = phi_plus(4).amplitudes
+    calls = [lambda: verifier._trial_weights((1, 2, 1), None, -1),
+             lambda: certify_lemma_bound(P("2,1"), 2, trials=3, seed=-5),
+             lambda: certify_corollary_bound(P("2,1"), P("2,1"), P("2,1"), trials=10, seed=-5),
+             lambda: wfs.sample_wfs(tensor_rep(P("2,1"), P("2,1")), psi, -1),
+             lambda: run_verifier_sampled(P("2,1"), P("2,1"), P("2,1"), psi, -1)]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="seed must be nonnegative, got -"):
+            call()
+
+
+def test_trial_weights_stay_finite_up_to_the_level_count_bound():
+    # The n = 20 triple (D = 2.7 10^15, m = 170,921) and three levels whose
+    # counts sum just under MAX_LEVEL_COUNT: every gamma draw and the total
+    # stay finite, Haar and perturbed.
+    mu, nu, lam = P("8,6,4,2"), P("7,6,4,3"), P("6,5,4,3,2")
+    m = multiplicities(tensor_rep(mu, nu))[lam]
+    d = irrep_dimension(mu) * irrep_dimension(nu)
+    n20 = tuple(count for _, count in acceptance_levels(m, irrep_dimension(lam), d))
+    third = int(verifier.MAX_LEVEL_COUNT) // 3
+    for counts in (n20, (third, third, third)):
+        assert sum(counts) <= verifier.MAX_LEVEL_COUNT
+        for perturbation in (None, 0.1):
+            for seed in range(3):
+                weights = verifier._trial_weights(counts, perturbation, seed)
+                assert all(math.isfinite(w) and w >= 0.0 for w in weights), weights
+                assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_acceptance_operator_holds_what_it_prices(monkeypatch):

@@ -179,6 +179,17 @@ def test_measure_frequencies_match_lightning_distribution():
         assert counts[shape] / trials == pytest.approx(prob, abs=0.07)
 
 
+@pytest.mark.parametrize("shape", ["4", "2,2", "1,1,1,1"], ids=["first", "middle", "last"])
+def test_a_state_on_one_label_draws_it_at_every_seed(shape):
+    # In an irrep every other label has probability exactly 0: before the
+    # drawn label in partition order, after it, or on both sides.  The draw
+    # bisects the running sum to the right, so it never lands on one.
+    rep = irrep(P(shape))
+    psi = np.ones(rep.dim) / math.sqrt(rep.dim)
+    for seed in range(200):
+        assert wfs.sample_wfs(rep, psi, seed)[0] == P(shape)
+
+
 def test_measure_rejects_non_unit_state():
     sigma = tensor_rep(P("2,1"), P("2,1"))
     with pytest.raises(InvalidArgumentError):
