@@ -20,7 +20,6 @@ perturbation's center is a unit vector of level 1 and shifts only w1.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ REPORT_BYTES = 1300
 # A trial's gamma draw for a level of count k forms 2 k - 1 and returns about 2 k,
 # and the draws' total stays near twice the counts': a quarter of the float range
 # keeps all of them finite.
-MAX_LEVEL_COUNT = sys.float_info.max / 4
+MAX_LEVEL_COUNT = float(np.finfo(float).max) / 4
 
 
 def acceptance_levels(m: int, d_lam: int, d: int) -> tuple[tuple[float, int], ...]:

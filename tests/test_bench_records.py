@@ -34,7 +34,9 @@ def test_bench_record_holds_every_run_and_names_its_parent(path):
             sides = [runs[pair, workload, side] for side in ("parent", "change")]
             assert [r["first"] for r in sides] == [pair % 2 == 0, pair % 2 == 1]
             assert all(r["result"].keys() == RESULT_KEYS for r in sides)
-    # The summary is the runs' own: each side's median per workload and metric.
+    # The summary is the runs' own: each side's median for every workload and metric.
+    names = {key.split("/")[1] for key in doc["summary"]}
+    assert doc["summary"].keys() == {f"{w}/{name}" for w in workloads for name in names}
     for key, entry in doc["summary"].items():
         workload, name = key.split("/")
         for side in ("parent", "change"):
@@ -48,3 +50,7 @@ def test_bench_record_holds_every_run_and_names_its_parent(path):
                       capture_output=True).returncode:
         pytest.skip("not a git checkout")
     assert _names_a_commit(doc["parent"]), doc["parent"]
+    # Every workload the parent's bench declares was run.
+    show = ["git", "-C", str(ROOT), "show", f"{doc['parent']}:clibench/workloads.json"]
+    declared = subprocess.run(show, capture_output=True, text=True, check=True).stdout
+    assert workloads == list(json.loads(declared)["workloads"])

@@ -368,16 +368,26 @@ def test_kron_rank_route_counts_the_seeds_and_builds_no_block(route, capsys, mon
 @pytest.mark.parametrize(
     "argv",
     [["wfs", "project", "3,2,1", "5,1", "4,2"], ["wfs", "povm", "3,2,1", "5,1"],
-     ["verify", "spectrum", "5,1", "3,3", "4,2"], ["kron", "3,2,1", "4,1,1", "3,2,1", "--route", "both"]],
-    ids=["wfs-project", "wfs-povm", "verify-spectrum", "kron-both"],
+     ["verify", "spectrum", "5,1", "3,3", "4,2"], ["kron", "3,2,1", "4,1,1", "3,2,1", "--route", "both"],
+     ["wfs", "measure", "3,2", "3,1,1", "--seed", "2"],
+     ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "{phi30}", "--seed", "5"],
+     ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "1"],
+     ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "1",
+      "--perturbation", "0.1"],
+     ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "5", "--seed", "1"]],
+    ids=["wfs-project", "wfs-povm", "verify-spectrum", "kron-both", "measure", "run", "certify",
+         "certify-perturbed", "certify-lemma"],
 )
-def test_block_builder_imports_no_random_generator(argv):
-    # The builder's probe is arithmetic: numpy.random, which costs a command
-    # milliseconds to import, stays unloaded.
+def test_block_builder_imports_no_random_generator(argv, tmp_path):
+    # The builder's probe is arithmetic, and the seeded commands draw from the
+    # standard library's random, which import numpy already loads: numpy.random,
+    # which costs a command milliseconds to import, stays unloaded.
+    path = tmp_path / "phi30.json"
+    path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(30))))
     probe = ("import sys; from snverify.cli import main; code = main(sys.argv[1:]); "
              "sys.stderr.write(str('numpy.random' in sys.modules)); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    proc = subprocess.run([sys.executable, "-c", probe, *(a.format(phi30=path) for a in argv)],
+                          capture_output=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stderr == b"False"
 
@@ -437,6 +447,10 @@ def test_verifier_stdout_is_independent_of_blas_thread_count(argv, tmp_path, haa
         cmd = [sys.executable, "-m", "snverify.cli", *argv]
         outs.append(subprocess.run(cmd, capture_output=True, check=True, env=env).stdout)
     assert outs[0] == outs[1]
+    if argv[:2] == ["verify", "run"]:
+        # The run's seed samples a label with a block, so the bytes compared
+        # include the internal test's.
+        assert json.loads(outs[0])["stage"] == "internal-state-test"
 
 
 @pytest.mark.parametrize(
@@ -460,33 +474,6 @@ def test_block_consumer_stdout_is_pinned(argv, digest, tmp_path, haar_state):
     proc = subprocess.run(cmd, capture_output=True, check=True,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
-
-
-# Runs one command through main, then lists the numpy.random modules loaded.
-RANDOM_MODULES = ("import sys\nfrom snverify.cli import main\ncode = main(sys.argv[1:])\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('numpy.random')),"
-                  " file=sys.stderr)\nsys.exit(code)")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["wfs", "measure", "3,2", "3,1,1", "--seed", "2"],
-     ["verify", "run", "3,2", "3,1,1", "3,1,1", "--state", "{phi30}", "--seed", "5"],
-     ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "1"],
-     ["verify", "certify", "3,2", "3,1,1", "3,1,1", "--trials", "5", "--seed", "1",
-      "--perturbation", "0.1"],
-     ["certify-lemma", "3,2", "--multiplicity", "2", "--trials", "5", "--seed", "1"]],
-    ids=["measure", "run", "certify", "certify-perturbed", "certify-lemma"],
-)
-def test_seeded_commands_load_no_numpy_random(argv, tmp_path):
-    # Their draws come from the standard library's random, which import numpy
-    # already loads; numpy.random costs an import of its own.
-    path = tmp_path / "phi30.json"
-    path.write_text(serialize.dumps(serialize.state_to_json(phi_plus(30))))
-    cmd = [sys.executable, "-c", RANDOM_MODULES, *(a.format(phi30=path) for a in argv)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout
-    assert proc.stderr == "[]\n"
 
 
 def test_state_commands_build_no_dense_projector(capsys, monkeypatch, tmp_path, haar_state):

@@ -1,15 +1,16 @@
 """Paired runs of the cold-CLI bench on a parent commit and a change.
 
     python3 tools/bench_pairs.py --parent REV --change REV --pairs N \
-        --seed S --seconds T [--workload NAME ...] --out BENCH_<pr>.json
+        --seed S --seconds T --out BENCH_<pr>.json
 
 Run from inside the git repository.  Each commit is exported with
 `git archive` into its own temporary directory (under $TMPDIR), and
 clibench/run.py runs there from that commit's own files, so each side
 imports the program from its own source, as the bench does.  Pair i runs
-every workload on both sides, the parent first when i is even and the
-change first when i is odd.  The bench is not changed: each run's
-result is the last line of its stdout, one JSON document.
+every workload of the change's clibench/workloads.json on both sides,
+the parent first when i is even and the change first when i is odd.  The
+bench is not changed: each run's result is the last line of its stdout,
+one JSON document.
 
 The output holds every run's result, both SHAs, the seed and --seconds,
 the host (nproc, Python and NumPy versions, the bench's child_env) and,
@@ -87,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=42.0)
-    parser.add_argument("--workload", action="append",
-                        help="a workload of clibench/workloads.json; repeat for more (default: all)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -102,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             export(shas[side], path)
         config = json.loads((checkouts["change"] / "clibench" / "workloads.json").read_text())
         declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        workloads = args.workload or list(config["workloads"])
+        workloads = list(config["workloads"])
         runs = []
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
