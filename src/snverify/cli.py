@@ -331,6 +331,9 @@ def _round_floats(obj):
     return obj
 
 
+_heap_decided = False  # whether a call of main has decided to freeze the heap
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     pretty = "--pretty" in argv
@@ -338,10 +341,15 @@ def main(argv: list[str] | None = None) -> int:
         argv.remove("--pretty")
     # The import-time heap lives until exit: freezing it spares the run's
     # full collections, and those at interpreter exit, from walking it.
-    # Only the first call in a process freezes: a later one would make the
-    # cyclic garbage a caller left since then immortal.
-    if not gc.get_freeze_count():
-        gc.freeze()
+    # Only the first call in a process decides, and freezes unless its
+    # caller froze first: a later freeze would make the cyclic garbage a
+    # caller left since then immortal, and get_freeze_count walks the whole
+    # frozen heap.
+    global _heap_decided
+    if not _heap_decided:
+        _heap_decided = True
+        if not gc.get_freeze_count():
+            gc.freeze()
     try:
         result = run(argv, pretty)
     except SystemExit:  # --help

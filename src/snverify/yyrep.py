@@ -321,7 +321,7 @@ def fourier_transform_matrix(n: int) -> np.ndarray:
     for shape in shapes:
         d = irrep_dimension(shape)
         stack = rep_stack(irrep(shape))
-        ft[row : row + d * d] = math.sqrt(d / size) * stack.reshape(size, d * d).T
+        np.multiply(stack.reshape(size, d * d).T, math.sqrt(d / size), out=ft[row : row + d * d])
         row += d * d
     ft.setflags(write=False)
     return ft

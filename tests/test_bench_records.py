@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 KEYS = {"parent", "change", "seed", "seconds", "pairs", "workloads", "host", "runs", "summary"}
 HOST_KEYS = {"nproc", "python", "numpy", "child_env"}
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
@@ -19,6 +20,20 @@ def _names_a_commit(sha: str) -> bool:
     proc = subprocess.run(["git", "-C", str(ROOT), "cat-file", "-e", f"{sha}^{{commit}}"],
                           capture_output=True)
     return proc.returncode == 0
+
+
+def _verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric's paired runs: "better" when the change wins
+    at least 9 pairs in 10 (ties for neither side) and its median beats the
+    parent's by more than the parent's quartile spread, "worse" when its
+    median is worse by more than bound times the parent's, else "unresolved"."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = sign * (median - statistics.median(change))
+    if 10 * wins >= 9 * len(parent) and gain > q3 - q1:
+        return "better"
+    return "worse" if -gain > bound * abs(median) else "unresolved"
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -39,11 +54,15 @@ def test_bench_record_holds_every_run_and_names_its_parent(path):
     assert doc["summary"].keys() == {f"{w}/{name}" for w in workloads for name in names}
     for key, entry in doc["summary"].items():
         workload, name = key.split("/")
+        sides = {}
         for side in ("parent", "change"):
-            values = [runs[pair, workload, side]["result"]["metrics"][name]["value"]
-                      for pair in range(pairs)]
-            assert entry[side]["median"] == pytest.approx(statistics.median(values), rel=1e-12)
+            sides[side] = [runs[pair, workload, side]["result"]["metrics"][name]["value"]
+                           for pair in range(pairs)]
+            assert entry[side]["median"] == pytest.approx(statistics.median(sides[side]), rel=1e-12)
         assert entry["change_wins"] + entry["parent_wins"] <= pairs
+        assert entry["bound"] == BOUNDS[name]
+        assert entry["verdict"] == _verdict(sides["parent"], sides["change"], entry["better"],
+                                            entry["bound"]), key
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--git-dir"],

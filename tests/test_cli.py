@@ -953,11 +953,20 @@ def test_sym_dim_is_priced_before_the_hook_length_formula(capsys):
             '{"registers": [4], "amplitudes": [[1.0, 0.0, 0.0]' + ', [0.0, 0.0, 0.0]' * 3 + ']}',
         ),
         (["wfs", "measure", "2,1", "2,1", "--state", "{path}"], '{"registers": [4], "amplitudes": 1}'),
+        # Unit states but for their JSON booleans, which NumPy reads as 1 and 0.
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[true, false]' + ', [false, false]' * 3 + ']}',
+        ),
+        (
+            ["wfs", "measure", "2,1", "2,1", "--state", "{path}"],
+            '{"registers": [4], "amplitudes": [[true, 0.0]' + ', [0.0, 0.0]' * 3 + ']}',
+        ),
     ],
     ids=[
         "missing-file", "not-json", "malformed-amplitude", "nan-amplitude",
         "measure-neither-d-nor-d2", "run-not-d2", "string-amplitude", "null-amplitude",
-        "triple-amplitude", "amplitudes-not-a-list",
+        "triple-amplitude", "amplitudes-not-a-list", "boolean-amplitudes", "boolean-beside-floats",
     ],
 )
 def test_bad_state_file_exits_2(argv, content, tmp_path, capsys):

@@ -69,6 +69,16 @@ def test_state_round_trip():
     assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[[True, False], [False, False]], [[True, 0.5], [0, 0]], [[0.6, 0.0], [0.8, False]]],
+    ids=["all-boolean", "boolean-first", "boolean-last"],
+)
+def test_state_from_json_rejects_boolean_amplitudes(amplitudes):
+    with pytest.raises(InvalidArgumentError):
+        serialize.state_from_json({"registers": [2], "amplitudes": amplitudes})
+
+
 def test_projector_and_kraus_docs_carry_labels():
     sigma = tensor_rep(P("2,1"), P("2,1"))
     proj = wfs_projector(sigma, P("2,1"))
@@ -205,12 +215,65 @@ def test_writer_matches_json_on_two_arrays_longer_than_a_chunk():
      _special_values],
     ids=["ft5", "repeats-across-a-boundary", "special"],
 )
-def test_writer_keeps_values_apart_when_every_key_collides(values, monkeypatch):
+def test_writer_keeps_values_apart_when_every_key_collides(values, request, monkeypatch):
     # With every mix equal, the sort keys are the indices alone: runs of
     # equal entries split wherever the bits differ, so a value may be
-    # encoded more than once but never shares another's text.
-    monkeypatch.setattr(serialize, "_key_mix", lambda words: np.zeros(len(words), np.uint64))
+    # encoded more than once but never shares another's text.  The texts an
+    # array keeps for its later chunks are found by the same mix, and one
+    # held twice is dropped.
+    mixed = []
+    monkeypatch.setattr(serialize, "_key_mix",
+                        lambda words: mixed.append(words.shape[1]) or np.zeros(len(words), np.uint64))
     doc = {"data": serialize._complex_list(values())}
+    assert serialize.dumps(doc) == _list_form(doc)
+    width = 1 if "ft5" in request.node.name else 2  # the transform is real
+    assert doc["data"].values.itemsize == 8 * width
+    assert mixed and set(mixed) == {width}
+
+
+def _recurring(size: int, complex_: bool) -> np.ndarray:
+    """Entries of a pool of 40 values that recur in every chunk and across
+    chunks: signed zeros, NaNs of two payloads, infinities, subnormals and
+    finite floats."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    tiny = np.nextafter(0.0, 1.0)
+    parts = np.concatenate([[0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2.5e-310, -1e-320],
+                            nans, np.linspace(-1.0, 1.0, 30) / 3])
+    rng = np.random.default_rng(12)
+    if not complex_:
+        return parts[rng.integers(0, parts.size, size)]
+    values = np.empty(size, dtype=complex)
+    values.real, values.imag = parts[rng.integers(0, parts.size, (2, size))]
+    return values
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["plain", "pretty"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_writer_reuses_texts_across_chunks_byte_for_byte(complex_, pretty):
+    # Three chunks and a part of the same pool: the later chunks find the
+    # texts the first one kept, and a pool of 40 values keeps them on.
+    values = _recurring(3 * CHUNK + 77, complex_)
+    doc = {"tag": "x", "data": serialize._complex_list(values)}
+    assert doc["data"].values.itemsize == (16 if complex_ else 8)
+    if pretty:
+        text = "".join(serialize.pieces(doc, True))
+        assert text == json.dumps(_round_floats(json.loads(_list_form(doc))), indent=2)
+    else:
+        assert serialize.dumps(doc) == _list_form(doc)
+
+
+def test_reuse_stops_looking_up_when_its_lookups_miss():
+    # A chunk of recurring values, then chunks whose values are all new: the
+    # first of these misses, and the array's later chunks look up nothing.
+    values = np.concatenate([_recurring(CHUNK, True), _longest_floats(2 * CHUNK + 5, 3)])
+    reuse = serialize._Reuse(2)
+    looked_up = []
+    for start in range(0, values.size, CHUNK):
+        looked_up.append(bool(reuse.mixes.size))
+        serialize._chunk_text(values[start : start + CHUNK], reuse, "], [", ", ", False)
+    assert looked_up == [False, True, False, False]
+    assert not reuse.on and not reuse.room()
+    doc = {"data": serialize._complex_list(values)}
     assert serialize.dumps(doc) == _list_form(doc)
 
 
@@ -319,4 +382,20 @@ def test_writer_peak_beyond_the_holder_does_not_grow_with_size():
         peaks = [peak for length, peak in sink.pieces if length > CHUNK]  # the chunks' texts
         assert len(peaks) == 7, pretty
         assert all(abs(peak - peaks[0]) < 0.1 * peaks[0] for peak in peaks), (pretty, peaks)
+        assert max(peaks) <= serialize.ENTRY_BYTES * CHUNK, (pretty, peaks)
+
+
+def test_writer_peak_with_reuse_stays_within_a_chunks_price():
+    # Few distinct values in 7 chunks: the texts kept for later chunks add
+    # to each chunk's working set, which stays within its price.
+    doc = {"data": serialize._complex_list(_recurring(7 * CHUNK, True))}
+    for pretty in (False, True):
+        sink = _PeakSink()
+        tracemalloc.start()
+        try:
+            serialize.write(doc, sink, pretty)
+        finally:
+            tracemalloc.stop()
+        peaks = [peak for length, peak in sink.pieces if length > CHUNK]
+        assert len(peaks) == 7, pretty
         assert max(peaks) <= serialize.ENTRY_BYTES * CHUNK, (pretty, peaks)

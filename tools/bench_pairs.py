@@ -14,8 +14,15 @@ one JSON document.
 
 The output holds every run's result, both SHAs, the seed and --seconds,
 the host (nproc, Python and NumPy versions, the bench's child_env) and,
-per workload and end-to-end metric, each side's median and quartiles and
-the number of pairs the change won (ties count for neither side).
+per workload and end-to-end metric, each side's median and quartiles,
+the number of pairs the change won (ties count for neither side), the
+metric's bound from BENCHMARK.json and a verdict:
+
+- "better" when the change won at least 9 pairs in 10 and its median is
+  better than the parent's by more than the parent's quartile spread;
+- "worse" when its median is worse than the parent's by more than the
+  bound, a share of the parent's median;
+- "unresolved" otherwise.
 """
 
 from __future__ import annotations
@@ -59,25 +66,44 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], workloads: list[str], better: dict[str, str]) -> dict:
+def verdict(parent: dict, change: dict, change_wins: int, pairs: int, better: str,
+            bound: float) -> str:
+    """"better", "worse" or "unresolved", as the module docstring says,
+    from each side's quartiles and the pairs the change won."""
+    gain = parent["median"] - change["median"]
+    if better == "higher":
+        gain = -gain
+    if 10 * change_wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "better"
+    if -gain > bound * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
+
+
+def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> dict:
     """Per "workload/metric": each side's median and quartiles over the
-    pairs, and the pairs the change won."""
+    pairs, the pairs each side won, the metric's bound and the verdict."""
     summary = {}
     for workload in workloads:
         by_side = {side: [r["result"]["metrics"] for r in runs
                           if r["workload"] == workload and r["side"] == side]
                    for side in ("parent", "change")}
-        for name, direction in better.items():
+        for metric in metrics:
+            name, direction = metric["name"], metric["better"]
             parent = [m[name]["value"] for m in by_side["parent"]]
             change = [m[name]["value"] for m in by_side["change"]]
             sign = 1 if direction == "lower" else -1
-            summary[f"{workload}/{name}"] = {
+            entry = {
                 "better": direction,
                 "parent": quartiles(parent),
                 "change": quartiles(change),
                 "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                 "parent_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "bound": metric["bound"],
             }
+            entry["verdict"] = verdict(entry["parent"], entry["change"], entry["change_wins"],
+                                       len(parent), direction, metric["bound"])
+            summary[f"{workload}/{name}"] = entry
     return summary
 
 
@@ -120,8 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0],
                  "numpy": numpy_version, "child_env": config["child_env"]},
         "runs": runs,
-        "summary": summarize(runs, workloads,
-                             {m["name"]: m["better"] for m in declared["end_to_end"]}),
+        "summary": summarize(runs, workloads, declared["end_to_end"]),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
