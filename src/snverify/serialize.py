@@ -37,9 +37,10 @@ with no table (5 best of 11 runs and of 5, both alternated twice); it
 encodes 5,090 texts, against 10,078.  The projector of 5,3 x 4,2,2 onto
 5,3 (D = 1,568, 2,458,624 real entries) looks up in its second chunk
 only, and takes 1.67-1.77 s against 2.47-2.54 s.  A second `rep ft 6`
-through cli.main, its transform cached, peaks at 3.6 MiB by tracemalloc,
-against 11.1 MiB with the 7.9 MiB complex copy and 36.5 MiB while the
-whole text was built.
+through cli.main, its transform cached, peaks at 3.6 MiB by tracemalloc
+beside the untouched block that pieces frees first (25.0 MiB, see
+there), against 11.1 MiB with the 7.9 MiB complex copy and 36.5 MiB while
+the whole text was built.
 
 The price of an array's JSON, charged before the holder is built, is
 HOLDER_BYTES an entry for the holder and the array it is copied from,
@@ -241,9 +242,9 @@ def _chunk_text(values: np.ndarray, reuse: _Reuse, between: str, inner: str,
     del ranked, firsts
     texts, missed = reuse.look_up(distinct)
     kept = np.empty(0, dtype=np.intp)  # the entries not found and repeated in this chunk
-    if reuse.room():
+    if room := reuse.room():
         kept = lengths > 1
-        kept = (np.flatnonzero(kept) if missed is None else missed[kept[missed]])[: reuse.room()]
+        kept = (np.flatnonzero(kept) if missed is None else missed[kept[missed]])[:room]
     del lengths
     kept_words = distinct[kept]
     parts = (distinct if missed is None else distinct[missed]).view(np.float64)
@@ -290,6 +291,14 @@ def pieces(payload, pretty: bool = False) -> Iterator[str]:
 
     head, *tails = json.dumps(payload, default=hole,
                               indent=2 if pretty else None).split(_HOLE_TEXT)
+    if any(array.values.size > CHUNK for array in arrays):
+        # Freeing one untouched block of a chunk's price raises glibc's
+        # dynamic mmap and trim thresholds to it and to twice it (mallopt(3)),
+        # so each chunk reuses the heap pages the last one freed instead of
+        # faulting in fresh ones: writing `rep ft 6` in a fresh process takes
+        # 1,174 page faults, against 7,610.  Elsewhere it costs one untouched
+        # allocation.
+        np.empty(ENTRY_BYTES * CHUNK, dtype=np.uint8)
     yield head
     for before, array, tail in zip([head, *tails], arrays, tails):
         values = array.values
