@@ -208,25 +208,24 @@ def test_writer_matches_json_on_two_arrays_longer_than_a_chunk():
 
 
 @pytest.mark.parametrize(
-    "values",
-    [lambda: fourier_transform_matrix(5).reshape(-1),
-     lambda: np.round(np.random.default_rng(8).standard_normal(CHUNK + 99), 1)
-     + 1j * np.random.default_rng(9).integers(-1, 2, CHUNK + 99),
-     _special_values],
+    "values, width",
+    [(lambda: fourier_transform_matrix(5).reshape(-1), 1),  # real: one word an entry
+     (lambda: np.round(np.random.default_rng(8).standard_normal(CHUNK + 99), 1)
+      + 1j * np.random.default_rng(9).integers(-1, 2, CHUNK + 99), 2),
+     (_special_values, 2)],
     ids=["ft5", "repeats-across-a-boundary", "special"],
 )
-def test_writer_keeps_values_apart_when_every_key_collides(values, request, monkeypatch):
+def test_writer_keeps_values_apart_when_every_key_collides(values, width, monkeypatch):
     # With every mix equal, the sort keys are the indices alone: runs of
     # equal entries split wherever the bits differ, so a value may be
     # encoded more than once but never shares another's text.  The texts an
-    # array keeps for its later chunks are found by the same mix, and one
-    # held twice is dropped.
+    # array keeps for its later chunks are looked up by the same mix, and a
+    # lookup checks every bit.
     mixed = []
     monkeypatch.setattr(serialize, "_key_mix",
                         lambda words: mixed.append(words.shape[1]) or np.zeros(len(words), np.uint64))
     doc = {"data": serialize._complex_list(values())}
     assert serialize.dumps(doc) == _list_form(doc)
-    width = 1 if "ft5" in request.node.name else 2  # the transform is real
     assert doc["data"].values.itemsize == 8 * width
     assert mixed and set(mixed) == {width}
 
